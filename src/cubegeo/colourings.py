@@ -111,6 +111,11 @@ def antipodal_pair_count(n: int) -> int:
     return edge_count(n) // 2
 
 
+def _check_dimension(n: int) -> None:
+    if not 1 <= n <= MAX_COLOURING_DIMENSION:
+        raise ValueError(f"colouring dimension {n} outside 1..{MAX_COLOURING_DIMENSION}")
+
+
 @dataclass(frozen=True)
 class EdgeColouring:
     """A total red/blue colouring of E(Q_n). ``blue_mask`` has bit
@@ -120,8 +125,7 @@ class EdgeColouring:
     blue_mask: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_COLOURING_DIMENSION:
-            raise ValueError(f"colouring dimension {self.n} outside 1..{MAX_COLOURING_DIMENSION}")
+        _check_dimension(self.n)
         if self.blue_mask & ~_valid_edge_mask(self.n):
             raise ValueError("blue_mask has bits at non-edge positions")
 
@@ -183,18 +187,38 @@ def _antipodal_representatives(n: int) -> list[Edge]:
     return [e for e in all_edges(n) if e < antipodal_edge(e, n)]
 
 
+@lru_cache(maxsize=None)
+def _antipodal_pairs(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(base, pairs)``: the edge positions (rep, partner) of every
+    antipodal pair, in representative order, and the mask with every
+    partner blue. Positions rather than one-bit masks keep the cache
+    linear in the pair count: at n = 16 a mask per pair would take
+    gigabytes."""
+    _check_dimension(n)
+    base = bytearray((n << n) // 8 + 1)  # OR-ing one-bit ints is quadratic
+    pairs = []
+    for e in _antipodal_representatives(n):
+        a = antipodal_edge(e, n)
+        partner = _pos(a.lo, a.dir, n)
+        base[partner >> 3] |= 1 << (partner & 7)
+        pairs.append((_pos(e.lo, e.dir, n), partner))
+    return int.from_bytes(base, "little"), tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def _edge_positions(n: int) -> tuple[int, ...]:
+    """Bit position of every edge, in (lo, dir) order."""
+    _check_dimension(n)
+    return tuple(_pos(e.lo, e.dir, n) for e in all_edges(n))
+
+
 def is_antipodal(c: EdgeColouring) -> bool:
     """True iff every edge and its antipodal edge have different colours.
     Always False at n = 1, where the unique edge is self-antipodal."""
-    n = c.n
+    if c.n < 2:
+        return False
     blue = c.blue_mask
-    for e in all_edges(n):
-        a = antipodal_edge(e, n)
-        if a < e:
-            continue
-        if ((blue >> _pos(e.lo, e.dir, n)) & 1) == ((blue >> _pos(a.lo, a.dir, n)) & 1):
-            return False
-    return True
+    return all(((blue >> rep) ^ (blue >> partner)) & 1 for rep, partner in _antipodal_pairs(c.n)[1])
 
 
 def random_antipodal_colouring(n: int, seed: int) -> EdgeColouring:
@@ -204,12 +228,8 @@ def random_antipodal_colouring(n: int, seed: int) -> EdgeColouring:
         raise ValueError("antipodal colourings need n >= 2")
     rng = SplitMix64(derive(seed))
     blue = 0
-    for e in _antipodal_representatives(n):
-        a = antipodal_edge(e, n)
-        if rng.bits(1):
-            blue |= 1 << _pos(e.lo, e.dir, n)
-        else:
-            blue |= 1 << _pos(a.lo, a.dir, n)
+    for rep, partner in _antipodal_pairs(n)[1]:
+        blue |= 1 << (rep if rng.bits(1) else partner)
     return EdgeColouring(n, blue)
 
 
@@ -225,29 +245,28 @@ def antipodal_colouring_from_index(n: int, index: int) -> EdgeColouring:
     """The index-th antipodal colouring: bit i of the index blues the
     i-th representative edge (else its partner). Indices in
     [0, 2^antipodal_pair_count(n)) enumerate them all."""
-    reps = _antipodal_representatives(n)
-    if not 0 <= index < (1 << len(reps)):
-        raise ValueError(f"index {index} out of range for {len(reps)} antipodal pairs")
-    blue = 0
-    for i, e in enumerate(reps):
-        a = antipodal_edge(e, n)
-        if (index >> i) & 1:
-            blue |= 1 << _pos(e.lo, e.dir, n)
-        else:
-            blue |= 1 << _pos(a.lo, a.dir, n)
+    blue, pairs = _antipodal_pairs(n)
+    if not 0 <= index < (1 << len(pairs)):
+        raise ValueError(f"index {index} out of range for {len(pairs)} antipodal pairs")
+    while index:
+        low = index & -index
+        rep, partner = pairs[low.bit_length() - 1]
+        blue ^= (1 << rep) | (1 << partner)
+        index ^= low
     return EdgeColouring(n, blue)
 
 
 def colouring_from_index(n: int, index: int) -> EdgeColouring:
     """The index-th general colouring: bit i of the index blues the i-th
     edge in (lo, dir) order. Indices in [0, 2^edge_count(n))."""
-    edges = list(all_edges(n))
-    if not 0 <= index < (1 << len(edges)):
-        raise ValueError(f"index {index} out of range for {len(edges)} edges")
+    positions = _edge_positions(n)
+    if not 0 <= index < (1 << len(positions)):
+        raise ValueError(f"index {index} out of range for {len(positions)} edges")
     blue = 0
-    for i, e in enumerate(edges):
-        if (index >> i) & 1:
-            blue |= 1 << _pos(e.lo, e.dir, n)
+    while index:
+        low = index & -index
+        blue |= 1 << positions[low.bit_length() - 1]
+        index ^= low
     return EdgeColouring(n, blue)
 
 
@@ -274,19 +293,27 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> None:
     verts = w.vertices
     if verts[0] != x or verts[-1] != y:
         raise ValueError("path endpoints do not match the antipodal pair")
-    dirs = []
+    blue = c.blue_mask
+    used = 0
+    repeated = False
+    changes = 0
+    last = None
     for u, v in zip(verts, verts[1:]):
         d = u ^ v
-        if d == 0 or d & (d - 1):
+        if d == 0 or d & (d - 1) or d >> n:
             raise ValueError(f"step {u}->{v} is not a cube edge")
-        dirs.append(d.bit_length() - 1)
-    cols = [c.colour_between(u, v) for u, v in zip(verts, verts[1:])]
-    changes = sum(1 for a, b in zip(cols, cols[1:]) if a is not b)
+        repeated = repeated or bool(used & d)
+        used |= d
+        # u & v is the lo endpoint of the edge between adjacent u and v
+        colour = (blue >> (((d.bit_length() - 1) << n) | (u & v))) & 1
+        if last is not None and colour != last:
+            changes += 1
+        last = colour
     if w.kind == "mono-path":
         if changes != 0:
             raise ValueError("mono-path witness is not monochromatic")
     elif w.kind in ("mono-geodesic", "one-change-geodesic"):
-        if len(set(dirs)) != len(dirs) or len(dirs) != n:
+        if repeated or len(verts) - 1 != n:
             raise ValueError("witness is not a full-length geodesic")
         limit = 0 if w.kind == "mono-geodesic" else 1
         if changes > limit:
@@ -300,41 +327,78 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> None:
         raise ValueError(f"unknown witness kind {w.kind!r}")
 
 
-def _edge_is_blue(blue: int, n: int, u: int, v: int) -> bool:
-    dir = (u ^ v).bit_length() - 1
-    return (blue >> ((dir << n) | min(u, v))) & 1 == 1
+def _antipodal_layers(n: int, lomasks: list[int], x: int, geodesic: bool) -> list[int] | None:
+    """Breadth-first layers, as vertex bitsets, from x in the subgraph
+    whose direction-d edges have lo endpoints in lomasks[d], up to the
+    layer holding the antipode of x; None if it is unreachable.
+
+    Geodesic mode steps only in directions where the vertex still agrees
+    with x, so layer k holds the vertices at distance k from x reachable
+    by a geodesic of that subgraph.
+    """
+    target = 1 << (x ^ ((1 << n) - 1))
+    # (shift, lo endpoints stepped up from, lo endpoints stepped down to)
+    if geodesic:
+        steps = [
+            (1 << d, 0, lom) if (x >> d) & 1 else (1 << d, lom, 0)
+            for d, lom in enumerate(lomasks)
+        ]
+    else:
+        steps = [(1 << d, lom, lom) for d, lom in enumerate(lomasks)]
+    frontier = seen = 1 << x
+    layers = [frontier]
+    while not frontier & target:
+        reached = 0
+        for sh, up, down in steps:
+            reached |= ((frontier & up) << sh) | ((frontier >> sh) & down)
+        frontier = reached & ~seen
+        if not frontier:
+            return None
+        seen |= frontier
+        layers.append(frontier)
+    return layers
+
+
+def _backtrack(n: int, lomasks: list[int], layers: list[int], target: int) -> tuple[int, ...]:
+    """The path from layers[0] to ``target`` in the last layer that steps
+    back, at each layer, to the lowest-direction neighbour in the layer
+    before it across an edge of the subgraph."""
+    verts = [target]
+    v = target
+    for layer in reversed(layers[:-1]):
+        for d in range(n):
+            u = v ^ (1 << d)
+            if (layer >> u) & 1 and (lomasks[d] >> (u & v)) & 1:
+                break
+        else:
+            raise RuntimeError(f"vertex {v} has no predecessor in its breadth-first layer")
+        verts.append(u)
+        v = u
+    verts.reverse()
+    return tuple(verts)
+
+
+def _find_mono_antipodal(c: EdgeColouring, geodesic: bool, kind: str) -> AntipodalWitness | None:
+    """First antipodal pair, x ascending and red before blue, joined by
+    a single-colour path (or geodesic)."""
+    n = c.n
+    mask = (1 << n) - 1
+    classes = _colour_lomasks(c)
+    for x in range(1 << (n - 1)):
+        for lomasks in classes:
+            layers = _antipodal_layers(n, lomasks, x, geodesic)
+            if layers is not None:
+                target = x ^ mask
+                return AntipodalWitness(kind, _backtrack(n, lomasks, layers, target), (x, target))
+    return None
 
 
 def find_monochromatic_antipodal_path(c: EdgeColouring):
     """Search every antipodal pair and both colour classes for a
     single-colour path joining the pair (breadth-first in the colour
-    subgraph). None means no such path exists for any pair."""
-    n = c.n
-    blue = c.blue_mask
-    mask = (1 << n) - 1
-    for x in range(1 << (n - 1)):
-        target = x ^ mask
-        for want_blue in (False, True):
-            parent = {x: None}
-            queue = deque([x])
-            while queue:
-                v = queue.popleft()
-                if v == target:
-                    verts = []
-                    while v is not None:
-                        verts.append(v)
-                        v = parent[v]
-                    return AntipodalWitness(
-                        "mono-path", tuple(reversed(verts)), (x, target)
-                    )
-                for dir in range(n):
-                    w = v ^ (1 << dir)
-                    if w in parent:
-                        continue
-                    if ((blue >> ((dir << n) | min(v, w))) & 1 == 1) is want_blue:
-                        parent[w] = v
-                        queue.append(w)
-    return None
+    subgraph, one bitset layer at a time). None means no such path
+    exists for any pair."""
+    return _find_mono_antipodal(c, False, "mono-path")
 
 
 def find_monochromatic_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_MAX_N):
@@ -343,46 +407,12 @@ def find_monochromatic_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_
     From a start x, the set of directions used so far is implied by the
     current vertex (x XOR v), so plain reachability over vertices with
     the step constraints (unused direction, matching colour) decides it;
-    reaching the antipode means all n directions were used once.
+    reaching the antipode means all n directions were used once. The
+    search expands one bitset layer of vertices at a time.
     """
-    n = c.n
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the subset-search cap {max_n}")
-    blue = c.blue_mask
-    mask = (1 << n) - 1
-    for x in range(1 << (n - 1)):
-        target = x ^ mask
-        for want_blue in (False, True):
-            parent: dict[int, int | None] = {x: None}
-            queue = deque([x])
-            found = False
-            while queue and not found:
-                v = queue.popleft()
-                unused = (x ^ v) ^ mask
-                rest = unused
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    w = v ^ bit
-                    if w in parent:
-                        continue
-                    dir = bit.bit_length() - 1
-                    if ((blue >> ((dir << n) | min(v, w))) & 1 == 1) is want_blue:
-                        parent[w] = v
-                        if w == target:
-                            found = True
-                            break
-                        queue.append(w)
-            if found:
-                verts = []
-                v = target
-                while v is not None:
-                    verts.append(v)
-                    v = parent[v]
-                return AntipodalWitness(
-                    "mono-geodesic", tuple(reversed(verts)), (x, target)
-                )
-    return None
+    if c.n > max_n:
+        raise ValueError(f"n={c.n} exceeds the subset-search cap {max_n}")
+    return _find_mono_antipodal(c, True, "mono-geodesic")
 
 
 def find_one_change_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_MAX_N):
@@ -536,12 +566,12 @@ def _iter_bits(m: int) -> Iterator[int]:
         m ^= b
 
 
-def _colour_lomasks(c: EdgeColouring, colour: Colour) -> list[int]:
-    """Per-direction lo-endpoint masks of one colour class."""
+def _colour_lomasks(c: EdgeColouring) -> tuple[list[int], list[int]]:
+    """Per-direction lo-endpoint masks of the red and the blue class."""
     n = c.n
-    cls = c.blue_mask if colour is Colour.BLUE else _valid_edge_mask(n) ^ c.blue_mask
     vmask = (1 << (1 << n)) - 1
-    return [(cls >> (dir << n)) & vmask for dir in range(n)]
+    blue = [(c.blue_mask >> (dir << n)) & vmask for dir in range(n)]
+    return [_lo_pattern(n, dir) ^ b for dir, b in enumerate(blue)], blue
 
 
 def _components(n: int, lomasks: list[int]) -> list[int]:
@@ -579,7 +609,7 @@ def monochromatic_half_geodesic(c: EdgeColouring) -> GeodesicPath:
     n = c.n
     total = edge_count(n)
     majority = Colour.RED if 2 * (total - c.blue_count()) >= total else Colour.BLUE
-    lomasks = _colour_lomasks(c, majority)
+    lomasks = _colour_lomasks(c)[majority is Colour.BLUE]
     best_comp = None
     best_avg = None
     for comp in _components(n, lomasks):

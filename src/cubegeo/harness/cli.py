@@ -61,14 +61,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cubegeo", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    default_jobs = int(os.environ.get("CUBEGEO_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, jobs=True):
         p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
         p.add_argument("--out", help="write the JSON report/instance here instead of stdout")
         if jobs:
-            p.add_argument("--jobs", type=int, default=default_jobs,
+            p.add_argument("--jobs", type=int,
                            help="worker processes (default $CUBEGEO_JOBS or 1); never affects results")
 
     def add_model(p):
@@ -140,6 +139,21 @@ def _spec_from_args(args, default_kind=None, default_n=None) -> InstanceSpec:
     )
 
 
+def _jobs(args) -> int:
+    """--jobs, else $CUBEGEO_JOBS, else 1; at least 1 whichever is used."""
+    if args.jobs is not None:
+        name, raw = "--jobs", args.jobs
+    else:
+        name, raw = "CUBEGEO_JOBS", os.environ.get("CUBEGEO_JOBS", "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return jobs
+
+
 def _emit_report(report: Report, out: str | None) -> int:
     obj = report.to_obj()
     if out:
@@ -166,14 +180,14 @@ def _cmd_verify(args) -> int:
         template = spec
     else:
         template = base
-    report = run_verify(args.theorem, template, args.trials, seed=args.seed, jobs=args.jobs)
+    report = run_verify(args.theorem, template, args.trials, seed=args.seed, jobs=_jobs(args))
     return _emit_report(report, args.out)
 
 
 def _cmd_search(args) -> int:
     report = run_search(
         args.conjecture, args.mode, args.n,
-        budget=args.budget, seed=args.seed, jobs=args.jobs,
+        budget=args.budget, seed=args.seed, jobs=_jobs(args),
     )
     return _emit_report(report, args.out)
 

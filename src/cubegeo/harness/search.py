@@ -45,7 +45,10 @@ CONJECTURES = ("NORINE", "A", "B")
 EXHAUSTIVE_CAP_ANTIPODAL = 4
 EXHAUSTIVE_CAP_GENERAL = 3
 
-_BLOCK = 1024
+#: Colourings per block: at most this many, and small enough that even a
+#: short sample run splits into about 16 blocks for the worker pool.
+_MAX_BLOCK = 1024
+_MIN_BLOCKS = 16
 
 
 def _checker(conjecture: str):
@@ -141,9 +144,12 @@ def run_search(
         total = budget
         collect_changes = True
 
+    # A function of total alone, never of jobs, so every --jobs value
+    # checks the same blocks.
+    size = min(_MAX_BLOCK, -(-total // _MIN_BLOCKS))
     blocks = [
-        (conjecture, mode, n, seed, start, min(start + _BLOCK, total), collect_changes)
-        for start in range(0, total, _BLOCK)
+        (conjecture, mode, n, seed, start, min(start + size, total), collect_changes)
+        for start in range(0, total, size)
     ]
     checked = 0
     fail = None

@@ -243,6 +243,8 @@ def run_verify(
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem identifier {theorem!r}; expected one of {THEOREMS}")
+    if trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials}")
     if isinstance(templates, InstanceSpec):
         templates = [templates]
     templates = list(templates)

@@ -114,3 +114,83 @@ def colour_changes(c, vertices):
 def is_monochromatic(c, vertices):
     cols = path_colours(c, vertices)
     return all(col is cols[0] for col in cols)
+
+
+def _canonical_edges(n):
+    """(lo, dir) for every edge of Q_n, in (lo, dir) order."""
+    return [(lo, d) for lo in range(1 << n) for d in range(n) if not (lo >> d) & 1]
+
+
+def antipodal_colouring_blue_edges(n, index):
+    """Reference for the index-th antipodal colouring, rebuilt pair by
+    pair on every call: bit i of the index blues the i-th representative
+    edge (the (lo, dir)-smaller edge of its antipodal pair), else its
+    partner. Returns the set of blue (lo, dir) edges."""
+    full = (1 << n) - 1
+    reps = []
+    for lo, d in _canonical_edges(n):
+        partner = (full ^ lo ^ (1 << d), d)
+        if (lo, d) < partner:
+            reps.append(((lo, d), partner))
+    return {rep if (index >> i) & 1 else partner for i, (rep, partner) in enumerate(reps)}
+
+
+def colouring_blue_edges(n, index):
+    """Reference for the index-th general colouring: bit i of the index
+    blues the i-th edge in (lo, dir) order."""
+    return {e for i, e in enumerate(_canonical_edges(n)) if (index >> i) & 1}
+
+
+def blue_edges(c):
+    return {(lo, d) for lo, d, colour in c.pairs() if colour.value == "blue"}
+
+
+def _edge_colour(c, u, v):
+    return c.colour_between(u, v).value
+
+
+def has_mono_antipodal_path(c):
+    """The first (x, colour), x ascending and red before blue, such that a
+    single-colour path joins x to its antipode; None if there is none.
+    Plain depth-first search over vertices."""
+    n = c.n
+    full = (1 << n) - 1
+    for x in range(1 << (n - 1)):
+        for colour in ("red", "blue"):
+            seen = {x}
+            stack = [x]
+            while stack:
+                v = stack.pop()
+                if v == x ^ full:
+                    return (x, colour)
+                for d in range(n):
+                    w = v ^ (1 << d)
+                    if w not in seen and _edge_colour(c, v, w) == colour:
+                        seen.add(w)
+                        stack.append(w)
+    return None
+
+
+def has_mono_antipodal_geodesic(c):
+    """The first (x, colour), x ascending and red before blue, such that a
+    single-colour geodesic joins x to its antipode; None if there is none.
+    Depth-first search over vertex sequences that use each direction at
+    most once."""
+    n = c.n
+    full = (1 << n) - 1
+
+    def walk(v, used, colour):
+        if used == full:
+            return True
+        for d in range(n):
+            w = v ^ (1 << d)
+            if not (used >> d) & 1 and _edge_colour(c, v, w) == colour:
+                if walk(w, used | (1 << d), colour):
+                    return True
+        return False
+
+    for x in range(1 << (n - 1)):
+        for colour in ("red", "blue"):
+            if walk(x, 0, colour):
+                return (x, colour)
+    return None

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import ceil
 
@@ -34,7 +35,18 @@ from cubegeo.colourings import (
     restrict_to_bottom,
 )
 
-from oracles import colour_changes, is_monochromatic, min_changes_simple_paths
+from cubegeo.rng import SplitMix64, derive
+
+from oracles import (
+    antipodal_colouring_blue_edges,
+    blue_edges,
+    colour_changes,
+    colouring_blue_edges,
+    has_mono_antipodal_geodesic,
+    has_mono_antipodal_path,
+    is_monochromatic,
+    min_changes_simple_paths,
+)
 
 RED, BLUE = Colour.RED, Colour.BLUE
 
@@ -131,11 +143,94 @@ class TestRandomColourings:
         assert random_colouring(5, 9) == random_colouring(5, 9)
         assert random_colouring(5, 9) != random_colouring(5, 10)
 
+    def test_dimension_checked_before_building_tables(self):
+        # n = 17 would otherwise build tables for a million edges first
+        for make in (antipodal_colouring_from_index, colouring_from_index, random_antipodal_colouring):
+            with pytest.raises(ValueError, match="colouring dimension 17 outside 1..16"):
+                make(17, 0)
+
     def test_index_enumeration_bounds(self):
         with pytest.raises(ValueError):
             antipodal_colouring_from_index(3, 64)
         with pytest.raises(ValueError):
             colouring_from_index(2, 16)
+
+
+def _sampled_indices(count, bits, seed):
+    rng = SplitMix64(seed)
+    return [rng.bits(bits) for _ in range(count)]
+
+
+class TestGenerationAgainstReference:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_antipodal_index(self, n):
+        for i in range(1 << antipodal_pair_count(n)):
+            assert blue_edges(antipodal_colouring_from_index(n, i)) == antipodal_colouring_blue_edges(n, i)
+
+    def test_sampled_antipodal_indices_n4_n5(self):
+        for n in (4, 5):
+            for i in _sampled_indices(200, antipodal_pair_count(n), seed=n):
+                assert blue_edges(antipodal_colouring_from_index(n, i)) == antipodal_colouring_blue_edges(n, i)
+
+    def test_every_general_index_n3(self):
+        for i in range(1 << edge_count(3)):
+            assert blue_edges(colouring_from_index(3, i)) == colouring_blue_edges(3, i)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_random_antipodal_draws_one_bit_per_pair_in_order(self, n):
+        # bit i of the drawn index is the i-th one-bit draw of the stream
+        for seed in range(5):
+            rng = SplitMix64(derive(seed))
+            index = sum(rng.bits(1) << i for i in range(antipodal_pair_count(n)))
+            c = random_antipodal_colouring(n, seed)
+            assert blue_edges(c) == antipodal_colouring_blue_edges(n, index)
+
+    def test_is_antipodal_matches_pairwise_definition(self):
+        for n in (2, 3, 4):
+            full = (1 << n) - 1
+            for seed in range(20):
+                antipodal = random_antipodal_colouring(n, seed)
+                edge_0_0_flipped = EdgeColouring(n, antipodal.blue_mask ^ 1)
+                for c in (random_colouring(n, seed), antipodal, edge_0_0_flipped):
+                    want = all(
+                        c.colour_of(e) is not c.colour_of(Edge(full ^ e.lo ^ (1 << e.dir), e.dir))
+                        for e in all_edges(n)
+                    )
+                    assert is_antipodal(c) == want
+
+
+def _first_pair(c, w):
+    return None if w is None else (w.pair[0], c.colour_between(w.vertices[0], w.vertices[1]).value)
+
+
+def _check_against_oracles(c):
+    path = find_monochromatic_antipodal_path(c)
+    geodesic = find_monochromatic_antipodal_geodesic(c)
+    assert _first_pair(c, path) == has_mono_antipodal_path(c)
+    assert _first_pair(c, geodesic) == has_mono_antipodal_geodesic(c)
+    for w, kind in ((path, "mono-path"), (geodesic, "mono-geodesic")):
+        if w is not None:
+            assert w.kind == kind
+            validate_witness(w, c)
+
+
+class TestCheckersAgainstOracles:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_antipodal_index(self, n):
+        for i in range(1 << antipodal_pair_count(n)):
+            _check_against_oracles(antipodal_colouring_from_index(n, i))
+
+    def test_every_general_colouring_n3(self):
+        for i in range(1 << edge_count(3)):
+            _check_against_oracles(colouring_from_index(3, i))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_direction_split(self, n):
+        _check_against_oracles(EdgeColouring.direction_split(n))
+
+    def test_sampled_antipodal_indices_n4(self):
+        for i in _sampled_indices(300, antipodal_pair_count(4), seed=44):
+            _check_against_oracles(antipodal_colouring_from_index(4, i))
 
 
 class TestMonoPath:
@@ -329,22 +424,62 @@ class TestDeriveConstructions:
             assert sorted(dirs) == [0, 1, 2]
 
 
+def _rejects(w, c, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_witness(w, c)
+
+
 class TestWitnessValidation:
     def test_rejects_wrong_pair(self):
         w = AntipodalWitness("mono-path", (0, 1), (0, 2))
-        with pytest.raises(ValueError):
-            validate_witness(w, all_red(2))
+        _rejects(w, all_red(2), "pair (0, 2) is not antipodal in Q_2")
+
+    def test_rejects_endpoints_off_the_pair(self):
+        w = AntipodalWitness("mono-path", (0b01, 0b11), (0b00, 0b11))
+        _rejects(w, all_red(2), "path endpoints do not match the antipodal pair")
+
+    @pytest.mark.parametrize(
+        "vertices, step",
+        [
+            ((0b00, 0b00, 0b01, 0b11), "0->0"),  # no move
+            ((0b00, 0b11), "0->3"),  # two coordinates at once
+            ((0b00, 0b100, 0b101, 0b001, 0b011), "0->4"),  # leaves Q_2
+        ],
+    )
+    def test_rejects_non_edge_step(self, vertices, step):
+        w = AntipodalWitness("mono-path", vertices, (0b00, 0b11))
+        _rejects(w, all_red(2), f"step {step} is not a cube edge")
 
     def test_rejects_colour_mismatch(self):
         c = EdgeColouring.direction_split(2)
         w = AntipodalWitness("mono-path", (0b00, 0b01, 0b11), (0b00, 0b11))
-        with pytest.raises(ValueError):
-            validate_witness(w, c)
+        _rejects(w, c, "mono-path witness is not monochromatic")
+
+    @pytest.mark.parametrize("kind", ["mono-geodesic", "one-change-geodesic"])
+    def test_rejects_repeated_direction(self, kind):
+        w = AntipodalWitness(kind, (0b00, 0b01, 0b00, 0b10, 0b11), (0b00, 0b11))
+        _rejects(w, all_red(2), "witness is not a full-length geodesic")
+
+    def test_rejects_mono_geodesic_with_a_change(self):
+        c = EdgeColouring.direction_split(2)
+        w = AntipodalWitness("mono-geodesic", (0b00, 0b01, 0b11), (0b00, 0b11))
+        _rejects(w, c, "mono-geodesic witness changes colour 1 times")
+
+    def test_rejects_one_change_geodesic_with_two(self):
+        # red, blue, red under the split (directions 0, 1 red; 2 blue)
+        c = EdgeColouring.direction_split(3)
+        w = AntipodalWitness("one-change-geodesic", (0b000, 0b001, 0b101, 0b111), (0b000, 0b111))
+        _rejects(w, c, "one-change-geodesic witness changes colour 2 times")
+
+    def test_rejects_wrong_change_count(self):
+        c = EdgeColouring.direction_split(2)
+        w = AntipodalWitness("path", (0b00, 0b01, 0b11), (0b00, 0b11), change_count=0)
+        _rejects(w, c, "witness records 0 changes but has 1")
+        validate_witness(AntipodalWitness("path", w.vertices, w.pair, change_count=1), c)
 
     def test_rejects_unknown_kind(self):
         w = AntipodalWitness("rainbow", (0b00, 0b01, 0b11), (0b00, 0b11))
-        with pytest.raises(ValueError):
-            validate_witness(w, all_red(2))
+        _rejects(w, all_red(2), "unknown witness kind 'rainbow'")
 
     def test_witness_antipodal_image_flips_colour(self):
         for i in (3, 17, 33):

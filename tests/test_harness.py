@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -256,6 +257,35 @@ class TestRunSearch:
         parallel = run_search("B", "exhaustive", 3, jobs=4)
         assert dumps(serial.to_obj()) == dumps(parallel.to_obj())
 
+    def test_jobs_do_not_change_short_sample_report(self):
+        serial = run_search("A", "sample", 5, budget=40, seed=15, jobs=1)
+        parallel = run_search("A", "sample", 5, budget=40, seed=15, jobs=4)
+        assert dumps(serial.to_obj()) == dumps(parallel.to_obj())
+
+    @pytest.mark.parametrize(
+        "mode, n, budget, sizes",
+        [
+            ("exhaustive", 4, None, [1024] * 64),
+            ("sample", 6, 100, [7] * 14 + [2]),
+            ("sample", 6, 5000, [313] * 15 + [305]),
+        ],
+    )
+    def test_block_sizes_depend_on_space_only(self, monkeypatch, mode, n, budget, sizes):
+        """Even a short sample run splits into blocks a pool can share."""
+        import cubegeo.harness.search as search_mod
+
+        seen = []
+
+        def count_block(params):
+            start, stop = params[4], params[5]
+            seen.append(stop - start)
+            return {"checked": stop - start, "fail": None, "kinds": {},
+                    "ch_min": None, "ch_max": None, "ch_sum": 0}
+
+        monkeypatch.setattr(search_mod, "_search_block", count_block)
+        run_search("A", mode, n, budget=budget)
+        assert seen == sizes
+
     def test_unknown_conjecture_and_mode(self):
         with pytest.raises(ValueError):
             run_search("C", "exhaustive", 2)
@@ -326,6 +356,29 @@ class TestCli:
         monkeypatch.setenv("CUBEGEO_JOBS", "2")
         out = str(tmp_path / "v.json")
         assert main(["verify", "--theorem", "T4", "--trials", "8", "--n", "4", "--out", out]) == 0
+
+    @pytest.mark.parametrize(
+        "env, argv, message",
+        [
+            ({"CUBEGEO_JOBS": "abc"}, ["search", "--conjecture", "A", "--mode", "exhaustive", "--n", "2"],
+             "CUBEGEO_JOBS must be a positive integer, got 'abc'"),
+            ({}, ["search", "--conjecture", "A", "--mode", "exhaustive", "--n", "2", "--jobs", "0"],
+             "--jobs must be a positive integer, got 0"),
+            ({}, ["verify", "--theorem", "T4", "--n", "4", "--trials", "-3"],
+             "trials must be a positive integer, got -3"),
+            ({}, ["verify", "--theorem", "T4", "--n", "4", "--trials", "0"],
+             "trials must be a positive integer, got 0"),
+        ],
+    )
+    def test_bad_counts_exit_1_with_one_line(self, tmp_path, env, argv, message):
+        out = tmp_path / "report.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "cubegeo.harness.cli", *argv, "--out", str(out)],
+            env={**os.environ, **env}, capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr == f"cubegeo: error: {message}\n"
+        assert result.stdout == "" and not out.exists()
 
     def test_subprocess_entrypoint(self, tmp_path):
         result = subprocess.run(
