@@ -6,12 +6,17 @@ between the monochromatic-geodesic and one-change-geodesic properties.
 A colouring assigns a colour to every edge of Q_n. Internally it is a
 single big-int bitmask over edge positions (dir << n) | lo, bit set for
 blue, which keeps exhaustive sweeps over 2^16 colourings cheap.
+
+The four antipodal searches share one layered search over 2^n-bit
+vertex sets, ``_antipodal_search``, with two switches: geodesic mode
+steps only away from the start, and a budget bounds the colour changes
+(0 for monochromatic paths and geodesics, 1 for one-change geodesics,
+none for the minimum, whose walk witness is then loop-erased).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -327,78 +332,107 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> None:
         raise ValueError(f"unknown witness kind {w.kind!r}")
 
 
-def _antipodal_layers(n: int, lomasks: list[int], x: int, geodesic: bool) -> list[int] | None:
-    """Breadth-first layers, as vertex bitsets, from x in the subgraph
-    whose direction-d edges have lo endpoints in lomasks[d], up to the
-    layer holding the antipode of x; None if it is unreachable.
+def _antipodal_search(
+    n: int, classes: tuple[list[int], list[int]], x: int, geodesic: bool, budget: int | None
+) -> tuple[int, tuple[int, ...]] | None:
+    """Fewest colour changes on a path (or geodesic) from x to its
+    antipode, searched up to ``budget`` changes (no limit for None):
+    ``(changes, vertices)``, or None if the budget is spent or the
+    antipode is out of reach.
 
-    Geodesic mode steps only in directions where the vertex still agrees
-    with x, so layer k holds the vertices at distance k from x reachable
-    by a geodesic of that subgraph.
+    Level k holds, per colour (red, then blue), the vertices reached from
+    x with at most k changes whose last segment has that colour, as
+    breadth-first layers of vertex bitsets: level 0 starts from x, level
+    k+1 of a colour from everything level k reached in the other colour.
+    A step in colour c along direction d joins lo endpoints in
+    classes[c][d] to their hi neighbours; geodesic mode steps only in
+    directions where the vertex still agrees with x, that is, away from x.
     """
-    target = 1 << (x ^ ((1 << n) - 1))
-    # (shift, lo endpoints stepped up from, lo endpoints stepped down to)
-    if geodesic:
-        steps = [
-            (1 << d, 0, lom) if (x >> d) & 1 else (1 << d, lom, 0)
-            for d, lom in enumerate(lomasks)
-        ]
-    else:
-        steps = [(1 << d, lom, lom) for d, lom in enumerate(lomasks)]
-    frontier = seen = 1 << x
-    layers = [frontier]
-    while not frontier & target:
-        reached = 0
-        for sh, up, down in steps:
-            reached |= ((frontier & up) << sh) | ((frontier >> sh) & down)
-        frontier = reached & ~seen
-        if not frontier:
+    y = x ^ ((1 << n) - 1)
+    target = 1 << y
+    steps = []
+    levels = []
+    before = [1 << x, 1 << x]
+    k = 0
+    while True:
+        level = []
+        levels.append(level)
+        reach = []
+        for c in (0, 1):
+            if not k:
+                # (shift, lo endpoints stepped up from, lo endpoints stepped down to)
+                if geodesic:
+                    steps.append([
+                        (1 << d, 0, lom) if (x >> d) & 1 else (1 << d, lom, 0)
+                        for d, lom in enumerate(classes[c])
+                    ])
+                else:
+                    steps.append([(1 << d, lom, lom) for d, lom in enumerate(classes[c])])
+            frontier = seen = before[1 - c]
+            layers = [frontier]
+            level.append(layers)
+            while True:
+                nxt = 0
+                for sh, up, down in steps[c]:
+                    nxt |= ((frontier & up) << sh) | ((frontier >> sh) & down)
+                frontier = nxt & ~seen
+                if not frontier:
+                    break
+                seen |= frontier
+                layers.append(frontier)
+                if frontier & target:
+                    return k, _backtrack(steps, levels, c, y)
+            reach.append(seen)
+        if k == budget or reach == before:
             return None
-        seen |= frontier
-        layers.append(frontier)
-    return layers
+        before = reach
+        k += 1
 
 
-def _backtrack(n: int, lomasks: list[int], layers: list[int], target: int) -> tuple[int, ...]:
-    """The path from layers[0] to ``target`` in the last layer that steps
-    back, at each layer, to the lowest-direction neighbour in the layer
-    before it across an edge of the subgraph."""
-    verts = [target]
-    v = target
-    for layer in reversed(layers[:-1]):
-        for d in range(n):
-            u = v ^ (1 << d)
-            if (layer >> u) & 1 and (lomasks[d] >> (u & v)) & 1:
-                break
-        else:
-            raise RuntimeError(f"vertex {v} has no predecessor in its breadth-first layer")
-        verts.append(u)
-        v = u
+def _backtrack(steps: list, levels: list, c: int, v: int) -> tuple[int, ...]:
+    """The path from x to v, which the last level reached in colour c,
+    rebuilt one segment per level from v back. Within a level it steps
+    back one layer at a time, to the lowest-direction vertex of the layer
+    before from which a step reaches the current vertex; a segment ends
+    in the level's first layer, where the level before reached it in the
+    other colour."""
+    verts = [v]
+    for level in reversed(levels):
+        layers = level[c]
+        top = len(layers) - 1
+        while not (layers[top] >> v) & 1:
+            top -= 1
+        for layer in reversed(layers[:top]):
+            for sh, up, down in steps[c]:
+                u = v ^ sh
+                if (layer >> u) & 1 and ((up >> u) if v & sh else (down >> v)) & 1:
+                    break
+            else:
+                raise RuntimeError(f"vertex {v} has no predecessor in its breadth-first layer")
+            verts.append(u)
+            v = u
+        c ^= 1
     verts.reverse()
     return tuple(verts)
 
 
-def _find_mono_antipodal(c: EdgeColouring, geodesic: bool, kind: str) -> AntipodalWitness | None:
-    """First antipodal pair, x ascending and red before blue, joined by
-    a single-colour path (or geodesic)."""
+def _first_antipodal(c: EdgeColouring, geodesic: bool, budget: int, kind: str):
+    """The witness for the first x, ascending, joined to its antipode
+    within the change budget."""
     n = c.n
-    mask = (1 << n) - 1
     classes = _colour_lomasks(c)
     for x in range(1 << (n - 1)):
-        for lomasks in classes:
-            layers = _antipodal_layers(n, lomasks, x, geodesic)
-            if layers is not None:
-                target = x ^ mask
-                return AntipodalWitness(kind, _backtrack(n, lomasks, layers, target), (x, target))
+        found = _antipodal_search(n, classes, x, geodesic, budget)
+        if found is not None:
+            return AntipodalWitness(kind, found[1], (x, x ^ ((1 << n) - 1)))
     return None
 
 
 def find_monochromatic_antipodal_path(c: EdgeColouring):
-    """Search every antipodal pair and both colour classes for a
-    single-colour path joining the pair (breadth-first in the colour
-    subgraph, one bitset layer at a time). None means no such path
+    """Search every antipodal pair and both colour classes (red first)
+    for a single-colour path joining the pair. None means no such path
     exists for any pair."""
-    return _find_mono_antipodal(c, False, "mono-path")
+    return _first_antipodal(c, False, 0, "mono-path")
 
 
 def find_monochromatic_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_MAX_N):
@@ -406,76 +440,23 @@ def find_monochromatic_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_
 
     From a start x, the set of directions used so far is implied by the
     current vertex (x XOR v), so plain reachability over vertices with
-    the step constraints (unused direction, matching colour) decides it;
-    reaching the antipode means all n directions were used once. The
-    search expands one bitset layer of vertices at a time.
+    steps away from x in one colour decides it; reaching the antipode
+    means all n directions were used once.
     """
     if c.n > max_n:
         raise ValueError(f"n={c.n} exceeds the subset-search cap {max_n}")
-    return _find_mono_antipodal(c, True, "mono-geodesic")
+    return _first_antipodal(c, True, 0, "mono-geodesic")
 
 
 def find_one_change_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_MAX_N):
     """Search for a geodesic between antipodal vertices with at most one
-    colour change, by reachability over (vertex, current colour,
-    changed-yet) states."""
-    n = c.n
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the subset-search cap {max_n}")
-    blue = c.blue_mask
-    mask = (1 << n) - 1
-    for x in range(1 << (n - 1)):
-        target = x ^ mask
-        parent: dict[tuple[int, bool, bool], tuple] = {}
-        queue = deque()
-
-        def visit(state, prev):
-            parent[state] = prev
-            if state[0] == target:
-                verts = []
-                st = state
-                while st is not None:
-                    verts.append(st[0])
-                    st = parent[st]
-                verts.append(x)
-                return AntipodalWitness(
-                    "one-change-geodesic", tuple(reversed(verts)), (x, target)
-                )
-            queue.append(state)
-            return None
-
-        for dir in range(n):
-            w = x ^ (1 << dir)
-            col = (blue >> ((dir << n) | min(x, w))) & 1 == 1
-            st = (w, col, False)
-            if st not in parent:
-                hit = visit(st, None)
-                if hit:
-                    return hit
-        while queue:
-            v, col, changed = queue.popleft()
-            unused = (x ^ v) ^ mask
-            rest = unused
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                w = v ^ bit
-                dir = bit.bit_length() - 1
-                ecol = (blue >> ((dir << n) | min(v, w))) & 1 == 1
-                if ecol is col:
-                    st = (w, col, changed)
-                elif not changed:
-                    st = (w, ecol, True)
-                else:
-                    continue
-                if st not in parent:
-                    hit = visit(st, (v, col, changed))
-                    if hit:
-                        return hit
-    return None
+    colour change: reachability away from x with a change budget of one."""
+    if c.n > max_n:
+        raise ValueError(f"n={c.n} exceeds the subset-search cap {max_n}")
+    return _first_antipodal(c, True, 1, "one-change-geodesic")
 
 
-def _loop_erase(verts: list[int]) -> list[int]:
+def _loop_erase(verts: tuple[int, ...]) -> list[int]:
     out: list[int] = []
     seen: dict[int, int] = {}
     for v in verts:
@@ -491,71 +472,34 @@ def _loop_erase(verts: list[int]) -> list[int]:
 
 def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitness]:
     """Minimum, over antipodal pairs, of the fewest colour changes on any
-    path joining the pair.
+    path joining the pair, with a witness for the first pair (x
+    ascending) that attains it.
 
-    Computed as a 0/1-weight breadth-first search over (vertex, last edge
-    colour) states, which optimizes over walks; erasing a loop from a
-    walk never increases its change count, so the walk minimum equals the
+    The layered search optimizes over walks; erasing a loop from a walk
+    never increases its change count, so the walk minimum equals the
     path minimum and the returned witness is loop-erased to a simple path
-    achieving exactly the optimum.
+    achieving exactly the optimum. After the first x, each x is searched
+    only for fewer changes than the best so far.
     """
     n = c.n
-    blue = c.blue_mask
     mask = (1 << n) - 1
+    classes = _colour_lomasks(c)
     best: tuple[int, AntipodalWitness] | None = None
-    for x in range(max(1, 1 << (n - 1))):
-        target = x ^ mask
-        dist: dict[tuple[int, bool], int] = {}
-        parent: dict[tuple[int, bool], tuple | None] = {}
-        dq = deque()
-        for dir in range(n):
-            w = x ^ (1 << dir)
-            col = (blue >> ((dir << n) | min(x, w))) & 1 == 1
-            st = (w, col)
-            if st not in dist:
-                dist[st] = 0
-                parent[st] = None
-                dq.appendleft(st)
-        while dq:
-            st = dq.popleft()
-            v, col = st
-            d = dist[st]
-            for dir in range(n):
-                w = v ^ (1 << dir)
-                ecol = (blue >> ((dir << n) | min(v, w))) & 1 == 1
-                nst = (w, ecol)
-                nd = d + (ecol is not col)
-                if nst not in dist or nd < dist[nst]:
-                    dist[nst] = nd
-                    parent[nst] = st
-                    if nd == d:
-                        dq.appendleft(nst)
-                    else:
-                        dq.append(nst)
-        value = min(
-            (dist[st] for st in ((target, False), (target, True)) if st in dist),
-            default=None,
-        )
-        assert value is not None, "Q_n is connected; the antipode is always reachable"
-        if best is None or value < best[0]:
-            goal = min(
-                (st for st in ((target, False), (target, True)) if dist.get(st) == value),
-            )
-            walk = []
-            st = goal
-            while st is not None:
-                walk.append(st[0])
-                st = parent[st]
-            walk.append(x)
-            walk.reverse()
-            simple = _loop_erase(walk)
-            cols = [c.colour_between(u, v) for u, v in zip(simple, simple[1:])]
-            changes = sum(1 for a, b in zip(cols, cols[1:]) if a is not b)
-            assert changes == value, "loop erasure must preserve the optimum"
-            witness = AntipodalWitness("path", tuple(simple), (x, target), changes)
-            best = (value, witness)
-            if value == 0:
-                break
+    for x in range(1 << (n - 1)):
+        found = _antipodal_search(n, classes, x, False, None if best is None else best[0] - 1)
+        if found is None:
+            if best is None:
+                raise RuntimeError("Q_n is connected, yet the antipode was not reached")
+            continue
+        value, walk = found
+        simple = _loop_erase(walk)
+        cols = [c.colour_between(u, v) for u, v in zip(simple, simple[1:])]
+        changes = sum(1 for a, b in zip(cols, cols[1:]) if a is not b)
+        if changes != value:
+            raise RuntimeError(f"loop erasure gave {changes} changes, not the optimum {value}")
+        best = (value, AntipodalWitness("path", tuple(simple), (x, x ^ mask), changes))
+        if value == 0:
+            break
     return best
 
 
@@ -714,23 +658,15 @@ def derive_B_from_A(c: EdgeColouring) -> AntipodalWitness:
     cycle = p + [v ^ mask2 for v in p[1:]]
     steps = list(zip(cycle, cycle[1:]))
     crossings = [i for i, (u, v) in enumerate(steps) if u ^ v == 1 << n]
-    assert len(crossings) == 2, "the cycle crosses the new direction exactly twice"
+    if len(crossings) != 2:
+        raise RuntimeError(f"the cycle crosses the new direction {len(crossings)} times, not twice")
     i1, i2 = crossings
     arc1 = cycle[i1 + 1 : i2 + 1]
     arc2 = cycle[i2 + 1 :] + cycle[1 : i1 + 1]
     top_bit = 1 << n
-    if all(not v & top_bit for v in arc1):
-        bottom = arc1
-        assert all(v & top_bit for v in arc2)
-    else:
-        bottom = arc2
-        assert all(not v & top_bit for v in bottom)
-        assert all(v & top_bit for v in arc1)
-    path = GeodesicPath(bottom)
-    assert path.length == n and path.start ^ path.end == (1 << n) - 1
-    cols = [c.colour_between(u, v) for u, v in zip(bottom, bottom[1:])]
-    changes = sum(1 for a, b in zip(cols, cols[1:]) if a is not b)
-    assert changes <= 1
+    bottom, top = (arc2, arc1) if arc1[0] & top_bit else (arc1, arc2)
+    if any(v & top_bit for v in bottom) or not all(v & top_bit for v in top):
+        raise RuntimeError("an arc of the cycle between its crossings leaves its subcube")
     witness = AntipodalWitness(
         "one-change-geodesic", tuple(bottom), (bottom[0], bottom[-1])
     )

@@ -95,11 +95,17 @@ def instance_to_obj(instance) -> dict:
     raise TypeError(f"cannot serialize {type(instance).__name__}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer. ``bool`` subclasses ``int``, but ``true`` is no
+    number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(obj: dict, name: str, kind: type):
     if name not in obj:
         raise ParseError(f"missing field {name!r}")
     value = obj[name]
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"field {name!r} should be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -107,10 +113,12 @@ def _field(obj: dict, name: str, kind: type):
 def obj_to_graph(obj: dict) -> CubeSubgraph:
     n = _field(obj, "n", int)
     vertices = _field(obj, "vertices", list)
+    if not all(_is_int(v) for v in vertices):
+        raise ParseError("graph vertices should be ints")
     raw_edges = _field(obj, "edges", list)
     edges = []
     for i, item in enumerate(raw_edges):
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item)):
+        if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
             raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
         edges.append(Edge(item[0], item[1]))
     try:
@@ -127,7 +135,7 @@ def obj_to_colouring(obj: dict) -> EdgeColouring:
         if not (isinstance(item, list) and len(item) == 3):
             raise ParseError(f"pairs[{i}] should be [lo, dir, colour], got {item!r}")
         lo, dir, colour = item
-        if not isinstance(lo, int) or not isinstance(dir, int):
+        if not _is_int(lo) or not _is_int(dir):
             raise ParseError(f"pairs[{i}] endpoints should be ints")
         try:
             pairs.append((lo, dir, Colour(colour)))
@@ -142,7 +150,7 @@ def obj_to_colouring(obj: dict) -> EdgeColouring:
 def obj_to_family(obj: dict) -> SetFamily:
     n = _field(obj, "n", int)
     sets = _field(obj, "sets", list)
-    if not all(isinstance(s, int) for s in sets):
+    if not all(_is_int(s) for s in sets):
         raise ParseError("family members should be ints")
     try:
         return SetFamily.of(n, sets)

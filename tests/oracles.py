@@ -194,3 +194,31 @@ def has_mono_antipodal_geodesic(c):
             if walk(x, 0, colour):
                 return (x, colour)
     return None
+
+
+def min_changes_geodesics(c, x):
+    """Minimum colour changes over all geodesics from x to its antipode,
+    by exhaustive DFS over direction orders."""
+    n = c.n
+    full = (1 << n) - 1
+    best = None
+
+    def walk(v, used, last, changes):
+        nonlocal best
+        if used == full:
+            best = changes if best is None else min(best, changes)
+            return
+        for d in range(n):
+            if not (used >> d) & 1:
+                w = v ^ (1 << d)
+                colour = _edge_colour(c, v, w)
+                walk(w, used | (1 << d), colour, changes + (last is not None and colour != last))
+
+    walk(x, 0, None, 0)
+    return best
+
+
+def has_one_change_antipodal_geodesic(c):
+    """The first x, ascending, such that a geodesic with at most one
+    colour change joins x to its antipode; None if there is none."""
+    return next((x for x in range(1 << (c.n - 1)) if min_changes_geodesics(c, x) <= 1), None)

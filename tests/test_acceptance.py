@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import ceil, factorial
+from pathlib import Path
 from time import monotonic
 
 import pytest
@@ -313,7 +314,7 @@ def test_criterion_10_harness_determinism(tmp_path):
         out = str(tmp_path / f"r{run}.json")
         code = subprocess.run(argv + ["--jobs", jobs, "--out", out]).returncode
         assert code == 0
-        outputs.append(open(out, "rb").read())
+        outputs.append(Path(out).read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
     search_argv = [
@@ -335,5 +336,5 @@ def test_criterion_10_harness_determinism(tmp_path):
         save_json(path, graph_to_obj(g))
         assert obj_to_graph(load_json(path)) == g
         save_json(path, graph_to_obj(g))
-        assert dumps(load_json(path)) == open(path).read()
+        assert dumps(load_json(path)) == Path(path).read_text()
     _report(10, monotonic() - t0, 120, "reruns and jobs 1/8 byte-identical; round-trips exact")

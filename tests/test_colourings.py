@@ -27,6 +27,8 @@ from cubegeo import (
     validate_witness,
 )
 from cubegeo.colourings import (
+    _antipodal_search,
+    _colour_lomasks,
     all_edges,
     antipodal_colouring_from_index,
     antipodal_pair_count,
@@ -44,7 +46,9 @@ from oracles import (
     colouring_blue_edges,
     has_mono_antipodal_geodesic,
     has_mono_antipodal_path,
+    has_one_change_antipodal_geodesic,
     is_monochromatic,
+    min_changes_geodesics,
     min_changes_simple_paths,
 )
 
@@ -206,9 +210,11 @@ def _first_pair(c, w):
 def _check_against_oracles(c):
     path = find_monochromatic_antipodal_path(c)
     geodesic = find_monochromatic_antipodal_geodesic(c)
+    one_change = find_one_change_antipodal_geodesic(c)
     assert _first_pair(c, path) == has_mono_antipodal_path(c)
     assert _first_pair(c, geodesic) == has_mono_antipodal_geodesic(c)
-    for w, kind in ((path, "mono-path"), (geodesic, "mono-geodesic")):
+    assert (None if one_change is None else one_change.pair[0]) == has_one_change_antipodal_geodesic(c)
+    for w, kind in ((path, "mono-path"), (geodesic, "mono-geodesic"), (one_change, "one-change-geodesic")):
         if w is not None:
             assert w.kind == kind
             validate_witness(w, c)
@@ -231,6 +237,10 @@ class TestCheckersAgainstOracles:
     def test_sampled_antipodal_indices_n4(self):
         for i in _sampled_indices(300, antipodal_pair_count(4), seed=44):
             _check_against_oracles(antipodal_colouring_from_index(4, i))
+
+    def test_sampled_general_colourings_n4(self):
+        for seed in range(300):
+            _check_against_oracles(random_colouring(4, seed))
 
 
 class TestMonoPath:
@@ -317,17 +327,60 @@ class TestMinColourChanges:
         assert value == 1
         validate_witness(w, c)
 
-    @given(st.integers(0, 4095))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_simple_path_oracle_n3(self, index):
-        c = colouring_from_index(3, index)
-        value, w = min_colour_changes_antipodal(c)
-        oracle = min(
-            min_changes_simple_paths(c, x, x ^ 7) for x in range(4)
+    def test_matches_simple_path_oracle_n3(self):
+        for index in range(4096):
+            c = colouring_from_index(3, index)
+            value, w = min_colour_changes_antipodal(c)
+            per_start = [min_changes_simple_paths(c, x, x ^ 7) for x in range(4)]
+            assert value == min(per_start)
+            assert w.pair[0] == per_start.index(value)
+            validate_witness(w, c)
+            assert len(set(w.vertices)) == len(w.vertices)  # simple path
+
+
+class TestSearchKernel:
+    """Per-start levels of the shared antipodal search, past the one or
+    two changes that the public searches ever need."""
+
+    @staticmethod
+    def _parity_colouring(n):
+        # edge (lo, d) blue iff lo has odd weight: every geodesic from 0
+        # alternates colours, n - 1 changes
+        return EdgeColouring.from_pairs(
+            n, [(e.lo, e.dir, BLUE if e.lo.bit_count() & 1 else RED) for e in all_edges(n)]
         )
-        assert value == oracle
-        validate_witness(w, c)
-        assert len(set(w.vertices)) == len(w.vertices)  # simple path
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_geodesic_change_count_is_exact(self, n):
+        c = self._parity_colouring(n)
+        classes = _colour_lomasks(c)
+        changes, verts = _antipodal_search(n, classes, 0, True, None)
+        assert changes == n - 1
+        validate_witness(AntipodalWitness("path", verts, (0, (1 << n) - 1), n - 1), c)
+        assert len({u ^ v for u, v in zip(verts, verts[1:])}) == len(verts) - 1 == n
+        assert _antipodal_search(n, classes, 0, True, n - 2) is None
+
+    def test_stops_when_nothing_new_is_reached(self):
+        # red edges along direction 0 only, no blue edges: the antipode
+        # of 0 is out of reach, and with no budget the search must stop
+        red = [0b0101, 0]
+        assert _antipodal_search(2, (red, [0, 0]), 0, False, None) is None
+        assert _antipodal_search(2, (red, [0, 0]), 0, True, None) is None
+
+    def test_per_start_minima_match_oracles_n3(self):
+        for index in range(0, 4096, 7):
+            c = colouring_from_index(3, index)
+            classes = _colour_lomasks(c)
+            for x in range(8):
+                y = x ^ 7
+                changes, verts = _antipodal_search(3, classes, x, False, None)
+                assert changes == min_changes_simple_paths(c, x, y)
+                assert verts[0] == x and verts[-1] == y
+                validate_witness(AntipodalWitness("path", verts, (x, y), colour_changes(c, verts)), c)
+                changes, verts = _antipodal_search(3, classes, x, True, None)
+                assert changes == min_changes_geodesics(c, x)
+                validate_witness(AntipodalWitness("path", verts, (x, y), changes), c)
+                assert len(verts) == 4
 
 
 class TestHalfGeodesic:

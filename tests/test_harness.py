@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,42 @@ class TestSerialize:
             obj_to_graph({"n": 2, "vertices": [0]})
         assert "edges" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": True, "vertices": [0, 1], "edges": [[0, 0]]},
+            {"n": 1, "vertices": [0, True], "edges": [[0, 0]]},
+            {"n": 1, "vertices": [0, 1], "edges": [[False, 0]]},
+            {"n": 1, "vertices": [0, 1], "edges": [[0, False]]},
+            {"n": True, "pairs": [[0, 0, "red"]]},
+            {"n": 1, "pairs": [[False, 0, "red"]]},
+            {"n": 1, "pairs": [[0, False, "red"]]},
+            {"n": True, "sets": [0]},
+            {"n": 1, "sets": [0, True]},
+        ],
+    )
+    def test_json_bool_is_not_an_int(self, obj, tmp_path, capsys):
+        path = str(tmp_path / "bool.json")
+        save_json(path, obj)
+        with pytest.raises(ParseError):
+            load_instance(path)
+        assert main(["analyze", "--file", path]) == 1
+        assert capsys.readouterr().err.startswith("cubegeo: parse error: ")
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 1, "vertices": [0, 1], "edges": [[0, 0]]},
+            {"n": 1, "pairs": [[0, 0, "red"]]},
+            {"n": 1, "sets": [0, 1]},
+        ],
+    )
+    def test_bool_cases_are_valid_with_ints(self, obj, tmp_path):
+        path = str(tmp_path / "int.json")
+        save_json(path, obj)
+        load_instance(path)
+        assert main(["analyze", "--file", path, "--out", str(tmp_path / "r.json")]) == 0
+
 
 class TestRunVerify:
     def test_t4_passes_and_reruns_identically(self):
@@ -316,7 +353,7 @@ class TestCli:
         argv = ["verify", "--theorem", "T4", "--trials", "20", "--n", "5", "--seed", "21"]
         assert main(argv + ["--jobs", "1", "--out", a]) == 0
         assert main(argv + ["--jobs", "3", "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_search_cli(self, tmp_path):
         out = str(tmp_path / "s.json")
@@ -394,7 +431,7 @@ class TestCli:
         dst = str(tmp_path / "dst.json")
         assert main(["gen", "--model", "hamming-ball", "--n", "5", "--radius", "2", "--out", src]) == 0
         assert main(["gen", "--model", "from-file", "--file", src, "--out", dst]) == 0
-        assert open(src).read() == open(dst).read()
+        assert Path(src).read_text() == Path(dst).read_text()
 
     def test_failing_report_exits_2(self, tmp_path, capsys):
         from cubegeo.harness.cli import _emit_report
