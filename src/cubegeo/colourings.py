@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import ceil
 from typing import Iterable, Iterator
 
-from .core import CubeSubgraph, Edge, antipode
+from .core import CubeSubgraph, Edge, _components, _lo_pattern, _mask, antipode
 from .geodesics import GeodesicPath, increasing_geodesic_table, extract_increasing_geodesic
 from .rng import SplitMix64, derive
 
@@ -66,15 +66,6 @@ class Colour(enum.Enum):
     @property
     def opposite(self) -> "Colour":
         return Colour.BLUE if self is Colour.RED else Colour.RED
-
-
-@lru_cache(maxsize=None)
-def _lo_pattern(n: int, dir: int) -> int:
-    """Bitmask over 2^n positions with a 1 at position v iff bit ``dir``
-    of v is 0, i.e. the canonical lo endpoints of direction ``dir``."""
-    block = (1 << (1 << dir)) - 1
-    period = 1 << (dir + 1)
-    return block * (((1 << (1 << n)) - 1) // ((1 << period) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -200,14 +191,11 @@ def _antipodal_pairs(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     linear in the pair count: at n = 16 a mask per pair would take
     gigabytes."""
     _check_dimension(n)
-    base = bytearray((n << n) // 8 + 1)  # OR-ing one-bit ints is quadratic
     pairs = []
     for e in _antipodal_representatives(n):
         a = antipodal_edge(e, n)
-        partner = _pos(a.lo, a.dir, n)
-        base[partner >> 3] |= 1 << (partner & 7)
-        pairs.append((_pos(e.lo, e.dir, n), partner))
-    return int.from_bytes(base, "little"), tuple(pairs)
+        pairs.append((_pos(e.lo, e.dir, n), _pos(a.lo, a.dir, n)))
+    return _mask((partner for _, partner in pairs), n << n), tuple(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -217,13 +205,24 @@ def _edge_positions(n: int) -> tuple[int, ...]:
     return tuple(_pos(e.lo, e.dir, n) for e in all_edges(n))
 
 
+def _antipodal_image(n: int, mask: int) -> int:
+    """The edge mask with edge e set iff the antipodal edge of e is set
+    in ``mask``. Edge (lo, d) maps to (lo ^ (2^n - 1) ^ 2^d, d): reversing
+    the 2^n bits of direction d's block maps lo to lo ^ (2^n - 1), whose
+    bit d is 1, and shifting down by 2^d clears it."""
+    size = 1 << n
+    image = 0
+    for d in range(n):
+        block = (mask >> (d << n)) & ((1 << size) - 1)
+        image |= int(format(block, f"0{size}b")[::-1], 2) >> (1 << d) << (d << n)
+    return image
+
+
 def is_antipodal(c: EdgeColouring) -> bool:
     """True iff every edge and its antipodal edge have different colours.
-    Always False at n = 1, where the unique edge is self-antipodal."""
-    if c.n < 2:
-        return False
-    blue = c.blue_mask
-    return all(((blue >> rep) ^ (blue >> partner)) & 1 for rep, partner in _antipodal_pairs(c.n)[1])
+    Always False at n = 1, where the unique edge is self-antipodal (its
+    image is itself, so the XOR below is empty)."""
+    return c.blue_mask ^ _antipodal_image(c.n, c.blue_mask) == _valid_edge_mask(c.n)
 
 
 def random_antipodal_colouring(n: int, seed: int) -> EdgeColouring:
@@ -232,10 +231,10 @@ def random_antipodal_colouring(n: int, seed: int) -> EdgeColouring:
     if n < 2:
         raise ValueError("antipodal colourings need n >= 2")
     rng = SplitMix64(derive(seed))
-    blue = 0
-    for rep, partner in _antipodal_pairs(n)[1]:
-        blue |= 1 << (rep if rng.bits(1) else partner)
-    return EdgeColouring(n, blue)
+    pairs = _antipodal_pairs(n)[1]
+    # digit i is the i-th one-bit draw; 1 blues pair i's representative
+    chosen = format(rng.bits(len(pairs)), f"0{len(pairs)}b")[::-1]
+    return EdgeColouring(n, _mask((pair[c == "0"] for pair, c in zip(pairs, chosen)), n << n))
 
 
 def random_colouring(n: int, seed: int) -> EdgeColouring:
@@ -503,43 +502,12 @@ def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitnes
     return best
 
 
-def _iter_bits(m: int) -> Iterator[int]:
-    while m:
-        b = m & -m
-        yield b.bit_length() - 1
-        m ^= b
-
-
 def _colour_lomasks(c: EdgeColouring) -> tuple[list[int], list[int]]:
     """Per-direction lo-endpoint masks of the red and the blue class."""
     n = c.n
     vmask = (1 << (1 << n)) - 1
     blue = [(c.blue_mask >> (dir << n)) & vmask for dir in range(n)]
     return [_lo_pattern(n, dir) ^ b for dir, b in enumerate(blue)], blue
-
-
-def _components(n: int, lomasks: list[int]) -> list[int]:
-    """Connected components (as vertex bitsets over all 2^n vertices) of
-    the subgraph whose direction-d edges have lo endpoints in
-    lomasks[d]. Isolated vertices are singleton components."""
-    comps = []
-    unvisited = (1 << (1 << n)) - 1
-    shifts = [1 << d for d in range(n)]
-    while unvisited:
-        comp = unvisited & -unvisited
-        while True:
-            nxt = comp
-            for d in range(n):
-                sh = shifts[d]
-                lom = lomasks[d]
-                nxt |= (comp & lom) << sh
-                nxt |= (comp >> sh) & lom
-            if nxt == comp:
-                break
-            comp = nxt
-        comps.append(comp)
-        unvisited &= ~comp
-    return comps
 
 
 def monochromatic_half_geodesic(c: EdgeColouring) -> GeodesicPath:
@@ -561,21 +529,15 @@ def monochromatic_half_geodesic(c: EdgeColouring) -> GeodesicPath:
         avg = Fraction(2 * edges, comp.bit_count())
         if best_avg is None or avg > best_avg:
             best_comp, best_avg = comp, avg
-    assert best_avg is not None and 2 * best_avg >= n, "majority component bound"
-    verts = tuple(_iter_bits(best_comp))
-    edges = []
-    for d in range(n):
-        for lo in _iter_bits(lomasks[d] & best_comp):
-            edges.append(Edge(lo, d))
-    sub = CubeSubgraph(n, verts, tuple(sorted(edges)))
+    if best_avg is None or 2 * best_avg < n:
+        raise RuntimeError(f"densest {majority.value} component has average degree {best_avg} < n/2")
+    sub = CubeSubgraph(n, best_comp, tuple(m & best_comp for m in lomasks))
     table = increasing_geodesic_table(sub)
-    best_v = min(verts)
-    for v in verts:
-        if table.lengths[v] > table.lengths[best_v]:
-            best_v = v
-    path = extract_increasing_geodesic(table, best_v)
-    assert path.length >= ceil(Fraction(n, 2))
-    assert all(c.colour_between(u, v) is majority for u, v in zip(path.vertices, path.vertices[1:]))
+    path = extract_increasing_geodesic(table, max(sub.vertices, key=table.lengths.__getitem__))
+    if path.length < ceil(Fraction(n, 2)):
+        raise RuntimeError(f"half geodesic has {path.length} edges, below ceil(n/2) at n = {n}")
+    if any(c.colour_between(u, v) is not majority for u, v in zip(path.vertices, path.vertices[1:])):
+        raise RuntimeError(f"half geodesic {path.vertices} leaves the {majority.value} class")
     return path
 
 

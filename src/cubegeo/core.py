@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, repeat
+from operator import add
+from typing import Iterable, NamedTuple, Sequence
 
 #: Hard cap on the ambient dimension. Subset-indexed tables allocate
 #: O(2^n) state, so anything beyond this is a usage error, not a feature.
@@ -63,14 +65,88 @@ def _check_vertex(v: int, n: int) -> None:
         raise ValueError(f"vertex {v} out of range for Q_{n}")
 
 
+@lru_cache(maxsize=None)
+def _lo_pattern(n: int, dir: int) -> int:
+    """Bitmask over 2^n positions with a 1 at position v iff bit ``dir``
+    of v is 0, i.e. the canonical lo endpoints of direction ``dir``."""
+    block = (1 << (1 << dir)) - 1
+    period = 1 << (dir + 1)
+    return block * (((1 << (1 << n)) - 1) // ((1 << period) - 1))
+
+
+def _bits(m: int) -> list[int]:
+    """Positions of the set bits of m, ascending. Splitting the binary
+    digits (lowest first) at each 1 leaves the runs of 0s between set
+    bits, so position k is the sum of the first k + 1 run lengths plus k;
+    every step runs at C speed, with work per set bit, not per digit."""
+    runs = format(m, "b")[::-1].split("1")
+    return list(accumulate(map(add, map(len, runs), repeat(1)), initial=-1))[1:-1]
+
+
+def _mask(positions: Iterable[int], size: int) -> int:
+    """The int with exactly the given bits (all below ``size``) set.
+    Built in a bytearray: OR-ing one-bit ints is quadratic."""
+    buf = bytearray((size >> 3) + 1)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _components(n: int, lomasks: Sequence[int]) -> list[int]:
+    """Connected components (as vertex bitsets over all 2^n vertices) of
+    the subgraph whose direction-d edges have lo endpoints in
+    lomasks[d]. Isolated vertices are singleton components."""
+    comps = []
+    unvisited = (1 << (1 << n)) - 1
+    shifts = [1 << d for d in range(n)]
+    while unvisited:
+        comp = unvisited & -unvisited
+        while True:
+            nxt = comp
+            for d in range(n):
+                sh = shifts[d]
+                lom = lomasks[d]
+                nxt |= (comp & lom) << sh
+                nxt |= (comp >> sh) & lom
+            if nxt == comp:
+                break
+            comp = nxt
+        comps.append(comp)
+        unvisited &= ~comp
+    return comps
+
+
 @dataclass(frozen=True)
 class CubeSubgraph:
-    """A subgraph of Q_n with canonically sorted vertex and edge tuples,
-    so equality of subgraphs is plain structural equality."""
+    """A subgraph of Q_n as bitmasks: bit v of ``vertex_mask`` is set iff
+    v is a vertex, and bit lo of ``lo_masks[d]`` iff the edge (lo, d) is
+    an edge. The masks are canonical, so equality and hashing of
+    subgraphs are those of the masks. The vertex and edge tuples and the
+    other views are built from the masks on first use."""
 
     n: int
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    vertex_mask: int
+    lo_masks: tuple[int, ...]
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        """Sorted vertices."""
+        return tuple(_bits(self.vertex_mask))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Canonical edges sorted by (lo, dir)."""
+        n = self.n
+        keys = sorted(chain.from_iterable(
+            [lo * n + dir for lo in _bits(m)] for dir, m in enumerate(self.lo_masks)
+        ))
+        # tuple.__new__(Edge, (lo, dir)) builds each Edge at C speed
+        return tuple(map(tuple.__new__, repeat(Edge), map(divmod, keys, repeat(n))))
+
+    @property
+    def edge_count(self) -> int:
+        """|E|, by popcount: no edge tuple is built."""
+        return sum(m.bit_count() for m in self.lo_masks)
 
     @cached_property
     def vertex_set(self) -> frozenset[int]:
@@ -78,27 +154,28 @@ class CubeSubgraph:
 
     @cached_property
     def edges_by_direction(self) -> dict[int, tuple[int, ...]]:
-        """Direction -> sorted lo-endpoints of the edges in that direction."""
-        buckets: dict[int, list[int]] = {}
-        for e in self.edges:
-            buckets.setdefault(e.dir, []).append(e.lo)
-        return {d: tuple(los) for d, los in buckets.items()}
+        """Direction -> sorted lo-endpoints of the edges in that direction,
+        keyed in order of each direction's first edge in ``edges``."""
+        used = sorted(((m & -m).bit_length(), dir) for dir, m in enumerate(self.lo_masks) if m)
+        return {dir: tuple(_bits(self.lo_masks[dir])) for _, dir in used}
 
     @cached_property
     def degrees(self) -> dict[int, int]:
         deg = dict.fromkeys(self.vertices, 0)
-        for e in self.edges:
-            deg[e.lo] += 1
-            deg[e.hi] += 1
+        for dir, m in enumerate(self.lo_masks):
+            for lo in _bits(m):
+                deg[lo] += 1
+                deg[lo ^ (1 << dir)] += 1
         return deg
 
     def neighbours(self, v: int) -> list[tuple[int, int]]:
-        """(direction, neighbour) pairs for edges of this subgraph at v."""
+        """(direction, neighbour) pairs for edges of this subgraph at v,
+        by increasing direction."""
         out = []
-        for dir in range(self.n):
-            w = v ^ (1 << dir)
-            if Edge(min(v, w), dir) in self.edge_set:
-                out.append((dir, w))
+        for dir, m in enumerate(self.lo_masks):
+            bit = 1 << dir
+            if m >> (v & ~bit) & 1:
+                out.append((dir, v ^ bit))
         return out
 
     @cached_property
@@ -106,7 +183,7 @@ class CubeSubgraph:
         return frozenset(self.edges)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return self.vertex_mask.bit_count()
 
 
 def make_subgraph(
@@ -125,7 +202,7 @@ def make_subgraph(
     for v in vertices:
         _check_vertex(v, n)
         vset.add(v)
-    eset = set()
+    los: list[list[int]] = [[] for _ in range(n)]
     for item in edges:
         if isinstance(item, Edge):
             e = item
@@ -141,41 +218,38 @@ def make_subgraph(
             e = Edge.between(u, v)
         if e.lo not in vset or e.hi not in vset:
             raise ValueError(f"edge {e} has an endpoint outside the vertex set")
-        eset.add(e)
-    return CubeSubgraph(n, tuple(sorted(vset)), tuple(sorted(eset)))
+        los[e.dir].append(e.lo)
+    size = 1 << n
+    return CubeSubgraph(n, _mask(vset, size), tuple(_mask(lo, size) for lo in los))
 
 
-def _trusted_subgraph(
-    n: int, vertices: tuple[int, ...], edges: tuple[Edge, ...]
-) -> CubeSubgraph:
-    """Construction fast path for callers that already produced sorted,
-    canonical, validated data (generators and induced_subgraph)."""
-    return CubeSubgraph(n, vertices, edges)
-
-
-def induced_subgraph(n: int, vertices: Iterable[int]) -> CubeSubgraph:
-    """The subgraph of Q_n induced on a vertex set: all Q_n edges with
-    both endpoints inside the set."""
+def induced_subgraph(n: int, vertices: Iterable[int] | int) -> CubeSubgraph:
+    """The subgraph of Q_n induced on a vertex set, given as vertices or
+    as a 2^n-bit vertex mask: all Q_n edges with both endpoints inside
+    the set, direction d's lo endpoints being V & (V >> 2^d) restricted
+    to positions whose bit d is 0."""
     _check_dimension(n)
-    vs = sorted(set(vertices))
-    for v in vs:
-        _check_vertex(v, n)
-    vset = frozenset(vs)
-    edges = []
-    for v in vs:
-        for dir in range(n):
-            w = v | (1 << dir)
-            if w != v and w in vset:
-                edges.append(Edge(v, dir))
-    return _trusted_subgraph(n, tuple(vs), tuple(sorted(edges)))
+    size = 1 << n
+    if isinstance(vertices, int):
+        vmask = vertices
+        if not 0 <= vmask < 1 << size:
+            raise ValueError(f"vertex mask has bits outside the {size} vertices of Q_{n}")
+    else:
+        vs = sorted(set(vertices))
+        for v in vs:
+            _check_vertex(v, n)
+        vmask = _mask(vs, size)
+    return CubeSubgraph(
+        n, vmask, tuple(vmask & (vmask >> (1 << d)) & _lo_pattern(n, d) for d in range(n))
+    )
 
 
 def average_degree(g: CubeSubgraph) -> Fraction:
     """2|E| / |V| as an exact rational. Theorem checks compare against
     this value exactly, so no floating point is involved anywhere."""
-    if not g.vertices:
+    if not g.vertex_mask:
         raise ValueError("average degree of the empty graph is undefined")
-    return Fraction(2 * len(g.edges), len(g.vertices))
+    return Fraction(2 * g.edge_count, len(g))
 
 
 def hamming_distance(x: int, y: int) -> int:

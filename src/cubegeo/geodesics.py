@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import CubeSubgraph, Edge, average_degree
+from .core import CubeSubgraph, Edge, _bits, average_degree
 
 __all__ = [
     "DirectionOrdering",
@@ -76,15 +76,10 @@ class DirectionOrdering:
 
 
 def random_ordering(n: int, rng) -> DirectionOrdering:
-    """Uniformly random direction ordering via a Fisher-Yates shuffle.
-
-    ``rng`` must expose ``randrange(k)`` returning a uniform int in
-    [0, k); with an unbiased source every permutation is equiprobable.
-    """
+    """Uniformly random direction ordering: the identity shuffled by
+    ``rng.shuffle`` (a Fisher-Yates shuffle on a ``SplitMix64``)."""
     perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
+    rng.shuffle(perm)
     return DirectionOrdering(tuple(perm))
 
 
@@ -227,13 +222,9 @@ def increasing_geodesic_table(
         raise ValueError(f"ordering over {ordering.n} directions used with Q_{g.n}")
     lengths = dict.fromkeys(g.vertices, 0)
     chains: dict[int, tuple | None] = dict.fromkeys(g.vertices, None)
-    by_dir = g.edges_by_direction
     for dir in ordering.perm:
-        los = by_dir.get(dir)
-        if not los:
-            continue
         bit = 1 << dir
-        for lo in los:
+        for lo in _bits(g.lo_masks[dir]):
             hi = lo ^ bit
             llo = lengths[lo]
             lhi = lengths[hi]
@@ -267,7 +258,10 @@ def extract_increasing_geodesic(table: LTable, v: int) -> IncreasingGeodesic:
         verts.append(u)
         dirs.append(dir)
     path = IncreasingGeodesic(verts[::-1], dirs[::-1], ordering=table.ordering)
-    assert path.length == table.lengths[v]
+    if path.length != table.lengths[v]:
+        raise RuntimeError(
+            f"witness chain of vertex {v} has {path.length} edges, table says {table.lengths[v]}"
+        )
     return path
 
 
@@ -280,12 +274,8 @@ def longest_geodesic_lower_bound(
     if not g.vertices:
         raise ValueError("empty graph has no geodesics")
     table = increasing_geodesic_table(g, ordering)
-    best_v = min(g.vertices)
-    best_len = table.lengths[best_v]
-    for v in g.vertices:
-        if table.lengths[v] > best_len:
-            best_v, best_len = v, table.lengths[v]
-    return extract_increasing_geodesic(table, best_v)
+    # max keeps the first, i.e. smallest, vertex of greatest length
+    return extract_increasing_geodesic(table, max(g.vertices, key=table.lengths.__getitem__))
 
 
 def _min_degree_core(g: CubeSubgraph, threshold) -> set[int]:
@@ -348,19 +338,13 @@ def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
 
 
 def _adjacency(g: CubeSubgraph) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.lo].append((e.dir, e.hi))
-        adj[e.hi].append((e.dir, e.lo))
-    for lst in adj.values():
-        lst.sort()
-    return adj
+    return {v: g.neighbours(v) for v in g.vertices}
 
 
 def _check_oracle_cap(g: CubeSubgraph, max_n: int, max_edges: int) -> None:
-    if g.n > max_n and len(g.edges) > max_edges:
+    if g.n > max_n and g.edge_count > max_edges:
         raise ValueError(
-            f"instance (n={g.n}, |E|={len(g.edges)}) exceeds the oracle cap "
+            f"instance (n={g.n}, |E|={g.edge_count}) exceeds the oracle cap "
             f"(n <= {max_n} or |E| <= {max_edges})"
         )
 

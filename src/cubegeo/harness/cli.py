@@ -193,13 +193,13 @@ def _cmd_search(args) -> int:
 
 
 def _analyze_graph(g: CubeSubgraph) -> tuple[dict, bool]:
-    info: dict = {"type": "graph", "n": g.n, "vertices": len(g.vertices), "edges": len(g.edges)}
+    info: dict = {"type": "graph", "n": g.n, "vertices": len(g.vertices), "edges": g.edge_count}
     if not g.vertices:
         return info, True
     avg = average_degree(g)
     bound = ceil(avg)
     table = increasing_geodesic_table(g)
-    t4_slack = table.total - 2 * len(g.edges)
+    t4_slack = table.total - 2 * g.edge_count
     longest = longest_geodesic_lower_bound(g)
     greedy = greedy_geodesic(g)
     x, y, dist = max_hamming_pair(g)

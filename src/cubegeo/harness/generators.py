@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ..core import Edge, induced_subgraph, _trusted_subgraph
+from ..core import CubeSubgraph, _bits, _check_dimension, _lo_pattern, _mask, induced_subgraph
 from ..colourings import random_antipodal_colouring, random_colouring, all_edges
 from ..rng import SplitMix64, derive
 from ..setfamilies import SetFamily, UniformFamily, is_t_intersecting
@@ -71,25 +71,24 @@ def generate(spec: InstanceSpec):
         return serialize.load_instance(_need(spec, "path"))
 
     n = spec.n
+    if spec.kind in GRAPH_KINDS:
+        _check_dimension(n)  # before any 2^n-bit mask is built
     if spec.kind == "full-cube":
-        return induced_subgraph(n, range(1 << n))
+        return induced_subgraph(n, (1 << (1 << n)) - 1)
 
     if spec.kind == "induced-random":
         density = Fraction(_need(spec, "density"))
         rng = SplitMix64(derive(spec.seed))
-        verts = [v for v in range(1 << n) if rng.bernoulli(density)]
-        if not verts:
-            verts = [0]
-        return induced_subgraph(n, verts)
+        return induced_subgraph(n, rng.bernoulli_mask(density, 1 << n) or 1)
 
     if spec.kind == "edge-random":
         density = Fraction(_need(spec, "density"))
         rng = SplitMix64(derive(spec.seed))
-        edges = [e for e in all_edges(n) if rng.bernoulli(density)]
-        verts = sorted({v for e in edges for v in e.endpoints()})
-        if not verts:
-            verts = [0]
-        return _trusted_subgraph(n, tuple(verts), tuple(edges))
+        edges = list(all_edges(n))
+        picked = [edges[i] for i in _bits(rng.bernoulli_mask(density, len(edges)))]
+        lo_masks = tuple(_mask((e.lo for e in picked if e.dir == d), 1 << n) for d in range(n))
+        vmask = _mask((v for e in picked for v in e.endpoints()), 1 << n)
+        return CubeSubgraph(n, vmask or 1, lo_masks)
 
     if spec.kind == "hamming-ball":
         radius = _need(spec, "radius")
@@ -102,16 +101,10 @@ def generate(spec: InstanceSpec):
         copies = _need(spec, "copies")
         if copies < 1 or d < 0 or copies << d > 1 << n:
             raise ValueError(f"cannot place {copies} disjoint {d}-cubes inside Q_{n}")
-        verts = []
-        edges = []
-        for j in range(copies):
-            base = j << d
-            for x in range(1 << d):
-                verts.append(base | x)
-                for dir in range(d):
-                    if not (x >> dir) & 1:
-                        edges.append(Edge(base | x, dir))
-        return _trusted_subgraph(n, tuple(sorted(verts)), tuple(sorted(edges)))
+        # copy j occupies the consecutive vertices [j 2^d, (j + 1) 2^d)
+        vmask = (1 << (copies << d)) - 1
+        lo_masks = tuple(_lo_pattern(n, dir) & vmask if dir < d else 0 for dir in range(n))
+        return CubeSubgraph(n, vmask, lo_masks)
 
     if spec.kind == "random-colouring":
         return random_colouring(n, spec.seed)
@@ -122,7 +115,7 @@ def generate(spec: InstanceSpec):
     if spec.kind == "random-family":
         density = Fraction(_need(spec, "density"))
         rng = SplitMix64(derive(spec.seed))
-        return SetFamily.of(n, [s for s in range(1 << n) if rng.bernoulli(density)])
+        return SetFamily.of(n, _bits(rng.bernoulli_mask(density, 1 << n)))
 
     if spec.kind == "t-intersecting-family":
         return random_t_intersecting_family(

@@ -79,10 +79,10 @@ def _spec_obj(spec: InstanceSpec) -> dict:
 
 def _t4_record(g) -> dict:
     table = increasing_geodesic_table(g)
-    slack = table.total - 2 * len(g.edges)
+    slack = table.total - 2 * g.edge_count
     return {
         "vertices": len(g.vertices),
-        "edges": len(g.edges),
+        "edges": g.edge_count,
         "total_length": table.total,
         "slack": str(slack),
         "ok": slack >= 0,
@@ -95,7 +95,7 @@ def _t2_record(g) -> dict:
     slack = path.length - bound
     return {
         "vertices": len(g.vertices),
-        "edges": len(g.edges),
+        "edges": g.edge_count,
         "geodesic_length": path.length,
         "bound": bound,
         "slack": str(slack),
@@ -136,7 +136,7 @@ def _fs_record(g) -> dict:
     slack = dist - bound
     return {
         "vertices": len(g.vertices),
-        "edges": len(g.edges),
+        "edges": g.edge_count,
         "pair": [x, y],
         "distance": dist,
         "slack": str(slack),
@@ -146,7 +146,7 @@ def _fs_record(g) -> dict:
 
 def _comp_record(fam) -> dict:
     base = induced_subgraph(fam.n, fam.sets)
-    base_edges = len(base.edges)
+    base_edges = base.edge_count
     base_dist = max_hamming_pair(base)[2] if fam.sets else 0
     slacks = []
     ok = True
@@ -155,7 +155,7 @@ def _comp_record(fam) -> dict:
         if len(comp) != len(fam):
             ok = False
         g = induced_subgraph(fam.n, comp.sets)
-        edge_slack = len(g.edges) - base_edges
+        edge_slack = g.edge_count - base_edges
         dist_slack = base_dist - (max_hamming_pair(g)[2] if comp.sets else 0)
         slacks.extend((edge_slack, dist_slack))
         if edge_slack < 0 or dist_slack < 0:
@@ -164,7 +164,7 @@ def _comp_record(fam) -> dict:
     popsum = sum(a.bit_count() for a in fc.sets)
     profile = level_profile(fc)
     weighted = sum(k * cnt for k, cnt in enumerate(profile))
-    fc_edges = len(induced_subgraph(fam.n, fc.sets).edges)
+    fc_edges = induced_subgraph(fam.n, fc.sets).edge_count
     if not (is_downset(fc) and len(fc) == len(fam) and popsum == fc_edges == weighted):
         ok = False
     slack = min(slacks, default=0)

@@ -222,3 +222,21 @@ def has_one_change_antipodal_geodesic(c):
     """The first x, ascending, such that a geodesic with at most one
     colour change joins x to its antipode; None if there is none."""
     return next((x for x in range(1 << (c.n - 1)) if min_changes_geodesics(c, x) <= 1), None)
+
+
+def is_antipodal_pairwise(c):
+    """Every edge coloured unlike its antipodal edge, checked edge by edge."""
+    n = c.n
+    full = (1 << n) - 1
+    blue = blue_edges(c)
+    return all(((lo, d) in blue) != ((full ^ lo ^ (1 << d), d) in blue) for lo, d in _canonical_edges(n))
+
+
+def fisher_yates_ordering(n, rng):
+    """The direction permutation of a Fisher-Yates shuffle of range(n),
+    drawing ``rng.randrange(i + 1)`` for i = n - 1 down to 1."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)

@@ -47,6 +47,7 @@ from oracles import (
     has_mono_antipodal_geodesic,
     has_mono_antipodal_path,
     has_one_change_antipodal_geodesic,
+    is_antipodal_pairwise,
     is_monochromatic,
     min_changes_geodesics,
     min_changes_simple_paths,
@@ -180,7 +181,7 @@ class TestGenerationAgainstReference:
         for i in range(1 << edge_count(3)):
             assert blue_edges(colouring_from_index(3, i)) == colouring_blue_edges(3, i)
 
-    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_random_antipodal_draws_one_bit_per_pair_in_order(self, n):
         # bit i of the drawn index is the i-th one-bit draw of the stream
         for seed in range(5):
@@ -188,19 +189,31 @@ class TestGenerationAgainstReference:
             index = sum(rng.bits(1) << i for i in range(antipodal_pair_count(n)))
             c = random_antipodal_colouring(n, seed)
             assert blue_edges(c) == antipodal_colouring_blue_edges(n, index)
+            assert is_antipodal_pairwise(c)
 
     def test_is_antipodal_matches_pairwise_definition(self):
-        for n in (2, 3, 4):
-            full = (1 << n) - 1
+        for n in range(1, 7):
             for seed in range(20):
-                antipodal = random_antipodal_colouring(n, seed)
-                edge_0_0_flipped = EdgeColouring(n, antipodal.blue_mask ^ 1)
-                for c in (random_colouring(n, seed), antipodal, edge_0_0_flipped):
-                    want = all(
-                        c.colour_of(e) is not c.colour_of(Edge(full ^ e.lo ^ (1 << e.dir), e.dir))
-                        for e in all_edges(n)
-                    )
-                    assert is_antipodal(c) == want
+                cs = [random_colouring(n, seed), EdgeColouring.constant(n, Colour.RED)]
+                if n >= 2:
+                    antipodal = random_antipodal_colouring(n, seed)
+                    # flipping edge (0, 0), or the edge (0, n - 1) of the last block
+                    cs += [antipodal, EdgeColouring(n, antipodal.blue_mask ^ 1),
+                           EdgeColouring(n, antipodal.blue_mask ^ (1 << ((n - 1) << n)))]
+                for c in cs:
+                    assert is_antipodal(c) == is_antipodal_pairwise(c)
+
+    def test_is_antipodal_on_every_colouring_n3(self):
+        antipodal = 0
+        for i in range(1 << edge_count(3)):
+            c = colouring_from_index(3, i)
+            assert is_antipodal(c) == is_antipodal_pairwise(c)
+            antipodal += is_antipodal(c)
+        assert antipodal == 1 << antipodal_pair_count(3)
+
+    def test_is_antipodal_on_every_antipodal_colouring_n3(self):
+        for i in range(1 << antipodal_pair_count(3)):
+            assert is_antipodal(antipodal_colouring_from_index(3, i))
 
 
 def _first_pair(c, w):

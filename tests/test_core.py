@@ -16,6 +16,7 @@ from cubegeo import (
     max_hamming_pair,
 )
 from cubegeo.core import MAX_DIMENSION
+from cubegeo.rng import SplitMix64, derive
 
 from oracles import induced_edge_pairs, max_pairwise_distance
 
@@ -92,6 +93,34 @@ class TestInducedSubgraph:
         g = induced_subgraph(3, verts)
         assert len(g.edges) == len(induced_edge_pairs(3, verts)) == 4
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_oracle_and_make_subgraph(self, n):
+        for seed in range(12):
+            rng = SplitMix64(derive(seed, n))
+            verts = [v for v in range(1 << n) if rng.bernoulli(Fraction(seed % 4, 3 + seed % 2))]
+            pairs = induced_edge_pairs(n, verts)
+            g = induced_subgraph(n, verts)
+            assert g.vertices == tuple(sorted(verts))
+            assert g.edges == tuple(sorted(Edge.between(u, v) for u, v in pairs))
+            assert g.edge_count == len(g.edges) == len(pairs)
+            assert len(g) == len(verts)
+            _assert_same_subgraph(g, induced_subgraph(n, sum(1 << v for v in verts)))
+            _assert_same_subgraph(g, make_subgraph(n, reversed(verts), pairs))
+
+    def test_vertex_mask_range(self):
+        assert induced_subgraph(2, 0b1011).vertices == (0, 1, 3)
+        with pytest.raises(ValueError, match="outside the 4 vertices of Q_2"):
+            induced_subgraph(2, 1 << 4)
+        with pytest.raises(ValueError, match="vertex 4 out of range"):
+            induced_subgraph(2, [5, 0, 4])
+        with pytest.raises(ValueError, match="vertex -1 out of range"):
+            induced_subgraph(2, [5, -1])
+
+    def test_sparse_high_dimension(self):
+        g = induced_subgraph(20, [0, 1, 1 << 19, (1 << 19) | 2, (1 << 19) | 3])
+        assert g.edges == (Edge(0, 0), Edge(0, 19), Edge(1 << 19, 1), Edge(2 | 1 << 19, 0))
+        assert g.degrees == {0: 2, 1: 1, 1 << 19: 2, 2 | 1 << 19: 2, 3 | 1 << 19: 1}
+
     @given(st.sets(st.integers(0, 31)), st.sets(st.integers(0, 31)))
     @settings(max_examples=60)
     def test_monotone_and_matches_oracle(self, a, b):
@@ -100,6 +129,29 @@ class TestInducedSubgraph:
         assert set(small.edges) <= set(big.edges)
         expected = {Edge.between(u, v) for u, v in induced_edge_pairs(5, a)}
         assert set(small.edges) == expected
+
+
+def _assert_same_subgraph(g, h):
+    """Equal, equally hashed, and equal in every view, orders included."""
+    assert g == h and hash(g) == hash(h)
+    assert g.vertices == h.vertices and g.edges == h.edges
+    assert list(g.edges_by_direction.items()) == list(h.edges_by_direction.items())
+    assert list(g.degrees.items()) == list(h.degrees.items())
+    assert g.vertex_set == h.vertex_set and g.edge_set == h.edge_set
+    assert len(g) == len(h) and g.edge_count == h.edge_count
+    for v in range(1 << g.n):
+        assert g.neighbours(v) == h.neighbours(v)
+    # the views against definitions read off the sorted edge tuple
+    buckets = {}
+    degrees = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        buckets.setdefault(e.dir, []).append(e.lo)
+        degrees[e.lo] += 1
+        degrees[e.hi] += 1
+    assert list(g.edges_by_direction.items()) == [(d, tuple(los)) for d, los in buckets.items()]
+    assert list(g.degrees.items()) == list(degrees.items())
+    for v in g.vertices:
+        assert g.neighbours(v) == sorted((e.dir, e.other(v)) for e in g.edges if v in e.endpoints())
 
 
 class TestAverageDegree:

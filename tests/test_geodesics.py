@@ -9,6 +9,7 @@ from cubegeo import (
     DirectionOrdering,
     GeodesicPath,
     IncreasingGeodesic,
+    LTable,
     SplitMix64,
     average_degree,
     brute_force_increasing_lengths,
@@ -27,6 +28,7 @@ from cubegeo.rng import derive
 
 from oracles import (
     count_unordered_geodesics,
+    fisher_yates_ordering,
     increasing_lengths_by_end,
     longest_geodesic_length,
 )
@@ -73,6 +75,13 @@ class TestDirectionOrdering:
         assert a == b
         assert sorted(a.perm) == list(range(8))
         assert random_ordering(8, SplitMix64(124)) != a
+
+    def test_random_ordering_matches_fisher_yates_reference(self):
+        for n in range(1, 13):
+            for seed in range(500):
+                rng, ref = SplitMix64(seed), SplitMix64(seed)
+                assert random_ordering(n, rng).perm == fisher_yates_ordering(n, ref)
+                assert (rng.state, rng._buf, rng._bufbits) == (ref.state, ref._buf, ref._bufbits)
 
 
 class TestGeodesicPath:
@@ -191,6 +200,12 @@ class TestExtraction:
         t = increasing_geodesic_table(full_cube(2))
         with pytest.raises(ValueError):
             extract_increasing_geodesic(t, 4)
+
+    def test_inconsistent_table_raises(self):
+        t = increasing_geodesic_table(full_cube(2))
+        planted = LTable(t.n, t.ordering, {**t.lengths, 3: 1}, t._chains)
+        with pytest.raises(RuntimeError, match="vertex 3 has 2 edges, table says 1"):
+            extract_increasing_geodesic(planted, 3)
 
     @given(st.integers(0, 10_000), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)

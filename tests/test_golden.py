@@ -1,9 +1,11 @@
-"""Golden reports: fixed CLI invocations whose reports must not change.
+"""Golden reports: fixed CLI invocations whose outputs must not change.
 
-Each search invocation is re-run at --jobs 1 and 2 and compared byte for
-byte with its file under tests/golden/. Each analyze invocation runs on a
-freshly generated colouring and is compared on everything except
-``parameters.file``, the path of that temporary instance.
+Each search and verify invocation is re-run at --jobs 1 and 2 and
+compared byte for byte with its file under tests/golden/. Each gen
+invocation's instance file is compared byte for byte. Each analyze
+invocation runs on a freshly generated instance and is compared on
+everything except ``parameters.file``, the path of that temporary
+instance.
 
 Regenerate the files (only when a report change is intended) with
 
@@ -30,12 +32,39 @@ SEARCHES = {
     "search-NORINE-sample-n7": ["NORINE", "sample", "7", "--budget", "32", "--seed", "5"],
 }
 
-ANALYSES = {
-    "analyze-antipodal-colouring-n4": ["antipodal-colouring", "4"],
-    "analyze-antipodal-colouring-n8": ["antipodal-colouring", "8"],
-    "analyze-random-colouring-n6": ["random-colouring", "6"],
-    "analyze-random-colouring-n10": ["random-colouring", "10"],
+VERIFIES = {
+    "verify-T2-n8": ["T2", "--trials", "24", "--model", "induced-random", "--n", "8",
+                     "--density", "3/7"],
+    "verify-T4-n10": ["T4", "--trials", "12", "--n", "10"],
+    "verify-T5-full-cube-n4": ["T5", "--trials", "4", "--model", "full-cube", "--n", "4"],
+    "verify-T5-disjoint-cubes-n6": ["T5", "--trials", "12", "--model", "disjoint-cubes",
+                                    "--n", "6", "--subdim", "2", "--copies", "5"],
+    "verify-FS-n9": ["FS", "--trials", "24", "--model", "induced-random", "--n", "9",
+                     "--density", "1/5"],
+    "verify-COMP-n6": ["COMP", "--trials", "16", "--model", "random-family", "--n", "6",
+                       "--density", "2/5"],
+    "verify-KAT-n10": ["KAT", "--trials", "24", "--n", "10"],
+    "verify-COR-n8": ["COR", "--trials", "16", "--n", "8"],
 }
+
+GENS = {
+    "gen-induced-random-n7": ["induced-random", "--n", "7", "--density", "3/7"],
+    "gen-edge-random-n6": ["edge-random", "--n", "6", "--density", "1/5"],
+    "gen-hamming-ball-n6": ["hamming-ball", "--n", "6", "--radius", "2", "--centre", "37"],
+    "gen-full-cube-n4": ["full-cube", "--n", "4"],
+    "gen-disjoint-cubes-n6": ["disjoint-cubes", "--n", "6", "--subdim", "2", "--copies", "5"],
+}
+
+ANALYSES = {
+    "analyze-antipodal-colouring-n4": ["antipodal-colouring", "--n", "4"],
+    "analyze-antipodal-colouring-n8": ["antipodal-colouring", "--n", "8"],
+    "analyze-random-colouring-n6": ["random-colouring", "--n", "6"],
+    "analyze-random-colouring-n10": ["random-colouring", "--n", "10"],
+    "analyze-induced-random-n9": ["induced-random", "--n", "9", "--density", "3/5"],
+    "analyze-random-family-n8": ["random-family", "--n", "8", "--density", "2/7"],
+}
+
+SEED = ["--seed", "5"]
 
 
 def _search(name, out, jobs):
@@ -44,11 +73,22 @@ def _search(name, out, jobs):
     return main(argv + ["--jobs", str(jobs), "--out", str(out)])
 
 
+def _verify(name, out, jobs):
+    theorem, *rest = VERIFIES[name]
+    argv = ["verify", "--theorem", theorem, *rest, *SEED]
+    return main(argv + ["--jobs", str(jobs), "--out", str(out)])
+
+
+def _gen(name, out):
+    model, *rest = GENS[name]
+    return main(["gen", "--model", model, *rest, *SEED, "--out", str(out)])
+
+
 def _analyze(name, workdir):
-    model, n = ANALYSES[name]
+    model, *rest = ANALYSES[name]
     instance = Path(workdir) / f"{name}-instance.json"
     out = Path(workdir) / f"{name}.json"
-    assert main(["gen", "--model", model, "--n", n, "--out", str(instance)]) == 0
+    assert main(["gen", "--model", model, *rest, "--out", str(instance)]) == 0
     return main(["analyze", "--file", str(instance), "--out", str(out)]), out
 
 
@@ -68,6 +108,23 @@ def test_search_report_matches_golden(name, jobs, tmp_path):
     assert out.read_bytes() == golden
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(VERIFIES))
+def test_verify_report_matches_golden(name, jobs, tmp_path):
+    out = tmp_path / f"{name}.json"
+    code = _verify(name, out, jobs)
+    golden = (GOLDEN / f"{name}.json").read_bytes()
+    assert code == (0 if json.loads(golden)["pass"] else 2)
+    assert out.read_bytes() == golden
+
+
+@pytest.mark.parametrize("name", sorted(GENS))
+def test_gen_instance_matches_golden(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert _gen(name, out) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(ANALYSES))
 def test_analyze_report_matches_golden(name, tmp_path):
     code, out = _analyze(name, tmp_path)
@@ -82,6 +139,10 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in SEARCHES:
         _search(name, GOLDEN / f"{name}.json", 1)
+    for name in VERIFIES:
+        _verify(name, GOLDEN / f"{name}.json", 1)
+    for name in GENS:
+        _gen(name, GOLDEN / f"{name}.json")
     with tempfile.TemporaryDirectory() as tmp:
         for name in ANALYSES:
             _, out = _analyze(name, tmp)

@@ -32,6 +32,23 @@ from cubegeo.harness.cli import main
 from cubegeo.rng import SplitMix64, derive, mix64
 
 
+BERNOULLI_PROBABILITIES = [
+    Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 5), Fraction(3, 7),
+    Fraction(65535, 65536), Fraction(1, 65537),
+]
+
+
+def _assert_mask_is_sequential(seed, pre, p, count):
+    """bernoulli_mask(p, count) gives the bits of count sequential
+    bernoulli(p) calls and leaves the generator in the same state."""
+    one_by_one, bulk = SplitMix64(seed), SplitMix64(seed)
+    one_by_one.bits(pre)
+    bulk.bits(pre)
+    want = sum(one_by_one.bernoulli(p) << i for i in range(count))
+    assert bulk.bernoulli_mask(p, count) == want
+    assert (bulk.state, bulk._buf, bulk._bufbits) == (one_by_one.state, one_by_one._buf, one_by_one._bufbits)
+
+
 class TestRng:
     def test_streams_are_reproducible(self):
         a = SplitMix64(42)
@@ -68,6 +85,40 @@ class TestRng:
         hits = sum(g.bernoulli(Fraction(1, 5)) for _ in range(n))
         assert abs(hits / n - 0.2) < 0.01
 
+    def test_bernoulli_frequency_of_mask(self):
+        hits = SplitMix64(123).bernoulli_mask(Fraction(1, 5), 20_000).bit_count()
+        assert abs(hits / 20_000 - 0.2) < 0.01
+
+    @pytest.mark.parametrize("p", BERNOULLI_PROBABILITIES, ids=str)
+    def test_bernoulli_mask_matches_sequential_draws(self, p):
+        # (seed, bits buffered before the draws); seeds 510, 35 and 53 meet
+        # the boundary chunk of 1/5, 3/7 and 1/65537 within 300 draws
+        for seed, pre in ((1, 0), (2, 5), (3, 16), (4, 37), (510, 23), (35, 23), (53, 0)):
+            for count in (0, 1, 5, 64, 300):
+                _assert_mask_is_sequential(seed, pre, p, count)
+
+    def test_bernoulli_mask_boundary_chunks(self):
+        # each case's chunk number ``at`` equals floor(p * 2^16), which only
+        # the exact escalation can decide, as the last draw and mid-mask;
+        # seed 12 meets two such chunks
+        for p, seed, pre, at, count in (
+            (Fraction(1, 5), 510, 23, 271, 300),
+            (Fraction(3, 7), 35, 23, 19, 300),
+            (Fraction(1, 65537), 53, 0, 73, 300),
+            (Fraction(1, 5), 12, 0, 4146, 20_000),
+        ):
+            probe = SplitMix64(seed)
+            probe.bits(pre)
+            chunks = [probe.bits(16) for _ in range(at + 1)]
+            assert chunks[at] == (p.numerator << 16) // p.denominator
+            _assert_mask_is_sequential(seed, pre, p, at + 1)
+            _assert_mask_is_sequential(seed, pre, p, count)
+
+    def test_bernoulli_mask_rejects_bad_probability(self):
+        for p in (Fraction(-1, 3), Fraction(4, 3)):
+            with pytest.raises(ValueError):
+                SplitMix64(0).bernoulli_mask(p, 8)
+
     def test_shuffle_is_permutation(self):
         g = SplitMix64(5)
         xs = list(range(20))
@@ -93,6 +144,12 @@ class TestGenerate:
     def test_disjoint_cubes_capacity(self):
         with pytest.raises(ValueError):
             generate(InstanceSpec("disjoint-cubes", n=3, subdim=2, copies=3))
+
+    @pytest.mark.parametrize("kind", ["full-cube", "induced-random", "edge-random", "disjoint-cubes"])
+    def test_graph_dimension_checked_before_any_mask(self, kind):
+        spec = InstanceSpec(kind, n=40, density=Fraction(1, 2), subdim=1, copies=1)
+        with pytest.raises(ValueError, match="dimension 40 outside"):
+            generate(spec)
 
     def test_hamming_ball(self):
         g = generate(InstanceSpec("hamming-ball", n=10, radius=1))
