@@ -533,7 +533,7 @@ def monochromatic_half_geodesic(c: EdgeColouring) -> GeodesicPath:
         raise RuntimeError(f"densest {majority.value} component has average degree {best_avg} < n/2")
     sub = CubeSubgraph(n, best_comp, tuple(m & best_comp for m in lomasks))
     table = increasing_geodesic_table(sub)
-    path = extract_increasing_geodesic(table, max(sub.vertices, key=table.lengths.__getitem__))
+    path = extract_increasing_geodesic(table, table.longest_end)
     if path.length < ceil(Fraction(n, 2)):
         raise RuntimeError(f"half geodesic has {path.length} edges, below ceil(n/2) at n = {n}")
     if any(c.colour_between(u, v) is not majority for u, v in zip(path.vertices, path.vertices[1:])):
@@ -579,7 +579,8 @@ def lift_to_antipodal(c: EdgeColouring) -> EdgeColouring:
         else:
             blue |= 1 << _pos(partner, n, n2)
     lifted = EdgeColouring(n2, blue)
-    assert is_antipodal(lifted)
+    if not is_antipodal(lifted):
+        raise RuntimeError(f"lift of a colouring of Q_{n} is not antipodal")
     return lifted
 
 

@@ -8,10 +8,17 @@ order with respect to a direction ordering.
 The central algorithm is a direction-sweep dynamic program: process the
 direction classes of the ordering one at a time, relaxing every edge of a
 class simultaneously from pre-class values. Two edges in the same
-direction are vertex-disjoint, so the batch update is well defined and
-the whole table costs O(|E|). The table's per-vertex totals always sum to
-at least 2|E(G)|, which is the inequality the verification harness checks
-on every generated instance.
+direction are vertex-disjoint, so the batch update is well defined. The
+sweep runs on 2^n-bit vertex masks, one per length: level k holds the
+vertices whose longest increasing geodesic so far has at least k edges,
+and a direction class updates every level with four big-int operations,
+so a table costs at most n(n + 1) level updates whatever |E| is. The
+table's per-vertex totals always sum to at least 2|E(G)|, which is the
+inequality the verification harness checks on every generated instance.
+
+Geodesic counts use the same masks: stepping the set of path ends along
+one direction extends every path that follows a direction sequence at
+once, so counting searches over direction sequences, not over paths.
 
 All functions are pure; tables and paths are immutable.
 """
@@ -174,32 +181,87 @@ class IncreasingGeodesic(GeodesicPath):
 @dataclass(frozen=True)
 class LTable:
     """Per-vertex longest increasing-geodesic lengths for one subgraph
-    and ordering, with enough predecessor data to rebuild a witness.
+    and ordering, kept as vertex masks, with what it takes to rebuild a
+    witness.
 
-    ``lengths[v]`` is the number of edges of the longest increasing
-    geodesic ending at v. Internally the table keeps immutable snapshot
-    chains (vertex, direction, parent-chain); a plain per-vertex
-    predecessor map cannot reconstruct witnesses once a predecessor later
-    improves its own optimum, so extraction walks the chains instead.
-    ``pred`` exposes the final edge of each vertex's witness.
+    ``levels[t][k]`` is the 2^n-bit mask of the vertices whose longest
+    increasing geodesic along the first t directions of the ordering has
+    at least k edges. Each ``levels[t]`` ends at its last non-empty mask;
+    ``levels[t][0]`` is the vertex set. ``lo_masks`` are the graph's
+    per-direction edge masks. ``lengths`` (vertex -> length) and ``pred``
+    (vertex -> last edge of its witness, or None) are views built from
+    the masks on first use.
+
+    Witnesses are rebuilt backwards. The predecessor of v on its witness
+    of l edges after t steps is the smallest u = v ^ 2^perm[r], r < t,
+    joined to v by an edge and of length exactly l - 1 after r steps; the
+    witness goes on from u after r steps. These are the choices of a
+    sweep that relaxes edges one by one and breaks ties toward the
+    smaller predecessor.
     """
 
     n: int
     ordering: DirectionOrdering
-    lengths: dict[int, int]
-    _chains: dict[int, tuple | None] = field(repr=False)
+    lo_masks: tuple[int, ...] = field(repr=False)
+    levels: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def lengths(self) -> dict[int, int]:
+        final = (*self.levels[-1], 0)
+        lengths = dict.fromkeys(_bits(final[0]), 0)
+        for k in range(1, len(final) - 1):
+            lengths.update(dict.fromkeys(_bits(final[k] & ~final[k + 1]), k))
+        return lengths
 
     @cached_property
     def pred(self) -> dict[int, tuple[int, int] | None]:
-        return {
-            v: (c[0], c[1]) if c is not None else None
-            for v, c in self._chains.items()
-        }
+        steps = len(self.levels) - 1
+        perm = self.ordering.perm
+        pred = {}
+        for v, length in self.lengths.items():
+            if length:
+                u, r = self._predecessor(v, length, steps)
+                pred[v] = (u, perm[r])
+            else:
+                pred[v] = None
+        return pred
 
     @property
     def total(self) -> int:
         """Sum of lengths over all vertices; always >= 2|E(G)|."""
-        return sum(self.lengths.values())
+        return sum(m.bit_count() for m in self.levels[-1][1:])
+
+    @property
+    def longest_end(self) -> int:
+        """The smallest vertex of greatest length: the lowest bit of the
+        top level."""
+        top = self.levels[-1][-1]
+        if not top:
+            raise ValueError("empty graph has no geodesics")
+        return (top & -top).bit_length() - 1
+
+    def _predecessor(self, v: int, length: int, steps: int) -> tuple[int, int]:
+        """(u, r): the predecessor of v on its witness of ``length`` edges
+        after ``steps`` steps, and the step whose direction joins them."""
+        best = None
+        for r in range(steps):
+            dir = self.ordering.perm[r]
+            u = v ^ (1 << dir)
+            if best is not None and u > best[0]:
+                continue
+            levels = self.levels[r]
+            if (
+                self.lo_masks[dir] >> min(u, v) & 1
+                and length - 1 < len(levels)
+                and levels[length - 1] >> u & 1
+                and not (length < len(levels) and levels[length] >> u & 1)
+            ):
+                best = (u, r)
+        if best is None:
+            raise RuntimeError(
+                f"vertex {v} has no predecessor at length {length} after {steps} steps"
+            )
+        return best
 
 
 def increasing_geodesic_table(
@@ -208,61 +270,50 @@ def increasing_geodesic_table(
     """Longest increasing geodesic ending at each vertex, by a sweep over
     direction classes in rank order.
 
-    Relaxing an edge (x, y) of the current class from pre-class values
-    raises the two endpoint totals by at least 2 (whether or not the old
-    values were equal), so the output always satisfies
-    sum(lengths) >= 2|E(G)|.
-
-    Ties between predecessors reaching the same length resolve toward the
-    smaller predecessor vertex, which makes witnesses deterministic.
+    With M the lo mask of direction d and s = 2^d, the class updates
+    every level from its pre-class values at once:
+    new[k] = old[k] | ((old[k-1] & M) << s) | ((old[k-1] >> s) & M).
+    Each edge (x, y) of the class raises the two endpoint totals by at
+    least 2 (whether or not the old values were equal), so the output
+    always satisfies sum(lengths) >= 2|E(G)|.
     """
     if ordering is None:
         ordering = DirectionOrdering.identity(g.n)
     if ordering.n != g.n:
         raise ValueError(f"ordering over {ordering.n} directions used with Q_{g.n}")
-    lengths = dict.fromkeys(g.vertices, 0)
-    chains: dict[int, tuple | None] = dict.fromkeys(g.vertices, None)
+    levels = (g.vertex_mask,)
+    history = [levels]
     for dir in ordering.perm:
-        bit = 1 << dir
-        for lo in _bits(g.lo_masks[dir]):
-            hi = lo ^ bit
-            llo = lengths[lo]
-            lhi = lengths[hi]
-            clo = chains[lo]
-            chi = chains[hi]
-            cand = llo + 1
-            if cand > lhi:
-                lengths[hi] = cand
-                chains[hi] = (lo, dir, clo)
-            elif cand == lhi and lo < chains[hi][0]:
-                chains[hi] = (lo, dir, clo)
-            cand = lhi + 1
-            if cand > llo:
-                lengths[lo] = cand
-                chains[lo] = (hi, dir, chi)
-            elif cand == llo and hi < chains[lo][0]:
-                chains[lo] = (hi, dir, chi)
-    return LTable(g.n, ordering, lengths, chains)
+        m = g.lo_masks[dir]
+        if m:
+            s = 1 << dir
+            raised = [
+                old | ((below & m) << s) | ((below >> s) & m)
+                for below, old in zip(levels, (*levels[1:], 0))
+            ]
+            if not raised[-1]:
+                raised.pop()
+            levels = (levels[0], *raised)
+        history.append(levels)
+    return LTable(g.n, ordering, g.lo_masks, tuple(history))
 
 
 def extract_increasing_geodesic(table: LTable, v: int) -> IncreasingGeodesic:
-    """The recorded witness ending at v: a valid increasing geodesic with
-    exactly ``table.lengths[v]`` edges."""
-    if v not in table.lengths:
+    """The witness ending at v: a valid increasing geodesic with exactly
+    ``table.lengths[v]`` edges, rebuilt backwards from the levels."""
+    final = table.levels[-1]
+    if v < 0 or not final[0] >> v & 1:
         raise ValueError(f"vertex {v} not in table")
+    length = max(k for k, level in enumerate(final) if level >> v & 1)
+    steps = len(table.levels) - 1
     verts = [v]
     dirs = []
-    node = table._chains[v]
-    while node is not None:
-        u, dir, node = node
-        verts.append(u)
-        dirs.append(dir)
-    path = IncreasingGeodesic(verts[::-1], dirs[::-1], ordering=table.ordering)
-    if path.length != table.lengths[v]:
-        raise RuntimeError(
-            f"witness chain of vertex {v} has {path.length} edges, table says {table.lengths[v]}"
-        )
-    return path
+    while length:
+        v, steps = table._predecessor(v, length, steps)
+        verts.append(v)
+        dirs.append(table.ordering.perm[steps])
+        length -= 1
+    return IncreasingGeodesic(verts[::-1], dirs[::-1], ordering=table.ordering)
 
 
 def longest_geodesic_lower_bound(
@@ -271,11 +322,10 @@ def longest_geodesic_lower_bound(
     """The longest witness in the sweep table: a geodesic whose length is
     at least ceil(average_degree(g)), since the table totals at least
     2|E| = avg * |G| and lengths are integers."""
-    if not g.vertices:
+    if not g.vertex_mask:
         raise ValueError("empty graph has no geodesics")
     table = increasing_geodesic_table(g, ordering)
-    # max keeps the first, i.e. smallest, vertex of greatest length
-    return extract_increasing_geodesic(table, max(g.vertices, key=table.lengths.__getitem__))
+    return extract_increasing_geodesic(table, table.longest_end)
 
 
 def _min_degree_core(g: CubeSubgraph, threshold) -> set[int]:
@@ -310,11 +360,12 @@ def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
     avg/2 directions are used, the current core vertex still has an
     unused-direction neighbour in the core, so the walk cannot stop early.
     """
-    if not g.vertices:
+    if not g.vertex_mask:
         raise ValueError("empty graph has no geodesics")
     half = average_degree(g) / 2
     core = _min_degree_core(g, half)
-    assert core, "min-degree core is never empty"
+    if not core:
+        raise RuntimeError(f"min-degree core at threshold {half} is empty")
     v = min(core)
     verts = [v]
     dirs = []
@@ -333,7 +384,8 @@ def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
         verts.append(w)
         v = w
     path = GeodesicPath(verts, dirs)
-    assert path.length >= math.ceil(half)
+    if path.length < math.ceil(half):
+        raise RuntimeError(f"greedy geodesic has {path.length} edges, below ceil({half})")
     return path
 
 
@@ -397,6 +449,54 @@ def brute_force_longest_geodesic(
     return GeodesicPath(verts, dirs)
 
 
+def _count_paths(
+    g: CubeSubgraph, d: int, perm, increasing: bool, found: set | None = None
+) -> int:
+    """Directed paths of g with d edges whose directions are distinct
+    members of ``perm``, in ``perm``'s order when ``increasing``, found
+    by a search over direction sequences.
+
+    The paths that follow a sequence from the vertices of g are fixed by
+    their ends W, and a step along direction dir (lo mask M, s = 2^dir)
+    maps W to ((W & M) << s) | ((W >> s) & M). A full sequence adds
+    popcount(W) paths; an empty prefix is not extended. With ``found``,
+    each path is also added to it as a GeodesicPath.
+    """
+    masks = g.lo_masks
+    n = len(perm)
+
+    def walk(w: int, seq: list[int], start: int, used: int) -> int:
+        depth = len(seq)
+        if depth == d:
+            if found is not None:
+                flip = 0
+                for dir in seq:
+                    flip ^= 1 << dir
+                for end in _bits(w):
+                    verts = [end ^ flip]
+                    for dir in seq:
+                        verts.append(verts[-1] ^ (1 << dir))
+                    found.add(GeodesicPath(verts, seq))
+            return w.bit_count()
+        total = 0
+        for q in range(start, n - (d - depth) + 1 if increasing else n):
+            dir = perm[q]
+            s = 1 << dir
+            if used & s:
+                continue
+            m = masks[dir]
+            nxt = ((w & m) << s) | ((w >> s) & m)
+            if nxt:
+                seq.append(dir)
+                total += walk(nxt, seq, q + 1 if increasing else 0, used | s)
+                seq.pop()
+        return total
+
+    if d > n or not g.vertex_mask:
+        return 0
+    return walk(g.vertex_mask, [], 0, 0)
+
+
 def enumerate_geodesics_of_length(
     g: CubeSubgraph,
     d: int,
@@ -406,42 +506,22 @@ def enumerate_geodesics_of_length(
 ):
     """Count the geodesics of g with exactly d edges.
 
-    A path and its reversal count once: the orientation-sensitive DFS
-    finds exactly twice as many directed paths, and the count returned is
-    that total halved. With ``witnesses=True``, also returns the sorted
-    canonical paths.
+    A path and its reversal count once: the search over every sequence of
+    d distinct directions finds each path in both orientations, and the
+    count returned is that total halved. With ``witnesses=True``, also
+    returns the sorted canonical paths.
     """
     if d < 1:
         raise ValueError("geodesic length must be at least 1")
     _check_oracle_cap(g, max_n, max_edges)
-    adj = _adjacency(g)
-    directed = 0
     found: set[GeodesicPath] | None = set() if witnesses else None
-    stack: list[int] = []
-
-    def dfs(v: int, used: int, depth: int) -> None:
-        nonlocal directed
-        if depth == d:
-            directed += 1
-            if found is not None:
-                found.add(GeodesicPath(list(stack)))
-            return
-        for dir, w in adj[v]:
-            b = 1 << dir
-            if used & b:
-                continue
-            stack.append(w)
-            dfs(w, used | b, depth + 1)
-            stack.pop()
-
-    for s in g.vertices:
-        stack.append(s)
-        dfs(s, 0, 0)
-        stack.pop()
-    assert directed % 2 == 0
+    directed = _count_paths(g, d, range(g.n), False, found)
+    if directed % 2:
+        raise RuntimeError(f"odd number {directed} of directed geodesics with {d} edges")
     count = directed // 2
     if found is not None:
-        assert len(found) == count
+        if len(found) != count:
+            raise RuntimeError(f"{len(found)} distinct geodesics with {d} edges, counted {count}")
         return count, sorted(found, key=lambda p: (p.canonical().vertices))
     return count
 
@@ -463,23 +543,9 @@ def count_increasing_geodesics(
         raise ValueError("geodesic length must be at least 1")
     if ordering is None:
         ordering = DirectionOrdering.identity(g.n)
-    ranks = ordering.ranks
-    adj = _adjacency(g)
-    count = 0
-
-    def dfs(v: int, last_rank: int, depth: int) -> None:
-        nonlocal count
-        if depth == d:
-            count += 1
-            return
-        for dir, w in adj[v]:
-            r = ranks[dir]
-            if r > last_rank:
-                dfs(w, r, depth + 1)
-
-    for s in g.vertices:
-        dfs(s, -1, 0)
-    return count
+    if ordering.n != g.n:
+        raise ValueError(f"ordering over {ordering.n} directions used with Q_{g.n}")
+    return _count_paths(g, d, ordering.perm, True)
 
 
 def brute_force_increasing_lengths(

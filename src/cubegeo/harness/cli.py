@@ -33,7 +33,7 @@ from ..colourings import (
     monochromatic_half_geodesic,
 )
 from ..core import induced_subgraph
-from ..geodesics import greedy_geodesic, increasing_geodesic_table, longest_geodesic_lower_bound
+from ..geodesics import extract_increasing_geodesic, greedy_geodesic, increasing_geodesic_table
 from ..setfamilies import (
     SetFamily,
     feder_subi_intersecting_check,
@@ -193,14 +193,14 @@ def _cmd_search(args) -> int:
 
 
 def _analyze_graph(g: CubeSubgraph) -> tuple[dict, bool]:
-    info: dict = {"type": "graph", "n": g.n, "vertices": len(g.vertices), "edges": g.edge_count}
-    if not g.vertices:
+    info: dict = {"type": "graph", "n": g.n, "vertices": len(g), "edges": g.edge_count}
+    if not g.vertex_mask:
         return info, True
     avg = average_degree(g)
     bound = ceil(avg)
     table = increasing_geodesic_table(g)
     t4_slack = table.total - 2 * g.edge_count
-    longest = longest_geodesic_lower_bound(g)
+    longest = extract_increasing_geodesic(table, table.longest_end)
     greedy = greedy_geodesic(g)
     x, y, dist = max_hamming_pair(g)
     info.update({

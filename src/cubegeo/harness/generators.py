@@ -165,5 +165,6 @@ def random_t_intersecting_family(
         if all((s & other).bit_count() >= t for other in kept):
             kept.append(s)
     fam = UniformFamily.of(n, kept, k)
-    assert is_t_intersecting(fam, t)
+    if not is_t_intersecting(fam, t):
+        raise RuntimeError(f"generated family is not {t}-intersecting")
     return fam

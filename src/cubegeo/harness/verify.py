@@ -81,7 +81,7 @@ def _t4_record(g) -> dict:
     table = increasing_geodesic_table(g)
     slack = table.total - 2 * g.edge_count
     return {
-        "vertices": len(g.vertices),
+        "vertices": len(g),
         "edges": g.edge_count,
         "total_length": table.total,
         "slack": str(slack),
@@ -94,7 +94,7 @@ def _t2_record(g) -> dict:
     path = longest_geodesic_lower_bound(g)
     slack = path.length - bound
     return {
-        "vertices": len(g.vertices),
+        "vertices": len(g),
         "edges": g.edge_count,
         "geodesic_length": path.length,
         "bound": bound,
@@ -109,20 +109,20 @@ def _t5_record(g, root_seed: int, index: int) -> dict:
         return {"applicable": False, "slack": None, "ok": True}
     d = int(avg)
     count = enumerate_geodesics_of_length(g, d)
-    bound = Fraction(factorial(d) * len(g.vertices), 2)
+    bound = Fraction(factorial(d) * len(g), 2)
     count_slack = count - bound
     inc_slack = None
     for j in range(3):
         ordering = random_ordering(g.n, SplitMix64(subseed(root_seed, index, 1000 + j)))
         inc = count_increasing_geodesics(g, d, ordering)
-        s = inc - len(g.vertices)
+        s = inc - len(g)
         if inc_slack is None or s < inc_slack:
             inc_slack = s
     slack = min(Fraction(inc_slack), count_slack)
     return {
         "applicable": True,
         "d": d,
-        "vertices": len(g.vertices),
+        "vertices": len(g),
         "count": count,
         "bound": str(bound),
         "slack": str(slack),
@@ -135,7 +135,7 @@ def _fs_record(g) -> dict:
     x, y, dist = max_hamming_pair(g)
     slack = dist - bound
     return {
-        "vertices": len(g.vertices),
+        "vertices": len(g),
         "edges": g.edge_count,
         "pair": [x, y],
         "distance": dist,

@@ -90,7 +90,8 @@ def compress_element(fam: SetFamily, i: int) -> SetFamily:
         else:
             out.append(a)
     result = SetFamily.of(fam.n, out)
-    assert len(result) == len(fam)
+    if len(result) != len(fam):
+        raise RuntimeError(f"compressing element {i} changed the family size {len(fam)} to {len(result)}")
     return result
 
 

@@ -240,3 +240,49 @@ def fisher_yates_ordering(n, rng):
         j = rng.randrange(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return tuple(perm)
+
+
+def chain_sweep_table(g, ordering):
+    """Referee for the direction-sweep table: relax the edges of each
+    direction class one by one, in increasing lo order, from pre-class
+    values, keeping per-vertex lengths and snapshot chains
+    (predecessor, direction, predecessor's chain). Ties between
+    predecessors of equal length go to the smaller one. Returns
+    (lengths, chains)."""
+    lengths = dict.fromkeys(g.vertices, 0)
+    chains = dict.fromkeys(g.vertices, None)
+    for dir in ordering.perm:
+        for lo in sorted(e.lo for e in g.edges if e.dir == dir):
+            hi = lo ^ (1 << dir)
+            llo, lhi = lengths[lo], lengths[hi]
+            clo, chi = chains[lo], chains[hi]
+            if llo + 1 > lhi or (llo + 1 == lhi and lo < chi[0]):
+                lengths[hi], chains[hi] = llo + 1, (lo, dir, clo)
+            if lhi + 1 > llo or (lhi + 1 == llo and hi < clo[0]):
+                lengths[lo], chains[lo] = lhi + 1, (hi, dir, chi)
+    return lengths, chains
+
+
+def chain_witness(chains, v):
+    """The (vertices, directions) of the chain ending at v, start first."""
+    verts, dirs = [v], []
+    node = chains[v]
+    while node is not None:
+        u, dir, node = node
+        verts.append(u)
+        dirs.append(dir)
+    return tuple(verts[::-1]), tuple(dirs[::-1])
+
+
+def count_increasing_paths(g, d, ordering):
+    """Paths with d edges whose direction ranks strictly increase along
+    the path, by depth-first search from every vertex."""
+    ranks = ordering.ranks
+    adj = adjacency(g)
+
+    def walk(v, last, depth):
+        if depth == d:
+            return 1
+        return sum(walk(w, ranks[dir], depth + 1) for dir, w in adj[v] if ranks[dir] > last)
+
+    return sum(walk(s, -1, 0) for s in g.vertices)

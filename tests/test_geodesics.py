@@ -24,9 +24,14 @@ from cubegeo import (
     make_subgraph,
     random_ordering,
 )
+from cubegeo.harness.generators import InstanceSpec, generate
 from cubegeo.rng import derive
 
 from oracles import (
+    all_geodesic_vertex_sequences,
+    chain_sweep_table,
+    chain_witness,
+    count_increasing_paths,
     count_unordered_geodesics,
     fisher_yates_ordering,
     increasing_lengths_by_end,
@@ -177,6 +182,91 @@ class TestTable:
                 assert t.pred[v] == (path.vertices[-2], path.directions[-1])
 
 
+def referee_cases():
+    """(graph, ordering) pairs: seeded induced and non-induced random
+    graphs at n = 0..8 under random orderings, plus the empty graph,
+    isolated vertices, and edges beside isolated vertices."""
+    cases = []
+    for n in range(9):
+        for seed in range(6):
+            density = Fraction(1 + seed % 5, 6)
+            for kind in ("induced-random", "edge-random"):
+                g = generate(InstanceSpec(kind, n=n, density=density, seed=derive(100 * n + seed)))
+                cases.append((g, random_ordering(n, SplitMix64(derive(200 * n + seed)))))
+    for g in (
+        make_subgraph(3, [], []),
+        make_subgraph(0, [0], []),
+        make_subgraph(4, [1, 6, 11], []),
+        make_subgraph(4, [0, 1, 3, 9, 12], [(0, 1), (1, 3), (1, 9)]),
+    ):
+        cases.append((g, random_ordering(g.n, SplitMix64(g.n))))
+    return cases
+
+
+REFEREE_CASES = referee_cases()
+#: cases small enough for the path-enumerating count oracles
+COUNT_CASES = [i for i, (g, _) in enumerate(REFEREE_CASES) if g.n <= 6]
+
+
+class TestTableAgainstReferee:
+    """The mask sweep against the edge-by-edge chain sweep it replaced:
+    lengths, the last edge of each witness, every witness vertex for
+    vertex, the top vertex and the total."""
+
+    @pytest.mark.parametrize("case", range(len(REFEREE_CASES)))
+    def test_matches_chain_sweep(self, case):
+        g, ordering = REFEREE_CASES[case]
+        t = increasing_geodesic_table(g, ordering)
+        lengths, chains = chain_sweep_table(g, ordering)
+        assert t.lengths == lengths and list(t.lengths) == list(g.vertices)
+        assert t.pred == {v: c[:2] if c else None for v, c in chains.items()}
+        for v in g.vertices:
+            p = extract_increasing_geodesic(t, v)
+            assert (p.vertices, p.directions) == chain_witness(chains, v)
+        assert t.total == sum(lengths.values()) >= 2 * g.edge_count
+        if g.vertex_mask:
+            assert t.longest_end == max(g.vertices, key=lengths.__getitem__)
+            assert longest_geodesic_lower_bound(g, ordering) == extract_increasing_geodesic(
+                t, t.longest_end
+            )
+        else:
+            with pytest.raises(ValueError, match="empty graph"):
+                t.longest_end
+
+    def test_levels_are_nested_and_trimmed(self):
+        for g, ordering in REFEREE_CASES:
+            t = increasing_geodesic_table(g, ordering)
+            assert len(t.levels) == g.n + 1 and t.levels[0] == (g.vertex_mask,)
+            for levels in t.levels:
+                assert all(hi & ~lo == 0 for lo, hi in zip(levels, levels[1:]))
+                assert levels[-1] or levels == (0,)
+
+
+class TestCountsAgainstReferee:
+    @pytest.mark.parametrize("case", COUNT_CASES[::3])
+    def test_both_counts_for_every_length(self, case):
+        g, ordering = REFEREE_CASES[case]
+        for d in range(1, g.n + 2):
+            assert enumerate_geodesics_of_length(g, d) == count_unordered_geodesics(g, d)
+            assert count_increasing_geodesics(g, d, ordering) == count_increasing_paths(g, d, ordering)
+        assert enumerate_geodesics_of_length(g, g.n + 1) == 0
+        assert count_increasing_geodesics(g, g.n + 1, ordering) == 0
+
+    @pytest.mark.parametrize("case", COUNT_CASES[1::4])
+    def test_witnesses_are_the_canonical_paths(self, case):
+        g, _ = REFEREE_CASES[case]
+        sequences = all_geodesic_vertex_sequences(g)
+        for d in range(1, g.n + 2):
+            count, paths = enumerate_geodesics_of_length(g, d, witnesses=True)
+            expected = sorted({s if s[0] <= s[-1] else s[::-1] for s in sequences if len(s) == d + 1})
+            assert count == len(expected)
+            assert [p.canonical().vertices for p in paths] == expected
+
+    def test_count_rejects_mismatched_ordering(self):
+        with pytest.raises(ValueError, match="ordering over 2 directions"):
+            count_increasing_geodesics(full_cube(3), 2, DirectionOrdering((1, 0)))
+
+
 class TestExtraction:
     def test_isolated_vertex_empty_geodesic(self):
         t = increasing_geodesic_table(make_subgraph(3, [5], []))
@@ -203,8 +293,10 @@ class TestExtraction:
 
     def test_inconsistent_table_raises(self):
         t = increasing_geodesic_table(full_cube(2))
-        planted = LTable(t.n, t.ordering, {**t.lengths, 3: 1}, t._chains)
-        with pytest.raises(RuntimeError, match="vertex 3 has 2 edges, table says 1"):
+        # vertex 3 claims 3 edges after both directions of Q_2: no vertex
+        # reached 2 edges after fewer steps, so its witness breaks off
+        planted = LTable(t.n, t.ordering, t.lo_masks, (*t.levels[:-1], (*t.levels[-1], 0b1000)))
+        with pytest.raises(RuntimeError, match="vertex 3 has no predecessor at length 3 after 2 steps"):
             extract_increasing_geodesic(planted, 3)
 
     @given(st.integers(0, 10_000), st.integers(0, 5))

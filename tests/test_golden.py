@@ -12,7 +12,10 @@ Regenerate the files (only when a report change is intended) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,37 @@ def test_analyze_report_matches_golden(name, tmp_path):
     golden = (GOLDEN / f"{name}.json").read_bytes()
     assert code == (0 if json.loads(golden)["pass"] else 2)
     assert _without_file(out.read_bytes()) == _without_file(golden)
+
+
+#: verify configurations re-run under ``python -O``, which strips asserts
+OPTIMIZED = ["verify-T2-n8", "verify-T4-n10", "verify-T5-full-cube-n4",
+             "verify-T5-disjoint-cubes-n6", "verify-COR-n8"]
+
+
+@pytest.mark.parametrize("name", OPTIMIZED)
+def test_verify_report_matches_golden_under_optimize(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    theorem, *rest = VERIFIES[name]
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "cubegeo.harness.cli", "verify", "--theorem", theorem,
+         *rest, *SEED, "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    golden = (GOLDEN / f"{name}.json").read_bytes()
+    assert result.returncode == (0 if json.loads(golden)["pass"] else 2), result.stderr
+    assert out.read_bytes() == golden
+
+
+def test_library_has_no_assert():
+    """Library invariants raise; ``python -O`` would strip an assert."""
+    package = Path(__file__).parent.parent / "src" / "cubegeo"
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 if __name__ == "__main__":
