@@ -21,8 +21,6 @@ from .geodesics import (
     GeodesicPath,
     IncreasingGeodesic,
     LTable,
-    brute_force_increasing_lengths,
-    brute_force_longest_geodesic,
     count_increasing_geodesics,
     enumerate_geodesics_of_length,
     extract_increasing_geodesic,

@@ -240,6 +240,7 @@ def random_antipodal_colouring(n: int, seed: int) -> EdgeColouring:
 def random_colouring(n: int, seed: int) -> EdgeColouring:
     """Every edge coloured independently and uniformly. Deterministic in
     the seed."""
+    _check_dimension(n)  # before n << n
     rng = SplitMix64(derive(seed))
     raw = rng.bits(n << n)
     return EdgeColouring(n, raw & _valid_edge_mask(n))

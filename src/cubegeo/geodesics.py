@@ -36,8 +36,6 @@ __all__ = [
     "GeodesicPath",
     "IncreasingGeodesic",
     "LTable",
-    "brute_force_increasing_lengths",
-    "brute_force_longest_geodesic",
     "count_increasing_geodesics",
     "enumerate_geodesics_of_length",
     "extract_increasing_geodesic",
@@ -47,8 +45,8 @@ __all__ = [
     "random_ordering",
 ]
 
-#: Default caps for the exhaustive oracles: an instance is in range when
-#: n <= ORACLE_MAX_N or |E| <= ORACLE_MAX_EDGES.
+#: Default cap of enumerate_geodesics_of_length: an instance is in range
+#: when n <= ORACLE_MAX_N or |E| <= ORACLE_MAX_EDGES.
 ORACLE_MAX_N = 8
 ORACLE_MAX_EDGES = 200
 
@@ -389,64 +387,12 @@ def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
     return path
 
 
-def _adjacency(g: CubeSubgraph) -> dict[int, list[tuple[int, int]]]:
-    return {v: g.neighbours(v) for v in g.vertices}
-
-
 def _check_oracle_cap(g: CubeSubgraph, max_n: int, max_edges: int) -> None:
     if g.n > max_n and g.edge_count > max_edges:
         raise ValueError(
             f"instance (n={g.n}, |E|={g.edge_count}) exceeds the oracle cap "
             f"(n <= {max_n} or |E| <= {max_edges})"
         )
-
-
-def brute_force_longest_geodesic(
-    g: CubeSubgraph, max_n: int = ORACLE_MAX_N, max_edges: int = ORACLE_MAX_EDGES
-) -> GeodesicPath:
-    """Exact maximum-length geodesic by memoized DFS over simple paths
-    with a used-direction bitmask. Exponential in principle; guarded by
-    the oracle cap."""
-    if not g.vertices:
-        raise ValueError("empty graph has no geodesics")
-    _check_oracle_cap(g, max_n, max_edges)
-    adj = _adjacency(g)
-    memo: dict[tuple[int, int], tuple[int, int | None]] = {}
-
-    def longest_from(v: int, used: int) -> tuple[int, int | None]:
-        key = (v, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best, best_dir = 0, None
-        for dir, w in adj[v]:
-            b = 1 << dir
-            if used & b:
-                continue
-            sub = longest_from(w, used | b)[0] + 1
-            if sub > best:
-                best, best_dir = sub, dir
-        memo[key] = (best, best_dir)
-        return (best, best_dir)
-
-    start = min(g.vertices)
-    best = 0
-    for v in g.vertices:
-        length = longest_from(v, 0)[0]
-        if length > best:
-            start, best = v, length
-    verts = [start]
-    dirs = []
-    v, used = start, 0
-    while True:
-        _, dir = longest_from(v, used)
-        if dir is None:
-            break
-        v ^= 1 << dir
-        used |= 1 << dir
-        verts.append(v)
-        dirs.append(dir)
-    return GeodesicPath(verts, dirs)
 
 
 def _count_paths(
@@ -546,28 +492,3 @@ def count_increasing_geodesics(
     if ordering.n != g.n:
         raise ValueError(f"ordering over {ordering.n} directions used with Q_{g.n}")
     return _count_paths(g, d, ordering.perm, True)
-
-
-def brute_force_increasing_lengths(
-    g: CubeSubgraph, ordering: DirectionOrdering | None = None
-) -> dict[int, int]:
-    """Oracle for the sweep table: per-vertex longest increasing-geodesic
-    length by plain DFS over all rank-increasing paths. Shares no logic
-    with increasing_geodesic_table."""
-    if ordering is None:
-        ordering = DirectionOrdering.identity(g.n)
-    ranks = ordering.ranks
-    adj = _adjacency(g)
-    best = dict.fromkeys(g.vertices, 0)
-
-    def dfs(v: int, last_rank: int, depth: int) -> None:
-        if depth > best[v]:
-            best[v] = depth
-        for dir, w in adj[v]:
-            r = ranks[dir]
-            if r > last_rank:
-                dfs(w, r, depth + 1)
-
-    for s in g.vertices:
-        dfs(s, -1, 0)
-    return best

@@ -108,11 +108,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args, default_kind=None, default_n=None) -> InstanceSpec:
-    kind = args.model or default_kind
+def _spec_from_args(args) -> InstanceSpec:
+    kind, n = args.model, args.n
     if kind is None:
         raise ValueError("--model is required")
-    n = args.n if args.n is not None else default_n
     if kind != "from-file" and n is None:
         raise ValueError("--n is required for this model")
     density = None
@@ -166,20 +165,7 @@ def _emit_report(report: Report, out: str | None) -> int:
 
 
 def _cmd_verify(args) -> int:
-    base = default_template(args.theorem, args.n)
-    if args.model:
-        spec = _spec_from_args(args)
-        if spec.kind in COLOURING_KINDS and args.theorem != "COR":
-            raise ValueError(f"{args.theorem} runs on graphs/families, not colourings")
-        if args.theorem in ("COMP", "KAT") and spec.kind not in FAMILY_KINDS:
-            raise ValueError(f"{args.theorem} needs a family model")
-        if args.theorem == "COR" and spec.kind not in COLOURING_KINDS:
-            raise ValueError("COR needs a colouring model")
-        if args.theorem in ("T2", "T4", "T5", "FS") and spec.kind not in GRAPH_KINDS:
-            raise ValueError(f"{args.theorem} needs a graph model")
-        template = spec
-    else:
-        template = base
+    template = _spec_from_args(args) if args.model else default_template(args.theorem, args.n)
     report = run_verify(args.theorem, template, args.trials, seed=args.seed, jobs=_jobs(args))
     return _emit_report(report, args.out)
 

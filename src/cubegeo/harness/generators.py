@@ -10,6 +10,7 @@ so that average degree stays defined.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -51,6 +52,22 @@ class InstanceSpec:
 def subseed(root: int, *keys: int) -> int:
     """Per-instance sub-seed; see the RNG module's splitting contract."""
     return derive(root, *keys)
+
+
+def block_size(total: int) -> int:
+    """Work items per pool task: at most 1024, and about 16 tasks even for
+    short sweeps. It depends on the work alone, never on --jobs."""
+    return min(1024, -(-total // 16))
+
+
+def pool_map(fn, items, jobs: int, chunksize: int = 1):
+    """fn over items, in order and lazily; on ``jobs`` worker processes
+    when jobs > 1. Closing the generator early stops the pool."""
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            yield from pool.imap(fn, items, chunksize)
+    else:
+        yield from map(fn, items)
 
 
 def _need(spec: InstanceSpec, field: str):

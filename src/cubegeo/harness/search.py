@@ -7,20 +7,23 @@
   B       every colouring has an antipodal geodesic changing colour at
           most once
 
-Exhaustive mode enumerates the whole space (antipodal colourings for
-NORINE/A, all colourings for B) and is capped at n = 4 resp. n = 3;
-sample mode draws ``budget`` seeded colourings. The sweep halts at the
-first counterexample and embeds the colouring. Work is blocked by
-colouring index; blocks merge in order, so the report is identical for
-any --jobs value.
+One table, ``_SPACES``, gives each conjecture its space (antipodal
+colourings for NORINE/A, all colourings for B) and its exhaustive cap
+(n = 4 resp. n = 3); each block picks its checker and colouring builder
+once. Exhaustive mode enumerates the whole space; sample mode draws
+``budget`` seeded colourings. The sweep halts at the first
+counterexample and embeds the colouring. Work is blocked by colouring
+index (``generators.block_size``); blocks merge in order, so the report
+is identical for any --jobs value.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+from contextlib import closing
 from fractions import Fraction
 
 from ..colourings import (
+    _check_dimension,
     antipodal_colouring_from_index,
     antipodal_pair_count,
     colouring_from_index,
@@ -33,57 +36,41 @@ from ..colourings import (
     random_colouring,
     validate_witness,
 )
-from .generators import subseed
+from .generators import block_size, pool_map, subseed
 from .serialize import Report, colouring_to_obj
 
 __all__ = ["CONJECTURES", "run_search"]
 
-CONJECTURES = ("NORINE", "A", "B")
+#: The one conjecture table: conjecture -> (searches antipodal colourings
+#: only?, exhaustive cap). Exhaustive spaces stay enumerable up to the cap:
+#: 2^16 antipodal colourings at n = 4, 2^12 colourings at n = 3.
+_SPACES = {"NORINE": (True, 4), "A": (True, 4), "B": (False, 3)}
 
-#: Exhaustive spaces stay enumerable up to these dimensions
-#: (2^16 antipodal colourings at n=4, 2^12 colourings at n=3).
-EXHAUSTIVE_CAP_ANTIPODAL = 4
-EXHAUSTIVE_CAP_GENERAL = 3
-
-#: Colourings per block: at most this many, and small enough that even a
-#: short sample run splits into about 16 blocks for the worker pool.
-_MAX_BLOCK = 1024
-_MIN_BLOCKS = 16
-
-
-def _checker(conjecture: str):
-    if conjecture == "NORINE":
-        return find_monochromatic_antipodal_path
-    if conjecture == "A":
-        return find_monochromatic_antipodal_geodesic
-    if conjecture == "B":
-        return find_one_change_antipodal_geodesic
-    raise ValueError(f"unknown conjecture {conjecture!r}; expected one of {CONJECTURES}")
-
-
-def _colouring_at(conjecture: str, mode: str, n: int, seed: int, index: int):
-    antipodal = conjecture in ("NORINE", "A")
-    if mode == "exhaustive":
-        if antipodal:
-            return antipodal_colouring_from_index(n, index)
-        return colouring_from_index(n, index)
-    if antipodal:
-        return random_antipodal_colouring(n, subseed(seed, index))
-    return random_colouring(n, subseed(seed, index))
+CONJECTURES = tuple(_SPACES)
 
 
 def _search_block(params: tuple) -> dict:
     """Check colourings [start, stop); stop early inside the block at the
     first counterexample. Returns mergeable per-block results."""
     conjecture, mode, n, seed, start, stop, collect_changes = params
-    check = _checker(conjecture)
+    antipodal = _SPACES[conjecture][0]
+    # Looked up on every call, never stored at import, so a wrapped name runs.
+    check = {"NORINE": find_monochromatic_antipodal_path, "A": find_monochromatic_antipodal_geodesic,
+             "B": find_one_change_antipodal_geodesic}[conjecture]
+    indices = range(start, stop)
+    if mode == "exhaustive":
+        build = antipodal_colouring_from_index if antipodal else colouring_from_index
+        keys = indices
+    else:
+        build = random_antipodal_colouring if antipodal else random_colouring
+        keys = (subseed(seed, index) for index in indices)
     checked = 0
     fail = None
     kinds: dict[str, int] = {}
     ch_min = ch_max = None
     ch_sum = 0
-    for index in range(start, stop):
-        c = _colouring_at(conjecture, mode, n, seed, index)
+    for index, key in zip(indices, keys):
+        c = build(n, key)
         witness = check(c)
         checked += 1
         if witness is None:
@@ -121,22 +108,20 @@ def run_search(
     exhaustive mode up to n = 3) also collects the distribution of the
     minimum-colour-change statistic.
     """
-    _checker(conjecture)
+    if conjecture not in _SPACES:
+        raise ValueError(f"unknown conjecture {conjecture!r}; expected one of {CONJECTURES}")
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sample'")
-    antipodal = conjecture in ("NORINE", "A")
+    _check_dimension(n)
+    antipodal, cap = _SPACES[conjecture]
     if mode == "exhaustive":
-        cap = EXHAUSTIVE_CAP_ANTIPODAL if antipodal else EXHAUSTIVE_CAP_GENERAL
         if n > cap:
             space_kind = "antipodal colourings" if antipodal else "colourings"
             raise ValueError(
                 f"exhaustive search over {space_kind} is capped at n <= {cap}; "
                 f"n={n} needs sample mode"
             )
-        if antipodal:
-            total = 1 << antipodal_pair_count(n)
-        else:
-            total = 1 << edge_count(n)
+        total = 1 << (antipodal_pair_count(n) if antipodal else edge_count(n))
         collect_changes = n <= 3
     else:
         if budget is None or budget < 1:
@@ -144,9 +129,7 @@ def run_search(
         total = budget
         collect_changes = True
 
-    # A function of total alone, never of jobs, so every --jobs value
-    # checks the same blocks.
-    size = min(_MAX_BLOCK, -(-total // _MIN_BLOCKS))
+    size = block_size(total)
     blocks = [
         (conjecture, mode, n, seed, start, min(start + size, total), collect_changes)
         for start in range(0, total, size)
@@ -156,9 +139,7 @@ def run_search(
     kinds: dict[str, int] = {}
     ch_min = ch_max = None
     ch_sum = 0
-
-    def consume(results) -> None:
-        nonlocal checked, fail, ch_min, ch_max, ch_sum
+    with closing(pool_map(_search_block, blocks, jobs)) as results:
         for res in results:
             checked += res["checked"]
             for kind, cnt in res["kinds"].items():
@@ -169,13 +150,7 @@ def run_search(
                 ch_sum += res["ch_sum"]
             if res["fail"] is not None:
                 fail = res["fail"]
-                return
-
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            consume(pool.imap(_search_block, blocks))
-    else:
-        consume(_search_block(b) for b in blocks)
+                break
 
     aggregate = {
         "space": total,

@@ -14,6 +14,10 @@ seeded sweep of generated instances.
         than the family
   COR   monochromatic geodesic of length >= ceil(n/2) in any colouring
 
+One table, ``_THEOREMS``, gives each identifier the instance kinds it
+accepts, the type its instances must have, its default template and its
+record function; nothing else branches on the identifier.
+
 Every violation embeds the full offending instance in its record, so a
 failing report is a self-contained reproduction. Records are pure
 functions of (theorem, template, root seed, index); parallel runs merge
@@ -22,13 +26,13 @@ them in index order and are byte-identical to serial runs.
 
 from __future__ import annotations
 
-import multiprocessing
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, factorial
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from ..core import average_degree, induced_subgraph, max_hamming_pair
-from ..colourings import monochromatic_half_geodesic
+from ..core import CubeSubgraph, average_degree, induced_subgraph, max_hamming_pair
+from ..colourings import EdgeColouring, monochromatic_half_geodesic
 from ..geodesics import (
     count_increasing_geodesics,
     enumerate_geodesics_of_length,
@@ -38,6 +42,8 @@ from ..geodesics import (
 )
 from ..rng import SplitMix64
 from ..setfamilies import (
+    SetFamily,
+    UniformFamily,
     compress_element,
     full_compress,
     is_downset,
@@ -45,27 +51,53 @@ from ..setfamilies import (
     iterated_shadow,
     level_profile,
 )
-from .generators import InstanceSpec, generate, subseed
+from .generators import (
+    COLOURING_KINDS, FAMILY_KINDS, GRAPH_KINDS, InstanceSpec, block_size, generate, pool_map, subseed,
+)
 from .serialize import Report, instance_to_obj
 
 __all__ = ["THEOREMS", "default_template", "run_verify"]
 
-THEOREMS = ("T2", "T4", "T5", "FS", "COMP", "KAT", "COR")
 
-_GRAPH_THEOREMS = ("T2", "T4", "T5", "FS")
+class _Theorem(NamedTuple):
+    kinds: tuple[str, ...]  # the instance kinds a template may name
+    type: type  # what generating one must give (from-file may not)
+    template: InstanceSpec  # default_template's, before its n is set
+    record: Callable  # (instance, template, root_seed, index) -> record fields
+
+
+_GRAPH = InstanceSpec("induced-random", n=6, density=Fraction(1, 2))
+
+#: The one theorem table. Each record lambda looks its function up when
+#: called, so a patched module name is the one that runs.
+_THEOREMS = {
+    "T2": _Theorem(GRAPH_KINDS, CubeSubgraph, _GRAPH, lambda g, *_: _t2_record(g)),
+    "T4": _Theorem(GRAPH_KINDS, CubeSubgraph, _GRAPH, lambda g, *_: _t4_record(g)),
+    "T5": _Theorem(GRAPH_KINDS, CubeSubgraph, _GRAPH, lambda g, _, seed, i: _t5_record(g, seed, i)),
+    "FS": _Theorem(GRAPH_KINDS, CubeSubgraph, _GRAPH, lambda g, *_: _fs_record(g)),
+    "COMP": _Theorem(FAMILY_KINDS, SetFamily,
+                     InstanceSpec("random-family", n=5, density=Fraction(1, 2)),
+                     lambda fam, *_: _comp_record(fam)),
+    "KAT": _Theorem(("t-intersecting-family",), UniformFamily,
+                    InstanceSpec("t-intersecting-family", n=10, k=4, t=2, size=20),
+                    lambda fam, template, *_: _kat_record(fam, template.t)),
+    "COR": _Theorem(COLOURING_KINDS, EdgeColouring, InstanceSpec("random-colouring", n=6),
+                    lambda c, *_: _cor_record(c)),
+}
+
+THEOREMS = tuple(_THEOREMS)
+
+
+def _entry(theorem: str) -> _Theorem:
+    if theorem not in _THEOREMS:
+        raise ValueError(f"unknown theorem identifier {theorem!r}; expected one of {THEOREMS}")
+    return _THEOREMS[theorem]
 
 
 def default_template(theorem: str, n: int | None = None) -> InstanceSpec:
     """The CLI's template when no model flags are given."""
-    if theorem in _GRAPH_THEOREMS:
-        return InstanceSpec("induced-random", n=n if n is not None else 6, density=Fraction(1, 2))
-    if theorem == "COMP":
-        return InstanceSpec("random-family", n=n if n is not None else 5, density=Fraction(1, 2))
-    if theorem == "KAT":
-        return InstanceSpec("t-intersecting-family", n=n if n is not None else 10, k=4, t=2, size=20)
-    if theorem == "COR":
-        return InstanceSpec("random-colouring", n=n if n is not None else 6)
-    raise ValueError(f"unknown theorem identifier {theorem!r}")
+    template = _entry(theorem).template
+    return template if n is None else replace(template, n=n)
 
 
 def _spec_obj(spec: InstanceSpec) -> dict:
@@ -203,24 +235,15 @@ def _cor_record(c) -> dict:
 
 def _verify_record(params: tuple) -> dict:
     theorem, template, root_seed, index = params
+    entry = _THEOREMS[theorem]
     spec = template.with_seed(subseed(root_seed, index))
     instance = generate(spec)
-    if theorem == "T4":
-        rec = _t4_record(instance)
-    elif theorem == "T2":
-        rec = _t2_record(instance)
-    elif theorem == "T5":
-        rec = _t5_record(instance, root_seed, index)
-    elif theorem == "FS":
-        rec = _fs_record(instance)
-    elif theorem == "COMP":
-        rec = _comp_record(instance)
-    elif theorem == "KAT":
-        rec = _kat_record(instance, template.t)
-    elif theorem == "COR":
-        rec = _cor_record(instance)
-    else:
-        raise ValueError(f"unknown theorem identifier {theorem!r}")
+    if not isinstance(instance, entry.type):
+        raise ValueError(
+            f"{theorem} runs on {entry.type.__name__} instances, "
+            f"not {type(instance).__name__} ({spec.path or spec.kind})"
+        )
+    rec = entry.record(instance, template, root_seed, index)
     record = {"index": index, "spec": _spec_obj(spec)}
     record.update(rec)
     if not rec["ok"]:
@@ -241,21 +264,17 @@ def run_verify(
     derived from (seed, i); any violation embeds the full instance.
     ``jobs`` never affects the report contents.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem identifier {theorem!r}; expected one of {THEOREMS}")
+    kinds = _entry(theorem).kinds
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
-    if isinstance(templates, InstanceSpec):
-        templates = [templates]
-    templates = list(templates)
+    templates = [templates] if isinstance(templates, InstanceSpec) else list(templates)
     if not templates:
         raise ValueError("need at least one instance template")
+    for t in templates:
+        if t.kind not in kinds:
+            raise ValueError(f"{theorem} cannot run on {t.kind} instances; it takes {', '.join(kinds)}")
     args = [(theorem, templates[i % len(templates)], seed, i) for i in range(trials)]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            records = pool.map(_verify_record, args, chunksize=max(1, trials // (jobs * 4)))
-    else:
-        records = [_verify_record(a) for a in args]
+    records = list(pool_map(_verify_record, args, jobs, block_size(trials)))
     violations = sum(1 for r in records if not r["ok"])
     slacks = [Fraction(r["slack"]) for r in records if r["slack"] is not None]
     return Report(

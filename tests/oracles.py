@@ -6,6 +6,8 @@ enumeration and simple-path DFS, nothing clever.
 
 from itertools import combinations
 
+from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N, GeodesicPath, _check_oracle_cap
+
 
 def induced_edge_pairs(n, vertices):
     """All unordered vertex pairs at Hamming distance 1."""
@@ -48,6 +50,39 @@ def all_geodesic_vertex_sequences(g):
 
 def longest_geodesic_length(g):
     return max(len(seq) - 1 for seq in all_geodesic_vertex_sequences(g))
+
+
+def brute_force_longest_geodesic(g, max_n=ORACLE_MAX_N, max_edges=ORACLE_MAX_EDGES):
+    """Exact maximum-length geodesic by memoized DFS over simple paths
+    with a used-direction bitmask. Exponential in principle; guarded by
+    the library's cap (n <= max_n or |E| <= max_edges)."""
+    if not g.vertices:
+        raise ValueError("empty graph has no geodesics")
+    _check_oracle_cap(g, max_n, max_edges)
+    adj = adjacency(g)
+    memo = {}
+
+    def longest_from(v, used):
+        key = (v, used)
+        if key not in memo:
+            best, best_dir = 0, None
+            for dir, w in adj[v]:
+                if not used & (1 << dir):
+                    sub = longest_from(w, used | (1 << dir))[0] + 1
+                    if sub > best:
+                        best, best_dir = sub, dir
+            memo[key] = (best, best_dir)
+        return memo[key]
+
+    start = max(g.vertices, key=lambda v: (longest_from(v, 0)[0], -v))
+    verts, dirs = [start], []
+    v, used = start, 0
+    while (dir := longest_from(v, used)[1]) is not None:
+        v ^= 1 << dir
+        used |= 1 << dir
+        verts.append(v)
+        dirs.append(dir)
+    return GeodesicPath(verts, dirs)
 
 
 def count_unordered_geodesics(g, d):

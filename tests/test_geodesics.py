@@ -12,8 +12,6 @@ from cubegeo import (
     LTable,
     SplitMix64,
     average_degree,
-    brute_force_increasing_lengths,
-    brute_force_longest_geodesic,
     count_increasing_geodesics,
     enumerate_geodesics_of_length,
     extract_increasing_geodesic,
@@ -29,6 +27,7 @@ from cubegeo.rng import derive
 
 from oracles import (
     all_geodesic_vertex_sequences,
+    brute_force_longest_geodesic,
     chain_sweep_table,
     chain_witness,
     count_increasing_paths,

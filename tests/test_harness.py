@@ -311,6 +311,15 @@ class TestRunVerify:
         violation = report.records[0]["violation"]
         assert obj_to_graph(violation) == generate(InstanceSpec("full-cube", n=3))
 
+    def test_record_looked_up_when_called(self, monkeypatch):
+        import cubegeo.harness.verify as verify_mod
+
+        calls = []
+        record = verify_mod._verify_record
+        monkeypatch.setattr(verify_mod, "_verify_record", lambda p: calls.append(p[3]) or record(p))
+        run_verify("COR", InstanceSpec("random-colouring", n=3), 37, seed=2)
+        assert calls == list(range(37))
+
     def test_full_cube_t2_tight(self):
         for d in range(1, 7):
             report = run_verify("T2", InstanceSpec("full-cube", n=d), 1)
@@ -380,6 +389,47 @@ class TestRunSearch:
         run_search("A", mode, n, budget=budget)
         assert seen == sizes
 
+    @pytest.mark.parametrize(
+        "conjecture, mode, n, budget, checker, builder, calls",
+        [
+            ("NORINE", "exhaustive", 3, None,
+             "find_monochromatic_antipodal_path", "antipodal_colouring_from_index", 64),
+            ("A", "exhaustive", 3, None,
+             "find_monochromatic_antipodal_geodesic", "antipodal_colouring_from_index", 64),
+            ("B", "exhaustive", 3, None,
+             "find_one_change_antipodal_geodesic", "colouring_from_index", 4096),
+            ("NORINE", "sample", 4, 30,
+             "find_monochromatic_antipodal_path", "random_antipodal_colouring", 30),
+            ("B", "sample", 3, 30,
+             "find_one_change_antipodal_geodesic", "random_colouring", 30),
+        ],
+    )
+    def test_checkers_and_builders_looked_up_when_called(
+        self, monkeypatch, conjecture, mode, n, budget, checker, builder, calls
+    ):
+        """A wrapper bound over a search.py name after import (as a tracer
+        binds one) sees every call."""
+        import cubegeo.harness.search as search_mod
+
+        names = (
+            "find_monochromatic_antipodal_path", "find_monochromatic_antipodal_geodesic",
+            "find_one_change_antipodal_geodesic", "antipodal_colouring_from_index",
+            "colouring_from_index", "random_antipodal_colouring", "random_colouring",
+        )
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(search_mod, name, counting(name, getattr(search_mod, name)))
+        report = run_search(conjecture, mode, n, budget=budget)
+        assert report.aggregate["checked"] == calls
+        assert counts == {name: calls if name in (checker, builder) else 0 for name in names}
+
     def test_unknown_conjecture_and_mode(self):
         with pytest.raises(ValueError):
             run_search("C", "exhaustive", 2)
@@ -433,6 +483,23 @@ class TestCli:
     def test_model_mismatch_is_usage_error(self, capsys):
         assert main(["verify", "--theorem", "T4", "--model", "random-colouring", "--n", "3"]) == 1
 
+    @pytest.mark.parametrize("theorem", ["T2", "T4", "T5", "FS"])
+    @pytest.mark.parametrize(
+        "model, found",
+        [("antipodal-colouring", "EdgeColouring"), ("random-family", "SetFamily")],
+    )
+    def test_from_file_of_wrong_type_is_usage_error(self, tmp_path, capsys, theorem, model, found):
+        path = str(tmp_path / "instance.json")
+        assert main(["gen", "--model", model, "--n", "3", "--out", path]) == 0
+        capsys.readouterr()
+        argv = ["verify", "--theorem", theorem, "--model", "from-file", "--file", path, "--trials", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"cubegeo: error: {theorem} runs on CubeSubgraph instances, not {found} ({path})\n"
+        )
+        assert captured.out == ""
+
     def test_colouring_gen_roundtrip(self, tmp_path):
         out = str(tmp_path / "c.json")
         assert main(["gen", "--model", "antipodal-colouring", "--n", "3", "--seed", "4", "--out", out]) == 0
@@ -462,6 +529,14 @@ class TestCli:
              "trials must be a positive integer, got -3"),
             ({}, ["verify", "--theorem", "T4", "--n", "4", "--trials", "0"],
              "trials must be a positive integer, got 0"),
+            ({}, ["verify", "--theorem", "KAT", "--model", "random-family", "--n", "5"],
+             "KAT cannot run on random-family instances; it takes t-intersecting-family"),
+            ({}, ["search", "--conjecture", "B", "--mode", "sample", "--n", "-2", "--budget", "3"],
+             "colouring dimension -2 outside 1..16"),
+            ({}, ["search", "--conjecture", "B", "--mode", "exhaustive", "--n", "-1"],
+             "colouring dimension -1 outside 1..16"),
+            ({}, ["verify", "--theorem", "COR", "--n", "-3"],
+             "colouring dimension -3 outside 1..16"),
         ],
     )
     def test_bad_counts_exit_1_with_one_line(self, tmp_path, env, argv, message):
