@@ -28,6 +28,8 @@ GOLDEN = Path(__file__).parent / "golden"
 SEARCHES = {
     "search-NORINE-exhaustive-n3": ["NORINE", "exhaustive", "3"],
     "search-A-exhaustive-n3": ["A", "exhaustive", "3"],
+    "search-NORINE-exhaustive-n4": ["NORINE", "exhaustive", "4"],
+    "search-A-exhaustive-n4": ["A", "exhaustive", "4"],
     "search-B-exhaustive-n2": ["B", "exhaustive", "2"],
     "search-B-exhaustive-n3": ["B", "exhaustive", "3"],
     "search-A-sample-n6": ["A", "sample", "6", "--budget", "128", "--seed", "5"],
