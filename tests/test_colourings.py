@@ -31,10 +31,13 @@ from cubegeo.colourings import (
     _colour_lomasks,
     all_edges,
     antipodal_colouring_from_index,
+    antipodal_lane_search,
     antipodal_pair_count,
+    block_lanes,
     colouring_from_index,
     edge_count,
     restrict_to_bottom,
+    validate_witness_group,
 )
 
 from cubegeo.rng import SplitMix64, derive
@@ -396,6 +399,134 @@ class TestSearchKernel:
                 assert len(verts) == 4
 
 
+#: witness kind -> the per-colouring checker the lane kernel must agree with
+CHECKERS = {
+    "mono-path": find_monochromatic_antipodal_path,
+    "mono-geodesic": find_monochromatic_antipodal_geodesic,
+    "one-change-geodesic": find_one_change_antipodal_geodesic,
+}
+
+
+def _lane_colourings(n, lanes, count):
+    """Each lane's colouring, read back bit by bit from the lane masks."""
+    return [
+        EdgeColouring(n, sum(1 << pos for pos, m in enumerate(lanes) if (m >> j) & 1))
+        for j in range(count)
+    ]
+
+
+def _end(c, w):
+    """A witness's start and the colour of its last edge: the search level
+    that found it ends in that colour."""
+    return w.pair[0], c.colour_between(w.vertices[-2], w.vertices[-1])
+
+
+def _check_lanes_against_checker(n, lanes, count, kind):
+    """Every lane's witness (or none) matches the per-colouring checker's
+    start and last colour and is valid for that lane's colouring on its
+    own. Returns the lanes found."""
+    colourings = _lane_colourings(n, lanes, count)
+    witnesses = [None] * count
+    for group, w in antipodal_lane_search(n, lanes, count, kind):
+        assert group and w.kind == kind
+        for j in range(count):
+            if (group >> j) & 1:
+                assert witnesses[j] is None, f"lane {j} in two groups"
+                witnesses[j] = w
+    found = 0
+    for j, (c, w) in enumerate(zip(colourings, witnesses)):
+        ref = CHECKERS[kind](c)
+        assert (w is None) == (ref is None), j
+        if w is not None:
+            assert _end(c, w) == _end(c, ref)
+            validate_witness(w, c)
+            found |= 1 << j
+    return found
+
+
+class TestLaneSearch:
+    """The bit-sliced search against the per-colouring checkers."""
+
+    @pytest.mark.parametrize("kind", sorted(CHECKERS))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_antipodal_colouring(self, n, kind):
+        total = 1 << antipodal_pair_count(n)
+        for count in (1, 4, total):
+            for start in range(0, total, count):
+                lanes = block_lanes(n, start, count, True)
+                _check_lanes_against_checker(n, lanes, count, kind)
+
+    @pytest.mark.parametrize("kind", sorted(CHECKERS))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_general_colouring(self, n, kind):
+        total = 1 << edge_count(n)
+        count = min(total, 256)
+        for start in range(0, total, count):
+            found = _check_lanes_against_checker(n, block_lanes(n, start, count, False), count, kind)
+            if kind == "one-change-geodesic":
+                assert found == (1 << count) - 1  # B holds for n <= 3
+
+    @pytest.mark.parametrize("kind", ["mono-path", "mono-geodesic"])
+    @pytest.mark.parametrize("start", [0, 17 << 10, 63 << 10])
+    def test_whole_n4_blocks(self, kind, start):
+        found = _check_lanes_against_checker(4, block_lanes(4, start, 1024, True), 1024, kind)
+        assert found == (1 << 1024) - 1
+
+    @pytest.mark.parametrize("antipodal, n, start, count", [
+        (True, 3, 0, 64), (True, 3, 24, 8), (True, 4, 5 << 10, 1024), (True, 4, 777, 1),
+        (False, 2, 0, 16), (False, 3, 3 << 8, 256), (False, 3, 4095, 1),
+    ])
+    def test_block_lanes_are_the_index_colourings(self, antipodal, n, start, count):
+        build = antipodal_colouring_from_index if antipodal else colouring_from_index
+        colourings = _lane_colourings(n, block_lanes(n, start, count, antipodal), count)
+        assert colourings == [build(n, start + j) for j in range(count)]
+
+    @pytest.mark.parametrize("start, count", [(0, 3), (2, 4), (-4, 4), (64, 1), (32, 64), (0, 0)])
+    def test_block_lanes_rejects_unaligned_blocks(self, start, count):
+        with pytest.raises(ValueError, match="not an aligned power-of-two block"):
+            block_lanes(3, start, count, True)
+
+    @pytest.mark.parametrize("kind", ["mono-path", "mono-geodesic"])
+    @pytest.mark.parametrize("k", [0, 5, 1023])
+    def test_planted_lane_without_witness_is_not_found(self, kind, k):
+        planted = EdgeColouring.direction_split(4)
+        assert CHECKERS[kind](planted) is None
+        lanes = block_lanes(4, 9 << 10, 1024, True)
+        lanes = [m & ~(1 << k) | (((planted.blue_mask >> pos) & 1) << k) for pos, m in enumerate(lanes)]
+        assert _lane_colourings(4, lanes, 1024)[k] == planted
+        found = _check_lanes_against_checker(4, lanes, 1024, kind)
+        assert found == ((1 << 1024) - 1) ^ (1 << k)
+
+    def test_one_change_witness_skips_a_start_with_two_changes(self):
+        # every geodesic from 0 changes colour twice under the parity
+        # colouring, so the one-change witness starts at a later x
+        c = TestSearchKernel._parity_colouring(3)
+        lanes = [(c.blue_mask >> pos) & 1 for pos in range(3 << 3)]
+        assert _check_lanes_against_checker(3, lanes, 1, "one-change-geodesic") == 1
+        [(_, w)] = antipodal_lane_search(3, lanes, 1, "one-change-geodesic")
+        assert w.pair[0] > 0
+
+
+class TestWitnessGroup:
+    def test_accepts_colourings_that_agree_on_the_path(self):
+        w = AntipodalWitness("mono-path", (0b00, 0b01, 0b11), (0b00, 0b11))
+        # edges (2, 0) and (0, 1), at positions 2 and 4, are off the path
+        group = [EdgeColouring(2, m) for m in (0, 1 << 2, 1 << 4, (1 << 2) | (1 << 4))]
+        validate_witness_group(w, group)
+
+    def test_rejects_a_colouring_that_differs_on_the_path(self):
+        w = AntipodalWitness("mono-path", (0b00, 0b01, 0b11), (0b00, 0b11))
+        # edge (1, 1) is on the path: blue in the second colouring only
+        group = [all_red(2), EdgeColouring(2, 1 << ((1 << 2) | 1))]
+        with pytest.raises(ValueError, match="colours the witness path"):
+            validate_witness_group(w, group)
+
+    def test_validates_the_first_colouring(self):
+        w = AntipodalWitness("mono-path", (0b00, 0b01, 0b11), (0b00, 0b11))
+        with pytest.raises(ValueError, match="not monochromatic"):
+            validate_witness_group(w, [EdgeColouring.direction_split(2), all_red(2)])
+
+
 class TestHalfGeodesic:
     def test_all_red_q4_spans_cube(self):
         p = monochromatic_half_geodesic(all_red(4))
@@ -496,6 +627,10 @@ def _rejects(w, c, message):
 
 
 class TestWitnessValidation:
+    def test_rejects_empty_path(self):
+        w = AntipodalWitness("mono-path", (), (0, 7))
+        _rejects(w, all_red(3), "witness path has no vertices")
+
     def test_rejects_wrong_pair(self):
         w = AntipodalWitness("mono-path", (0, 1), (0, 2))
         _rejects(w, all_red(2), "pair (0, 2) is not antipodal in Q_2")

@@ -142,19 +142,33 @@ def test_analyze_report_matches_golden(name, tmp_path):
 OPTIMIZED = ["verify-T2-n8", "verify-T4-n10", "verify-T5-full-cube-n4",
              "verify-T5-disjoint-cubes-n6", "verify-COR-n8"]
 
+#: search configurations re-run under ``python -O``: every exhaustive one
+OPTIMIZED_SEARCHES = sorted(name for name in SEARCHES if "-exhaustive-" in name)
 
-@pytest.mark.parametrize("name", OPTIMIZED)
-def test_verify_report_matches_golden_under_optimize(name, tmp_path):
+
+def _optimized(argv, name, tmp_path):
+    """Run the CLI under ``python -O`` and compare with the golden file."""
     out = tmp_path / f"{name}.json"
-    theorem, *rest = VERIFIES[name]
     result = subprocess.run(
-        [sys.executable, "-O", "-m", "cubegeo.harness.cli", "verify", "--theorem", theorem,
-         *rest, *SEED, "--out", str(out)],
+        [sys.executable, "-O", "-m", "cubegeo.harness.cli", *argv, "--out", str(out)],
         capture_output=True, text=True,
     )
     golden = (GOLDEN / f"{name}.json").read_bytes()
     assert result.returncode == (0 if json.loads(golden)["pass"] else 2), result.stderr
     assert out.read_bytes() == golden
+
+
+@pytest.mark.parametrize("name", OPTIMIZED)
+def test_verify_report_matches_golden_under_optimize(name, tmp_path):
+    theorem, *rest = VERIFIES[name]
+    _optimized(["verify", "--theorem", theorem, *rest, *SEED], name, tmp_path)
+
+
+@pytest.mark.parametrize("name", OPTIMIZED_SEARCHES)
+def test_search_report_matches_golden_under_optimize(name, tmp_path):
+    conjecture, mode, n, *rest = SEARCHES[name]
+    _optimized(["search", "--conjecture", conjecture, "--mode", mode, "--n", n, *rest],
+               name, tmp_path)
 
 
 def test_library_has_no_assert():

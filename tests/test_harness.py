@@ -408,13 +408,18 @@ class TestRunSearch:
         self, monkeypatch, conjecture, mode, n, budget, checker, builder, calls
     ):
         """A wrapper bound over a search.py name after import (as a tracer
-        binds one) sees every call."""
+        binds one) sees every call. Sample mode calls the conjecture's
+        checker once per colouring; exhaustive mode never does, and calls
+        the lane kernel once per block instead. Both call the builder once
+        per colouring."""
         import cubegeo.harness.search as search_mod
+        from cubegeo.harness.generators import block_size
 
         names = (
             "find_monochromatic_antipodal_path", "find_monochromatic_antipodal_geodesic",
             "find_one_change_antipodal_geodesic", "antipodal_colouring_from_index",
             "colouring_from_index", "random_antipodal_colouring", "random_colouring",
+            "antipodal_lane_search",
         )
         counts = dict.fromkeys(names, 0)
 
@@ -428,7 +433,73 @@ class TestRunSearch:
             monkeypatch.setattr(search_mod, name, counting(name, getattr(search_mod, name)))
         report = run_search(conjecture, mode, n, budget=budget)
         assert report.aggregate["checked"] == calls
-        assert counts == {name: calls if name in (checker, builder) else 0 for name in names}
+        expected = dict.fromkeys(names, 0)
+        expected[builder] = calls
+        if mode == "exhaustive":
+            expected["antipodal_lane_search"] = calls // block_size(calls)
+        else:
+            expected[checker] = calls
+        assert counts == expected
+
+    @pytest.mark.parametrize(
+        "conjecture, n, k",
+        [("NORINE", 2, 0), ("A", 3, 37), ("B", 3, 1000), ("NORINE", 4, 5000), ("A", 4, 65535)],
+    )
+    def test_dropped_lane_reports_like_a_failed_check(self, monkeypatch, conjecture, n, k):
+        """A lane kernel that loses lane k gives, byte for byte, the report
+        of the per-colouring sweep whose checker finds nothing at index k:
+        the counterexample, ``checked``, the witness kinds and the
+        min-change statistic all stop at k."""
+        import cubegeo.harness.search as search_mod
+
+        kernel, lanes_of = search_mod.antipodal_lane_search, search_mod.block_lanes
+        block = {}
+
+        def recording_lanes(n, start, count, antipodal):
+            block["start"] = start
+            return lanes_of(n, start, count, antipodal)
+
+        def dropping(n, lanes, count, kind):
+            drop = 1 << (k - block["start"]) if 0 <= k - block["start"] < count else 0
+            return [(g & ~drop, w) for g, w in kernel(n, lanes, count, kind) if g & ~drop]
+
+        monkeypatch.setattr(search_mod, "block_lanes", recording_lanes)
+        monkeypatch.setattr(search_mod, "antipodal_lane_search", dropping)
+        lane_report = dumps(run_search(conjecture, "exhaustive", n).to_obj())
+        monkeypatch.undo()
+
+        antipodal, _, _ = search_mod._SPACES[conjecture]
+        build = search_mod.antipodal_colouring_from_index if antipodal else search_mod.colouring_from_index
+        check = {"NORINE": search_mod.find_monochromatic_antipodal_path,
+                 "A": search_mod.find_monochromatic_antipodal_geodesic,
+                 "B": search_mod.find_one_change_antipodal_geodesic}[conjecture]
+        failing = {build(n, k).blue_mask}
+
+        def per_colouring(conjecture, n, start, stop):
+            def failing_at_k(c):
+                return None if c.blue_mask in failing else check(c)
+            return search_mod._colouring_sweep(failing_at_k, build, n, range(start, stop))
+
+        monkeypatch.setattr(search_mod, "_lane_sweep", per_colouring)
+        colouring_report = dumps(run_search(conjecture, "exhaustive", n).to_obj())
+        assert lane_report == colouring_report
+        report = json.loads(lane_report)
+        assert report["records"][0]["index"] == k
+        assert report["aggregate"]["checked"] == k + 1
+        assert sum(report["aggregate"]["witness_kinds"].values()) == k
+
+    def test_overlapping_lane_groups_raise(self, monkeypatch):
+        import cubegeo.harness.search as search_mod
+
+        kernel = search_mod.antipodal_lane_search
+
+        def doubled(n, lanes, count, kind):
+            groups = kernel(n, lanes, count, kind)
+            return groups + groups[:1]
+
+        monkeypatch.setattr(search_mod, "antipodal_lane_search", doubled)
+        with pytest.raises(RuntimeError, match="witness groups overlap"):
+            run_search("A", "exhaustive", 3)
 
     def test_unknown_conjecture_and_mode(self):
         with pytest.raises(ValueError):
