@@ -13,15 +13,9 @@ steps only away from the start, and a budget bounds the colour changes
 (0 for monochromatic paths and geodesics, 1 for one-change geodesics,
 none for the minimum, whose walk witness is then loop-erased).
 
-Exhaustive sweeps bit-slice the colourings instead: in
-``antipodal_lane_search`` bit j of an edge's lane mask is its colour in
-the j-th colouring of a block (``block_lanes``), and one breadth-first
-search over per-vertex lane masks, with the same switches at budget 0
-or 1, decides every colouring of the block at once. Its witnesses come
-in groups of colourings that share one path; ``validate_witness_group``
-checks a group against colourings built one by one. The per-colouring
-searches stay for sampled colourings, for single instances and as the
-lane kernel's referee in the tests.
+``antipodal_colouring_from_index`` and ``colouring_from_index`` number
+the antipodal and the general colourings of Q_n, so exhaustive sweeps
+can enumerate them.
 """
 
 from __future__ import annotations
@@ -45,8 +39,6 @@ __all__ = [
     "antipodal_edge",
     "antipodal_pair_count",
     "antipodal_colouring_from_index",
-    "antipodal_lane_search",
-    "block_lanes",
     "colouring_from_index",
     "derive_A_from_B",
     "derive_B_from_A",
@@ -61,7 +53,6 @@ __all__ = [
     "random_colouring",
     "restrict_to_bottom",
     "validate_witness",
-    "validate_witness_group",
 ]
 
 #: Colourings materialize all n * 2^(n-1) edges; beyond this the masks
@@ -288,40 +279,6 @@ def colouring_from_index(n: int, index: int) -> EdgeColouring:
     return EdgeColouring(n, blue)
 
 
-def block_lanes(n: int, start: int, count: int, antipodal: bool) -> list[int]:
-    """Blue lane masks of the colourings start .. start + count - 1 of the
-    index enumeration (``antipodal_colouring_from_index`` if antipodal,
-    else ``colouring_from_index``): entry (dir << n) | lo has bit j set
-    iff edge (lo, dir) is blue in colouring start + j; non-edge entries
-    are 0.
-
-    The block must be an aligned power of two. Then index bit i is, over
-    the lanes, the fixed pattern of lanes whose own bit i is set (for i
-    below log2(count)), or all-0/all-1 as bit i of start."""
-    if antipodal:
-        pairs = _antipodal_pairs(n)[1]
-        bits = len(pairs)
-    else:
-        positions = _edge_positions(n)
-        bits = len(positions)
-    if count < 1 or count & (count - 1) or start < 0 or start % count or start + count > 1 << bits:
-        raise ValueError(f"lane block [{start}, {start + count}) is not an aligned power-of-two "
-                         f"block of {bits}-bit indices")
-    log = count.bit_length() - 1
-    full = (1 << count) - 1
-    index_bits = [full ^ _lo_pattern(log, i) if i < log else full * ((start >> i) & 1)
-                  for i in range(bits)]
-    lanes = [0] * (n << n)
-    if antipodal:
-        for (rep, partner), b in zip(pairs, index_bits):
-            lanes[rep] = b
-            lanes[partner] = full ^ b
-    else:
-        for pos, b in zip(positions, index_bits):
-            lanes[pos] = b
-    return lanes
-
-
 @dataclass(frozen=True)
 class AntipodalWitness:
     """A path between antipodal vertices together with what it certifies:
@@ -466,8 +423,7 @@ def _backtrack(steps: list, levels: list, c: int, v: int) -> tuple[int, ...]:
 
 
 #: Witness kind -> (geodesic only?, change budget) of the search that
-#: finds it, per colouring (``_first_antipodal``) and per lane block
-#: (``antipodal_lane_search``).
+#: finds it (``_first_antipodal``).
 _SWITCHES = {"mono-path": (False, 0), "mono-geodesic": (True, 0), "one-change-geodesic": (True, 1)}
 
 
@@ -510,149 +466,6 @@ def find_one_change_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_MAX
     if c.n > max_n:
         raise ValueError(f"n={c.n} exceeds the subset-search cap {max_n}")
     return _first_antipodal(c, "one-change-geodesic")
-
-
-def antipodal_lane_search(
-    n: int, lanes: list[int], count: int, kind: str
-) -> list[tuple[int, AntipodalWitness]]:
-    """The search of ``_first_antipodal`` for ``count`` colourings at
-    once, bit-sliced: lane j is the colouring whose blue edges are the
-    positions p with bit j of ``lanes[p]`` set (see ``block_lanes``).
-
-    Per start x (ascending), change level and colour (red first), one
-    breadth-first search over per-vertex lane masks, ``reach[v] |=
-    reach[u] & lane(u, v)``, advances every lane still without a witness.
-    A lane's witness starts at the first (x, level, colour) that reaches
-    the antipode, as in the per-colouring search; a backtrack over lane
-    sets then splits those lanes, by predecessor, into groups that share
-    one path.
-
-    Returns ``(lane set, witness)`` groups. They are disjoint and cover
-    exactly the lanes with a witness; a lane in none of them has none.
-    Raises RuntimeError if the backtrack breaks that.
-    """
-    geodesic, budget = _SWITCHES[kind]
-    size = 1 << n
-    full = (1 << count) - 1
-    # steps[c][u]: (direction bit, neighbour v, lanes where edge u-v has colour c)
-    steps = ([], [])
-    for u in range(size):
-        blue = [(1 << d, u ^ (1 << d), lanes[(d << n) | (u & ~(1 << d))]) for d in range(n)]
-        steps[0].append([(b, v, full ^ m) for b, v, m in blue])
-        steps[1].append(blue)
-    groups = []
-    pending = full
-    found = 0
-    for x in range(1 << (n - 1)):
-        if not pending:
-            break
-        y = x ^ (size - 1)
-        levels = []
-        for k in range(budget + 1):
-            levels.append([])
-            for c in (0, 1):
-                if k:
-                    start = [m & pending for m in levels[k - 1][1 - c][1]]
-                else:
-                    start = [0] * size
-                    start[x] = pending
-                layers, seen = _lane_layers(steps[c], start, x if geodesic else None, y)
-                levels[k].append((layers, seen))
-                hit = seen[y]
-                if hit:
-                    for group in _lane_groups(steps, levels, k, c, x, y, hit, kind):
-                        if found & group[0]:
-                            raise RuntimeError(f"lane groups overlap in {found & group[0]:#x}")
-                        found |= group[0]
-                        groups.append(group)
-                    if found & pending != hit:
-                        raise RuntimeError(f"lane groups from {x} miss lanes {hit & ~found:#x}")
-                    pending ^= hit
-    return groups
-
-
-def _lane_layers(steps: list, start: list[int], x: int | None, y: int):
-    """``(layers, seen)`` of a breadth-first search in one colour: per
-    vertex, the lanes that first reach it in each layer, layer 0 being
-    ``start``, and the lanes that reach it at all. With ``x`` given,
-    steps go only away from x (geodesic mode). A lane stops spreading
-    once it reaches y."""
-    seen = list(start)
-    layers = [start]
-    frontier = start
-    while True:
-        live = ~seen[y]
-        nxt = [0] * len(start)
-        for u, f in enumerate(frontier):
-            f &= live
-            if f:
-                for b, v, m in steps[u]:
-                    if x is None or not (u ^ x) & b:
-                        nxt[v] |= f & m
-        moved = False
-        for v, m in enumerate(nxt):
-            if m:
-                m &= ~seen[v]
-                nxt[v] = m
-                seen[v] |= m
-                moved = moved or bool(m)
-        if not moved:
-            return layers, seen
-        layers.append(nxt)
-        frontier = nxt
-
-
-def _lane_groups(steps, levels, k, c, x, y, hit, kind):
-    """Split the lanes ``hit``, which reach y at level k in colour c, into
-    groups that share one path from x, yielded as (lane set, witness).
-    Lanes at vertex v in layer t of a level go, in direction order, to
-    the neighbours in layer t - 1 that reach v for them; in layer 0 of a
-    level above 0 they continue in the level below, in the other colour,
-    and in layer 0 of level 0 they are at x."""
-    stack = [(hit, k, c, (y,))]
-    while stack:
-        lanes, k, c, path = stack.pop()
-        v = path[-1]
-        layers = levels[k][c][0]
-        for t in range(len(layers) - 1, -1, -1):
-            sub = lanes & layers[t][v]
-            if not sub:
-                continue
-            lanes ^= sub
-            if t:
-                before = layers[t - 1]
-                for _, u, m in steps[c][v]:
-                    part = sub & before[u] & m
-                    if part:
-                        stack.append((part, k, c, path + (u,)))
-                        sub ^= part
-                if sub:
-                    raise RuntimeError(f"lanes {sub:#x} reach {v} from no vertex of the layer before")
-            elif k:
-                stack.append((sub, k - 1, 1 - c, path))
-            elif v == x:
-                yield sub, AntipodalWitness(kind, path[::-1], (x, y))
-            else:
-                raise RuntimeError(f"lanes {sub:#x} start at {v}, not at {x}")
-        if lanes:
-            raise RuntimeError(f"lanes {lanes:#x} never reach {v}")
-
-
-def validate_witness_group(w: AntipodalWitness, group: list[EdgeColouring]) -> None:
-    """Check one witness for a group of colourings: ``validate_witness``
-    on the first, then, with one AND per colouring, that every colouring
-    colours each edge of the path as the first does. Raises ValueError
-    on any defect."""
-    validate_witness(w, group[0])
-    n = group[0].n
-    path = 0
-    for u, v in zip(w.vertices, w.vertices[1:]):
-        path |= 1 << _pos(u & v, (u ^ v).bit_length() - 1, n)
-    colours = group[0].blue_mask & path
-    for c in group:
-        if c.blue_mask & path != colours:
-            raise ValueError(f"a colouring of the group colours the witness path {w.vertices} "
-                             "differently from the first")
 
 
 def _loop_erase(verts: tuple[int, ...]) -> list[int]:

@@ -10,7 +10,6 @@ so that average degree stays defined.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -64,6 +63,8 @@ def pool_map(fn, items, jobs: int, chunksize: int = 1):
     """fn over items, in order and lazily; on ``jobs`` worker processes
     when jobs > 1. Closing the generator early stops the pool."""
     if jobs > 1:
+        import multiprocessing  # here, so that runs without a pool skip its ~10 ms import
+
         with multiprocessing.Pool(jobs) as pool:
             yield from pool.imap(fn, items, chunksize)
     else:
@@ -174,7 +175,7 @@ def random_t_intersecting_family(
         if kept and rng.randrange(4) == 0:
             inside = [e for e in range(n) if (s >> e) & 1]
             away = [e for e in range(n) if not (s >> e) & 1]
-            if away:
+            if inside and away:
                 s ^= 1 << inside[rng.randrange(len(inside))]
                 s |= 1 << away[rng.randrange(len(away))]
         if s in kept:

@@ -8,22 +8,20 @@
           most once
 
 One table, ``_SPACES``, gives each conjecture its space (antipodal
-colourings for NORINE/A, all colourings for B), its exhaustive cap
-(n = 4 resp. n = 3) and its witness kind. Work is blocked by colouring
-index (``generators.block_size``, aligned powers of two for exhaustive
-spaces); blocks merge in order, so the report is identical for any
---jobs value. The sweep halts at the first counterexample and embeds
-the colouring.
+colourings for NORINE/A, all colourings for B) and its exhaustive cap
+(n = 4 resp. n = 3). Work is blocked by colouring index
+(``generators.block_size``); blocks merge in order, so the report is
+identical for any --jobs value. The sweep halts at the first
+counterexample and embeds the colouring.
 
-Exhaustive mode enumerates the whole space, one lane search
-(``colourings.antipodal_lane_search``) per block. Every colouring up
-to the first without a witness is still built from its index, and each
-witness group is checked against those colourings: a full
-``validate_witness`` on its first colouring, and on every colouring one
-AND showing that it colours the path alike. Sample mode draws
-``budget`` seeded colourings and checks them one at a time with the
-conjecture's checker. Both collect the minimum-colour-change statistic
-per colouring where asked.
+Exhaustive mode builds every colouring of the space from its index,
+sample mode ``budget`` seeded colourings. Both run one sweep per block:
+a witness path is a witness for every colouring that gives the path's
+edges the same colours, so each colouring first tries the block's
+earlier witnesses, one AND each, and only a colouring that fits none
+goes to the conjecture's checker, whose witness is validated in full
+against it. Both modes collect the minimum-colour-change statistic per
+colouring where asked.
 """
 
 from __future__ import annotations
@@ -34,9 +32,7 @@ from fractions import Fraction
 from ..colourings import (
     _check_dimension,
     antipodal_colouring_from_index,
-    antipodal_lane_search,
     antipodal_pair_count,
-    block_lanes,
     colouring_from_index,
     edge_count,
     find_monochromatic_antipodal_geodesic,
@@ -46,22 +42,19 @@ from ..colourings import (
     random_antipodal_colouring,
     random_colouring,
     validate_witness,
-    validate_witness_group,
 )
-from ..core import _bits
 from .generators import block_size, pool_map, subseed
 from .serialize import Report, colouring_to_obj
 
 __all__ = ["CONJECTURES", "run_search"]
 
 #: The one conjecture table: conjecture -> (searches antipodal colourings
-#: only?, exhaustive cap, witness kind). Exhaustive spaces stay enumerable
-#: up to the cap: 2^16 antipodal colourings at n = 4, 2^12 colourings at
-#: n = 3.
+#: only?, exhaustive cap). Exhaustive spaces stay enumerable up to the
+#: cap: 2^16 antipodal colourings at n = 4, 2^12 colourings at n = 3.
 _SPACES = {
-    "NORINE": (True, 4, "mono-path"),
-    "A": (True, 4, "mono-geodesic"),
-    "B": (False, 3, "one-change-geodesic"),
+    "NORINE": (True, 4),
+    "A": (True, 4),
+    "B": (False, 3),
 }
 
 CONJECTURES = tuple(_SPACES)
@@ -71,15 +64,18 @@ def _search_block(params: tuple) -> dict:
     """Check colourings [start, stop); stop early inside the block at the
     first counterexample. Returns mergeable per-block results."""
     conjecture, mode, n, seed, start, stop, collect_changes = params
+    antipodal = _SPACES[conjecture][0]
     # Names are looked up on every call, never stored at import, so a wrapped name runs.
+    check = {"NORINE": find_monochromatic_antipodal_path,
+             "A": find_monochromatic_antipodal_geodesic,
+             "B": find_one_change_antipodal_geodesic}[conjecture]
     if mode == "exhaustive":
-        sweep = _lane_sweep(conjecture, n, start, stop)
+        build = antipodal_colouring_from_index if antipodal else colouring_from_index
+        keys = range(start, stop)
     else:
-        check = {"NORINE": find_monochromatic_antipodal_path,
-                 "A": find_monochromatic_antipodal_geodesic,
-                 "B": find_one_change_antipodal_geodesic}[conjecture]
-        build = random_antipodal_colouring if _SPACES[conjecture][0] else random_colouring
-        sweep = _colouring_sweep(check, build, n, (subseed(seed, i) for i in range(start, stop)))
+        build = random_antipodal_colouring if antipodal else random_colouring
+        keys = (subseed(seed, i) for i in range(start, stop))
+    sweep = _sweep(check, build, n, keys)
     checked = 0
     fail = None
     kinds: dict[str, int] = {}
@@ -106,43 +102,32 @@ def _search_block(params: tuple) -> dict:
     }
 
 
-def _lane_sweep(conjecture: str, n: int, start: int, stop: int):
-    """Yield (colouring, witness kind) for the index colourings start..,
-    up to and including the first without a witness (kind None). One
-    lane search decides the whole block; each of its witness groups is
-    checked against the colourings the index builder makes, up to that
-    first one."""
-    antipodal, _, kind = _SPACES[conjecture]
-    build = antipodal_colouring_from_index if antipodal else colouring_from_index
-    count = stop - start
-    groups = antipodal_lane_search(n, block_lanes(n, start, count, antipodal), count, kind)
-    found = 0
-    for lanes, _ in groups:
-        if found & lanes:
-            raise RuntimeError(f"witness groups overlap in lanes {found & lanes:#x}")
-        found |= lanes
-    missing = ~found & ((1 << count) - 1)
-    checked = (missing & -missing).bit_length() or count
-    colourings = [build(n, index) for index in range(start, start + checked)]
-    kinds = [None] * checked
-    for lanes, witness in groups:
-        group = _bits(lanes & ((1 << checked) - 1))
-        if group:
-            validate_witness_group(witness, [colourings[j] for j in group])
-            for j in group:
-                kinds[j] = witness.kind
-    yield from zip(colourings, kinds)
-
-
-def _colouring_sweep(check, build, n: int, keys):
+def _sweep(check, build, n: int, keys):
     """Yield (colouring, witness kind or None) for ``build(n, key)`` per
-    key, each checked on its own and its witness validated."""
+    key. A witness validated against one colouring is a witness for
+    every colouring that gives its path's edges the same colours, so
+    each colouring first tries the sweep's earlier witnesses, in the
+    order found, one AND each. Any other colouring goes to ``check``,
+    and its witness is validated in full before it is kept."""
+    found = []  # (path edge mask, blue edges on the path, kind) per witness
     for key in keys:
         c = build(n, key)
-        witness = check(c)
-        if witness is not None:
-            validate_witness(witness, c)
-        yield c, None if witness is None else witness.kind
+        blue = c.blue_mask
+        for path, colours, kind in found:
+            if blue & path == colours:
+                break
+        else:
+            witness = check(c)
+            kind = None
+            if witness is not None:
+                validate_witness(witness, c)
+                kind = witness.kind
+                path = 0
+                for u, v in zip(witness.vertices, witness.vertices[1:]):
+                    # the edge's bit (dir << n) | lo; u & v is its lo endpoint
+                    path |= 1 << ((((u ^ v).bit_length() - 1) << n) | (u & v))
+                found.append((path, blue & path, kind))
+        yield c, kind
 
 
 def run_search(
@@ -165,7 +150,7 @@ def run_search(
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sample'")
     _check_dimension(n)
-    antipodal, cap, _ = _SPACES[conjecture]
+    antipodal, cap = _SPACES[conjecture]
     if mode == "exhaustive":
         if n > cap:
             space_kind = "antipodal colourings" if antipodal else "colourings"

@@ -23,12 +23,22 @@ from cubegeo.harness import (
     obj_to_colouring,
     obj_to_family,
     obj_to_graph,
+    random_t_intersecting_family,
     run_search,
     run_verify,
     save_json,
     subseed,
 )
+from cubegeo.colourings import (
+    antipodal_colouring_from_index,
+    colouring_from_index,
+    find_monochromatic_antipodal_geodesic,
+    find_monochromatic_antipodal_path,
+    find_one_change_antipodal_geodesic,
+    min_colour_changes_antipodal,
+)
 from cubegeo.harness.cli import main
+from cubegeo.harness.search import _sweep
 from cubegeo.rng import SplitMix64, derive, mix64
 
 
@@ -320,6 +330,19 @@ class TestRunVerify:
         run_verify("COR", InstanceSpec("random-colouring", n=3), 37, seed=2)
         assert calls == list(range(37))
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_kat_at_k_zero(self, tmp_path, seed):
+        """The only 0-set is the empty set, so every 0-uniform family is
+        {∅}, and KAT holds on it."""
+        assert random_t_intersecting_family(5, 0, 0, 3, seed).sets == (0,)
+        out = tmp_path / "kat.json"
+        argv = ["verify", "--theorem", "KAT", "--model", "t-intersecting-family", "--n", "5",
+                "--k", "0", "--t", "0", "--size", "3", "--trials", "20", "--seed", str(seed)]
+        assert main(argv + ["--out", str(out)]) == 0
+        report = load_json(str(out))
+        assert report["pass"] is True and report["aggregate"]["violations"] == 0
+        assert {r["members"] for r in report["records"]} == {1}
+
     def test_full_cube_t2_tight(self):
         for d in range(1, 7):
             report = run_verify("T2", InstanceSpec("full-cube", n=d), 1)
@@ -408,18 +431,17 @@ class TestRunSearch:
         self, monkeypatch, conjecture, mode, n, budget, checker, builder, calls
     ):
         """A wrapper bound over a search.py name after import (as a tracer
-        binds one) sees every call. Sample mode calls the conjecture's
-        checker once per colouring; exhaustive mode never does, and calls
-        the lane kernel once per block instead. Both call the builder once
-        per colouring."""
+        binds one) sees every call. Both modes call the builder once per
+        colouring, and the conjecture's checker only for a colouring that
+        fits no earlier witness of its block; each witness the checker
+        finds is validated once. Exhaustive sweeps reuse most witnesses."""
         import cubegeo.harness.search as search_mod
-        from cubegeo.harness.generators import block_size
 
         names = (
             "find_monochromatic_antipodal_path", "find_monochromatic_antipodal_geodesic",
             "find_one_change_antipodal_geodesic", "antipodal_colouring_from_index",
             "colouring_from_index", "random_antipodal_colouring", "random_colouring",
-            "antipodal_lane_search",
+            "validate_witness",
         )
         counts = dict.fromkeys(names, 0)
 
@@ -433,79 +455,86 @@ class TestRunSearch:
             monkeypatch.setattr(search_mod, name, counting(name, getattr(search_mod, name)))
         report = run_search(conjecture, mode, n, budget=budget)
         assert report.aggregate["checked"] == calls
-        expected = dict.fromkeys(names, 0)
-        expected[builder] = calls
+        assert counts.pop(builder) == calls
+        checks = counts.pop(checker)
+        assert 0 < checks == counts.pop("validate_witness") <= calls
+        assert counts == dict.fromkeys(counts, 0)
         if mode == "exhaustive":
-            expected["antipodal_lane_search"] = calls // block_size(calls)
-        else:
-            expected[checker] = calls
-        assert counts == expected
+            assert checks < calls
 
-    @pytest.mark.parametrize(
-        "conjecture, n, k",
-        [("NORINE", 2, 0), ("A", 3, 37), ("B", 3, 1000), ("NORINE", 4, 5000), ("A", 4, 65535)],
-    )
-    def test_dropped_lane_reports_like_a_failed_check(self, monkeypatch, conjecture, n, k):
-        """A lane kernel that loses lane k gives, byte for byte, the report
-        of the per-colouring sweep whose checker finds nothing at index k:
-        the counterexample, ``checked``, the witness kinds and the
-        min-change statistic all stop at k."""
+    @pytest.mark.parametrize("conjecture", ["NORINE", "A"])
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 37), (4, 0), (4, 37), (4, 1023), (4, 65535)])
+    def test_planted_counterexample_is_reported(self, monkeypatch, conjecture, n, k):
+        """A colouring without a monochromatic antipodal path, planted at
+        index k, fits none of the witnesses found before it: the sweep
+        reports it, and ``checked``, the witness kinds and the min-change
+        statistic all stop at k."""
         import cubegeo.harness.search as search_mod
 
-        kernel, lanes_of = search_mod.antipodal_lane_search, search_mod.block_lanes
-        block = {}
+        planted = EdgeColouring.direction_split(n)
+        build = search_mod.antipodal_colouring_from_index
+        monkeypatch.setattr(search_mod, "antipodal_colouring_from_index",
+                            lambda n, index: planted if index == k else build(n, index))
+        report = run_search(conjecture, "exhaustive", n)
+        assert not report.passed
+        assert report.records == [{"index": k, "colouring": colouring_to_obj(planted)}]
+        assert report.aggregate["checked"] == k + 1
+        assert sum(report.aggregate["witness_kinds"].values()) == k
+        if n <= 3:
+            values = [min_colour_changes_antipodal(build(n, i))[0] for i in range(k)]
+            assert report.aggregate["min_changes"] == (
+                {"min": min(values), "max": max(values), "mean": str(Fraction(sum(values), k))}
+                if k else None
+            )
 
-        def recording_lanes(n, start, count, antipodal):
-            block["start"] = start
-            return lanes_of(n, start, count, antipodal)
-
-        def dropping(n, lanes, count, kind):
-            drop = 1 << (k - block["start"]) if 0 <= k - block["start"] < count else 0
-            return [(g & ~drop, w) for g, w in kernel(n, lanes, count, kind) if g & ~drop]
-
-        monkeypatch.setattr(search_mod, "block_lanes", recording_lanes)
-        monkeypatch.setattr(search_mod, "antipodal_lane_search", dropping)
-        lane_report = dumps(run_search(conjecture, "exhaustive", n).to_obj())
-        monkeypatch.undo()
-
-        antipodal, _, _ = search_mod._SPACES[conjecture]
-        build = search_mod.antipodal_colouring_from_index if antipodal else search_mod.colouring_from_index
-        check = {"NORINE": search_mod.find_monochromatic_antipodal_path,
-                 "A": search_mod.find_monochromatic_antipodal_geodesic,
-                 "B": search_mod.find_one_change_antipodal_geodesic}[conjecture]
-        failing = {build(n, k).blue_mask}
-
-        def per_colouring(conjecture, n, start, stop):
-            def failing_at_k(c):
-                return None if c.blue_mask in failing else check(c)
-            return search_mod._colouring_sweep(failing_at_k, build, n, range(start, stop))
-
-        monkeypatch.setattr(search_mod, "_lane_sweep", per_colouring)
-        colouring_report = dumps(run_search(conjecture, "exhaustive", n).to_obj())
-        assert lane_report == colouring_report
-        report = json.loads(lane_report)
-        assert report["records"][0]["index"] == k
-        assert report["aggregate"]["checked"] == k + 1
-        assert sum(report["aggregate"]["witness_kinds"].values()) == k
-
-    def test_overlapping_lane_groups_raise(self, monkeypatch):
+    @pytest.mark.parametrize("which", [0, 1, -1])
+    def test_failed_check_on_b_is_reported(self, monkeypatch, which):
+        """B holds at n = 3, so its counterexample is planted in the
+        checker: it finds nothing for one colouring that the sweep hands
+        it (the first, the second or the last one)."""
         import cubegeo.harness.search as search_mod
 
-        kernel = search_mod.antipodal_lane_search
+        check = search_mod.find_one_change_antipodal_geodesic
+        searched = []
 
-        def doubled(n, lanes, count, kind):
-            groups = kernel(n, lanes, count, kind)
-            return groups + groups[:1]
+        def recording(c):
+            searched.append(c)
+            return check(c)
 
-        monkeypatch.setattr(search_mod, "antipodal_lane_search", doubled)
-        with pytest.raises(RuntimeError, match="witness groups overlap"):
-            run_search("A", "exhaustive", 3)
+        monkeypatch.setattr(search_mod, "find_one_change_antipodal_geodesic", recording)
+        run_search("B", "exhaustive", 3)
+        planted = searched[which]
+        index = next(i for i in range(1 << 12) if colouring_from_index(3, i) == planted)
+        monkeypatch.setattr(search_mod, "find_one_change_antipodal_geodesic",
+                            lambda c: None if c == planted else check(c))
+        report = run_search("B", "exhaustive", 3)
+        assert report.records == [{"index": index, "colouring": colouring_to_obj(planted)}]
+        assert report.aggregate["checked"] == index + 1
+        assert sum(report.aggregate["witness_kinds"].values()) == index
 
     def test_unknown_conjecture_and_mode(self):
         with pytest.raises(ValueError):
             run_search("C", "exhaustive", 2)
         with pytest.raises(ValueError):
             run_search("A", "turbo", 2)
+
+
+class TestSweep:
+    """The one colouring sweep of both search modes, run past every
+    colouring without a witness, against the per-colouring checkers."""
+
+    @pytest.mark.parametrize("check", [find_monochromatic_antipodal_path,
+                                       find_monochromatic_antipodal_geodesic,
+                                       find_one_change_antipodal_geodesic])
+    @pytest.mark.parametrize("build, n, total", [
+        (antipodal_colouring_from_index, 2, 1 << 2), (antipodal_colouring_from_index, 3, 1 << 6),
+        (colouring_from_index, 2, 1 << 4), (colouring_from_index, 3, 1 << 12),
+    ])
+    def test_every_colouring_gets_the_checkers_verdict(self, build, n, total, check):
+        swept = list(_sweep(check, build, n, range(total)))
+        assert [c for c, _ in swept] == [build(n, i) for i in range(total)]
+        verdicts = [check(c) for c, _ in swept]
+        assert [kind for _, kind in swept] == [None if w is None else w.kind for w in verdicts]
 
 
 class TestSubseed:
@@ -619,6 +648,17 @@ class TestCli:
         assert result.returncode == 1
         assert result.stderr == f"cubegeo: error: {message}\n"
         assert result.stdout == "" and not out.exists()
+
+    def test_cli_import_leaves_multiprocessing_unloaded(self):
+        """Only --jobs > 1 needs a pool, so starting the CLI never loads
+        multiprocessing."""
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cubegeo.harness.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_subprocess_entrypoint(self, tmp_path):
         result = subprocess.run(
