@@ -36,6 +36,7 @@ from cubegeo.colourings import (
     edge_count,
     restrict_to_bottom,
 )
+from cubegeo.harness.search import _sweep
 
 from cubegeo.rng import SplitMix64, derive
 
@@ -394,6 +395,142 @@ class TestSearchKernel:
                 assert changes == min_changes_geodesics(c, x)
                 validate_witness(AntipodalWitness("path", verts, (x, y), changes), c)
                 assert len(verts) == 4
+
+
+#: witness kind -> the per-colouring checker the block sweep must agree with
+CHECKERS = {
+    "mono-path": find_monochromatic_antipodal_path,
+    "mono-geodesic": find_monochromatic_antipodal_geodesic,
+    "one-change-geodesic": find_one_change_antipodal_geodesic,
+}
+
+
+def _check_lanes_against_checker(n, build, keys, kind):
+    """Sweep one block of colourings (its lanes, one per key) with the
+    checker of ``kind``. Each lane is the colouring its key builds, and
+    gets a witness of ``kind`` exactly when the checker finds one for
+    that colouring on its own. Returns the lanes found, as a bitmask."""
+    check = CHECKERS[kind]
+    swept = list(_sweep(check, build, n, keys))
+    assert [c for c, _ in swept] == [build(n, key) for key in keys]
+    found = 0
+    for j, (c, got) in enumerate(swept):
+        ref = check(c)
+        assert got == (None if ref is None else kind), j
+        found |= (got is not None) << j
+    return found
+
+
+class TestLaneSearch:
+    """The search harness's block sweep, which reuses a block's earlier
+    witnesses, against the per-colouring checkers."""
+
+    @pytest.mark.parametrize("kind", sorted(CHECKERS))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_antipodal_colouring(self, n, kind):
+        total = 1 << antipodal_pair_count(n)
+        for count in (1, 4, total):
+            for start in range(0, total, count):
+                _check_lanes_against_checker(n, antipodal_colouring_from_index,
+                                             range(start, start + count), kind)
+
+    @pytest.mark.parametrize("kind", sorted(CHECKERS))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_general_colouring(self, n, kind):
+        total = 1 << edge_count(n)
+        count = min(total, 256)
+        for start in range(0, total, count):
+            found = _check_lanes_against_checker(n, colouring_from_index,
+                                                 range(start, start + count), kind)
+            if kind == "one-change-geodesic":
+                assert found == (1 << count) - 1  # B holds for n <= 3
+
+    @pytest.mark.parametrize("kind", ["mono-path", "mono-geodesic"])
+    @pytest.mark.parametrize("start", [0, 17 << 10, 63 << 10])
+    def test_whole_n4_blocks(self, kind, start):
+        found = _check_lanes_against_checker(4, antipodal_colouring_from_index,
+                                             range(start, start + 1024), kind)
+        assert found == (1 << 1024) - 1
+
+    @pytest.mark.parametrize("antipodal, n, start, count", [
+        (True, 3, 0, 64), (True, 3, 24, 8), (True, 4, 5 << 10, 1024), (True, 4, 777, 1),
+        (False, 2, 0, 16), (False, 3, 3 << 8, 256), (False, 3, 4095, 1),
+    ])
+    def test_block_lanes_are_the_index_colourings(self, antipodal, n, start, count):
+        """A block sweeps the index colourings in order, each once, and
+        they match the reference enumeration."""
+        build = antipodal_colouring_from_index if antipodal else colouring_from_index
+        reference = antipodal_colouring_blue_edges if antipodal else colouring_blue_edges
+        check = find_monochromatic_antipodal_path if antipodal else find_one_change_antipodal_geodesic
+        swept = list(_sweep(check, build, n, range(start, start + count)))
+        assert [blue_edges(c) for c, _ in swept] == [reference(n, start + j) for j in range(count)]
+        assert None not in [kind for _, kind in swept]
+
+    @pytest.mark.parametrize("kind", ["mono-path", "mono-geodesic"])
+    @pytest.mark.parametrize("k", [0, 5, 1023])
+    def test_planted_lane_without_witness_is_not_found(self, kind, k):
+        """A colouring without a witness, planted at lane k, fits none of
+        the witnesses found before it, and the lanes after it still get
+        theirs."""
+        planted = EdgeColouring.direction_split(4)
+        assert CHECKERS[kind](planted) is None
+        start = 9 << 10
+
+        def build(n, index):
+            return planted if index == start + k else antipodal_colouring_from_index(n, index)
+
+        found = _check_lanes_against_checker(4, build, range(start, start + 1024), kind)
+        assert found == ((1 << 1024) - 1) ^ (1 << k)
+
+    def test_one_change_witness_skips_a_start_with_two_changes(self):
+        # every geodesic from 0 changes colour twice under the parity
+        # colouring, so the one-change witness starts at a later x
+        c = TestSearchKernel._parity_colouring(3)
+        assert _check_lanes_against_checker(3, lambda n, key: c, [0], "one-change-geodesic") == 1
+        assert find_one_change_antipodal_geodesic(c).pair[0] > 0
+
+
+class TestWitnessGroup:
+    """A witness found for one colouring of a swept block is reused by
+    every later colouring that gives its path the same colours, and a
+    new witness is validated in full against its own colouring."""
+
+    WITNESS = AntipodalWitness("mono-path", (0b00, 0b01, 0b11), (0b00, 0b11))
+
+    def _sweep_group(self, group, checked):
+        """Sweep ``group`` with a checker that always offers WITNESS and
+        appends each colouring it sees to ``checked``; returns the
+        witness kinds."""
+
+        def offer(c):
+            checked.append(c)
+            return self.WITNESS
+
+        return [kind for _, kind in _sweep(offer, lambda n, i: group[i], 2, range(len(group)))]
+
+    def test_accepts_colourings_that_agree_on_the_path(self):
+        # edges (2, 0) and (0, 1), at positions 2 and 4, are off the path
+        group = [EdgeColouring(2, m) for m in (0, 1 << 2, 1 << 4, (1 << 2) | (1 << 4))]
+        checked = []
+        assert self._sweep_group(group, checked) == ["mono-path"] * 4
+        assert checked == group[:1]
+        for c in group:
+            validate_witness(self.WITNESS, c)
+
+    def test_rejects_a_colouring_that_differs_on_the_path(self):
+        # edge (1, 1) is on the path: blue in the second colouring only,
+        # so that colouring goes to the checker and the witness fails it
+        group = [all_red(2), EdgeColouring(2, 1 << ((1 << 2) | 1))]
+        checked = []
+        with pytest.raises(ValueError, match="not monochromatic"):
+            self._sweep_group(group, checked)
+        assert checked == group
+
+    def test_validates_the_first_colouring(self):
+        checked = []
+        with pytest.raises(ValueError, match="not monochromatic"):
+            self._sweep_group([EdgeColouring.direction_split(2), all_red(2)], checked)
+        assert checked == [EdgeColouring.direction_split(2)]
 
 
 class TestHalfGeodesic:

@@ -487,6 +487,42 @@ class TestRunSearch:
                 if k else None
             )
 
+    @pytest.mark.parametrize(
+        "conjecture, n, k",
+        [("NORINE", 2, 0), ("A", 3, 37), ("B", 3, 1000), ("NORINE", 4, 5000), ("A", 4, 65535)],
+    )
+    def test_dropped_lane_reports_like_a_failed_check(self, monkeypatch, conjecture, n, k):
+        """A sweep that loses the verdict of colouring k (its lane k)
+        gives, byte for byte, the report of a per-colouring sweep without
+        witness reuse whose checker finds nothing at index k: the
+        counterexample, ``checked``, the witness kinds and the min-change
+        statistic all stop at k."""
+        import cubegeo.harness.search as search_mod
+
+        sweep = search_mod._sweep
+
+        def dropping(check, build, n, keys):
+            for key, (c, kind) in zip(keys, sweep(check, build, n, keys)):
+                yield c, None if key == k else kind
+
+        monkeypatch.setattr(search_mod, "_sweep", dropping)
+        reuse_report = dumps(run_search(conjecture, "exhaustive", n).to_obj())
+        monkeypatch.undo()
+
+        def per_colouring(check, build, n, keys):
+            for key in keys:
+                c = build(n, key)
+                w = None if key == k else check(c)
+                yield c, None if w is None else w.kind
+
+        monkeypatch.setattr(search_mod, "_sweep", per_colouring)
+        colouring_report = dumps(run_search(conjecture, "exhaustive", n).to_obj())
+        assert reuse_report == colouring_report
+        report = json.loads(reuse_report)
+        assert report["records"][0]["index"] == k
+        assert report["aggregate"]["checked"] == k + 1
+        assert sum(report["aggregate"]["witness_kinds"].values()) == k
+
     @pytest.mark.parametrize("which", [0, 1, -1])
     def test_failed_check_on_b_is_reported(self, monkeypatch, which):
         """B holds at n = 3, so its counterexample is planted in the
