@@ -5,7 +5,13 @@ between the monochromatic-geodesic and one-change-geodesic properties.
 
 A colouring assigns a colour to every edge of Q_n. Internally it is a
 single big-int bitmask over edge positions (dir << n) | lo, bit set for
-blue, which keeps exhaustive sweeps over 2^16 colourings cheap.
+blue, which keeps exhaustive sweeps over 2^16 colourings cheap. These
+positions are the only edge address inside this module: the antipodal
+pair table, the antipodal image, the lift to Q_{n+1}, the restriction
+and witness validation work on them, or on their 2^n-bit direction
+blocks. ``Edge`` tuples appear only at the public boundary
+(``all_edges``, ``colour_of``, ``colour_between``, ``from_pairs``,
+``pairs``, ``antipodal_edge``).
 
 The four antipodal searches share one layered search over 2^n-bit
 vertex sets, ``_antipodal_search``, with two switches: geodesic mode
@@ -59,7 +65,7 @@ __all__ = [
 #: get unwieldy and no supported operation needs them.
 MAX_COLOURING_DIMENSION = 16
 
-#: Default cap for the per-start subset searches (state space 2^n).
+#: Cap of the antipodal geodesic searches (state space 2^n).
 SEARCH_MAX_N = 12
 
 
@@ -67,17 +73,25 @@ class Colour(enum.Enum):
     RED = "red"
     BLUE = "blue"
 
-    @property
-    def opposite(self) -> "Colour":
-        return Colour.BLUE if self is Colour.RED else Colour.RED
+
+def _blocks(mask: int, n: int, count: int) -> list[int]:
+    """The first ``count`` 2^n-bit direction blocks of an edge mask of
+    Q_n: bit lo of block d is the bit of edge (lo, d)."""
+    low = (1 << (1 << n)) - 1
+    return [(mask >> (d << n)) & low for d in range(count)]
+
+
+def _join(blocks: Iterable[int], n: int) -> int:
+    """The edge mask of Q_n whose direction block d is ``blocks[d]``."""
+    mask = 0
+    for d, block in enumerate(blocks):
+        mask |= block << (d << n)
+    return mask
 
 
 @lru_cache(maxsize=None)
 def _valid_edge_mask(n: int) -> int:
-    mask = 0
-    for dir in range(n):
-        mask |= _lo_pattern(n, dir) << (dir << n)
-    return mask
+    return _join((_lo_pattern(n, dir) for dir in range(n)), n)
 
 
 def _pos(lo: int, dir: int, n: int) -> int:
@@ -182,31 +196,29 @@ class EdgeColouring:
             yield (e.lo, e.dir, self.colour_of(e))
 
 
-def _antipodal_representatives(n: int) -> list[Edge]:
-    """One edge per antipodal pair, the (lo, dir)-smaller one."""
-    return [e for e in all_edges(n) if e < antipodal_edge(e, n)]
-
-
-@lru_cache(maxsize=None)
-def _antipodal_pairs(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """``(base, pairs)``: the edge positions (rep, partner) of every
-    antipodal pair, in representative order, and the mask with every
-    partner blue. Positions rather than one-bit masks keep the cache
-    linear in the pair count: at n = 16 a mask per pair would take
-    gigabytes."""
-    _check_dimension(n)
-    pairs = []
-    for e in _antipodal_representatives(n):
-        a = antipodal_edge(e, n)
-        pairs.append((_pos(e.lo, e.dir, n), _pos(a.lo, a.dir, n)))
-    return _mask((partner for _, partner in pairs), n << n), tuple(pairs)
-
-
 @lru_cache(maxsize=None)
 def _edge_positions(n: int) -> tuple[int, ...]:
     """Bit position of every edge, in (lo, dir) order."""
     _check_dimension(n)
     return tuple(_pos(e.lo, e.dir, n) for e in all_edges(n))
+
+
+@lru_cache(maxsize=None)
+def _antipodal_pairs(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(base, pairs)``: the edge positions (rep, partner) of every
+    antipodal pair, the representative being the smaller position, in
+    (lo, dir) order of the representative, and the mask with every
+    partner blue. The antipodal edge of (lo, d) is (lo ^ (2^n - 1) ^ 2^d,
+    d), so position p pairs with p ^ (2^n - 1) ^ 2^(p >> n). Positions
+    rather than one-bit masks keep the cache linear in the pair count: at
+    n = 16 a mask per pair would take gigabytes."""
+    full = (1 << n) - 1
+    pairs = []
+    for p in _edge_positions(n):
+        partner = p ^ full ^ (1 << (p >> n))
+        if p < partner:
+            pairs.append((p, partner))
+    return _mask((partner for _, partner in pairs), n << n), tuple(pairs)
 
 
 def _antipodal_image(n: int, mask: int) -> int:
@@ -215,11 +227,11 @@ def _antipodal_image(n: int, mask: int) -> int:
     the 2^n bits of direction d's block maps lo to lo ^ (2^n - 1), whose
     bit d is 1, and shifting down by 2^d clears it."""
     size = 1 << n
-    image = 0
-    for d in range(n):
-        block = (mask >> (d << n)) & ((1 << size) - 1)
-        image |= int(format(block, f"0{size}b")[::-1], 2) >> (1 << d) << (d << n)
-    return image
+    return _join(
+        (int(format(block, f"0{size}b")[::-1], 2) >> (1 << d)
+         for d, block in enumerate(_blocks(mask, n, n))),
+        n,
+    )
 
 
 def is_antipodal(c: EdgeColouring) -> bool:
@@ -292,9 +304,10 @@ class AntipodalWitness:
     change_count: int | None = None
 
 
-def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> None:
+def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:
     """Structural check, independent of how the witness was found.
-    Raises ValueError on any defect."""
+    Raises ValueError on any defect; returns the mask of the path's edge
+    positions (dir << n) | lo."""
     n = c.n
     x, y = w.pair
     if y != antipode(x, n):
@@ -305,6 +318,7 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> None:
     if verts[0] != x or verts[-1] != y:
         raise ValueError("path endpoints do not match the antipodal pair")
     blue = c.blue_mask
+    path = 0
     used = 0
     repeated = False
     changes = 0
@@ -316,7 +330,9 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> None:
         repeated = repeated or bool(used & d)
         used |= d
         # u & v is the lo endpoint of the edge between adjacent u and v
-        colour = (blue >> (((d.bit_length() - 1) << n) | (u & v))) & 1
+        pos = ((d.bit_length() - 1) << n) | (u & v)
+        path |= 1 << pos
+        colour = (blue >> pos) & 1
         if last is not None and colour != last:
             changes += 1
         last = colour
@@ -336,6 +352,7 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> None:
             )
     else:
         raise ValueError(f"unknown witness kind {w.kind!r}")
+    return path
 
 
 def _antipodal_search(
@@ -447,7 +464,7 @@ def find_monochromatic_antipodal_path(c: EdgeColouring):
     return _first_antipodal(c, "mono-path")
 
 
-def find_monochromatic_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_MAX_N):
+def find_monochromatic_antipodal_geodesic(c: EdgeColouring):
     """Search for a single-colour geodesic between antipodal vertices.
 
     From a start x, the set of directions used so far is implied by the
@@ -455,16 +472,16 @@ def find_monochromatic_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_
     steps away from x in one colour decides it; reaching the antipode
     means all n directions were used once.
     """
-    if c.n > max_n:
-        raise ValueError(f"n={c.n} exceeds the subset-search cap {max_n}")
+    if c.n > SEARCH_MAX_N:
+        raise ValueError(f"n={c.n} exceeds the subset-search cap {SEARCH_MAX_N}")
     return _first_antipodal(c, "mono-geodesic")
 
 
-def find_one_change_antipodal_geodesic(c: EdgeColouring, max_n: int = SEARCH_MAX_N):
+def find_one_change_antipodal_geodesic(c: EdgeColouring):
     """Search for a geodesic between antipodal vertices with at most one
     colour change: reachability away from x with a change budget of one."""
-    if c.n > max_n:
-        raise ValueError(f"n={c.n} exceeds the subset-search cap {max_n}")
+    if c.n > SEARCH_MAX_N:
+        raise ValueError(f"n={c.n} exceeds the subset-search cap {SEARCH_MAX_N}")
     return _first_antipodal(c, "one-change-geodesic")
 
 
@@ -518,8 +535,7 @@ def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitnes
 def _colour_lomasks(c: EdgeColouring) -> tuple[list[int], list[int]]:
     """Per-direction lo-endpoint masks of the red and the blue class."""
     n = c.n
-    vmask = (1 << (1 << n)) - 1
-    blue = [(c.blue_mask >> (dir << n)) & vmask for dir in range(n)]
+    blue = _blocks(c.blue_mask, n, n)
     return [_lo_pattern(n, dir) ^ b for dir, b in enumerate(blue)], blue
 
 
@@ -558,55 +574,40 @@ def lift_to_antipodal(c: EdgeColouring) -> EdgeColouring:
     """Extend a colouring of Q_n to an antipodal colouring of Q_{n+1}
     that agrees with it on the bottom subcube (new coordinate 0).
 
-    Bottom edges copy c; each top edge takes the colour opposite to its
-    antipodal bottom edge; each antipodal pair of new-direction edges is
-    split deterministically: red on the edge whose bottom endpoint has
-    even parity, or on the smaller bottom endpoint when the pair's
-    parities agree (they always agree for even n).
+    For d < n, direction block d of Q_{n+1} has 2^(n+1) bits: its low
+    half (the bottom edges) copies c's block d, and its high half (the
+    top edges) is the complement of the antipodal image of c, so each
+    top edge takes the colour opposite to its antipodal bottom edge. The
+    new-direction edges at lo and lo ^ (2^n - 1) form an antipodal pair,
+    split deterministically: blue on the odd-parity end when the
+    parities differ (odd n), else on the larger end, the one with bit
+    n - 1 set (even n).
     """
     n = c.n
-    n2 = n + 1
-    mask = (1 << n) - 1
-    blue = 0
-    for e in all_edges(n):
-        p = 1 << _pos(e.lo, e.dir, n2)
-        top = 1 << _pos(e.lo | (1 << n), e.dir, n2)
-        # antipodal partner of that top edge is the bottom edge
-        # (complement(lo) ^ bit, dir); colour the pair oppositely.
-        partner = Edge((mask ^ e.lo) ^ (1 << e.dir), e.dir)
-        if c.colour_of(e) is Colour.BLUE:
-            blue |= p
-        if c.colour_of(partner) is Colour.RED:
-            blue |= top
-    for lo in range(1 << n):
-        partner = mask ^ lo
-        if lo > partner:
-            continue
-        lp, pp = lo.bit_count() & 1, partner.bit_count() & 1
-        if lp != pp:
-            blue_lo = lp == 1
-        else:
-            blue_lo = False  # smaller endpoint red
-        if blue_lo:
-            blue |= 1 << _pos(lo, n, n2)
-        else:
-            blue |= 1 << _pos(partner, n, n2)
-    lifted = EdgeColouring(n2, blue)
+    low = (1 << (1 << n)) - 1
+    if n & 1:
+        split = 0
+        for d in range(n):
+            split ^= low ^ _lo_pattern(n, d)  # the vertices with bit d set
+    else:
+        split = low ^ _lo_pattern(n, n - 1)
+    bottom = _blocks(c.blue_mask, n, n)
+    top = _blocks(_valid_edge_mask(n) ^ _antipodal_image(n, c.blue_mask), n, n)
+    blocks = [b | t << (1 << n) for b, t in zip(bottom, top)] + [split]
+    lifted = EdgeColouring(n + 1, _join(blocks, n + 1))
     if not is_antipodal(lifted):
         raise RuntimeError(f"lift of a colouring of Q_{n} is not antipodal")
     return lifted
 
 
 def restrict_to_bottom(c: EdgeColouring) -> EdgeColouring:
-    """The colouring induced on the bottom subcube (top coordinate 0)."""
+    """The colouring induced on the bottom subcube (top coordinate 0):
+    the low half of every direction block but the last."""
     n = c.n - 1
     if n < 1:
         raise ValueError("nothing to restrict to below n = 2")
-    blue = 0
-    for e in all_edges(n):
-        if c.colour_of(Edge(e.lo, e.dir)) is Colour.BLUE:
-            blue |= 1 << _pos(e.lo, e.dir, n)
-    return EdgeColouring(n, blue)
+    low = (1 << (1 << n)) - 1
+    return EdgeColouring(n, _join((b & low for b in _blocks(c.blue_mask, n + 1, n)), n))
 
 
 def derive_B_from_A(c: EdgeColouring) -> AntipodalWitness:

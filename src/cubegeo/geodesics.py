@@ -45,7 +45,7 @@ __all__ = [
     "random_ordering",
 ]
 
-#: Default cap of enumerate_geodesics_of_length: an instance is in range
+#: Cap of enumerate_geodesics_of_length: an instance is in range
 #: when n <= ORACLE_MAX_N or |E| <= ORACLE_MAX_EDGES.
 ORACLE_MAX_N = 8
 ORACLE_MAX_EDGES = 200
@@ -443,13 +443,7 @@ def _count_paths(
     return walk(g.vertex_mask, [], 0, 0)
 
 
-def enumerate_geodesics_of_length(
-    g: CubeSubgraph,
-    d: int,
-    max_n: int = ORACLE_MAX_N,
-    max_edges: int = ORACLE_MAX_EDGES,
-    witnesses: bool = False,
-):
+def enumerate_geodesics_of_length(g: CubeSubgraph, d: int, witnesses: bool = False):
     """Count the geodesics of g with exactly d edges.
 
     A path and its reversal count once: the search over every sequence of
@@ -459,7 +453,7 @@ def enumerate_geodesics_of_length(
     """
     if d < 1:
         raise ValueError("geodesic length must be at least 1")
-    _check_oracle_cap(g, max_n, max_edges)
+    _check_oracle_cap(g, ORACLE_MAX_N, ORACLE_MAX_EDGES)
     found: set[GeodesicPath] | None = set() if witnesses else None
     directed = _count_paths(g, d, range(g.n), False, found)
     if directed % 2:

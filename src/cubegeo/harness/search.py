@@ -26,6 +26,7 @@ colouring where asked.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import closing
 from fractions import Fraction
 
@@ -62,7 +63,8 @@ CONJECTURES = tuple(_SPACES)
 
 def _search_block(params: tuple) -> dict:
     """Check colourings [start, stop); stop early inside the block at the
-    first counterexample. Returns mergeable per-block results."""
+    first counterexample. Returns mergeable per-block results: ``kinds``
+    counts witness kinds, ``changes`` the minimum-colour-change values."""
     conjecture, mode, n, seed, start, stop, collect_changes = params
     antipodal = _SPACES[conjecture][0]
     # Names are looked up on every call, never stored at import, so a wrapped name runs.
@@ -79,8 +81,7 @@ def _search_block(params: tuple) -> dict:
     checked = 0
     fail = None
     kinds: dict[str, int] = {}
-    ch_min = ch_max = None
-    ch_sum = 0
+    changes: dict[int, int] = {}
     for index, (c, kind) in enumerate(sweep, start):
         checked += 1
         if kind is None:
@@ -89,17 +90,8 @@ def _search_block(params: tuple) -> dict:
         kinds[kind] = kinds.get(kind, 0) + 1
         if collect_changes:
             value = min_colour_changes_antipodal(c)[0]
-            ch_sum += value
-            ch_min = value if ch_min is None else min(ch_min, value)
-            ch_max = value if ch_max is None else max(ch_max, value)
-    return {
-        "checked": checked,
-        "fail": fail,
-        "kinds": kinds,
-        "ch_min": ch_min,
-        "ch_max": ch_max,
-        "ch_sum": ch_sum,
-    }
+            changes[value] = changes.get(value, 0) + 1
+    return {"checked": checked, "fail": fail, "kinds": kinds, "changes": changes}
 
 
 def _sweep(check, build, n: int, keys):
@@ -108,7 +100,8 @@ def _sweep(check, build, n: int, keys):
     every colouring that gives its path's edges the same colours, so
     each colouring first tries the sweep's earlier witnesses, in the
     order found, one AND each. Any other colouring goes to ``check``,
-    and its witness is validated in full before it is kept."""
+    and its witness is validated in full before it is kept, as the path
+    edge mask that validation returns and the colours on it."""
     found = []  # (path edge mask, blue edges on the path, kind) per witness
     for key in keys:
         c = build(n, key)
@@ -120,12 +113,8 @@ def _sweep(check, build, n: int, keys):
             witness = check(c)
             kind = None
             if witness is not None:
-                validate_witness(witness, c)
+                path = validate_witness(witness, c)
                 kind = witness.kind
-                path = 0
-                for u, v in zip(witness.vertices, witness.vertices[1:]):
-                    # the edge's bit (dir << n) | lo; u & v is its lo endpoint
-                    path |= 1 << ((((u ^ v).bit_length() - 1) << n) | (u & v))
                 found.append((path, blue & path, kind))
         yield c, kind
 
@@ -173,18 +162,13 @@ def run_search(
     ]
     checked = 0
     fail = None
-    kinds: dict[str, int] = {}
-    ch_min = ch_max = None
-    ch_sum = 0
+    kinds: Counter[str] = Counter()
+    changes: Counter[int] = Counter()
     with closing(pool_map(_search_block, blocks, jobs)) as results:
         for res in results:
             checked += res["checked"]
-            for kind, cnt in res["kinds"].items():
-                kinds[kind] = kinds.get(kind, 0) + cnt
-            if res["ch_min"] is not None:
-                ch_min = res["ch_min"] if ch_min is None else min(ch_min, res["ch_min"])
-                ch_max = res["ch_max"] if ch_max is None else max(ch_max, res["ch_max"])
-                ch_sum += res["ch_sum"]
+            kinds.update(res["kinds"])
+            changes.update(res["changes"])
             if res["fail"] is not None:
                 fail = res["fail"]
                 break
@@ -196,14 +180,14 @@ def run_search(
         "witness_kinds": {k: kinds[k] for k in sorted(kinds)},
     }
     if collect_changes and checked:
-        stat_count = checked if fail is None else checked - 1
+        # a counterexample stops its block before its statistic is taken
         aggregate["min_changes"] = (
             {
-                "min": ch_min,
-                "max": ch_max,
-                "mean": str(Fraction(ch_sum, stat_count)),
+                "min": min(changes),
+                "max": max(changes),
+                "mean": str(Fraction(sum(v * k for v, k in changes.items()), changes.total())),
             }
-            if stat_count
+            if changes
             else None
         )
     records = [] if fail is None else [fail]

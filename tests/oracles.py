@@ -6,6 +6,8 @@ enumeration and simple-path DFS, nothing clever.
 
 from itertools import combinations
 
+from cubegeo.colourings import Colour, EdgeColouring
+from cubegeo.core import Edge
 from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N, GeodesicPath, _check_oracle_cap
 
 
@@ -265,6 +267,40 @@ def is_antipodal_pairwise(c):
     full = (1 << n) - 1
     blue = blue_edges(c)
     return all(((lo, d) in blue) != ((full ^ lo ^ (1 << d), d) in blue) for lo, d in _canonical_edges(n))
+
+
+def lift_edge_by_edge(c):
+    """Reference antipodal lift of a colouring of Q_n to Q_{n+1}, built
+    edge by edge: bottom edges copy c; the top edge (lo + 2^n, d) takes
+    the colour opposite to c's colour on its antipodal bottom edge
+    (lo ^ (2^n - 1) ^ 2^d, d); the new-direction edges at lo and
+    lo ^ (2^n - 1) are red on the even-parity end if the ends' parities
+    differ, else on the smaller end, and blue on the other."""
+    n = c.n
+    full = (1 << n) - 1
+    opposite = {"red": Colour.BLUE, "blue": Colour.RED}
+    triples = []
+    for lo, d in _canonical_edges(n):
+        triples.append((lo, d, c.colour_of(Edge(lo, d))))
+        partner = c.colour_of(Edge(full ^ lo ^ (1 << d), d))
+        triples.append((lo + 2 ** n, d, opposite[partner.value]))
+    for lo in range(2 ** n):
+        other = full ^ lo
+        odd, other_odd = bin(lo).count("1") % 2, bin(other).count("1") % 2
+        red = odd == 0 if odd != other_odd else lo < other
+        triples.append((lo, n, Colour.RED if red else Colour.BLUE))
+    return EdgeColouring.from_pairs(n + 1, triples)
+
+
+def path_edge_positions(n, vertices):
+    """The positions dir * 2^n + lo of a path's edges, read step by step:
+    each step flips exactly one coordinate, its direction, and its lo
+    end is the smaller of the two vertices."""
+    positions = set()
+    for u, v in zip(vertices, vertices[1:]):
+        (d,) = [d for d in range(n) if (u >> d) & 1 != (v >> d) & 1]
+        positions.add(d * 2 ** n + min(u, v))
+    return positions
 
 
 def fisher_yates_ordering(n, rng):

@@ -1,6 +1,4 @@
 import re
-from fractions import Fraction
-from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +25,7 @@ from cubegeo import (
     validate_witness,
 )
 from cubegeo.colourings import (
+    SEARCH_MAX_N,
     _antipodal_search,
     _colour_lomasks,
     all_edges,
@@ -50,8 +49,10 @@ from oracles import (
     has_one_change_antipodal_geodesic,
     is_antipodal_pairwise,
     is_monochromatic,
+    lift_edge_by_edge,
     min_changes_geodesics,
     min_changes_simple_paths,
+    path_edge_positions,
 )
 
 RED, BLUE = Colour.RED, Colour.BLUE
@@ -302,8 +303,8 @@ class TestMonoGeodesic:
             validate_witness(w, c)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            find_monochromatic_antipodal_geodesic(all_red(4), max_n=3)
+        with pytest.raises(ValueError, match=f"^n=13 exceeds the subset-search cap {SEARCH_MAX_N}$"):
+            find_monochromatic_antipodal_geodesic(all_red(13))
 
 
 class TestOneChangeGeodesic:
@@ -326,6 +327,10 @@ class TestOneChangeGeodesic:
             w = find_one_change_antipodal_geodesic(c)
             assert w is not None
             validate_witness(w, c)
+
+    def test_cap(self):
+        with pytest.raises(ValueError, match=f"^n=13 exceeds the subset-search cap {SEARCH_MAX_N}$"):
+            find_one_change_antipodal_geodesic(all_red(13))
 
 
 class TestMinColourChanges:
@@ -559,6 +564,22 @@ class TestHalfGeodesic:
 
 
 class TestLift:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_colouring_matches_edge_by_edge_lift(self, n):
+        for i in range(1 << edge_count(n)):
+            c = colouring_from_index(n, i)
+            reference = lift_edge_by_edge(c)
+            assert lift_to_antipodal(c) == reference
+            assert restrict_to_bottom(reference) == c
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_seeded_colourings_match_edge_by_edge_lift(self, n):
+        for seed in range(20):
+            c = random_colouring(n, seed)
+            reference = lift_edge_by_edge(c)
+            assert lift_to_antipodal(c) == reference
+            assert restrict_to_bottom(reference) == c
+
     @given(st.integers(0, 4095))
     @settings(max_examples=30, deadline=None)
     def test_lift_is_antipodal_and_restricts(self, index):
@@ -683,6 +704,20 @@ class TestWitnessValidation:
         w = AntipodalWitness("path", (0b00, 0b01, 0b11), (0b00, 0b11), change_count=0)
         _rejects(w, c, "witness records 0 changes but has 1")
         validate_witness(AntipodalWitness("path", w.vertices, w.pair, change_count=1), c)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_returns_the_path_edge_positions(self, n):
+        """Every witness the checkers find, over every colouring of Q_n,
+        validates to the mask of its path's edge positions."""
+        for i in range(1 << edge_count(n)):
+            c = colouring_from_index(n, i)
+            witnesses = [check(c) for check in CHECKERS.values()]
+            witnesses.append(min_colour_changes_antipodal(c)[1])
+            for w in witnesses:
+                if w is not None:
+                    mask = validate_witness(w, c)
+                    assert {p for p in range(n << n) if (mask >> p) & 1} == path_edge_positions(
+                        n, w.vertices)
 
     def test_rejects_unknown_kind(self):
         w = AntipodalWitness("rainbow", (0b00, 0b01, 0b11), (0b00, 0b11))

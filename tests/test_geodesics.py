@@ -402,6 +402,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_geodesics_of_length(full_cube(2), 0)
 
+    def test_cap(self):
+        # Q_9 has n > 8 and 2304 > 200 edges; a 200-edge subgraph of it is in range
+        with pytest.raises(ValueError, match=r"\(n=9, \|E\|=2304\) exceeds the oracle cap"):
+            enumerate_geodesics_of_length(full_cube(9), 1)
+        g = make_subgraph(9, range(1 << 9), list(full_cube(9).edges)[:200])
+        assert enumerate_geodesics_of_length(g, 1) == 200
+
     @given(st.integers(0, 10_000), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_matches_unordered_oracle(self, seed, d):

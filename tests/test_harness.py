@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubegeo import CubeSubgraph, EdgeColouring, SetFamily, average_degree
+from cubegeo import EdgeColouring, SetFamily, average_degree
 from cubegeo.harness import (
     InstanceSpec,
     ParseError,
@@ -405,8 +405,7 @@ class TestRunSearch:
         def count_block(params):
             start, stop = params[4], params[5]
             seen.append(stop - start)
-            return {"checked": stop - start, "fail": None, "kinds": {},
-                    "ch_min": None, "ch_max": None, "ch_sum": 0}
+            return {"checked": stop - start, "fail": None, "kinds": {}, "changes": {}}
 
         monkeypatch.setattr(search_mod, "_search_block", count_block)
         run_search("A", mode, n, budget=budget)
