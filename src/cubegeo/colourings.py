@@ -21,7 +21,10 @@ none for the minimum, whose walk witness is then loop-erased).
 
 ``antipodal_colouring_from_index`` and ``colouring_from_index`` number
 the antipodal and the general colourings of Q_n, so exhaustive sweeps
-can enumerate them.
+can enumerate them. Each steps from the mask it built last at the same
+n, flipping only the pairs (or edges) of the index bits that changed,
+so a sweep in index order costs about two XORs per colouring; the
+colouring built never depends on the order of calls.
 """
 
 from __future__ import annotations
@@ -262,33 +265,56 @@ def random_colouring(n: int, seed: int) -> EdgeColouring:
     return EdgeColouring(n, raw & _valid_edge_mask(n))
 
 
+#: n -> (index, blue mask) of the last colouring each index builder
+#: built, at most one per dimension. Index i's mask is index 0's mask
+#: XOR the flips of i's bits, so a builder steps from its record by the
+#: flips of ``index ^ last``; consecutive indices differ in two bits on
+#: average. The result never depends on the record, only the work does.
+#: A record is stored whole after a successful build, so a call that
+#: raises leaves it as it was, and concurrent callers can at worst
+#: overwrite each other's record with another consistent one.
+_last_antipodal: dict[int, tuple[int, int]] = {}
+_last_general: dict[int, tuple[int, int]] = {}
+
+
 def antipodal_colouring_from_index(n: int, index: int) -> EdgeColouring:
     """The index-th antipodal colouring: bit i of the index blues the
     i-th representative edge (else its partner). Indices in
-    [0, 2^antipodal_pair_count(n)) enumerate them all."""
-    blue, pairs = _antipodal_pairs(n)
+    [0, 2^antipodal_pair_count(n)) enumerate them all. Stepped from the
+    previous call at this n: only the pairs of the changed index bits
+    are flipped."""
+    base, pairs = _antipodal_pairs(n)
     if not 0 <= index < (1 << len(pairs)):
         raise ValueError(f"index {index} out of range for {len(pairs)} antipodal pairs")
-    while index:
-        low = index & -index
+    last, blue = _last_antipodal.get(n, (0, base))
+    flips = index ^ last
+    while flips:
+        low = flips & -flips
         rep, partner = pairs[low.bit_length() - 1]
         blue ^= (1 << rep) | (1 << partner)
-        index ^= low
-    return EdgeColouring(n, blue)
+        flips ^= low
+    c = EdgeColouring(n, blue)
+    _last_antipodal[n] = (index, blue)
+    return c
 
 
 def colouring_from_index(n: int, index: int) -> EdgeColouring:
     """The index-th general colouring: bit i of the index blues the i-th
-    edge in (lo, dir) order. Indices in [0, 2^edge_count(n))."""
+    edge in (lo, dir) order. Indices in [0, 2^edge_count(n)). Stepped
+    from the previous call at this n: only the edges of the changed
+    index bits are flipped, which may clear them."""
     positions = _edge_positions(n)
     if not 0 <= index < (1 << len(positions)):
         raise ValueError(f"index {index} out of range for {len(positions)} edges")
-    blue = 0
-    while index:
-        low = index & -index
-        blue |= 1 << positions[low.bit_length() - 1]
-        index ^= low
-    return EdgeColouring(n, blue)
+    last, blue = _last_general.get(n, (0, 0))
+    flips = index ^ last
+    while flips:
+        low = flips & -flips
+        blue ^= 1 << positions[low.bit_length() - 1]
+        flips ^= low
+    c = EdgeColouring(n, blue)
+    _last_general[n] = (index, blue)
+    return c
 
 
 @dataclass(frozen=True)
@@ -512,6 +538,7 @@ def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitnes
     """
     n = c.n
     mask = (1 << n) - 1
+    blue = c.blue_mask
     classes = _colour_lomasks(c)
     best: tuple[int, AntipodalWitness] | None = None
     for x in range(1 << (n - 1)):
@@ -522,8 +549,10 @@ def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitnes
             continue
         value, walk = found
         simple = _loop_erase(walk)
-        cols = [c.colour_between(u, v) for u, v in zip(simple, simple[1:])]
-        changes = sum(1 for a, b in zip(cols, cols[1:]) if a is not b)
+        # u & v is the lo endpoint of the edge between adjacent u and v
+        cols = [(blue >> (((u ^ v).bit_length() - 1) << n | (u & v))) & 1
+                for u, v in zip(simple, simple[1:])]
+        changes = sum(1 for a, b in zip(cols, cols[1:]) if a != b)
         if changes != value:
             raise RuntimeError(f"loop erasure gave {changes} changes, not the optimum {value}")
         best = (value, AntipodalWitness("path", tuple(simple), (x, x ^ mask), changes))

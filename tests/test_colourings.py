@@ -28,6 +28,8 @@ from cubegeo.colourings import (
     SEARCH_MAX_N,
     _antipodal_search,
     _colour_lomasks,
+    _last_antipodal,
+    _last_general,
     all_edges,
     antipodal_colouring_from_index,
     antipodal_pair_count,
@@ -163,6 +165,14 @@ class TestRandomColourings:
             colouring_from_index(2, 16)
 
 
+#: kind -> (index builder, reference, index bits at n, dimensions drawn)
+_INDEX_BUILDERS = {
+    "antipodal": (antipodal_colouring_from_index, antipodal_colouring_blue_edges,
+                  antipodal_pair_count, range(2, 6)),
+    "general": (colouring_from_index, colouring_blue_edges, edge_count, range(1, 5)),
+}
+
+
 def _sampled_indices(count, bits, seed):
     rng = SplitMix64(seed)
     return [rng.bits(bits) for _ in range(count)]
@@ -182,6 +192,50 @@ class TestGenerationAgainstReference:
     def test_every_general_index_n3(self):
         for i in range(1 << edge_count(3)):
             assert blue_edges(colouring_from_index(3, i)) == colouring_blue_edges(3, i)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_call_order_gives_the_reference(self, data):
+        # The builders step from their previous call at the same n; any
+        # order of calls, failing ones between them included, must give
+        # the reference colouring every time.
+        last = {}
+        for _ in range(data.draw(st.integers(1, 30), label="calls")):
+            kind = data.draw(st.sampled_from(sorted(_INDEX_BUILDERS)), label="builder")
+            build, reference, bits, dims = _INDEX_BUILDERS[kind]
+            action = data.draw(st.sampled_from(["build"] * 4 + ["bad index", "bad n"]), label="action")
+            if action == "bad n":
+                with pytest.raises(ValueError):
+                    build(data.draw(st.sampled_from([-1, 0, 17]), label="n"), 0)
+                continue
+            n = data.draw(st.sampled_from(dims), label="n")
+            space = 1 << bits(n)
+            if action == "bad index":
+                index = data.draw(st.one_of(st.integers(space, 2 * space), st.integers(-space, -1)),
+                                  label="index")
+                with pytest.raises(ValueError, match="out of range"):
+                    build(n, index)
+                continue
+            before = last.get((kind, n), 0)
+            index = data.draw(st.one_of(
+                st.just(before),  # repeat
+                st.integers(max(0, before - 3), min(space - 1, before + 3)),  # step either way
+                st.integers(0, space - 1),  # jump
+            ), label="index")
+            last[kind, n] = index
+            assert blue_edges(build(n, index)) == reference(n, index)
+
+    def test_failed_call_keeps_the_record(self):
+        for build, record, bad in (
+            (antipodal_colouring_from_index, _last_antipodal, 1 << 6),
+            (colouring_from_index, _last_general, 1 << 12),
+        ):
+            build(3, 5)
+            kept = dict(record)
+            for n, index in ((3, bad), (3, -1), (17, 0), (0, 0)):
+                with pytest.raises(ValueError):
+                    build(n, index)
+                assert record == kept
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_random_antipodal_draws_one_bit_per_pair_in_order(self, n):
@@ -346,15 +400,23 @@ class TestMinColourChanges:
         assert value == 1
         validate_witness(w, c)
 
+    @staticmethod
+    def _check_against_simple_paths(c):
+        value, w = min_colour_changes_antipodal(c)
+        per_start = [min_changes_simple_paths(c, x, x ^ 7) for x in range(4)]
+        assert value == min(per_start)
+        assert w.pair[0] == per_start.index(value)
+        assert w.change_count == value == colour_changes(c, w.vertices)
+        validate_witness(w, c)
+        assert len(set(w.vertices)) == len(w.vertices)  # simple path
+
     def test_matches_simple_path_oracle_n3(self):
         for index in range(4096):
-            c = colouring_from_index(3, index)
-            value, w = min_colour_changes_antipodal(c)
-            per_start = [min_changes_simple_paths(c, x, x ^ 7) for x in range(4)]
-            assert value == min(per_start)
-            assert w.pair[0] == per_start.index(value)
-            validate_witness(w, c)
-            assert len(set(w.vertices)) == len(w.vertices)  # simple path
+            self._check_against_simple_paths(colouring_from_index(3, index))
+
+    def test_matches_simple_path_oracle_antipodal_n3(self):
+        for index in range(64):
+            self._check_against_simple_paths(antipodal_colouring_from_index(3, index))
 
 
 class TestSearchKernel:
