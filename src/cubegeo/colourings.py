@@ -283,6 +283,8 @@ def antipodal_colouring_from_index(n: int, index: int) -> EdgeColouring:
     [0, 2^antipodal_pair_count(n)) enumerate them all. Stepped from the
     previous call at this n: only the pairs of the changed index bits
     are flipped."""
+    if n < 2:
+        raise ValueError("antipodal colourings need n >= 2")
     base, pairs = _antipodal_pairs(n)
     if not 0 <= index < (1 << len(pairs)):
         raise ValueError(f"index {index} out of range for {len(pairs)} antipodal pairs")

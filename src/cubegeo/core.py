@@ -121,8 +121,10 @@ class CubeSubgraph:
     """A subgraph of Q_n as bitmasks: bit v of ``vertex_mask`` is set iff
     v is a vertex, and bit lo of ``lo_masks[d]`` iff the edge (lo, d) is
     an edge. The masks are canonical, so equality and hashing of
-    subgraphs are those of the masks. The vertex and edge tuples and the
-    other views are built from the masks on first use."""
+    subgraphs are those of the masks. The sorted ``vertices`` and
+    ``edges`` tuples, which serialization and ``max_hamming_pair`` read,
+    are built from the masks on first use; every other reader works on
+    the masks."""
 
     n: int
     vertex_mask: int
@@ -147,40 +149,6 @@ class CubeSubgraph:
     def edge_count(self) -> int:
         """|E|, by popcount: no edge tuple is built."""
         return sum(m.bit_count() for m in self.lo_masks)
-
-    @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    @cached_property
-    def edges_by_direction(self) -> dict[int, tuple[int, ...]]:
-        """Direction -> sorted lo-endpoints of the edges in that direction,
-        keyed in order of each direction's first edge in ``edges``."""
-        used = sorted(((m & -m).bit_length(), dir) for dir, m in enumerate(self.lo_masks) if m)
-        return {dir: tuple(_bits(self.lo_masks[dir])) for _, dir in used}
-
-    @cached_property
-    def degrees(self) -> dict[int, int]:
-        deg = dict.fromkeys(self.vertices, 0)
-        for dir, m in enumerate(self.lo_masks):
-            for lo in _bits(m):
-                deg[lo] += 1
-                deg[lo ^ (1 << dir)] += 1
-        return deg
-
-    def neighbours(self, v: int) -> list[tuple[int, int]]:
-        """(direction, neighbour) pairs for edges of this subgraph at v,
-        by increasing direction."""
-        out = []
-        for dir, m in enumerate(self.lo_masks):
-            bit = 1 << dir
-            if m >> (v & ~bit) & 1:
-                out.append((dir, v ^ bit))
-        return out
-
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
 
     def __len__(self) -> int:
         return self.vertex_mask.bit_count()

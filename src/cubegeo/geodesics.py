@@ -326,27 +326,35 @@ def longest_geodesic_lower_bound(
     return extract_increasing_geodesic(table, table.longest_end)
 
 
-def _min_degree_core(g: CubeSubgraph, threshold) -> set[int]:
-    """Vertices surviving repeated deletion of degree < threshold.
+def _min_degree_core(g: CubeSubgraph, threshold) -> int:
+    """The mask of the vertices surviving repeated deletion of degree <
+    threshold.
+
+    What survives is the unique largest subgraph of minimum degree at
+    least k = ceil(threshold), so each round drops every vertex with
+    fewer than k live neighbours at once. A round counts live neighbours
+    in bit-sliced levels, as the sweep table counts lengths: level j
+    holds the vertices with at least j live neighbours in the directions
+    seen so far.
 
     Nonempty when threshold is half the average degree: each deletion
     then removes fewer than |E|/|V| edges, so deleting all |V| vertices
     would discard fewer than |E| edges.
     """
-    deg = dict(g.degrees)
-    alive = set(g.vertices)
-    stack = sorted((v for v in alive if deg[v] < threshold), reverse=True)
-    while stack:
-        v = stack.pop()
-        if v not in alive or deg[v] >= threshold:
-            continue
-        alive.remove(v)
-        for dir, w in g.neighbours(v):
-            if w in alive:
-                deg[w] -= 1
-                if deg[w] < threshold:
-                    stack.append(w)
-    return alive
+    k = math.ceil(threshold)
+    alive = g.vertex_mask
+    while True:
+        levels = [alive] + [0] * k
+        for dir, m in enumerate(g.lo_masks):
+            s = 1 << dir
+            live = m & alive & (alive >> s)
+            if live:
+                ends = live | (live << s)
+                for j in range(k, 0, -1):
+                    levels[j] |= levels[j - 1] & ends
+        if levels[k] == alive:
+            return alive
+        alive = levels[k]
 
 
 def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
@@ -364,23 +372,21 @@ def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
     core = _min_degree_core(g, half)
     if not core:
         raise RuntimeError(f"min-degree core at threshold {half} is empty")
-    v = min(core)
+    v = (core & -core).bit_length() - 1
     verts = [v]
     dirs = []
     used = 0
     while True:
-        step = None
-        for dir, w in g.neighbours(v):
-            if not (used >> dir) & 1 and w in core:
-                step = (dir, w)
+        for dir, m in enumerate(g.lo_masks):
+            bit = 1 << dir
+            if not used & bit and m >> (v & ~bit) & core >> (v ^ bit) & 1:
                 break
-        if step is None:
+        else:
             break
-        dir, w = step
-        used |= 1 << dir
+        used |= bit
         dirs.append(dir)
-        verts.append(w)
-        v = w
+        v ^= bit
+        verts.append(v)
     path = GeodesicPath(verts, dirs)
     if path.length < math.ceil(half):
         raise RuntimeError(f"greedy geodesic has {path.length} edges, below ceil({half})")

@@ -19,9 +19,8 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from math import ceil
 
-from ..core import CubeSubgraph, average_degree, max_hamming_pair
+from ..core import CubeSubgraph, average_degree
 from ..colourings import (
     EdgeColouring,
     edge_count,
@@ -30,21 +29,13 @@ from ..colourings import (
     find_one_change_antipodal_geodesic,
     is_antipodal,
     min_colour_changes_antipodal,
-    monochromatic_half_geodesic,
 )
-from ..core import induced_subgraph
-from ..geodesics import extract_increasing_geodesic, greedy_geodesic, increasing_geodesic_table
-from ..setfamilies import (
-    SetFamily,
-    feder_subi_intersecting_check,
-    full_compress,
-    is_downset,
-    level_profile,
-)
+from ..geodesics import greedy_geodesic
+from ..setfamilies import SetFamily, feder_subi_intersecting_check, is_downset, level_profile
 from .generators import GRAPH_KINDS, COLOURING_KINDS, FAMILY_KINDS, InstanceSpec, generate
 from .search import CONJECTURES, run_search
 from .serialize import Report, ParseError, dumps, instance_to_obj, load_instance, save_json
-from .verify import THEOREMS, default_template, run_verify
+from .verify import _THEOREMS, THEOREMS, _full_compression, default_template, run_verify
 
 _ANALYZE_SEARCH_MAX_N = 8
 _ANALYZE_CHANGES_MAX_N = 10
@@ -182,41 +173,33 @@ def _analyze_graph(g: CubeSubgraph) -> tuple[dict, bool]:
     info: dict = {"type": "graph", "n": g.n, "vertices": len(g), "edges": g.edge_count}
     if not g.vertex_mask:
         return info, True
-    avg = average_degree(g)
-    bound = ceil(avg)
-    table = increasing_geodesic_table(g)
-    t4_slack = table.total - 2 * g.edge_count
-    longest = extract_increasing_geodesic(table, table.longest_end)
-    greedy = greedy_geodesic(g)
-    x, y, dist = max_hamming_pair(g)
+    t4, t2, fs = (_THEOREMS[t].record(g) for t in ("T4", "T2", "FS"))
     info.update({
-        "average_degree": str(avg),
-        "total_increasing_length": table.total,
-        "t4_slack": str(t4_slack),
-        "longest_geodesic_lower_bound": longest.length,
-        "t2_slack": longest.length - bound,
-        "greedy_length": greedy.length,
-        "max_hamming_pair": [x, y],
-        "max_hamming_distance": dist,
-        "fs_slack": dist - bound,
+        "average_degree": str(average_degree(g)),
+        "total_increasing_length": t4["total_length"],
+        "t4_slack": t4["slack"],
+        "longest_geodesic_lower_bound": t2["geodesic_length"],
+        "t2_slack": int(t2["slack"]),
+        "greedy_length": greedy_geodesic(g).length,
+        "max_hamming_pair": fs["pair"],
+        "max_hamming_distance": fs["distance"],
+        "fs_slack": int(fs["slack"]),
     })
-    ok = t4_slack >= 0 and longest.length >= bound and dist >= bound
-    return info, ok
+    return info, t4["ok"] and t2["ok"] and fs["ok"]
 
 
 def _analyze_colouring(c: EdgeColouring) -> tuple[dict, bool]:
     n = c.n
+    cor = _THEOREMS["COR"].record(c)
     info: dict = {
         "type": "colouring",
         "n": n,
         "blue_edges": c.blue_count(),
         "red_edges": edge_count(n) - c.blue_count(),
         "antipodal": is_antipodal(c),
+        "half_geodesic_length": cor["geodesic_length"],
+        "cor_slack": int(cor["slack"]),
     }
-    half = monochromatic_half_geodesic(c)
-    info["half_geodesic_length"] = half.length
-    info["cor_slack"] = half.length - ceil(Fraction(n, 2))
-    ok = info["cor_slack"] >= 0
     if n <= _ANALYZE_CHANGES_MAX_N:
         value, _ = min_colour_changes_antipodal(c)
         info["min_colour_changes"] = value
@@ -230,13 +213,11 @@ def _analyze_colouring(c: EdgeColouring) -> tuple[dict, bool]:
         info["mono_antipodal_path"] = None
         info["mono_antipodal_geodesic"] = None
         info["one_change_antipodal_geodesic"] = None
-    return info, ok
+    return info, cor["ok"]
 
 
 def _analyze_family(fam: SetFamily) -> tuple[dict, bool]:
-    fc = full_compress(fam)
-    popsum = sum(a.bit_count() for a in fc.sets)
-    profile = level_profile(fc)
+    fc, popsum, g, ok = _full_compression(fam)
     info = {
         "type": "family",
         "n": fam.n,
@@ -251,13 +232,9 @@ def _analyze_family(fam: SetFamily) -> tuple[dict, bool]:
         # consistency probe for a claimed small-distance counterexample:
         # a downset of average degree d whose levels at height >= d/2 are
         # free of pairs with |A | B| >= d
-        g = induced_subgraph(fam.n, fc.sets)
         d = average_degree(g)
         info["compressed_average_degree"] = str(d)
         info["intersecting_levels_consistent"] = feder_subi_intersecting_check(fc, d)
-    ok = is_downset(fc) and len(fc) == len(fam) and popsum == sum(
-        k * cnt for k, cnt in enumerate(profile)
-    )
     return info, ok
 
 

@@ -176,6 +176,19 @@ def _fs_record(g) -> dict:
     }
 
 
+def _full_compression(fam) -> tuple[SetFamily, int, CubeSubgraph, bool]:
+    """The full compression of fam, its total popcount, its induced
+    subgraph, and whether it is a downset of fam's size whose total
+    popcount equals both its induced edge count and its level-weighted
+    size."""
+    fc = full_compress(fam)
+    popsum = sum(a.bit_count() for a in fc.sets)
+    g = induced_subgraph(fam.n, fc.sets)
+    weighted = sum(k * cnt for k, cnt in enumerate(level_profile(fc)))
+    ok = is_downset(fc) and len(fc) == len(fam) and popsum == g.edge_count == weighted
+    return fc, popsum, g, ok
+
+
 def _comp_record(fam) -> dict:
     base = induced_subgraph(fam.n, fam.sets)
     base_edges = base.edge_count
@@ -192,19 +205,13 @@ def _comp_record(fam) -> dict:
         slacks.extend((edge_slack, dist_slack))
         if edge_slack < 0 or dist_slack < 0:
             ok = False
-    fc = full_compress(fam)
-    popsum = sum(a.bit_count() for a in fc.sets)
-    profile = level_profile(fc)
-    weighted = sum(k * cnt for k, cnt in enumerate(profile))
-    fc_edges = induced_subgraph(fam.n, fc.sets).edge_count
-    if not (is_downset(fc) and len(fc) == len(fam) and popsum == fc_edges == weighted):
-        ok = False
+    _, _, fc_graph, fc_ok = _full_compression(fam)
     slack = min(slacks, default=0)
     return {
         "members": len(fam),
-        "compressed_edges": fc_edges,
+        "compressed_edges": fc_graph.edge_count,
         "slack": str(slack),
-        "ok": ok,
+        "ok": ok and fc_ok,
     }
 
 

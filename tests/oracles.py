@@ -4,6 +4,7 @@ These deliberately share no logic with the library: straight pair
 enumeration and simple-path DFS, nothing clever.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from cubegeo.colourings import Colour, EdgeColouring
@@ -30,6 +31,38 @@ def adjacency(g):
         adj[e.lo].append((e.dir, e.hi))
         adj[e.hi].append((e.dir, e.lo))
     return adj
+
+
+def greedy_walk(g):
+    """Referee for the greedy baseline. Peels vertices of degree below
+    half the average degree one at a time off a stack, smallest first,
+    updating neighbour degrees as it goes; then walks from the smallest
+    survivor, each step along the smallest unused direction whose
+    neighbour survived. Returns (vertices, directions)."""
+    adj = adjacency(g)
+    half = Fraction(len(g.edges), len(adj))
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}
+    alive = set(adj)
+    stack = sorted((v for v in alive if deg[v] < half), reverse=True)
+    while stack:
+        v = stack.pop()
+        if v not in alive or deg[v] >= half:
+            continue
+        alive.remove(v)
+        for _, w in adj[v]:
+            if w in alive:
+                deg[w] -= 1
+                if deg[w] < half:
+                    stack.append(w)
+    v = min(alive)
+    verts, dirs = [v], []
+    while True:
+        steps = [(d, w) for d, w in adj[v] if d not in dirs and w in alive]
+        if not steps:
+            return tuple(verts), tuple(dirs)
+        d, v = min(steps)
+        dirs.append(d)
+        verts.append(v)
 
 
 def all_geodesic_vertex_sequences(g):

@@ -165,11 +165,12 @@ class TestRandomColourings:
             colouring_from_index(2, 16)
 
 
-#: kind -> (index builder, reference, index bits at n, dimensions drawn)
+#: kind -> (index builder, reference, index bits at n, dimensions drawn,
+#: dimensions that must raise)
 _INDEX_BUILDERS = {
     "antipodal": (antipodal_colouring_from_index, antipodal_colouring_blue_edges,
-                  antipodal_pair_count, range(2, 6)),
-    "general": (colouring_from_index, colouring_blue_edges, edge_count, range(1, 5)),
+                  antipodal_pair_count, range(2, 6), [-1, 0, 1, 17]),
+    "general": (colouring_from_index, colouring_blue_edges, edge_count, range(1, 5), [-1, 0, 17]),
 }
 
 
@@ -202,11 +203,11 @@ class TestGenerationAgainstReference:
         last = {}
         for _ in range(data.draw(st.integers(1, 30), label="calls")):
             kind = data.draw(st.sampled_from(sorted(_INDEX_BUILDERS)), label="builder")
-            build, reference, bits, dims = _INDEX_BUILDERS[kind]
+            build, reference, bits, dims, bad_dims = _INDEX_BUILDERS[kind]
             action = data.draw(st.sampled_from(["build"] * 4 + ["bad index", "bad n"]), label="action")
             if action == "bad n":
                 with pytest.raises(ValueError):
-                    build(data.draw(st.sampled_from([-1, 0, 17]), label="n"), 0)
+                    build(data.draw(st.sampled_from(bad_dims), label="n"), 0)
                 continue
             n = data.draw(st.sampled_from(dims), label="n")
             space = 1 << bits(n)

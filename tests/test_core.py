@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubegeo import (
-    CubeSubgraph,
     Edge,
     antipode,
     average_degree,
@@ -119,7 +118,6 @@ class TestInducedSubgraph:
     def test_sparse_high_dimension(self):
         g = induced_subgraph(20, [0, 1, 1 << 19, (1 << 19) | 2, (1 << 19) | 3])
         assert g.edges == (Edge(0, 0), Edge(0, 19), Edge(1 << 19, 1), Edge(2 | 1 << 19, 0))
-        assert g.degrees == {0: 2, 1: 1, 1 << 19: 2, 2 | 1 << 19: 2, 3 | 1 << 19: 1}
 
     @given(st.sets(st.integers(0, 31)), st.sets(st.integers(0, 31)))
     @settings(max_examples=60)
@@ -135,23 +133,7 @@ def _assert_same_subgraph(g, h):
     """Equal, equally hashed, and equal in every view, orders included."""
     assert g == h and hash(g) == hash(h)
     assert g.vertices == h.vertices and g.edges == h.edges
-    assert list(g.edges_by_direction.items()) == list(h.edges_by_direction.items())
-    assert list(g.degrees.items()) == list(h.degrees.items())
-    assert g.vertex_set == h.vertex_set and g.edge_set == h.edge_set
     assert len(g) == len(h) and g.edge_count == h.edge_count
-    for v in range(1 << g.n):
-        assert g.neighbours(v) == h.neighbours(v)
-    # the views against definitions read off the sorted edge tuple
-    buckets = {}
-    degrees = dict.fromkeys(g.vertices, 0)
-    for e in g.edges:
-        buckets.setdefault(e.dir, []).append(e.lo)
-        degrees[e.lo] += 1
-        degrees[e.hi] += 1
-    assert list(g.edges_by_direction.items()) == [(d, tuple(los)) for d, los in buckets.items()]
-    assert list(g.degrees.items()) == list(degrees.items())
-    for v in g.vertices:
-        assert g.neighbours(v) == sorted((e.dir, e.other(v)) for e in g.edges if v in e.endpoints())
 
 
 class TestAverageDegree:
@@ -222,7 +204,8 @@ class TestInvariants:
     @settings(max_examples=60)
     def test_degree_sum_is_twice_edges(self, verts):
         g = induced_subgraph(6, verts)
-        assert sum(g.degrees.values()) == 2 * len(g.edges)
+        degree_sum = sum((v ^ (1 << d)) in verts for v in verts for d in range(6))
+        assert degree_sum == 2 * g.edge_count == 2 * len(g.edges)
 
     def test_every_edge_has_unit_distance(self):
         g = induced_subgraph(4, range(16))

@@ -33,6 +33,7 @@ from oracles import (
     count_increasing_paths,
     count_unordered_geodesics,
     fisher_yates_ordering,
+    greedy_walk,
     increasing_lengths_by_end,
     longest_geodesic_length,
 )
@@ -309,11 +310,10 @@ class TestExtraction:
         for v in g.vertices:
             p = extract_increasing_geodesic(t, v)
             assert p.end == v and p.length == t.lengths[v]
-            for u, w in zip(p.vertices, p.vertices[1:]):
-                assert u in g.vertex_set and w in g.vertex_set
-                from cubegeo import Edge
-
-                assert Edge.between(u, w) in g.edge_set
+            for u in p.vertices:
+                assert g.vertex_mask >> u & 1
+            for u, dir in zip(p.vertices, p.directions):
+                assert g.lo_masks[dir] >> min(u, u ^ (1 << dir)) & 1
             ranks = [ordering.ranks[d] for d in p.directions]
             assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
 
@@ -355,6 +355,20 @@ class TestGreedy:
 
     def test_edgeless(self):
         assert greedy_geodesic(make_subgraph(4, [9], [])).length == 0
+
+    @given(
+        st.sampled_from(["induced-random", "edge-random"]),
+        st.integers(1, 8),
+        st.fractions(0, 1, max_denominator=12),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stack_peeling_referee(self, kind, n, density, seed):
+        """The core peeled in rounds on masks is the core the referee
+        peels vertex by vertex, and the walk takes the same steps."""
+        g = generate(InstanceSpec(kind, n=n, seed=seed, density=density))
+        path = greedy_geodesic(g)
+        assert (path.vertices, path.directions) == greedy_walk(g)
 
 
 class TestBruteForce:

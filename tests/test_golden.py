@@ -184,6 +184,37 @@ def test_library_has_no_assert():
     assert found == []
 
 
+def _unused_imports(path):
+    """Names a module imports and never references; a name counts as
+    referenced when it appears as a name anywhere, an annotation
+    included."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """Every import of the library and the tests is used; package
+    ``__init__.py`` files are exempt, since they import to re-export."""
+    root = Path(__file__).parent.parent
+    paths = sorted((root / "src" / "cubegeo").rglob("*.py")) + sorted((root / "tests").glob("*.py"))
+    found = [
+        f"{path.relative_to(root)}: {name}"
+        for path in paths
+        if path.name != "__init__.py"
+        for name in _unused_imports(path)
+    ]
+    assert found == []
+
+
 if __name__ == "__main__":
     import tempfile
 

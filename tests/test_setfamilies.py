@@ -19,8 +19,6 @@ from cubegeo import (
 )
 from cubegeo.harness import random_t_intersecting_family
 
-from oracles import max_pairwise_distance
-
 # Members are bitmasks: element i of the ground set is bit i.
 E1, E2, E3 = 0b001, 0b010, 0b100
 
