@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
-from operator import add
+from operator import add, itemgetter, lshift, mul, or_
 from typing import Iterable, NamedTuple, Sequence
 
 #: Hard cap on the ambient dimension. Subset-indexed tables allocate
@@ -68,10 +68,14 @@ def _check_vertex(v: int, n: int) -> None:
 @lru_cache(maxsize=None)
 def _lo_pattern(n: int, dir: int) -> int:
     """Bitmask over 2^n positions with a 1 at position v iff bit ``dir``
-    of v is 0, i.e. the canonical lo endpoints of direction ``dir``."""
-    block = (1 << (1 << dir)) - 1
-    period = 1 << (dir + 1)
-    return block * (((1 << (1 << n)) - 1) // ((1 << period) - 1))
+    of v is 0, i.e. the canonical lo endpoints of direction ``dir``:
+    a block of 2^dir ones, doubled by shift and OR until it spans 2^n
+    bits (a division would be quadratic in 2^n)."""
+    pattern, width = (1 << (1 << dir)) - 1, 2 << dir
+    while width < 1 << n:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern
 
 
 def _bits(m: int) -> list[int]:
@@ -122,9 +126,10 @@ class CubeSubgraph:
     v is a vertex, and bit lo of ``lo_masks[d]`` iff the edge (lo, d) is
     an edge. The masks are canonical, so equality and hashing of
     subgraphs are those of the masks. The sorted ``vertices`` and
-    ``edges`` tuples, which serialization and ``max_hamming_pair`` read,
-    are built from the masks on first use; every other reader works on
-    the masks."""
+    ``edges`` tuples, which ``max_hamming_pair`` and the report embedding
+    of ``graph_to_obj`` read, are built from the masks on first use;
+    every other reader, the graph file writer included, works on the
+    masks."""
 
     n: int
     vertex_mask: int
@@ -138,12 +143,17 @@ class CubeSubgraph:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Canonical edges sorted by (lo, dir)."""
-        n = self.n
-        keys = sorted(chain.from_iterable(
-            [lo * n + dir for lo in _bits(m)] for dir, m in enumerate(self.lo_masks)
-        ))
         # tuple.__new__(Edge, (lo, dir)) builds each Edge at C speed
-        return tuple(map(tuple.__new__, repeat(Edge), map(divmod, keys, repeat(n))))
+        return tuple(map(tuple.__new__, repeat(Edge), map(divmod, self.edge_keys(), repeat(self.n))))
+
+    def edge_keys(self) -> list[int]:
+        """``lo * n + dir`` of every edge, ascending, which is (lo, dir)
+        order; ``divmod(key, n)`` gives back (lo, dir). Built from the
+        masks at C speed, with no ``Edge`` tuples."""
+        n = self.n
+        return sorted(chain.from_iterable(
+            map(add, map(mul, _bits(m), repeat(n)), repeat(dir)) for dir, m in enumerate(self.lo_masks)
+        ))
 
     @property
     def edge_count(self) -> int:
@@ -162,33 +172,56 @@ def make_subgraph(
     """Validate and canonicalize a subgraph of Q_n.
 
     Edges may be given as canonical ``Edge`` values or as (u, v) endpoint
-    pairs; endpoint pairs must differ in exactly one bit. Duplicates are
+    pairs; endpoint pairs must differ in exactly one bit, and are turned
+    into ``Edge`` values before the edges are checked. Duplicates are
     dropped. Every edge endpoint must appear in ``vertices``.
+
+    Validation is in bulk: ranges by min and max, then all lo endpoints
+    as one mask over the positions ``(dir << n) | lo``, and per direction
+    one mask test that the edges lie inside the subgraph induced on the
+    vertices, which holds iff each is canonical with both endpoints
+    present. Only when a bulk check fails does a scan in input order find
+    the first offending item, so the error message is the one an
+    item-by-item check gives.
     """
     _check_dimension(n)
-    vset = set()
-    for v in vertices:
-        _check_vertex(v, n)
-        vset.add(v)
-    los: list[list[int]] = [[] for _ in range(n)]
-    for item in edges:
-        if isinstance(item, Edge):
-            e = item
-            if not 0 <= e.dir < n:
-                raise ValueError(f"edge direction {e.dir} out of range for Q_{n}")
-            if e.lo & (1 << e.dir):
-                raise ValueError(f"edge {e} is not canonical: bit {e.dir} of lo is set")
-            _check_vertex(e.hi, n)
-        else:
-            u, v = item
-            _check_vertex(u, n)
-            _check_vertex(v, n)
-            e = Edge.between(u, v)
-        if e.lo not in vset or e.hi not in vset:
-            raise ValueError(f"edge {e} has an endpoint outside the vertex set")
-        los[e.dir].append(e.lo)
     size = 1 << n
-    return CubeSubgraph(n, _mask(vset, size), tuple(_mask(lo, size) for lo in los))
+    vertices = list(vertices)
+    if vertices and not (min(vertices) >= 0 and max(vertices) < size):
+        for v in vertices:
+            _check_vertex(v, n)
+    vmask = _mask(vertices, size)
+    edges = list(edges)
+    if not set(map(type, edges)) <= {Edge}:
+        edges = [e if isinstance(e, Edge) else _pair_edge(e, n) for e in edges]
+    if not edges:
+        return CubeSubgraph(n, vmask, (0,) * n)
+    los = list(map(itemgetter(0), edges))
+    dirs = list(map(itemgetter(1), edges))
+    if min(dirs) >= 0 and max(dirs) < n and min(los) >= 0 and max(los) < size:
+        every = _mask(map(or_, map(lshift, dirs, repeat(n)), los), n << n)
+        full = (1 << size) - 1
+        lo_masks = tuple((every >> (d << n)) & full for d in range(n))
+        if not any(m & ~(vmask & (vmask >> (1 << d)) & _lo_pattern(n, d))
+                   for d, m in enumerate(lo_masks)):
+            return CubeSubgraph(n, vmask, lo_masks)
+    for e in edges:
+        if not 0 <= e.dir < n:
+            raise ValueError(f"edge direction {e.dir} out of range for Q_{n}")
+        if e.lo & (1 << e.dir):
+            raise ValueError(f"edge {e} is not canonical: bit {e.dir} of lo is set")
+        _check_vertex(e.hi, n)
+        if not vmask >> e.lo & vmask >> e.hi & 1:
+            raise ValueError(f"edge {e} has an endpoint outside the vertex set")
+    raise RuntimeError("the bulk edge check rejected edges that pass one by one")
+
+
+def _pair_edge(item: tuple[int, int], n: int) -> Edge:
+    """The canonical edge between the endpoints of a (u, v) pair."""
+    u, v = item
+    _check_vertex(u, n)
+    _check_vertex(v, n)
+    return Edge.between(u, v)
 
 
 def induced_subgraph(n: int, vertices: Iterable[int] | int) -> CubeSubgraph:

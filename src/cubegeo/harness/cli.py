@@ -34,7 +34,7 @@ from ..geodesics import greedy_geodesic
 from ..setfamilies import SetFamily, feder_subi_intersecting_check, is_downset, level_profile
 from .generators import GRAPH_KINDS, COLOURING_KINDS, FAMILY_KINDS, InstanceSpec, generate
 from .search import CONJECTURES, run_search
-from .serialize import Report, ParseError, dumps, instance_to_obj, load_instance, save_json
+from .serialize import Report, ParseError, dumps, load_instance, save_json
 from .verify import _THEOREMS, THEOREMS, _full_compression, default_template, run_verify
 
 _ANALYZE_SEARCH_MAX_N = 8
@@ -259,12 +259,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = _spec_from_args(args)
-    obj = instance_to_obj(generate(spec))
+    instance = generate(spec)
     if args.out:
-        save_json(args.out, obj)
+        save_json(args.out, instance)
         print(f"wrote {spec.kind} instance -> {args.out}")
     else:
-        sys.stdout.write(dumps(obj))
+        sys.stdout.write(dumps(instance))
     return 0
 
 

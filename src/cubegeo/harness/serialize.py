@@ -8,17 +8,22 @@ Formats (all 0-based directions, all keys in fixed order):
   report    {"task", "parameters", "seed", "records", "aggregate", "pass"}
 
 Serialization is canonical (sorted members, fixed key order, indent 2,
-trailing newline), so identical runs produce byte-identical files.
+trailing newline), so identical runs produce byte-identical files. A
+graph is written straight from its masks in exactly the text the stdlib
+encoder gives for its ``graph_to_obj`` dict, and read back with shape
+checks in bulk; the error messages for malformed graphs are those of an
+item-by-item check.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Any
 
 from ..colourings import Colour, EdgeColouring
-from ..core import CubeSubgraph, Edge, make_subgraph
+from ..core import CubeSubgraph, Edge, _bits, make_subgraph
 from ..setfamilies import SetFamily
 
 __all__ = [
@@ -111,16 +116,21 @@ def _field(obj: dict, name: str, kind: type):
 
 
 def obj_to_graph(obj: dict) -> CubeSubgraph:
+    """The graph of a parsed graph file. Shapes are checked in bulk, by
+    the sets of item types and lengths; only when that fails does a scan
+    in item order name the first bad item. ``make_subgraph`` validates
+    the rest."""
     n = _field(obj, "n", int)
     vertices = _field(obj, "vertices", list)
-    if not all(_is_int(v) for v in vertices):
+    if not (set(map(type, vertices)) <= {int} or all(map(_is_int, vertices))):
         raise ParseError("graph vertices should be ints")
     raw_edges = _field(obj, "edges", list)
-    edges = []
-    for i, item in enumerate(raw_edges):
-        if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
-            raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
-        edges.append(Edge(item[0], item[1]))
+    if not (set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {2}
+            and set(map(type, chain.from_iterable(raw_edges))) <= {int}):
+        for i, item in enumerate(raw_edges):
+            if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
+                raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
+    edges = list(map(tuple.__new__, repeat(Edge), raw_edges))
     try:
         return make_subgraph(n, vertices, edges)
     except (ValueError, TypeError) as exc:
@@ -171,9 +181,34 @@ def obj_to_instance(obj: dict):
     raise ParseError("object is neither a graph, a colouring, nor a family")
 
 
+#: The text of a graph file; the two lists are filled in by ``_json_list``.
+_GRAPH_TEXT = '{\n  "n": %d,\n  "vertices": %s,\n  "edges": %s\n}\n'
+#: One ``[lo, dir]`` item of the edge list, indented as the encoder does.
+_EDGE_TEXT = "[\n      %d,\n      %d\n    ]"
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of encoded items at the depth of a graph file's fields."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _graph_text(g: CubeSubgraph) -> str:
+    """The text ``dumps(graph_to_obj(g))`` gives, written from the masks:
+    no ``Edge`` tuples and no per-edge lists."""
+    vertices = list(map(str, _bits(g.vertex_mask)))
+    edges = list(map(_EDGE_TEXT.__mod__, map(divmod, g.edge_keys(), repeat(g.n))))
+    return _GRAPH_TEXT % (g.n, _json_list(vertices), _json_list(edges))
+
+
 def dumps(obj: Any) -> str:
     """Canonical JSON text: fixed key order as constructed, indent 2,
-    newline-terminated."""
+    newline-terminated. An instance is written in its file format: a
+    graph straight from its masks, a colouring or family through its
+    ``*_to_obj`` dict."""
+    if isinstance(obj, (CubeSubgraph, EdgeColouring, SetFamily)):
+        if isinstance(obj, CubeSubgraph):
+            return _graph_text(obj)
+        obj = instance_to_obj(obj)
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from cubegeo.colourings import Colour, EdgeColouring
-from cubegeo.core import Edge
+from cubegeo.core import MAX_DIMENSION, CubeSubgraph, Edge
 from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N, GeodesicPath, _check_oracle_cap
+from cubegeo.harness.serialize import ParseError
 
 
 def induced_edge_pairs(n, vertices):
@@ -390,3 +391,66 @@ def count_increasing_paths(g, d, ordering):
         return sum(walk(w, ranks[dir], depth + 1) for dir, w in adj[v] if ranks[dir] > last)
 
     return sum(walk(s, -1, 0) for s in g.vertices)
+
+
+def _is_json_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _graph_field(obj, name, kind):
+    if name not in obj:
+        raise ParseError(f"missing field {name!r}")
+    value = obj[name]
+    if not (_is_json_int(value) if kind is int else isinstance(value, kind)):
+        raise ParseError(f"field {name!r} should be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _graph_from_items(n, vertices, edges):
+    """Item-by-item validation of a graph's (lo, dir) edge pairs, in the
+    order of the checks and with the messages of the item scan: every
+    vertex first, then each edge's direction, canonical form, hi
+    endpoint and endpoints."""
+    if not 0 <= n <= MAX_DIMENSION:
+        raise ValueError(f"dimension {n} outside supported range 0..{MAX_DIMENSION}")
+    vset = set()
+    for v in vertices:
+        if not 0 <= v < (1 << n):
+            raise ValueError(f"vertex {v} out of range for Q_{n}")
+        vset.add(v)
+    lo_masks = [0] * n
+    for lo, dir in edges:
+        name = f"Edge(lo={lo}, dir={dir})"
+        if not 0 <= dir < n:
+            raise ValueError(f"edge direction {dir} out of range for Q_{n}")
+        if lo & (1 << dir):
+            raise ValueError(f"edge {name} is not canonical: bit {dir} of lo is set")
+        hi = lo ^ (1 << dir)
+        if not 0 <= hi < (1 << n):
+            raise ValueError(f"vertex {hi} out of range for Q_{n}")
+        if lo not in vset or hi not in vset:
+            raise ValueError(f"edge {name} has an endpoint outside the vertex set")
+        lo_masks[dir] |= 1 << lo
+    return CubeSubgraph(n, sum(1 << v for v in vset), tuple(lo_masks))
+
+
+def graph_from_obj(obj):
+    """Referee for reading a parsed graph file: field, vertex and edge
+    item checks one at a time, in file order, raising ``ParseError``
+    with the reader's messages."""
+    n = _graph_field(obj, "n", int)
+    vertices = _graph_field(obj, "vertices", list)
+    for v in vertices:
+        if not _is_json_int(v):
+            raise ParseError("graph vertices should be ints")
+    raw_edges = _graph_field(obj, "edges", list)
+    edges = []
+    for i, item in enumerate(raw_edges):
+        if not (isinstance(item, list) and len(item) == 2
+                and _is_json_int(item[0]) and _is_json_int(item[1])):
+            raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
+        edges.append((item[0], item[1]))
+    try:
+        return _graph_from_items(n, vertices, edges)
+    except ValueError as exc:
+        raise ParseError(f"invalid graph: {exc}") from exc

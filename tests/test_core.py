@@ -14,7 +14,7 @@ from cubegeo import (
     make_subgraph,
     max_hamming_pair,
 )
-from cubegeo.core import MAX_DIMENSION
+from cubegeo.core import MAX_DIMENSION, _lo_pattern
 from cubegeo.rng import SplitMix64, derive
 
 from oracles import induced_edge_pairs, max_pairwise_distance
@@ -80,6 +80,11 @@ class TestMakeSubgraph:
 
 
 class TestInducedSubgraph:
+    @pytest.mark.parametrize("n", range(10))
+    def test_lo_pattern_marks_the_vertices_with_bit_dir_clear(self, n):
+        for dir in range(n):
+            assert _lo_pattern(n, dir) == sum(1 << v for v in range(1 << n) if not v >> dir & 1)
+
     def test_full_square(self):
         assert len(induced_subgraph(2, [0, 1, 2, 3]).edges) == 4
 

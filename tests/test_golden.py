@@ -3,9 +3,11 @@
 Each search and verify invocation is re-run at --jobs 1 and 2 and
 compared byte for byte with its file under tests/golden/. Each gen
 invocation's instance file is compared byte for byte. Each analyze
-invocation runs on a freshly generated instance and is compared on
-everything except ``parameters.file``, the path of that temporary
-instance.
+invocation runs on a freshly generated instance, named relative to the
+working directory as the golden's ``parameters.file`` names it, and its
+report is compared byte for byte. Every search and gen and analyze
+invocation, and some verify invocations, are run again under
+``python -O``.
 
 Regenerate the files (only when a report change is intended) with
 
@@ -14,16 +16,17 @@ Regenerate the files (only when a report change is intended) with
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cubegeo.harness import dumps
 from cubegeo.harness.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 SEARCHES = {
     "search-NORINE-exhaustive-n3": ["NORINE", "exhaustive", "3"],
@@ -89,53 +92,51 @@ def _gen(name, out):
     return main(["gen", "--model", model, *rest, *SEED, "--out", str(out)])
 
 
-def _analyze(name, workdir):
+def _analyze_argv(name, out):
+    """The gen and the analyze invocation of an analyze golden, to run in
+    one working directory: the instance is named relative to it, as the
+    golden's ``parameters.file`` names it."""
     model, *rest = ANALYSES[name]
-    instance = Path(workdir) / f"{name}-instance.json"
-    out = Path(workdir) / f"{name}.json"
-    assert main(["gen", "--model", model, *rest, "--out", str(instance)]) == 0
-    return main(["analyze", "--file", str(instance), "--out", str(out)]), out
+    instance = f"{name}-instance.json"
+    return (["gen", "--model", model, *rest, "--out", instance],
+            ["analyze", "--file", instance, "--out", str(out)])
 
 
-def _without_file(raw):
-    report = json.loads(raw)
-    del report["parameters"]["file"]
-    return report
+def _check(name, code, out, stderr=""):
+    """The exit code and the bytes written must be the golden's."""
+    golden = (GOLDEN / f"{name}.json").read_bytes()
+    assert code == (0 if name.startswith("gen-") or json.loads(golden)["pass"] else 2), stderr
+    assert out.read_bytes() == golden
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_search_report_matches_golden(name, jobs, tmp_path):
     out = tmp_path / f"{name}.json"
-    code = _search(name, out, jobs)
-    golden = (GOLDEN / f"{name}.json").read_bytes()
-    assert code == (0 if json.loads(golden)["pass"] else 2)
-    assert out.read_bytes() == golden
+    _check(name, _search(name, out, jobs), out)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(VERIFIES))
 def test_verify_report_matches_golden(name, jobs, tmp_path):
     out = tmp_path / f"{name}.json"
-    code = _verify(name, out, jobs)
-    golden = (GOLDEN / f"{name}.json").read_bytes()
-    assert code == (0 if json.loads(golden)["pass"] else 2)
-    assert out.read_bytes() == golden
+    _check(name, _verify(name, out, jobs), out)
 
 
 @pytest.mark.parametrize("name", sorted(GENS))
 def test_gen_instance_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.json"
-    assert _gen(name, out) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    _check(name, _gen(name, out), out)
 
 
 @pytest.mark.parametrize("name", sorted(ANALYSES))
-def test_analyze_report_matches_golden(name, tmp_path):
-    code, out = _analyze(name, tmp_path)
-    golden = (GOLDEN / f"{name}.json").read_bytes()
-    assert code == (0 if json.loads(golden)["pass"] else 2)
-    assert _without_file(out.read_bytes()) == _without_file(golden)
+def test_analyze_report_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / f"{name}.json"
+    gen, analyze = _analyze_argv(name, out)
+    code = main(gen)
+    assert code == 0
+    _check(name, main(analyze), out)
 
 
 #: verify configurations re-run under ``python -O``, which strips asserts
@@ -147,16 +148,20 @@ OPTIMIZED = ["verify-T2-n8", "verify-T4-n10", "verify-T5-full-cube-n4",
 OPTIMIZED_SEARCHES = sorted(SEARCHES)
 
 
+def _run_optimized(argv, cwd):
+    """Run the CLI under ``python -O`` in ``cwd``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "cubegeo.harness.cli", *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+
+
 def _optimized(argv, name, tmp_path):
     """Run the CLI under ``python -O`` and compare with the golden file."""
     out = tmp_path / f"{name}.json"
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "cubegeo.harness.cli", *argv, "--out", str(out)],
-        capture_output=True, text=True,
-    )
-    golden = (GOLDEN / f"{name}.json").read_bytes()
-    assert result.returncode == (0 if json.loads(golden)["pass"] else 2), result.stderr
-    assert out.read_bytes() == golden
+    result = _run_optimized([*argv, "--out", str(out)], tmp_path)
+    _check(name, result.returncode, out, result.stderr)
 
 
 @pytest.mark.parametrize("name", OPTIMIZED)
@@ -170,6 +175,22 @@ def test_search_report_matches_golden_under_optimize(name, tmp_path):
     conjecture, mode, n, *rest = SEARCHES[name]
     _optimized(["search", "--conjecture", conjecture, "--mode", mode, "--n", n, *rest],
                name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(GENS))
+def test_gen_instance_matches_golden_under_optimize(name, tmp_path):
+    model, *rest = GENS[name]
+    _optimized(["gen", "--model", model, *rest, *SEED], name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSES))
+def test_analyze_report_matches_golden_under_optimize(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    gen, analyze = _analyze_argv(name, out)
+    result = _run_optimized(gen, tmp_path)
+    assert result.returncode == 0, result.stderr
+    result = _run_optimized(analyze, tmp_path)
+    _check(name, result.returncode, out, result.stderr)
 
 
 def test_library_has_no_assert():
@@ -226,8 +247,9 @@ if __name__ == "__main__":
     for name in GENS:
         _gen(name, GOLDEN / f"{name}.json")
     with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
         for name in ANALYSES:
-            _, out = _analyze(name, tmp)
-            report = json.loads(out.read_bytes())
-            report["parameters"]["file"] = f"{name}-instance.json"
-            (GOLDEN / f"{name}.json").write_text(dumps(report))
+            gen, analyze = _analyze_argv(name, GOLDEN / f"{name}.json")
+            if main(gen) != 0:
+                raise SystemExit(f"gen for {name} failed")
+            main(analyze)

@@ -1,0 +1,241 @@
+"""Graph files: the mask writer against the stdlib encoder, and the bulk
+reader against an item-by-item referee.
+
+The writer must give exactly the text ``json.dumps(graph_to_obj(g),
+indent=2)`` gives; the reader must return the same subgraph as
+``oracles.graph_from_obj``, or raise the same exception with the same
+message, on every mutation of a valid graph file.
+"""
+
+import copy
+import json
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubegeo.core import CubeSubgraph, induced_subgraph, make_subgraph
+from cubegeo.harness import (
+    InstanceSpec,
+    ParseError,
+    dumps,
+    generate,
+    graph_to_obj,
+    instance_to_obj,
+    obj_to_graph,
+)
+
+import oracles
+
+
+@st.composite
+def graphs(draw, max_n=8):
+    """Subgraphs of Q_n for n <= max_n: induced, edgeless, or a random
+    subset of the induced edges; the empty and the full vertex set are
+    drawn often."""
+    n = draw(st.integers(0, max_n))
+    everything = (1 << (1 << n)) - 1
+    vmask = draw(st.one_of(st.just(0), st.just(everything), st.integers(0, everything)))
+    induced = induced_subgraph(n, vmask)
+    kind = draw(st.sampled_from(["induced", "edgeless", "edge-random"]))
+    if kind == "induced":
+        return induced
+    if kind == "edgeless":
+        return CubeSubgraph(n, vmask, (0,) * n)
+    return CubeSubgraph(n, vmask, tuple(m & draw(st.integers(0, everything)) for m in induced.lo_masks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_graph_text_is_the_stdlib_encoding(g):
+    text = dumps(g)
+    assert text == json.dumps(graph_to_obj(g), indent=2) + "\n"
+    assert obj_to_graph(json.loads(text)) == g
+
+
+@pytest.mark.parametrize("kind, n", [("random-colouring", 4), ("antipodal-colouring", 3),
+                                     ("random-family", 5)])
+def test_other_instances_are_written_through_their_dicts(kind, n):
+    instance = generate(InstanceSpec(kind, n=n, seed=3, density=Fraction(1, 3)))
+    assert dumps(instance) == json.dumps(instance_to_obj(instance), indent=2) + "\n"
+
+
+def test_writing_builds_no_edge_tuples():
+    g = generate(InstanceSpec("full-cube", n=6))
+    dumps(g)
+    assert "edges" not in vars(g) and "vertices" not in vars(g)
+
+
+def _lines_run(obj):
+    """Line events in ``obj_to_graph`` and ``make_subgraph`` themselves
+    (not in the helpers they call) while reading ``obj``."""
+    watched = {obj_to_graph.__code__, make_subgraph.__code__}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code in watched else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        obj_to_graph(obj)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_reading_a_valid_file_runs_no_per_item_loop():
+    """The reader's own lines run as often for 10,240 edges as for 192."""
+    small, large = (graph_to_obj(generate(InstanceSpec("full-cube", n=n))) for n in (6, 11))
+    assert _lines_run(small) == _lines_run(large)
+
+
+#: JSON values that are not integers
+NOT_INTS = st.one_of(
+    st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+def _index(data, items):
+    return data.draw(st.integers(0, len(items) - 1))
+
+
+def _edge(data, obj):
+    """One of obj's edge items that is still an [lo, dir] pair of ints
+    with 0 <= dir < n, or None."""
+    fit = [e for e in obj["edges"]
+           if type(e) is list and len(e) == 2 and set(map(type, e)) == {int} and 0 <= e[1] < obj["n"]]
+    return data.draw(st.sampled_from(fit)) if fit else None
+
+
+def _bad_vertex_type(data, obj):
+    if obj["vertices"]:
+        obj["vertices"][_index(data, obj["vertices"])] = data.draw(NOT_INTS)
+
+
+def _bad_edge_part(data, obj):
+    edge = _edge(data, obj)
+    if edge:
+        edge[data.draw(st.integers(0, 1))] = data.draw(NOT_INTS)
+
+
+def _bad_edge_shape(data, obj):
+    item = data.draw(st.one_of(NOT_INTS, st.lists(st.integers(0, 7), max_size=4)))
+    obj["edges"].insert(data.draw(st.integers(0, len(obj["edges"]))), item)
+
+
+def _outside(data, top):
+    """An int outside 0..top - 1, the two nearest ones often."""
+    return data.draw(st.one_of(st.sampled_from([-1, top]), st.integers(max_value=-1),
+                               st.integers(min_value=top)))
+
+
+def _vertex_out_of_range(data, obj):
+    obj["vertices"].insert(data.draw(st.integers(0, len(obj["vertices"]))),
+                           _outside(data, 1 << obj["n"]))
+
+
+def _edge_out_of_range(data, obj):
+    edge = _edge(data, obj)
+    if edge and data.draw(st.booleans()):
+        edge[0] = _outside(data, 1 << obj["n"])
+    elif edge:
+        edge[1] = _outside(data, obj["n"])
+
+
+def _non_canonical(data, obj):
+    edge = _edge(data, obj)
+    if edge:
+        edge[0] |= 1 << edge[1]
+
+
+def _missing_endpoint(data, obj):
+    edge = _edge(data, obj)
+    if edge:
+        lo, dir = edge
+        gone = data.draw(st.sampled_from([lo, lo ^ (1 << dir)]))
+        obj["vertices"] = [v for v in obj["vertices"] if v != gone]
+
+
+def _duplicate(data, obj):
+    items = obj[data.draw(st.sampled_from(["vertices", "edges"]))]
+    if items:
+        items.insert(data.draw(st.integers(0, len(items))), copy.deepcopy(items[_index(data, items)]))
+
+
+def _any_edge(data, obj):
+    top = (1 << obj["n"]) + 2
+    item = [data.draw(st.integers(-2, top)), data.draw(st.integers(-1, obj["n"] + 1))]
+    obj["edges"].insert(data.draw(st.integers(0, len(obj["edges"]))), item)
+
+
+def _shuffle(data, obj):
+    obj["vertices"] = data.draw(st.permutations(obj["vertices"]))
+    obj["edges"] = data.draw(st.permutations(obj["edges"]))
+
+
+def _bad_n(data, obj):
+    obj["n"] = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=25),
+                                   st.integers(0, 24), NOT_INTS))
+
+
+def _bad_field(data, obj):
+    name = data.draw(st.sampled_from(["n", "vertices", "edges"]))
+    if data.draw(st.booleans()):
+        del obj[name]
+    else:
+        obj[name] = data.draw(st.one_of(NOT_INTS, st.integers()))
+
+
+#: Every mutation keeps the fields it reads well-formed, so that any
+#: number of them can be applied in any order; the field mutations come
+#: last.
+ITEM_MUTATIONS = [_bad_vertex_type, _bad_edge_part, _bad_edge_shape, _vertex_out_of_range,
+                  _edge_out_of_range, _non_canonical, _missing_endpoint, _duplicate, _any_edge,
+                  _shuffle]
+FIELD_MUTATIONS = [_bad_n, _bad_field]
+
+
+def _outcome(read, obj):
+    try:
+        return read(copy.deepcopy(obj))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs(max_n=6), st.data())
+def test_reader_matches_item_by_item_referee(g, data):
+    obj = graph_to_obj(g)
+    for mutate in data.draw(st.lists(st.sampled_from(ITEM_MUTATIONS), max_size=3)):
+        mutate(data, obj)
+    for mutate in data.draw(st.lists(st.sampled_from(FIELD_MUTATIONS), max_size=1)):
+        mutate(data, obj)
+    assert _outcome(obj_to_graph, obj) == _outcome(oracles.graph_from_obj, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": 2, "vertices": [0, 1], "edges": [[1, 0]]},
+    {"n": 2, "vertices": [0, 2], "edges": [[0, 1], [0, 0]]},
+    {"n": 2, "vertices": [0, True], "edges": []},
+])
+def test_analyze_of_a_malformed_graph_exits_1_with_one_line(obj, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    result = subprocess.run(
+        [sys.executable, "-m", "cubegeo.harness.cli", "analyze", "--file", str(path)],
+        capture_output=True, text=True,
+    )
+    kind, message = _outcome(oracles.graph_from_obj, obj)
+    assert kind is ParseError
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == f"cubegeo: parse error: {message}\n"
