@@ -15,17 +15,38 @@ uniform real against them 16 bits at a time, escalating on the boundary
 window, so densities like 1/5 are hit exactly rather than through a
 float threshold. ``bernoulli_mask`` makes many such draws at once, bit
 for bit the same as drawing them one by one.
+
+Long draws run word-parallel. The i-th next state is state + i*gamma
+mod 2^64, so ``_words`` puts up to ``_LANES`` of them into the 128-bit
+lanes of one int, as ``state * ONES + gamma * STEPS`` masked to the low
+64 bits of every lane, and runs each mix64 round on all lanes with one
+big-int shift, xor and multiply, masking every lane to 64 bits before
+and after the multiply. This is exact: a lane holds state + i*gamma <
+2^74 before its mask and a product of two 64-bit values after the
+multiply, both below 2^128, so no carry crosses into the next lane; the
+bits a right shift moves down from the lane above land at lane bits 97
+and up, which the mask clears before the multiply and the final gather
+(the low 8 bytes of every 16) drops. Each output is therefore the word
+``next_u64`` would have returned. A refill of at most three words keeps
+the scalar ``next_u64`` loop, which is cheaper there than building lanes.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+#: Words per block of the lane kernel: lane constants and peak memory stay
+#: fixed however many words a draw needs.
+_LANES = 512
+_ONES = int.from_bytes((b"\1" + bytes(15)) * _LANES, "little")
+_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
+_STEPS = int.from_bytes(
+    b"".join((i * _GAMMA).to_bytes(16, "little") for i in range(1, _LANES + 1)), "little"
+)
+#: A lane's bit 16 to its draw's digit: 0 means the chunk is below the cut.
+_DECIDED = bytes.maketrans(b"\0\1", b"10")
 
 
 def mix64(z: int) -> int:
@@ -34,6 +55,27 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _words(state: int, count: int) -> bytes:
+    """The next ``count`` outputs of a generator in ``state``, 8
+    little-endian bytes each, computed ``_LANES`` at a time in 128-bit
+    lanes (see the module docstring for why this is exact)."""
+    out = []
+    for start in range(0, count, _LANES):
+        lanes = min(_LANES, count - start)
+        ones, steps, low = _ONES, _STEPS, _LOW
+        if lanes < _LANES:
+            keep = (1 << 128 * lanes) - 1
+            ones, steps, low = ones & keep, steps & keep, low & keep
+        z = (state * ones + steps) & low
+        z = (z ^ z >> 30 & low) * 0xBF58476D1CE4E5B9 & low
+        z = (z ^ z >> 27 & low) * 0x94D049BB133111EB & low
+        z ^= z >> 31
+        # every other 8-byte item, copied verbatim: the low half of each lane
+        out.append(memoryview(z.to_bytes(16 * lanes, "little")).cast("Q")[::2].tobytes())
+        state = (state + lanes * _GAMMA) & _MASK
+    return b"".join(out)
 
 
 def derive(seed: int, *keys: int) -> int:
@@ -54,6 +96,15 @@ def _probability(p: Fraction) -> tuple[int, int]:
     return num, den
 
 
+def _first_chunk(raw: bytes, chunk: bytes) -> int:
+    """Index of the first 16-bit chunk of ``raw`` equal to ``chunk``, or
+    the number of chunks if there is none."""
+    at = raw.find(chunk)
+    while at > 0 and at & 1:
+        at = raw.find(chunk, at + 1)
+    return at >> 1 if at >= 0 else len(raw) >> 1
+
+
 class SplitMix64:
     """The harness RNG. 64-bit state; see the module docstring."""
 
@@ -70,7 +121,13 @@ class SplitMix64:
 
     def bits(self, k: int) -> int:
         """A uniform k-bit integer (buffered, so small draws do not burn
-        a full word each)."""
+        a full word each). A refill of more than three words comes from
+        the lane kernel, a shorter one from ``next_u64``."""
+        words = (k - self._bufbits + 63) >> 6
+        if words > 3:
+            self._buf |= int.from_bytes(_words(self.state, words), "little") << self._bufbits
+            self._bufbits += 64 * words
+            self.state = (self.state + words * _GAMMA) & _MASK
         while self._bufbits < k:
             self._buf |= self.next_u64() << self._bufbits
             self._bufbits += 64
@@ -120,10 +177,12 @@ class SplitMix64:
 
         A draw's first 16-bit chunk v decides it (True iff v < cut, where
         cut = floor(p * 2^16)) unless p * 2^16 is not an integer and v ==
-        cut. So the chunks of all draws are generated in one word loop and
-        compared at C speed; at such a boundary chunk the stream is rewound
-        to just after it, that draw is finished exactly, and the rest
-        start again from there.
+        cut. So the chunks of up to ``4 * _LANES`` draws at a time come
+        from the lane kernel, and are decided all at once: each chunk is
+        copied into a 32-bit lane of one int, 2^16 - cut is added to every
+        lane, and bit 16 of a lane is then set exactly when v >= cut. At a
+        boundary chunk the stream is rewound to just after it, that draw
+        is finished exactly, and the rest start again from there.
         """
         num, den = _probability(p)
         if num == 0 or count <= 0:
@@ -131,36 +190,50 @@ class SplitMix64:
         if num == den:
             return (1 << count) - 1
         cut, rest = divmod(num << 16, den)
-        mask = 0
+        boundary = cut.to_bytes(2, "little")
+        lift = (0x10000 - cut).to_bytes(4, "little")
+        digits = []  # per block, its draws' digits, last draw first
         done = 0
         while done < count:
-            k = count - done
-            state, buf, bufbits = self.state, self._buf, self._bufbits
-            raw = bytearray()
-            for _ in range(-(-(16 * k - bufbits) // 64)):
-                state = (state + _GAMMA) & _MASK
-                raw += mix64(state).to_bytes(8, "little")
-            stream = buf | int.from_bytes(raw, "little") << bufbits
-            chunks = array("H", (stream & ((1 << 16 * k) - 1)).to_bytes(2 * k, "little"))
-            if sys.byteorder == "big":
-                chunks.byteswap()
-            j = k
-            if rest and cut in chunks:
-                j = chunks.index(cut)
-            decided = bytes(map(cut.__gt__, chunks[:j])).translate(_BIT_CHARS)[::-1]
-            mask |= int(decided or b"0", 2) << done
+            k = min(count - done, 4 * _LANES)
+            buf, bufbits = self._buf, self._bufbits
+            words = max(0, -(-(16 * k - bufbits) // 64))
+            stream = buf | int.from_bytes(_words(self.state, words), "little") << bufbits
+            raw = (stream & ((1 << 16 * k) - 1)).to_bytes(2 * k, "little")
+            j = _first_chunk(raw, boundary) if rest else k
+            lanes = bytearray(4 * j)
+            lanes[0::4] = raw[0 : 2 * j : 2]
+            lanes[1::4] = raw[1 : 2 * j : 2]
+            lifted = int.from_bytes(lanes, "little") + int.from_bytes(lift * j, "little")
+            digits.append(lifted.to_bytes(4 * j, "big")[1::4].translate(_DECIDED))
             used = 16 * min(j + 1, k)
             words = max(0, -(-(used - bufbits) // 64))
             self.state = (self.state + words * _GAMMA) & _MASK
             self._bufbits = bufbits + 64 * words - used
             self._buf = (stream >> used) & ((1 << self._bufbits) - 1)
             if j < k:
-                mask |= self._below(rest, den) << (done + j)
-            done += j + 1
-        return mask
+                digits.append(b"1" if self._below(rest, den) else b"0")
+            done += min(j + 1, k)
+        return int(b"".join(reversed(digits)) or b"0", 2)
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates; every permutation equiprobable."""
+        """In-place Fisher-Yates; every permutation equiprobable.
+
+        Position i swaps with ``randrange(i + 1)``, drawn as in ``bits``
+        but in one loop over a local copy of the state and buffer, with
+        ``mix64`` per refill word; the state is stored back once."""
+        state, buf, bufbits = self.state, self._buf, self._bufbits
         for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            k = i.bit_length()
+            while True:
+                while bufbits < k:
+                    state = (state + _GAMMA) & _MASK
+                    buf |= mix64(state) << bufbits
+                    bufbits += 64
+                j = buf & ((1 << k) - 1)
+                buf >>= k
+                bufbits -= k
+                if j <= i:
+                    break
             seq[i], seq[j] = seq[j], seq[i]
+        self.state, self._buf, self._bufbits = state, buf, bufbits

@@ -347,6 +347,77 @@ def fisher_yates_ordering(n, rng):
     return tuple(perm)
 
 
+class SplitMix64Referee:
+    """SplitMix64 one word at a time, written from the published
+    algorithm (Steele, Lea and Flood, OOPSLA 2014: a Weyl sequence with
+    increment 0x9E3779B97F4A7C15, then the mix64 variant 13 finalizer),
+    with the library's draw rules spelled out plainly: bits are queued
+    least significant first in a list, and a Bernoulli draw narrows its
+    window 16 bits at a time. ``state``, ``buf`` and ``bufbits``
+    read like the library generator's ``state``, ``_buf`` and
+    ``_bufbits``."""
+
+    def __init__(self, seed):
+        self.state = seed % 2 ** 64
+        self.queue = []
+
+    def word(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2 ** 64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+        return z ^ (z >> 31)
+
+    @staticmethod
+    def _value(bits):
+        """The int whose bit i is bits[i]."""
+        return int("".join(map(str, reversed(bits))) or "0", 2)
+
+    @property
+    def buf(self):
+        return self._value(self.queue)
+
+    @property
+    def bufbits(self):
+        return len(self.queue)
+
+    def bits(self, k):
+        while len(self.queue) < k:
+            w = self.word()
+            self.queue.extend((w >> i) & 1 for i in range(64))
+        taken, self.queue = self.queue[:k], self.queue[k:]
+        return self._value(taken)
+
+    def randrange(self, bound):
+        k = (bound - 1).bit_length()
+        while True:
+            r = self.bits(k)
+            if r < bound:
+                return r
+
+    def bernoulli(self, p):
+        """U < p for a uniform real U read 16 bits at a time: after m
+        chunks U lies in [x, x + 1) / scale with scale = 2^(16 m), which
+        decides the draw once the window lies wholly on one side of p."""
+        if p == 0 or p == 1:
+            return p == 1
+        x, scale = 0, 1
+        while True:
+            x, scale = x * 2 ** 16 + self.bits(16), scale * 2 ** 16
+            if (x + 1) * p.denominator <= p.numerator * scale:
+                return True
+            if x * p.denominator >= p.numerator * scale:
+                return False
+
+    def bernoulli_mask(self, p, count):
+        return self._value([int(self.bernoulli(p)) for _ in range(count)])
+
+    def shuffle(self, seq):
+        for i in range(len(seq) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            seq[i], seq[j] = seq[j], seq[i]
+
+
 def chain_sweep_table(g, ordering):
     """Referee for the direction-sweep table: relax the edges of each
     direction class one by one, in increasing lo order, from pre-class

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubegeo import EdgeColouring, SetFamily, average_degree
@@ -40,6 +40,7 @@ from cubegeo.colourings import (
 from cubegeo.harness.cli import main
 from cubegeo.harness.search import _sweep
 from cubegeo.rng import SplitMix64, derive, mix64
+from oracles import SplitMix64Referee
 
 
 BERNOULLI_PROBABILITIES = [
@@ -139,6 +140,76 @@ class TestRng:
         assert derive(1, 0) != derive(1, 1) != derive(2, 1)
         assert derive(1, 2, 3) == derive(1, 2, 3)
         assert mix64(0) != mix64(1)
+
+
+def _primed(seed, pre):
+    """The library generator and the referee, both after ``bits(pre)``."""
+    rng, ref = SplitMix64(seed), SplitMix64Referee(seed)
+    assert rng.bits(pre) == ref.bits(pre)
+    return rng, ref
+
+
+def _assert_same_state(rng, ref):
+    assert (rng.state, rng._buf, rng._bufbits) == (ref.state, ref.buf, ref.bufbits)
+
+
+_SEEDS = st.integers(0, (1 << 64) - 1)
+
+
+class TestRngAgainstReferee:
+    """Every draw and the generator's whole state after it, against the
+    scalar SplitMix64 in tests/oracles.py. Draws long enough for the lane
+    kernel are included, and bits(100_000) crosses several of its blocks."""
+
+    @given(_SEEDS, st.integers(0, 64), st.lists(st.integers(0, 20_000), max_size=3))
+    @example(seed=7, pre=5, ks=[100_000, 3])
+    @settings(max_examples=60, deadline=None)
+    def test_bits(self, seed, pre, ks):
+        rng, ref = _primed(seed, pre)
+        for k in ks:
+            assert rng.bits(k) == ref.bits(k)
+            _assert_same_state(rng, ref)
+
+    @given(_SEEDS, st.integers(0, 64), st.integers(0, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_shuffle(self, seed, pre, length):
+        rng, ref = _primed(seed, pre)
+        got, want = list(range(length)), list(range(length))
+        rng.shuffle(got)
+        ref.shuffle(want)
+        assert got == want
+        _assert_same_state(rng, ref)
+
+    @given(
+        _SEEDS,
+        st.integers(0, 64),
+        st.sampled_from(BERNOULLI_PROBABILITIES) | st.fractions(0, 1, max_denominator=1 << 20),
+        st.integers(0, 5000),
+    )
+    # seed 12 meets the boundary chunk 0x3333 = floor(2^16 / 5) at draw
+    # 4146; seed 70's stream holds the bytes 33 33 straddling draws 1 and
+    # 2, which is no boundary chunk
+    @example(seed=12, pre=0, p=Fraction(1, 5), count=5000)
+    @example(seed=70, pre=0, p=Fraction(1, 5), count=300)
+    @settings(max_examples=60, deadline=None)
+    def test_bernoulli_mask(self, seed, pre, p, count):
+        rng, ref = _primed(seed, pre)
+        assert rng.bernoulli_mask(p, count) == ref.bernoulli_mask(p, count)
+        _assert_same_state(rng, ref)
+
+    @given(_SEEDS, st.integers(0, 64), st.integers(0, 2999), st.integers(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bernoulli_mask_at_the_cut(self, seed, pre, at, above):
+        """p = (v + above) / 2^16 for the chunk v of draw ``at``, so that
+        draw's chunk equals the cut (False) or lies just below it (True)."""
+        probe = SplitMix64Referee(seed)
+        probe.bits(pre + 16 * at)
+        p = Fraction(probe.bits(16) + above, 1 << 16)
+        rng, ref = _primed(seed, pre)
+        got = rng.bernoulli_mask(p, 3000)
+        assert got == ref.bernoulli_mask(p, 3000)
+        assert (got >> at) & 1 == above
+        _assert_same_state(rng, ref)
 
 
 class TestGenerate:
