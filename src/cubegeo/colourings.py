@@ -4,14 +4,13 @@ geodesics, minimum colour changes, and the constructive equivalence
 between the monochromatic-geodesic and one-change-geodesic properties.
 
 A colouring assigns a colour to every edge of Q_n. Internally it is a
-single big-int bitmask over edge positions (dir << n) | lo, bit set for
-blue, which keeps exhaustive sweeps over 2^16 colourings cheap. These
-positions are the only edge address inside this module: the antipodal
-pair table, the antipodal image, the lift to Q_{n+1}, the restriction
-and witness validation work on them, or on their 2^n-bit direction
-blocks. ``Edge`` tuples appear only at the public boundary
-(``all_edges``, ``colour_of``, ``colour_between``, ``from_pairs``,
-``pairs``, ``antipodal_edge``).
+single big-int bitmask over core's edge positions (dir << n) | lo, bit
+set for blue, which keeps exhaustive sweeps over 2^16 colourings cheap.
+The antipodal pair table, the antipodal image, the lift to Q_{n+1}, the
+restriction, witness validation and the (lo, dir, colour) triples of
+``from_pairs`` and ``pairs`` work on these positions or on their
+direction blocks. ``Edge`` tuples appear only in ``all_edges``,
+``colour_of`` and ``antipodal_edge``.
 
 The four antipodal searches share one layered search over 2^n-bit
 vertex sets, ``_antipodal_search``, with two switches: geodesic mode
@@ -36,7 +35,8 @@ from functools import lru_cache
 from math import ceil
 from typing import Iterable, Iterator
 
-from .core import CubeSubgraph, Edge, _components, _lo_pattern, _mask, antipode
+from .core import (CubeSubgraph, Edge, _blocks, _components, _edge_keys, _join, _lo_pattern, _mask,
+                   _pos, _valid_edge_mask, antipode)
 from .geodesics import GeodesicPath, increasing_geodesic_table, extract_increasing_geodesic
 from .rng import SplitMix64, derive
 
@@ -77,36 +77,9 @@ class Colour(enum.Enum):
     BLUE = "blue"
 
 
-def _blocks(mask: int, n: int, count: int) -> list[int]:
-    """The first ``count`` 2^n-bit direction blocks of an edge mask of
-    Q_n: bit lo of block d is the bit of edge (lo, d)."""
-    low = (1 << (1 << n)) - 1
-    return [(mask >> (d << n)) & low for d in range(count)]
-
-
-def _join(blocks: Iterable[int], n: int) -> int:
-    """The edge mask of Q_n whose direction block d is ``blocks[d]``."""
-    mask = 0
-    for d, block in enumerate(blocks):
-        mask |= block << (d << n)
-    return mask
-
-
-@lru_cache(maxsize=None)
-def _valid_edge_mask(n: int) -> int:
-    return _join((_lo_pattern(n, dir) for dir in range(n)), n)
-
-
-def _pos(lo: int, dir: int, n: int) -> int:
-    return (dir << n) | lo
-
-
 def all_edges(n: int) -> Iterator[Edge]:
     """All n * 2^(n-1) edges of Q_n in (lo, dir) order."""
-    for lo in range(1 << n):
-        for dir in range(n):
-            if not (lo >> dir) & 1:
-                yield Edge(lo, dir)
+    return iter(CubeSubgraph(n, (1 << (1 << n)) - 1, tuple(_blocks(_valid_edge_mask(n), n, n))).edges)
 
 
 def edge_count(n: int) -> int:
@@ -162,21 +135,21 @@ class EdgeColouring:
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int, Colour]]) -> "EdgeColouring":
         """Build from (lo, dir, colour) triples; must cover every edge
-        exactly once."""
-        blue = 0
-        seen = 0
+        exactly once. The blue mask is built once, from its positions."""
+        _check_dimension(n)
+        seen, blue = set(), []
         for lo, dir, colour in pairs:
             if not 0 <= dir < n or lo >> n or (lo >> dir) & 1:
                 raise ValueError(f"({lo}, {dir}) is not a canonical edge of Q_{n}")
-            p = 1 << _pos(lo, dir, n)
-            if seen & p:
+            p = _pos(lo, dir, n)
+            if p in seen:
                 raise ValueError(f"edge ({lo}, {dir}) coloured twice")
-            seen |= p
+            seen.add(p)
             if colour is Colour.BLUE:
-                blue |= p
-        if seen != _valid_edge_mask(n):
+                blue.append(p)
+        if len(seen) != edge_count(n):  # as many distinct edges as the cube has: all of them
             raise ValueError("colouring does not cover every edge of the cube")
-        return cls(n, blue)
+        return cls(n, _mask(blue, n << n))
 
     def colour_of(self, e: Edge) -> Colour:
         if not 0 <= e.dir < self.n or e.lo >> self.n or (e.lo >> e.dir) & 1:
@@ -195,15 +168,17 @@ class EdgeColouring:
 
     def pairs(self) -> Iterator[tuple[int, int, Colour]]:
         """(lo, dir, colour) for every edge, in (lo, dir) order."""
-        for e in all_edges(self.n):
-            yield (e.lo, e.dir, self.colour_of(e))
+        n = self.n
+        digits = format(self.blue_mask, f"0{n << n}b")[::-1]
+        colours = {"0": Colour.RED, "1": Colour.BLUE}
+        return ((p & ((1 << n) - 1), p >> n, colours[digits[p]]) for p in _edge_positions(n))
 
 
 @lru_cache(maxsize=None)
 def _edge_positions(n: int) -> tuple[int, ...]:
     """Bit position of every edge, in (lo, dir) order."""
     _check_dimension(n)
-    return tuple(_pos(e.lo, e.dir, n) for e in all_edges(n))
+    return tuple(_pos(*divmod(key, n), n) for key in _edge_keys(n, _blocks(_valid_edge_mask(n), n, n)))
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +333,7 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:
         repeated = repeated or bool(used & d)
         used |= d
         # u & v is the lo endpoint of the edge between adjacent u and v
-        pos = ((d.bit_length() - 1) << n) | (u & v)
+        pos = _pos(u & v, d.bit_length() - 1, n)
         path |= 1 << pos
         colour = (blue >> pos) & 1
         if last is not None and colour != last:
@@ -552,8 +527,7 @@ def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitnes
         value, walk = found
         simple = _loop_erase(walk)
         # u & v is the lo endpoint of the edge between adjacent u and v
-        cols = [(blue >> (((u ^ v).bit_length() - 1) << n | (u & v))) & 1
-                for u, v in zip(simple, simple[1:])]
+        cols = [(blue >> _pos(u & v, (u ^ v).bit_length() - 1, n)) & 1 for u, v in zip(simple, simple[1:])]
         changes = sum(1 for a, b in zip(cols, cols[1:]) if a != b)
         if changes != value:
             raise RuntimeError(f"loop erasure gave {changes} changes, not the optimum {value}")

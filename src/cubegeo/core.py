@@ -6,6 +6,11 @@ that differ in exactly one coordinate, and its direction is that
 coordinate's index. Everything here is 0-based, including all serialized
 formats.
 
+Subgraphs, colourings and the generators share the edge address and
+edge order kept here: edge (lo, dir) is bit ``(dir << n) | lo`` of an
+edge mask, whose 2^n-bit block d holds the lo endpoints of direction d,
+and ``_edge_keys`` lists edges in (lo, dir) order.
+
 All values are immutable after construction and safe to share across
 concurrent workers.
 """
@@ -96,6 +101,38 @@ def _mask(positions: Iterable[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _pos(lo: int, dir: int, n: int) -> int:
+    return (dir << n) | lo
+
+
+def _blocks(mask: int, n: int, count: int) -> list[int]:
+    """The first ``count`` 2^n-bit direction blocks of an edge mask of
+    Q_n: bit lo of block d is the bit of edge (lo, d)."""
+    low = (1 << (1 << n)) - 1
+    return [(mask >> (d << n)) & low for d in range(count)]
+
+
+def _join(blocks: Iterable[int], n: int) -> int:
+    """The edge mask of Q_n whose direction block d is ``blocks[d]``."""
+    mask = 0
+    for d, block in enumerate(blocks):
+        mask |= block << (d << n)
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _valid_edge_mask(n: int) -> int:
+    return _join((_lo_pattern(n, dir) for dir in range(n)), n)
+
+
+def _edge_keys(n: int, lo_masks: Iterable[int]) -> list[int]:
+    """``lo * n + dir`` of the edges (lo, dir) in ``lo_masks``, ascending,
+    which is (lo, dir) order; ``divmod(key, n)`` gives back (lo, dir)."""
+    return sorted(chain.from_iterable(
+        map(add, map(mul, _bits(m), repeat(n)), repeat(dir)) for dir, m in enumerate(lo_masks)
+    ))
+
+
 def _components(n: int, lomasks: Sequence[int]) -> list[int]:
     """Connected components (as vertex bitsets over all 2^n vertices) of
     the subgraph whose direction-d edges have lo endpoints in
@@ -144,16 +181,8 @@ class CubeSubgraph:
     def edges(self) -> tuple[Edge, ...]:
         """Canonical edges sorted by (lo, dir)."""
         # tuple.__new__(Edge, (lo, dir)) builds each Edge at C speed
-        return tuple(map(tuple.__new__, repeat(Edge), map(divmod, self.edge_keys(), repeat(self.n))))
-
-    def edge_keys(self) -> list[int]:
-        """``lo * n + dir`` of every edge, ascending, which is (lo, dir)
-        order; ``divmod(key, n)`` gives back (lo, dir). Built from the
-        masks at C speed, with no ``Edge`` tuples."""
-        n = self.n
-        return sorted(chain.from_iterable(
-            map(add, map(mul, _bits(m), repeat(n)), repeat(dir)) for dir, m in enumerate(self.lo_masks)
-        ))
+        keys = _edge_keys(self.n, self.lo_masks)
+        return tuple(map(tuple.__new__, repeat(Edge), map(divmod, keys, repeat(self.n))))
 
     @property
     def edge_count(self) -> int:
@@ -200,8 +229,7 @@ def make_subgraph(
     dirs = list(map(itemgetter(1), edges))
     if min(dirs) >= 0 and max(dirs) < n and min(los) >= 0 and max(los) < size:
         every = _mask(map(or_, map(lshift, dirs, repeat(n)), los), n << n)
-        full = (1 << size) - 1
-        lo_masks = tuple((every >> (d << n)) & full for d in range(n))
+        lo_masks = tuple(_blocks(every, n, n))
         if not any(m & ~(vmask & (vmask >> (1 << d)) & _lo_pattern(n, d))
                    for d, m in enumerate(lo_masks)):
             return CubeSubgraph(n, vmask, lo_masks)

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ..core import CubeSubgraph, _bits, _check_dimension, _lo_pattern, _mask, induced_subgraph
-from ..colourings import random_antipodal_colouring, random_colouring, all_edges
+from ..core import (CubeSubgraph, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask, _pos,
+                    _valid_edge_mask, induced_subgraph)
+from ..colourings import random_antipodal_colouring, random_colouring
 from ..rng import SplitMix64, derive
 from ..setfamilies import SetFamily, UniformFamily, is_t_intersecting
 
@@ -89,7 +90,7 @@ def generate(spec: InstanceSpec):
         return serialize.load_instance(_need(spec, "path"))
 
     n = spec.n
-    if spec.kind in GRAPH_KINDS:
+    if spec.kind in GRAPH_KINDS or spec.kind == "random-family":
         _check_dimension(n)  # before any 2^n-bit mask is built
     if spec.kind == "full-cube":
         return induced_subgraph(n, (1 << (1 << n)) - 1)
@@ -102,10 +103,11 @@ def generate(spec: InstanceSpec):
     if spec.kind == "edge-random":
         density = Fraction(_need(spec, "density"))
         rng = SplitMix64(derive(spec.seed))
-        edges = list(all_edges(n))
-        picked = [edges[i] for i in _bits(rng.bernoulli_mask(density, len(edges)))]
-        lo_masks = tuple(_mask((e.lo for e in picked if e.dir == d), 1 << n) for d in range(n))
-        vmask = _mask((v for e in picked for v in e.endpoints()), 1 << n)
+        # bit i of the draw picks the i-th edge in (lo, dir) order
+        keys = _edge_keys(n, _blocks(_valid_edge_mask(n), n, n))
+        picked = [divmod(keys[i], n) for i in _bits(rng.bernoulli_mask(density, len(keys)))]
+        lo_masks = tuple(_blocks(_mask((_pos(lo, dir, n) for lo, dir in picked), n << n), n, n))
+        vmask = _mask((v for lo, dir in picked for v in (lo, lo | 1 << dir)), 1 << n)
         return CubeSubgraph(n, vmask or 1, lo_masks)
 
     if spec.kind == "hamming-ball":

@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from typing import Any
 
 from ..colourings import Colour, EdgeColouring
-from ..core import CubeSubgraph, Edge, _bits, make_subgraph
+from ..core import CubeSubgraph, Edge, _bits, _edge_keys, make_subgraph
 from ..setfamilies import SetFamily
 
 __all__ = [
@@ -196,7 +196,7 @@ def _graph_text(g: CubeSubgraph) -> str:
     """The text ``dumps(graph_to_obj(g))`` gives, written from the masks:
     no ``Edge`` tuples and no per-edge lists."""
     vertices = list(map(str, _bits(g.vertex_mask)))
-    edges = list(map(_EDGE_TEXT.__mod__, map(divmod, g.edge_keys(), repeat(g.n))))
+    edges = list(map(_EDGE_TEXT.__mod__, map(divmod, _edge_keys(g.n, g.lo_masks), repeat(g.n))))
     return _GRAPH_TEXT % (g.n, _json_list(vertices), _json_list(edges))
 
 

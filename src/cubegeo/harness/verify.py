@@ -26,7 +26,7 @@ them in index order and are byte-identical to serial runs.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import ceil, factorial
 from typing import Callable, NamedTuple, Sequence
@@ -44,10 +44,10 @@ from ..rng import SplitMix64
 from ..setfamilies import (
     SetFamily,
     UniformFamily,
-    _katona_slack,
     compress_element,
     full_compress,
     is_downset,
+    iterated_shadow,
     level_profile,
 )
 from .generators import (
@@ -101,7 +101,8 @@ def default_template(theorem: str, n: int | None = None) -> InstanceSpec:
 
 def _spec_obj(spec: InstanceSpec) -> dict:
     obj = {"kind": spec.kind, "n": spec.n}
-    for name in ("density", "radius", "centre", "subdim", "copies", "k", "t", "size", "path"):
+    names = [f.name for f in fields(spec)]
+    for name in names[names.index("seed") + 1:]:
         value = getattr(spec, name)
         if value is not None and not (name == "centre" and value == 0):
             obj[name] = str(value) if isinstance(value, Fraction) else value
@@ -215,7 +216,8 @@ def _comp_record(fam) -> dict:
 
 
 def _kat_record(fam, t: int) -> dict:
-    slack = _katona_slack(fam, t)
+    # KAT takes only generated families, which are checked t-intersecting
+    slack = len(iterated_shadow(fam, t)) - len(fam)
     return {
         "members": len(fam),
         "k": fam.k,

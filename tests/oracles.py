@@ -7,10 +7,11 @@ enumeration and simple-path DFS, nothing clever.
 from fractions import Fraction
 from itertools import combinations
 
-from cubegeo.colourings import Colour, EdgeColouring
+from cubegeo.colourings import MAX_COLOURING_DIMENSION, Colour, EdgeColouring
 from cubegeo.core import MAX_DIMENSION, CubeSubgraph, Edge
 from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N, GeodesicPath, _check_oracle_cap
 from cubegeo.harness.serialize import ParseError
+from cubegeo.rng import derive
 
 
 def induced_edge_pairs(n, vertices):
@@ -335,6 +336,51 @@ def path_edge_positions(n, vertices):
         (d,) = [d for d in range(n) if (u >> d) & 1 != (v >> d) & 1]
         positions.add(d * 2 ** n + min(u, v))
     return positions
+
+
+def colouring_pairs(c):
+    """Referee for ``EdgeColouring.pairs``: (lo, dir, colour) for every
+    edge in (lo, dir) order, each colour read by its own shift of the
+    mask."""
+    n = c.n
+    return [(lo, d, Colour.BLUE if (c.blue_mask >> (d * 2 ** n + lo)) & 1 else Colour.RED)
+            for lo, d in _canonical_edges(n)]
+
+
+def colouring_from_pairs(n, pairs):
+    """Referee for ``EdgeColouring.from_pairs``: the dimension, then one
+    triple at a time in input order, with its messages; the coloured and
+    the blue edges are kept as sets of (lo, dir)."""
+    if not 1 <= n <= MAX_COLOURING_DIMENSION:
+        raise ValueError(f"colouring dimension {n} outside 1..{MAX_COLOURING_DIMENSION}")
+    edges = set(_canonical_edges(n))
+    seen, blue = set(), set()
+    for lo, d, colour in pairs:
+        if (lo, d) not in edges:
+            raise ValueError(f"({lo}, {d}) is not a canonical edge of Q_{n}")
+        if (lo, d) in seen:
+            raise ValueError(f"edge ({lo}, {d}) coloured twice")
+        seen.add((lo, d))
+        if colour is Colour.BLUE:
+            blue.add((lo, d))
+    if seen != edges:
+        raise ValueError("colouring does not cover every edge of the cube")
+    return EdgeColouring(n, sum(1 << (d * 2 ** n + lo) for lo, d in blue))
+
+
+def edge_random_graph(n, density, seed):
+    """Referee for the edge-random model: bit i of the seed's Bernoulli
+    draw picks the i-th edge in (lo, dir) order, and the graph is built
+    one picked edge at a time; a draw that picks nothing gives the
+    vertex 0 alone."""
+    edges = _canonical_edges(n)
+    drawn = SplitMix64Referee(derive(seed)).bernoulli_mask(Fraction(density), len(edges))
+    vertices, lo_masks = set(), [0] * n
+    for i, (lo, d) in enumerate(edges):
+        if (drawn >> i) & 1:
+            vertices.update((lo, lo + 2 ** d))
+            lo_masks[d] |= 1 << lo
+    return CubeSubgraph(n, sum(1 << v for v in vertices) or 1, tuple(lo_masks))
 
 
 def fisher_yates_ordering(n, rng):

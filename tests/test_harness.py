@@ -40,7 +40,7 @@ from cubegeo.colourings import (
 from cubegeo.harness.cli import main
 from cubegeo.harness.search import _sweep
 from cubegeo.rng import SplitMix64, derive, mix64
-from oracles import SplitMix64Referee
+from oracles import SplitMix64Referee, edge_random_graph
 
 
 BERNOULLI_PROBABILITIES = [
@@ -226,7 +226,8 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(InstanceSpec("disjoint-cubes", n=3, subdim=2, copies=3))
 
-    @pytest.mark.parametrize("kind", ["full-cube", "induced-random", "edge-random", "disjoint-cubes"])
+    @pytest.mark.parametrize("kind", ["full-cube", "induced-random", "edge-random", "disjoint-cubes",
+                                      "random-family"])
     def test_graph_dimension_checked_before_any_mask(self, kind):
         spec = InstanceSpec(kind, n=40, density=Fraction(1, 2), subdim=1, copies=1)
         with pytest.raises(ValueError, match="dimension 40 outside"):
@@ -240,6 +241,12 @@ class TestGenerate:
         spec = InstanceSpec("induced-random", n=6, density=Fraction(1, 2), seed=5)
         assert generate(spec) == generate(spec)
         assert generate(spec) != generate(spec.with_seed(6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 7), st.integers(0, 2**64 - 1), st.fractions(0, 1, max_denominator=12))
+    def test_edge_random_matches_edge_by_edge_referee(self, n, seed, density):
+        spec = InstanceSpec("edge-random", n=n, seed=seed, density=density)
+        assert generate(spec) == edge_random_graph(n, density, seed)
 
     def test_edge_random_never_empty(self):
         g = generate(InstanceSpec("edge-random", n=4, density=Fraction(0), seed=1))
@@ -743,6 +750,14 @@ class TestCli:
              "colouring dimension -1 outside 1..16"),
             ({}, ["verify", "--theorem", "COR", "--n", "-3"],
              "colouring dimension -3 outside 1..16"),
+            ({}, ["gen", "--model", "random-family", "--n", "-1"],
+             "dimension -1 outside supported range 0..24"),
+            ({}, ["gen", "--model", "random-family", "--n", "25"],
+             "dimension 25 outside supported range 0..24"),
+            ({}, ["verify", "--theorem", "COMP", "--n", "-1"],
+             "dimension -1 outside supported range 0..24"),
+            ({}, ["verify", "--theorem", "COMP", "--n", "25"],
+             "dimension 25 outside supported range 0..24"),
         ],
     )
     def test_bad_counts_exit_1_with_one_line(self, tmp_path, env, argv, message):

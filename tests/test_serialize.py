@@ -1,10 +1,14 @@
-"""Graph files: the mask writer against the stdlib encoder, and the bulk
-reader against an item-by-item referee.
+"""Instance files: the graph mask writer against the stdlib encoder, the
+graph and colouring readers against item-by-item referees, and a fuzz
+of the colouring and family readers.
 
 The writer must give exactly the text ``json.dumps(graph_to_obj(g),
-indent=2)`` gives; the reader must return the same subgraph as
+indent=2)`` gives; the graph reader must return the same subgraph as
 ``oracles.graph_from_obj``, or raise the same exception with the same
-message, on every mutation of a valid graph file.
+message, on every mutation of a valid graph file, and the colouring
+codec must agree with ``oracles.colouring_pairs`` and
+``oracles.colouring_from_pairs`` in the same way. Any JSON value must
+read as a valid instance or raise ``ParseError``.
 """
 
 import copy
@@ -17,16 +21,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubegeo.colourings import Colour, EdgeColouring
 from cubegeo.core import CubeSubgraph, induced_subgraph, make_subgraph
 from cubegeo.harness import (
     InstanceSpec,
     ParseError,
+    colouring_to_obj,
     dumps,
+    family_to_obj,
     generate,
     graph_to_obj,
     instance_to_obj,
+    obj_to_colouring,
+    obj_to_family,
     obj_to_graph,
 )
+from cubegeo.harness.serialize import obj_to_instance
 
 import oracles
 
@@ -239,3 +249,87 @@ def test_analyze_of_a_malformed_graph_exits_1_with_one_line(obj, tmp_path):
     assert kind is ParseError
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr == f"cubegeo: parse error: {message}\n"
+
+
+@st.composite
+def colourings(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    everything = EdgeColouring.constant(n, Colour.BLUE).blue_mask
+    mask = draw(st.one_of(st.just(0), st.just(everything), st.integers(0, everything)))
+    return EdgeColouring(n, mask & everything)
+
+
+def _mutate_pairs(data, n, pairs):
+    """One of: drop a triple, repeat one, move one to an arbitrary
+    (lo, dir), or shuffle them all."""
+    if not pairs:
+        return
+    kind = data.draw(st.sampled_from(["drop", "repeat", "move", "shuffle"]))
+    i = _index(data, pairs)
+    if kind == "drop":
+        del pairs[i]
+    elif kind == "repeat":
+        pairs.insert(data.draw(st.integers(0, len(pairs))), pairs[i])
+    elif kind == "move":
+        pairs[i] = (data.draw(st.integers(-2, 1 << (n + 1))), data.draw(st.integers(-2, n + 1)), pairs[i][2])
+    else:
+        pairs[:] = data.draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colourings(), st.data())
+def test_colouring_codec_matches_item_by_item_referee(c, data):
+    pairs = oracles.colouring_pairs(c)
+    assert list(c.pairs()) == pairs
+    obj = colouring_to_obj(c)
+    assert obj == {"n": c.n, "pairs": [[lo, d, colour.value] for lo, d, colour in pairs]}
+    assert obj_to_colouring(obj) == EdgeColouring.from_pairs(c.n, c.pairs()) == c
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate_pairs(data, c.n, pairs)
+    n = data.draw(st.one_of(st.just(c.n), st.integers(-2, 18), st.integers()))
+    assert (_outcome(lambda p: EdgeColouring.from_pairs(n, p), pairs)
+            == _outcome(lambda p: oracles.colouring_from_pairs(n, p), pairs))
+
+
+#: Any JSON value, nested a little
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+_TRIPLES = st.lists(st.one_of(
+    JSON,
+    st.tuples(st.integers(-2, 40), st.integers(-2, 6), st.sampled_from(["red", "blue", "green"])).map(list),
+), max_size=8)
+_FIELDS = {
+    "n": st.one_of(st.integers(-2, 18), st.just(1 << 64), st.integers(), JSON),
+    "pairs": st.one_of(_TRIPLES, JSON),
+    "sets": st.one_of(st.lists(st.one_of(st.integers(-2, 300), st.integers(), JSON), max_size=8), JSON),
+}
+
+
+@st.composite
+def instance_objs(draw, fields):
+    """A dict with each of ``fields`` present or not, holding a value of
+    roughly the right shape or any JSON value, plus stray keys."""
+    obj = draw(st.dictionaries(st.text(max_size=3), JSON, max_size=2))
+    for name in fields:
+        if draw(st.integers(0, 5)):
+            obj[name] = draw(_FIELDS[name])
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just((obj_to_colouring, colouring_to_obj)), instance_objs(["n", "pairs"])),
+    st.tuples(st.just((obj_to_family, family_to_obj)), instance_objs(["n", "sets"])),
+    st.tuples(st.just((obj_to_instance, instance_to_obj)), JSON),
+))
+def test_any_json_reads_as_an_instance_or_a_parse_error(case):
+    (read, write), obj = case
+    try:
+        instance = read(copy.deepcopy(obj))
+    except ParseError:
+        return
+    assert read(write(instance)) == instance
