@@ -16,7 +16,7 @@ The four antipodal searches share one layered search over 2^n-bit
 vertex sets, ``_antipodal_search``, with two switches: geodesic mode
 steps only away from the start, and a budget bounds the colour changes
 (0 for monochromatic paths and geodesics, 1 for one-change geodesics,
-none for the minimum, whose walk witness is then loop-erased).
+none for the minimum).
 
 ``antipodal_colouring_from_index`` and ``colouring_from_index`` number
 the antipodal and the general colourings of Q_n, so exhaustive sweeps
@@ -298,7 +298,7 @@ def colouring_from_index(n: int, index: int) -> EdgeColouring:
 class AntipodalWitness:
     """A path between antipodal vertices together with what it certifies:
     'mono-path' (all one colour), 'mono-geodesic', 'one-change-geodesic'
-    (geodesics of length n), or a generic 'path' carrying its exact
+    (geodesics of length n), or a simple 'path' carrying its exact
     colour-change count."""
 
     kind: str
@@ -349,6 +349,8 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:
         if changes > limit:
             raise ValueError(f"{w.kind} witness changes colour {changes} times")
     elif w.kind == "path":
+        if len(set(verts)) != len(verts):
+            raise ValueError("path witness repeats a vertex")
         if changes != w.change_count:
             raise ValueError(
                 f"witness records {w.change_count} changes but has {changes}"
@@ -449,9 +451,12 @@ _SWITCHES = {"mono-path": (False, 0), "mono-geodesic": (True, 0), "one-change-ge
 
 def _first_antipodal(c: EdgeColouring, kind: str):
     """The witness for the first x, ascending, joined to its antipode
-    within the change budget."""
+    within the change budget. Geodesic searches refuse n above
+    SEARCH_MAX_N."""
     n = c.n
     geodesic, budget = _SWITCHES[kind]
+    if geodesic and n > SEARCH_MAX_N:
+        raise ValueError(f"n={n} exceeds the subset-search cap {SEARCH_MAX_N}")
     classes = _colour_lomasks(c)
     for x in range(1 << (n - 1)):
         found = _antipodal_search(n, classes, x, geodesic, budget)
@@ -475,31 +480,13 @@ def find_monochromatic_antipodal_geodesic(c: EdgeColouring):
     steps away from x in one colour decides it; reaching the antipode
     means all n directions were used once.
     """
-    if c.n > SEARCH_MAX_N:
-        raise ValueError(f"n={c.n} exceeds the subset-search cap {SEARCH_MAX_N}")
     return _first_antipodal(c, "mono-geodesic")
 
 
 def find_one_change_antipodal_geodesic(c: EdgeColouring):
     """Search for a geodesic between antipodal vertices with at most one
     colour change: reachability away from x with a change budget of one."""
-    if c.n > SEARCH_MAX_N:
-        raise ValueError(f"n={c.n} exceeds the subset-search cap {SEARCH_MAX_N}")
     return _first_antipodal(c, "one-change-geodesic")
-
-
-def _loop_erase(verts: tuple[int, ...]) -> list[int]:
-    out: list[int] = []
-    seen: dict[int, int] = {}
-    for v in verts:
-        if v in seen:
-            for u in out[seen[v] + 1 :]:
-                del seen[u]
-            del out[seen[v] + 1 :]
-        else:
-            seen[v] = len(out)
-            out.append(v)
-    return out
 
 
 def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitness]:
@@ -507,15 +494,15 @@ def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitnes
     path joining the pair, with a witness for the first pair (x
     ascending) that attains it.
 
-    The layered search optimizes over walks; erasing a loop from a walk
-    never increases its change count, so the walk minimum equals the
-    path minimum and the returned witness is loop-erased to a simple path
-    achieving exactly the optimum. After the first x, each x is searched
-    only for fewer changes than the best so far.
+    The layered search optimizes over walks, but the walk it rebuilds is
+    a simple path: level k of a colour starts from every vertex the
+    levels before it reached, so each segment steps only onto vertices
+    new to the walk. The walk minimum is therefore the path minimum, and
+    the witness is validated as a path before it is returned. After the
+    first x, each x is searched only for fewer changes than the best so
+    far.
     """
     n = c.n
-    mask = (1 << n) - 1
-    blue = c.blue_mask
     classes = _colour_lomasks(c)
     best: tuple[int, AntipodalWitness] | None = None
     for x in range(1 << (n - 1)):
@@ -525,15 +512,10 @@ def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitnes
                 raise RuntimeError("Q_n is connected, yet the antipode was not reached")
             continue
         value, walk = found
-        simple = _loop_erase(walk)
-        # u & v is the lo endpoint of the edge between adjacent u and v
-        cols = [(blue >> _pos(u & v, (u ^ v).bit_length() - 1, n)) & 1 for u, v in zip(simple, simple[1:])]
-        changes = sum(1 for a, b in zip(cols, cols[1:]) if a != b)
-        if changes != value:
-            raise RuntimeError(f"loop erasure gave {changes} changes, not the optimum {value}")
-        best = (value, AntipodalWitness("path", tuple(simple), (x, x ^ mask), changes))
+        best = (value, AntipodalWitness("path", walk, (x, x ^ ((1 << n) - 1)), value))
         if value == 0:
             break
+    validate_witness(best[1], c)
     return best
 
 

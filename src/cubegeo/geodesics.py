@@ -393,11 +393,11 @@ def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
     return path
 
 
-def _check_oracle_cap(g: CubeSubgraph, max_n: int, max_edges: int) -> None:
-    if g.n > max_n and g.edge_count > max_edges:
+def _check_oracle_cap(g: CubeSubgraph) -> None:
+    if g.n > ORACLE_MAX_N and g.edge_count > ORACLE_MAX_EDGES:
         raise ValueError(
             f"instance (n={g.n}, |E|={g.edge_count}) exceeds the oracle cap "
-            f"(n <= {max_n} or |E| <= {max_edges})"
+            f"(n <= {ORACLE_MAX_N} or |E| <= {ORACLE_MAX_EDGES})"
         )
 
 
@@ -459,7 +459,7 @@ def enumerate_geodesics_of_length(g: CubeSubgraph, d: int, witnesses: bool = Fal
     """
     if d < 1:
         raise ValueError("geodesic length must be at least 1")
-    _check_oracle_cap(g, ORACLE_MAX_N, ORACLE_MAX_EDGES)
+    _check_oracle_cap(g)
     found: set[GeodesicPath] | None = set() if witnesses else None
     directed = _count_paths(g, d, range(g.n), False, found)
     if directed % 2:

@@ -21,19 +21,11 @@ import sys
 from fractions import Fraction
 
 from ..core import CubeSubgraph, average_degree
-from ..colourings import (
-    EdgeColouring,
-    edge_count,
-    find_monochromatic_antipodal_geodesic,
-    find_monochromatic_antipodal_path,
-    find_one_change_antipodal_geodesic,
-    is_antipodal,
-    min_colour_changes_antipodal,
-)
+from ..colourings import EdgeColouring, edge_count, is_antipodal, min_colour_changes_antipodal
 from ..geodesics import greedy_geodesic
 from ..setfamilies import SetFamily, feder_subi_intersecting_check, is_downset, level_profile
 from .generators import GRAPH_KINDS, COLOURING_KINDS, FAMILY_KINDS, InstanceSpec, generate
-from .search import CONJECTURES, run_search
+from .search import _SPACES, CONJECTURES, run_search
 from .serialize import Report, ParseError, dumps, load_instance, save_json
 from .verify import _THEOREMS, THEOREMS, _full_compression, default_template, run_verify
 
@@ -205,14 +197,8 @@ def _analyze_colouring(c: EdgeColouring) -> tuple[dict, bool]:
         info["min_colour_changes"] = value
     else:
         info["min_colour_changes"] = None
-    if n <= _ANALYZE_SEARCH_MAX_N:
-        info["mono_antipodal_path"] = find_monochromatic_antipodal_path(c) is not None
-        info["mono_antipodal_geodesic"] = find_monochromatic_antipodal_geodesic(c) is not None
-        info["one_change_antipodal_geodesic"] = find_one_change_antipodal_geodesic(c) is not None
-    else:
-        info["mono_antipodal_path"] = None
-        info["mono_antipodal_geodesic"] = None
-        info["one_change_antipodal_geodesic"] = None
+    for space in _SPACES.values():
+        info[space.key] = space.check(c) is not None if n <= _ANALYZE_SEARCH_MAX_N else None
     return info, cor["ok"]
 
 

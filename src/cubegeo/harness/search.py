@@ -8,11 +8,11 @@
           most once
 
 One table, ``_SPACES``, gives each conjecture its space (antipodal
-colourings for NORINE/A, all colourings for B) and its exhaustive cap
-(n = 4 resp. n = 3). Work is blocked by colouring index
-(``generators.block_size``); blocks merge in order, so the report is
-identical for any --jobs value. The sweep halts at the first
-counterexample and embeds the colouring.
+colourings for NORINE/A, all colourings for B), its exhaustive cap
+(n = 4 resp. n = 3), its checker and its key in ``analyze`` reports.
+Work is blocked by colouring index (``generators.block_size``); blocks
+merge in order, so the report is identical for any --jobs value. The
+sweep halts at the first counterexample and embeds the colouring.
 
 Exhaustive mode builds every colouring of the space from its index,
 sample mode ``budget`` seeded colourings. Both run one sweep per block:
@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import closing
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from ..colourings import (
     _check_dimension,
@@ -49,13 +50,22 @@ from .serialize import Report, colouring_to_obj
 
 __all__ = ["CONJECTURES", "run_search"]
 
-#: The one conjecture table: conjecture -> (searches antipodal colourings
-#: only?, exhaustive cap). Exhaustive spaces stay enumerable up to the
+
+class _Space(NamedTuple):
+    antipodal: bool  # searches antipodal colourings only?
+    cap: int  # largest n of exhaustive mode
+    check: Callable  # colouring -> witness, or None for a counterexample
+    key: str  # analyze's report key for the checker's verdict
+
+
+#: The one conjecture table. Exhaustive spaces stay enumerable up to the
 #: cap: 2^16 antipodal colourings at n = 4, 2^12 colourings at n = 3.
+#: Each check lambda looks its checker up when called, so a wrapped or
+#: patched module name is the one that runs.
 _SPACES = {
-    "NORINE": (True, 4),
-    "A": (True, 4),
-    "B": (False, 3),
+    "NORINE": _Space(True, 4, lambda c: find_monochromatic_antipodal_path(c), "mono_antipodal_path"),
+    "A": _Space(True, 4, lambda c: find_monochromatic_antipodal_geodesic(c), "mono_antipodal_geodesic"),
+    "B": _Space(False, 3, lambda c: find_one_change_antipodal_geodesic(c), "one_change_antipodal_geodesic"),
 }
 
 CONJECTURES = tuple(_SPACES)
@@ -66,18 +76,14 @@ def _search_block(params: tuple) -> dict:
     first counterexample. Returns mergeable per-block results: ``kinds``
     counts witness kinds, ``changes`` the minimum-colour-change values."""
     conjecture, mode, n, seed, start, stop, collect_changes = params
-    antipodal = _SPACES[conjecture][0]
-    # Names are looked up on every call, never stored at import, so a wrapped name runs.
-    check = {"NORINE": find_monochromatic_antipodal_path,
-             "A": find_monochromatic_antipodal_geodesic,
-             "B": find_one_change_antipodal_geodesic}[conjecture]
+    space = _SPACES[conjecture]
     if mode == "exhaustive":
-        build = antipodal_colouring_from_index if antipodal else colouring_from_index
+        build = antipodal_colouring_from_index if space.antipodal else colouring_from_index
         keys = range(start, stop)
     else:
-        build = random_antipodal_colouring if antipodal else random_colouring
+        build = random_antipodal_colouring if space.antipodal else random_colouring
         keys = (subseed(seed, i) for i in range(start, stop))
-    sweep = _sweep(check, build, n, keys)
+    sweep = _sweep(space.check, build, n, keys)
     checked = 0
     fail = None
     kinds: dict[str, int] = {}
@@ -139,15 +145,15 @@ def run_search(
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sample'")
     _check_dimension(n)
-    antipodal, cap = _SPACES[conjecture]
+    space = _SPACES[conjecture]
     if mode == "exhaustive":
-        if n > cap:
-            space_kind = "antipodal colourings" if antipodal else "colourings"
+        if n > space.cap:
+            space_kind = "antipodal colourings" if space.antipodal else "colourings"
             raise ValueError(
-                f"exhaustive search over {space_kind} is capped at n <= {cap}; "
+                f"exhaustive search over {space_kind} is capped at n <= {space.cap}; "
                 f"n={n} needs sample mode"
             )
-        total = 1 << (antipodal_pair_count(n) if antipodal else edge_count(n))
+        total = 1 << (antipodal_pair_count(n) if space.antipodal else edge_count(n))
         collect_changes = n <= 3
     else:
         if budget is None or budget < 1:

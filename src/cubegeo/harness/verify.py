@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import ceil, factorial
 from typing import Callable, NamedTuple, Sequence
 
-from ..core import CubeSubgraph, average_degree, induced_subgraph, max_hamming_pair
+from ..core import CubeSubgraph, _check_dimension, average_degree, induced_subgraph, max_hamming_pair
 from ..colourings import EdgeColouring, monochromatic_half_geodesic
 from ..geodesics import (
     count_increasing_geodesics,
@@ -180,7 +180,8 @@ def _full_compression(fam) -> tuple[SetFamily, int, CubeSubgraph, bool]:
     """The full compression of fam, its total popcount, its induced
     subgraph, and whether it is a downset of fam's size whose total
     popcount equals both its induced edge count and its level-weighted
-    size."""
+    size. Checks fam's dimension first: full compression loops over it."""
+    _check_dimension(fam.n)
     fc = full_compress(fam)
     popsum = sum(a.bit_count() for a in fc.sets)
     g = induced_subgraph(fam.n, fc.sets)

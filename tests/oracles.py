@@ -9,7 +9,7 @@ from itertools import combinations
 
 from cubegeo.colourings import MAX_COLOURING_DIMENSION, Colour, EdgeColouring
 from cubegeo.core import MAX_DIMENSION, CubeSubgraph, Edge
-from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N, GeodesicPath, _check_oracle_cap
+from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N, GeodesicPath
 from cubegeo.harness.serialize import ParseError
 from cubegeo.rng import derive
 
@@ -92,10 +92,11 @@ def longest_geodesic_length(g):
 def brute_force_longest_geodesic(g, max_n=ORACLE_MAX_N, max_edges=ORACLE_MAX_EDGES):
     """Exact maximum-length geodesic by memoized DFS over simple paths
     with a used-direction bitmask. Exponential in principle; guarded by
-    the library's cap (n <= max_n or |E| <= max_edges)."""
+    a cap (n <= max_n or |E| <= max_edges), by default the library's."""
     if not g.vertices:
         raise ValueError("empty graph has no geodesics")
-    _check_oracle_cap(g, max_n, max_edges)
+    if g.n > max_n and g.edge_count > max_edges:
+        raise ValueError(f"instance (n={g.n}, |E|={g.edge_count}) exceeds the cap")
     adj = adjacency(g)
     memo = {}
 

@@ -464,6 +464,35 @@ class TestSearchKernel:
                 validate_witness(AntipodalWitness("path", verts, (x, y), changes), c)
                 assert len(verts) == 4
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_walk_is_a_simple_path_with_its_change_count(self, data):
+        """The walk rebuilt from the levels never revisits a vertex, in
+        either mode and under any budget, so the minimum statistic
+        returns its walk as a path witness."""
+        n = data.draw(st.integers(2, 5))
+        everything = EdgeColouring.constant(n, BLUE).blue_mask
+        c = data.draw(st.one_of(
+            st.builds(lambda m: EdgeColouring(n, m & everything), st.integers(0, everything)),
+            st.builds(lambda i: antipodal_colouring_from_index(n, i),
+                      st.integers(0, (1 << antipodal_pair_count(n)) - 1)),
+        ))
+        x = data.draw(st.integers(0, (1 << n) - 1))
+        geodesic = data.draw(st.booleans())
+        budget = data.draw(st.one_of(st.none(), st.integers(0, n)))
+        found = _antipodal_search(n, _colour_lomasks(c), x, geodesic, budget)
+        if found is None:
+            assert budget is not None
+            return
+        value, verts = found
+        assert budget is None or value <= budget
+        assert verts[0] == x and verts[-1] == x ^ ((1 << n) - 1)
+        assert all((u ^ v).bit_count() == 1 for u, v in zip(verts, verts[1:]))
+        assert len(set(verts)) == len(verts)
+        assert colour_changes(c, verts) == value
+        if geodesic:
+            assert len(verts) == n + 1
+
 
 #: witness kind -> the per-colouring checker the block sweep must agree with
 CHECKERS = {
@@ -761,6 +790,11 @@ class TestWitnessValidation:
         c = EdgeColouring.direction_split(3)
         w = AntipodalWitness("one-change-geodesic", (0b000, 0b001, 0b101, 0b111), (0b000, 0b111))
         _rejects(w, c, "one-change-geodesic witness changes colour 2 times")
+
+    def test_rejects_path_with_a_repeated_vertex(self):
+        # 00 -> 01 -> 00 -> 10 -> 11: a walk with no colour change, but not a path
+        w = AntipodalWitness("path", (0b00, 0b01, 0b00, 0b10, 0b11), (0b00, 0b11), change_count=0)
+        _rejects(w, all_red(2), "path witness repeats a vertex")
 
     def test_rejects_wrong_change_count(self):
         c = EdgeColouring.direction_split(2)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cubegeo import EdgeColouring, SetFamily, average_degree
@@ -38,7 +38,9 @@ from cubegeo.colourings import (
     min_colour_changes_antipodal,
 )
 from cubegeo.harness.cli import main
-from cubegeo.harness.search import _sweep
+from cubegeo.harness.generators import KINDS
+from cubegeo.harness.search import CONJECTURES, _sweep
+from cubegeo.harness.verify import THEOREMS
 from cubegeo.rng import SplitMix64, derive, mix64
 from oracles import SplitMix64Referee, edge_random_graph
 
@@ -807,6 +809,19 @@ class TestCli:
         assert _emit_report(bad, out) == 2
         assert load_json(out)["pass"] is False
 
+    @pytest.mark.parametrize("n", [30, 100_000_000])
+    def test_analyze_family_beyond_the_cap_exits_1_at_once(self, tmp_path, n):
+        """Full compression loops over n, so a family file's dimension is
+        checked before it starts."""
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"n": n, "sets": [1]}))
+        result = subprocess.run(
+            [sys.executable, "-m", "cubegeo.harness.cli", "analyze", "--file", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == f"cubegeo: error: dimension {n} outside supported range 0..24\n"
+
     def test_analyze_family_reports_consistency(self, tmp_path):
         path = str(tmp_path / "fam.json")
         save_json(path, {"n": 2, "sets": [0, 1, 2, 3]})
@@ -817,3 +832,69 @@ class TestCli:
         assert rec["compressed_average_degree"] == "2"
         # the square downset has a level-1 pair with |A | B| = 2 = d
         assert rec["intersecting_levels_consistent"] is False
+
+
+class TestCliFuzz:
+    """Argument vectors drawn from the CLI's own vocabulary, valid and
+    not: every run returns, or exits, with 0, 1 or 2, and nothing else
+    escapes ``main``. Drawn values stay small (n <= 4, at most 5 trials
+    or sampled colourings, at most two workers) so that every run is
+    short."""
+
+    @staticmethod
+    def _files(tmp_path):
+        files = {
+            "graph": generate(InstanceSpec("full-cube", n=3)),
+            "colouring": generate(InstanceSpec("antipodal-colouring", n=3)),
+            "family": {"n": 3, "sets": [0, 1, 2]},
+            "huge-family": {"n": 100_000_000, "sets": [1]},
+        }
+        for name, instance in files.items():
+            save_json(str(tmp_path / f"{name}.json"), instance)
+        (tmp_path / "bad.json").write_text("{not json")
+        names = [*files, "bad", "missing"]
+        return [str(tmp_path / f"{name}.json") for name in names] + [str(tmp_path)]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_main_exits_0_1_or_2(self, tmp_path, monkeypatch, data):
+        monkeypatch.delenv("CUBEGEO_JOBS", raising=False)
+        small = st.integers(-1, 4).map(str)
+        values = {
+            "--theorem": st.sampled_from(THEOREMS + ("T9",)),
+            "--conjecture": st.sampled_from(CONJECTURES + ("C",)),
+            "--mode": st.sampled_from(("exhaustive", "sample", "turbo")),
+            "--model": st.sampled_from(KINDS + ("cube",)),
+            "--n": st.one_of(st.integers(-2, 4).map(str), st.just("x")),
+            "--trials": st.integers(-1, 5).map(str),
+            "--budget": st.integers(-1, 5).map(str),
+            "--jobs": st.sampled_from(("-1", "0", "1", "2", "x")),
+            "--seed": st.one_of(st.integers(-1, 3).map(str), st.just("x")),
+            "--density": st.sampled_from(("1/2", "0.25", "3/2", "1/0", "x")),
+            "--radius": small, "--centre": small, "--subdim": small, "--copies": small,
+            "--k": small, "--t": small, "--size": small,
+            "--file": st.sampled_from(self._files(tmp_path)),
+            "--out": st.just(str(tmp_path / "out.json")),
+        }
+        flag = st.sampled_from(sorted(values))
+        pair = flag.flatmap(lambda f: values[f].map(lambda v: [f, v]))
+        item = st.one_of(pair, pair, pair, flag.map(lambda f: [f]),
+                         st.sampled_from((["-h"], ["--help"], ["x"], ["--"])))
+        # each command's required flags come first, so that most runs get past the parser
+        required = {"verify": ("--theorem",), "search": ("--conjecture", "--mode", "--n"),
+                    "analyze": ("--file",), "gen": ("--model", "--n")}
+        command = data.draw(st.sampled_from((*required, "check", None)))
+        argv = [] if command is None else [command]
+        for f in required.get(command, ()):
+            argv += [f, data.draw(values[f])]
+        for tokens in data.draw(st.lists(item, max_size=4)):
+            argv += tokens
+        if command == "verify":
+            # the default of 100 trials would make a run long, not different
+            argv += ["--trials", data.draw(values["--trials"])]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2), argv
