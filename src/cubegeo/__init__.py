@@ -46,7 +46,6 @@ from .colourings import (
     AntipodalWitness,
     Colour,
     EdgeColouring,
-    antipodal_edge,
     derive_A_from_B,
     derive_B_from_A,
     find_monochromatic_antipodal_geodesic,

@@ -9,8 +9,7 @@ set for blue, which keeps exhaustive sweeps over 2^16 colourings cheap.
 The antipodal pair table, the antipodal image, the lift to Q_{n+1}, the
 restriction, witness validation and the (lo, dir, colour) triples of
 ``from_pairs`` and ``pairs`` work on these positions or on their
-direction blocks. ``Edge`` tuples appear only in ``all_edges``,
-``colour_of`` and ``antipodal_edge``.
+direction blocks.
 
 The four antipodal searches share one layered search over 2^n-bit
 vertex sets, ``_antipodal_search``, with two switches: geodesic mode
@@ -35,7 +34,7 @@ from functools import lru_cache
 from math import ceil
 from typing import Iterable, Iterator
 
-from .core import (CubeSubgraph, Edge, _blocks, _components, _edge_keys, _join, _lo_pattern, _mask,
+from .core import (CubeSubgraph, _blocks, _components, _edge_keys, _join, _lo_pattern, _mask,
                    _pos, _valid_edge_mask, antipode)
 from .geodesics import GeodesicPath, increasing_geodesic_table, extract_increasing_geodesic
 from .rng import SplitMix64, derive
@@ -44,8 +43,6 @@ __all__ = [
     "AntipodalWitness",
     "Colour",
     "EdgeColouring",
-    "all_edges",
-    "antipodal_edge",
     "antipodal_pair_count",
     "antipodal_colouring_from_index",
     "colouring_from_index",
@@ -77,21 +74,8 @@ class Colour(enum.Enum):
     BLUE = "blue"
 
 
-def all_edges(n: int) -> Iterator[Edge]:
-    """All n * 2^(n-1) edges of Q_n in (lo, dir) order."""
-    return iter(CubeSubgraph(n, (1 << (1 << n)) - 1, tuple(_blocks(_valid_edge_mask(n), n, n))).edges)
-
-
 def edge_count(n: int) -> int:
     return n << (n - 1) if n else 0
-
-
-def antipodal_edge(e: Edge, n: int) -> Edge:
-    """The edge on the antipodal endpoints; same direction. Involution;
-    at n = 1 the unique edge is its own antipodal edge."""
-    if not 0 <= e.dir < n or e.lo >> n:
-        raise ValueError(f"{e} is not an edge of Q_{n}")
-    return Edge(((1 << n) - 1) ^ e.lo ^ (1 << e.dir), e.dir)
 
 
 def antipodal_pair_count(n: int) -> int:
@@ -151,16 +135,11 @@ class EdgeColouring:
             raise ValueError("colouring does not cover every edge of the cube")
         return cls(n, _mask(blue, n << n))
 
-    def colour_of(self, e: Edge) -> Colour:
-        if not 0 <= e.dir < self.n or e.lo >> self.n or (e.lo >> e.dir) & 1:
-            raise ValueError(f"{e} is not a canonical edge of Q_{self.n}")
-        return Colour.BLUE if (self.blue_mask >> _pos(e.lo, e.dir, self.n)) & 1 else Colour.RED
-
     def colour_between(self, u: int, v: int) -> Colour:
-        """Colour of the edge between two adjacent vertices."""
+        """Colour of the edge between two adjacent vertices of Q_n."""
         dir = (u ^ v).bit_length() - 1
-        if u ^ v != 1 << dir:
-            raise ValueError(f"{u} and {v} are not adjacent")
+        if not (0 <= u < 1 << self.n and 0 <= dir < self.n and u ^ v == 1 << dir):
+            raise ValueError(f"{u} and {v} are not adjacent vertices of Q_{self.n}")
         return Colour.BLUE if (self.blue_mask >> _pos(min(u, v), dir, self.n)) & 1 else Colour.RED
 
     def blue_count(self) -> int:

@@ -196,14 +196,14 @@ class CubeSubgraph:
 def make_subgraph(
     n: int,
     vertices: Iterable[int],
-    edges: Iterable[Edge | tuple[int, int]],
+    edges: Iterable[Sequence[int]],
 ) -> CubeSubgraph:
     """Validate and canonicalize a subgraph of Q_n.
 
-    Edges may be given as canonical ``Edge`` values or as (u, v) endpoint
-    pairs; endpoint pairs must differ in exactly one bit, and are turned
-    into ``Edge`` values before the edges are checked. Duplicates are
-    dropped. Every edge endpoint must appear in ``vertices``.
+    Each edge is a (lo, dir) pair: an ``Edge``, a tuple or a list; an
+    item of another length is rejected before any value is checked. For
+    endpoints u and v, ``Edge.between(u, v)`` gives the pair. Duplicates
+    are dropped. Every edge endpoint must appear in ``vertices``.
 
     Validation is in bulk: ranges by min and max, then all lo endpoints
     as one mask over the positions ``(dir << n) | lo``, and per direction
@@ -221,10 +221,10 @@ def make_subgraph(
             _check_vertex(v, n)
     vmask = _mask(vertices, size)
     edges = list(edges)
-    if not set(map(type, edges)) <= {Edge}:
-        edges = [e if isinstance(e, Edge) else _pair_edge(e, n) for e in edges]
     if not edges:
         return CubeSubgraph(n, vmask, (0,) * n)
+    if set(map(len, edges)) != {2}:
+        raise ValueError(f"edge {next(e for e in edges if len(e) != 2)!r} is not a (lo, dir) pair")
     los = list(map(itemgetter(0), edges))
     dirs = list(map(itemgetter(1), edges))
     if min(dirs) >= 0 and max(dirs) < n and min(los) >= 0 and max(los) < size:
@@ -233,23 +233,15 @@ def make_subgraph(
         if not any(m & ~(vmask & (vmask >> (1 << d)) & _lo_pattern(n, d))
                    for d, m in enumerate(lo_masks)):
             return CubeSubgraph(n, vmask, lo_masks)
-    for e in edges:
-        if not 0 <= e.dir < n:
-            raise ValueError(f"edge direction {e.dir} out of range for Q_{n}")
-        if e.lo & (1 << e.dir):
-            raise ValueError(f"edge {e} is not canonical: bit {e.dir} of lo is set")
-        _check_vertex(e.hi, n)
-        if not vmask >> e.lo & vmask >> e.hi & 1:
-            raise ValueError(f"edge {e} has an endpoint outside the vertex set")
+    for lo, dir in edges:
+        if not 0 <= dir < n:
+            raise ValueError(f"edge direction {dir} out of range for Q_{n}")
+        if lo & (1 << dir):
+            raise ValueError(f"edge {Edge(lo, dir)} is not canonical: bit {dir} of lo is set")
+        _check_vertex(lo ^ (1 << dir), n)
+        if not vmask >> lo & vmask >> (lo ^ (1 << dir)) & 1:
+            raise ValueError(f"edge {Edge(lo, dir)} has an endpoint outside the vertex set")
     raise RuntimeError("the bulk edge check rejected edges that pass one by one")
-
-
-def _pair_edge(item: tuple[int, int], n: int) -> Edge:
-    """The canonical edge between the endpoints of a (u, v) pair."""
-    u, v = item
-    _check_vertex(u, n)
-    _check_vertex(v, n)
-    return Edge.between(u, v)
 
 
 def induced_subgraph(n: int, vertices: Iterable[int] | int) -> CubeSubgraph:

@@ -90,8 +90,8 @@ def generate(spec: InstanceSpec):
         return serialize.load_instance(_need(spec, "path"))
 
     n = spec.n
-    if spec.kind in GRAPH_KINDS or spec.kind == "random-family":
-        _check_dimension(n)  # before any 2^n-bit mask is built
+    if spec.kind not in COLOURING_KINDS:  # colourings check their own, smaller range
+        _check_dimension(n)  # before any 2^n-bit mask is built or any member drawn
     if spec.kind == "full-cube":
         return induced_subgraph(n, (1 << (1 << n)) - 1)
 

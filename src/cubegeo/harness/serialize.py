@@ -10,9 +10,9 @@ Formats (all 0-based directions, all keys in fixed order):
 Serialization is canonical (sorted members, fixed key order, indent 2,
 trailing newline), so identical runs produce byte-identical files. A
 graph is written straight from its masks in exactly the text the stdlib
-encoder gives for its ``graph_to_obj`` dict, and read back with shape
-checks in bulk; the error messages for malformed graphs are those of an
-item-by-item check.
+encoder gives for its ``graph_to_obj`` dict. Graphs and colourings are
+read with shape checks in bulk; the error messages for malformed files
+are those of an item-by-item check.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any
 
 from ..colourings import Colour, EdgeColouring
-from ..core import CubeSubgraph, Edge, _bits, _edge_keys, make_subgraph
+from ..core import CubeSubgraph, _bits, _edge_keys, make_subgraph
 from ..setfamilies import SetFamily
 
 __all__ = [
@@ -41,6 +42,10 @@ __all__ = [
     "graph_to_obj",
     "save_json",
 ]
+
+
+#: A colour by its name in a colouring file.
+_COLOURS = {colour.value: colour for colour in Colour}
 
 
 class ParseError(ValueError):
@@ -130,27 +135,32 @@ def obj_to_graph(obj: dict) -> CubeSubgraph:
         for i, item in enumerate(raw_edges):
             if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
                 raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
-    edges = list(map(tuple.__new__, repeat(Edge), raw_edges))
     try:
-        return make_subgraph(n, vertices, edges)
+        return make_subgraph(n, vertices, raw_edges)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"invalid graph: {exc}") from exc
 
 
 def obj_to_colouring(obj: dict) -> EdgeColouring:
+    """The colouring of a parsed colouring file, its shapes checked as
+    ``obj_to_graph`` checks them (types before colour names, which could
+    be unhashable lists); ``from_pairs`` validates the edges."""
     n = _field(obj, "n", int)
     raw = _field(obj, "pairs", list)
-    pairs = []
-    for i, item in enumerate(raw):
-        if not (isinstance(item, list) and len(item) == 3):
-            raise ParseError(f"pairs[{i}] should be [lo, dir, colour], got {item!r}")
-        lo, dir, colour = item
-        if not _is_int(lo) or not _is_int(dir):
-            raise ParseError(f"pairs[{i}] endpoints should be ints")
-        try:
-            pairs.append((lo, dir, Colour(colour)))
-        except ValueError as exc:
-            raise ParseError(f"pairs[{i}] colour {colour!r} is not 'red' or 'blue'") from exc
+    if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {3}
+            and set(map(type, chain.from_iterable(map(itemgetter(0, 1), raw)))) <= {int}
+            and set(map(type, map(itemgetter(2), raw))) <= {str}
+            and set(map(itemgetter(2), raw)) <= _COLOURS.keys()):
+        for i, item in enumerate(raw):
+            if not (isinstance(item, list) and len(item) == 3):
+                raise ParseError(f"pairs[{i}] should be [lo, dir, colour], got {item!r}")
+            lo, dir, colour = item
+            if not _is_int(lo) or not _is_int(dir):
+                raise ParseError(f"pairs[{i}] endpoints should be ints")
+            if not (isinstance(colour, str) and colour in _COLOURS):
+                raise ParseError(f"pairs[{i}] colour {colour!r} is not 'red' or 'blue'")
+    pairs = zip(map(itemgetter(0), raw), map(itemgetter(1), raw),
+                map(_COLOURS.__getitem__, map(itemgetter(2), raw)))
     try:
         return EdgeColouring.from_pairs(n, pairs)
     except ValueError as exc:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from cubegeo.colourings import MAX_COLOURING_DIMENSION, Colour, EdgeColouring
-from cubegeo.core import MAX_DIMENSION, CubeSubgraph, Edge
+from cubegeo.core import MAX_DIMENSION, CubeSubgraph
 from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N, GeodesicPath
 from cubegeo.harness.serialize import ParseError
 from cubegeo.rng import derive
@@ -317,8 +317,8 @@ def lift_edge_by_edge(c):
     opposite = {"red": Colour.BLUE, "blue": Colour.RED}
     triples = []
     for lo, d in _canonical_edges(n):
-        triples.append((lo, d, c.colour_of(Edge(lo, d))))
-        partner = c.colour_of(Edge(full ^ lo ^ (1 << d), d))
+        triples.append((lo, d, c.colour_between(lo, lo + 2 ** d)))
+        partner = c.colour_between(full ^ lo, full ^ lo ^ (1 << d))
         triples.append((lo + 2 ** n, d, opposite[partner.value]))
     for lo in range(2 ** n):
         other = full ^ lo
@@ -515,13 +515,35 @@ def _is_json_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _graph_field(obj, name, kind):
+def _file_field(obj, name, kind):
     if name not in obj:
         raise ParseError(f"missing field {name!r}")
     value = obj[name]
     if not (_is_json_int(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"field {name!r} should be {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def colouring_from_obj(obj):
+    """Referee for reading a parsed colouring file: the fields, then one
+    triple at a time in file order, raising ``ParseError`` with the
+    reader's messages; ``colouring_from_pairs`` judges the edges."""
+    n = _file_field(obj, "n", int)
+    raw = _file_field(obj, "pairs", list)
+    pairs = []
+    for i, item in enumerate(raw):
+        if not (isinstance(item, list) and len(item) == 3):
+            raise ParseError(f"pairs[{i}] should be [lo, dir, colour], got {item!r}")
+        lo, d, name = item
+        if not (_is_json_int(lo) and _is_json_int(d)):
+            raise ParseError(f"pairs[{i}] endpoints should be ints")
+        if not (isinstance(name, str) and name in ("red", "blue")):
+            raise ParseError(f"pairs[{i}] colour {name!r} is not 'red' or 'blue'")
+        pairs.append((lo, d, Colour.RED if name == "red" else Colour.BLUE))
+    try:
+        return colouring_from_pairs(n, pairs)
+    except ValueError as exc:
+        raise ParseError(f"invalid colouring: {exc}") from exc
 
 
 def _graph_from_items(n, vertices, edges):
@@ -556,12 +578,12 @@ def graph_from_obj(obj):
     """Referee for reading a parsed graph file: field, vertex and edge
     item checks one at a time, in file order, raising ``ParseError``
     with the reader's messages."""
-    n = _graph_field(obj, "n", int)
-    vertices = _graph_field(obj, "vertices", list)
+    n = _file_field(obj, "n", int)
+    vertices = _file_field(obj, "vertices", list)
     for v in vertices:
         if not _is_json_int(v):
             raise ParseError("graph vertices should be ints")
-    raw_edges = _graph_field(obj, "edges", list)
+    raw_edges = _file_field(obj, "edges", list)
     edges = []
     for i, item in enumerate(raw_edges):
         if not (isinstance(item, list) and len(item) == 2

@@ -9,7 +9,6 @@ from cubegeo import (
     Colour,
     Edge,
     EdgeColouring,
-    antipodal_edge,
     antipode,
     derive_A_from_B,
     derive_B_from_A,
@@ -30,7 +29,6 @@ from cubegeo.colourings import (
     _colour_lomasks,
     _last_antipodal,
     _last_general,
-    all_edges,
     antipodal_colouring_from_index,
     antipodal_pair_count,
     colouring_from_index,
@@ -64,27 +62,10 @@ def all_red(n):
     return EdgeColouring.constant(n, RED)
 
 
-class TestAntipodalEdge:
-    def test_example(self):
-        assert antipodal_edge(Edge(0b00, 0), 2) == Edge(0b10, 0)
-
-    def test_involution(self):
-        for n in (2, 3, 4):
-            for e in all_edges(n):
-                assert antipodal_edge(antipodal_edge(e, n), n) == e
-
-    def test_n1_self_antipodal(self):
-        assert antipodal_edge(Edge(0, 0), 1) == Edge(0, 0)
-
-    def test_rejects_foreign_edge(self):
-        with pytest.raises(ValueError):
-            antipodal_edge(Edge(0, 3), 2)
-
-
 class TestEdgeColouring:
     def test_total_edge_count(self):
         for n in (1, 2, 3, 4):
-            assert len(list(all_edges(n))) == edge_count(n) == n * (1 << (n - 1))
+            assert len(list(all_red(n).pairs())) == edge_count(n) == n * (1 << (n - 1))
 
     def test_from_pairs_roundtrip(self):
         c = random_colouring(3, 5)
@@ -101,18 +82,15 @@ class TestEdgeColouring:
         with pytest.raises(ValueError):
             EdgeColouring.from_pairs(2, pairs + [pairs[0]])
 
-    def test_colour_of_validates(self):
-        c = all_red(2)
-        with pytest.raises(ValueError):
-            c.colour_of(Edge(1, 0))  # non-canonical
-        with pytest.raises(ValueError):
-            c.colour_of(Edge(0, 2))
+    @pytest.mark.parametrize("u, v", [(0, 3), (1, 1), (0, 1 << 5), (4, 5), (-1, -2), (3, -4)])
+    def test_colour_between_rejects_a_non_edge(self, u, v):
+        with pytest.raises(ValueError, match="not adjacent vertices of Q_2"):
+            EdgeColouring.constant(2, BLUE).colour_between(u, v)
 
     def test_direction_split(self):
         c = EdgeColouring.direction_split(3)
-        for e in all_edges(3):
-            expected = BLUE if e.dir == 2 else RED
-            assert c.colour_of(e) is expected
+        for lo, dir, colour in c.pairs():
+            assert colour is (BLUE if dir == 2 else RED)
 
 
 class TestIsAntipodal:
@@ -339,8 +317,8 @@ class TestMonoGeodesic:
         c = EdgeColouring.from_pairs(
             3,
             [
-                (e.lo, e.dir, RED if e in planted else BLUE)
-                for e in all_edges(3)
+                (lo, dir, RED if (lo, dir) in planted else BLUE)
+                for lo, dir, _ in all_red(3).pairs()
             ],
         )
         w = find_monochromatic_antipodal_geodesic(c)
@@ -429,7 +407,7 @@ class TestSearchKernel:
         # edge (lo, d) blue iff lo has odd weight: every geodesic from 0
         # alternates colours, n - 1 changes
         return EdgeColouring.from_pairs(
-            n, [(e.lo, e.dir, BLUE if e.lo.bit_count() & 1 else RED) for e in all_edges(n)]
+            n, [(lo, dir, BLUE if lo.bit_count() & 1 else RED) for lo, dir, _ in all_red(n).pairs()]
         )
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -684,14 +662,14 @@ class TestLift:
     def test_all_red_n2_frozen_rule(self):
         lifted = lift_to_antipodal(all_red(2))
         # top subcube edges are forced opposite: all blue
-        for e in all_edges(2):
-            assert lifted.colour_of(Edge(e.lo | 4, e.dir)) is BLUE
-            assert lifted.colour_of(e) is RED
+        for lo, dir, _ in all_red(2).pairs():
+            assert lifted.colour_between(lo | 4, lo | 4 | 1 << dir) is BLUE
+            assert lifted.colour_between(lo, lo | 1 << dir) is RED
         # new-direction pairs have equal parity at n=2: smaller endpoint red
-        assert lifted.colour_of(Edge(0b00, 2)) is RED
-        assert lifted.colour_of(Edge(0b11, 2)) is BLUE
-        assert lifted.colour_of(Edge(0b01, 2)) is RED
-        assert lifted.colour_of(Edge(0b10, 2)) is BLUE
+        assert lifted.colour_between(0b000, 0b100) is RED
+        assert lifted.colour_between(0b011, 0b111) is BLUE
+        assert lifted.colour_between(0b001, 0b101) is RED
+        assert lifted.colour_between(0b010, 0b110) is BLUE
 
 
 class TestDeriveConstructions:

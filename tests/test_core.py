@@ -21,7 +21,7 @@ from oracles import induced_edge_pairs, max_pairwise_distance
 
 
 def square_edges():
-    return [(0b00, 0b01), (0b00, 0b10), (0b01, 0b11), (0b10, 0b11)]
+    return [(0b00, 0), (0b00, 1), (0b01, 1), (0b10, 0)]
 
 
 class TestEdge:
@@ -53,7 +53,7 @@ class TestMakeSubgraph:
 
     def test_rejects_distance_2_edge(self):
         with pytest.raises(ValueError):
-            make_subgraph(2, [0b00, 0b11], [(0b00, 0b11)])
+            make_subgraph(2, [0b00, 0b11], [Edge.between(0b00, 0b11)])
 
     def test_rejects_vertex_overflow(self):
         with pytest.raises(ValueError):
@@ -63,11 +63,28 @@ class TestMakeSubgraph:
 
     def test_rejects_missing_endpoint(self):
         with pytest.raises(ValueError):
-            make_subgraph(2, [0, 1], [(1, 3)])
+            make_subgraph(2, [0, 1], [Edge.between(1, 3)])
 
     def test_accepts_edge_objects_and_dedupes(self):
-        g = make_subgraph(2, [0, 1], [Edge(0, 0), (0, 1), (1, 0)])
+        g = make_subgraph(2, [0, 1], [Edge(0, 0), (0, 0), Edge.between(1, 0)])
         assert g.edges == (Edge(0, 0),)
+
+    def test_an_edge_a_tuple_and_a_list_are_the_same_lo_dir_pair(self):
+        one = [make_subgraph(3, [0, 1, 2, 3], [e]) for e in (Edge(0, 1), (0, 1), [0, 1])]
+        assert one[0] == one[1] == one[2] and one[0].edges == (Edge(0, 1),)
+        mixed = make_subgraph(3, [0, 1, 2, 3], [[0, 1], Edge(0, 1), (1, 1), [1, 1], (0, 1)])
+        assert mixed.edges == (Edge(0, 1), Edge(1, 1))
+
+    @pytest.mark.parametrize("item", [(0,), (0, 1, 0), [], [0, 0, 1]])
+    def test_rejects_an_item_that_is_not_a_pair(self, item):
+        with pytest.raises(ValueError, match=r"is not a \(lo, dir\) pair"):
+            make_subgraph(2, [0, 1, 2, 3], [(0, 0), item, (5, 9)])
+
+    def test_names_the_first_bad_edge_as_an_edge(self):
+        with pytest.raises(ValueError, match=r"^edge Edge\(lo=1, dir=0\) is not canonical"):
+            make_subgraph(2, [0, 1], [(0, 0), [1, 0], (0, 1)])
+        with pytest.raises(ValueError, match=r"^edge Edge\(lo=0, dir=1\) has an endpoint outside"):
+            make_subgraph(2, [0, 1], [[0, 1], (0, 0)])
 
     def test_rejects_non_canonical_edge(self):
         with pytest.raises(ValueError):
@@ -109,7 +126,7 @@ class TestInducedSubgraph:
             assert g.edge_count == len(g.edges) == len(pairs)
             assert len(g) == len(verts)
             _assert_same_subgraph(g, induced_subgraph(n, sum(1 << v for v in verts)))
-            _assert_same_subgraph(g, make_subgraph(n, reversed(verts), pairs))
+            _assert_same_subgraph(g, make_subgraph(n, reversed(verts), [Edge.between(u, v) for u, v in pairs]))
 
     def test_vertex_mask_range(self):
         assert induced_subgraph(2, 0b1011).vertices == (0, 1, 3)
@@ -146,10 +163,10 @@ class TestAverageDegree:
         assert average_degree(induced_subgraph(3, range(8))) == 3
 
     def test_single_edge(self):
-        assert average_degree(make_subgraph(1, [0, 1], [(0, 1)])) == 1
+        assert average_degree(make_subgraph(1, [0, 1], [(0, 0)])) == 1
 
     def test_three_vertex_path_is_exact_rational(self):
-        g = make_subgraph(2, [0, 1, 3], [(0, 1), (1, 3)])
+        g = make_subgraph(2, [0, 1, 3], [(0, 0), (1, 1)])
         assert average_degree(g) == Fraction(4, 3)
 
     def test_empty_errors(self):

@@ -15,6 +15,7 @@ Regenerate the files (only when a report change is intended) with
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -234,6 +235,18 @@ def test_no_unused_imports():
         for name in _unused_imports(path)
     ]
     assert found == []
+
+
+def test_every_export_resolves():
+    """Every ``__all__`` entry of every library module names an attribute
+    of that module, so a deleted name leaves no stale export."""
+    modules = [".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+               for path in sorted((SRC / "cubegeo").rglob("*.py"))]
+    exports = {name: getattr(importlib.import_module(name), "__all__", ()) for name in modules}
+    assert sum(map(len, exports.values())) > 0
+    missing = [f"{name}.{entry}" for name, entries in exports.items()
+               for entry in entries if not hasattr(sys.modules[name], entry)]
+    assert missing == []
 
 
 if __name__ == "__main__":

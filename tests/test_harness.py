@@ -756,6 +756,9 @@ class TestCli:
              "dimension -1 outside supported range 0..24"),
             ({}, ["gen", "--model", "random-family", "--n", "25"],
              "dimension 25 outside supported range 0..24"),
+            ({}, ["gen", "--model", "t-intersecting-family", "--n", "25", "--k", "4", "--t", "2",
+                  "--size", "20"],
+             "dimension 25 outside supported range 0..24"),
             ({}, ["verify", "--theorem", "COMP", "--n", "-1"],
              "dimension -1 outside supported range 0..24"),
             ({}, ["verify", "--theorem", "COMP", "--n", "25"],

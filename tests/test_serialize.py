@@ -5,9 +5,10 @@ of the colouring and family readers.
 The writer must give exactly the text ``json.dumps(graph_to_obj(g),
 indent=2)`` gives; the graph reader must return the same subgraph as
 ``oracles.graph_from_obj``, or raise the same exception with the same
-message, on every mutation of a valid graph file, and the colouring
-codec must agree with ``oracles.colouring_pairs`` and
-``oracles.colouring_from_pairs`` in the same way. Any JSON value must
+message, on every mutation of a valid graph file; the colouring
+reader must agree with ``oracles.colouring_from_obj`` in the same way,
+and the colouring codec with ``oracles.colouring_pairs`` and
+``oracles.colouring_from_pairs``. Any JSON value must
 read as a valid instance or raise ``ParseError``.
 """
 
@@ -79,10 +80,10 @@ def test_writing_builds_no_edge_tuples():
     assert "edges" not in vars(g) and "vertices" not in vars(g)
 
 
-def _lines_run(obj):
-    """Line events in ``obj_to_graph`` and ``make_subgraph`` themselves
-    (not in the helpers they call) while reading ``obj``."""
-    watched = {obj_to_graph.__code__, make_subgraph.__code__}
+def _lines_run(read, obj, *helpers):
+    """Line events in ``read`` and ``helpers`` themselves (not in the
+    functions they call) while ``read`` reads ``obj``."""
+    watched = {function.__code__ for function in (read, *helpers)}
     count = 0
 
     def local(frame, event, arg):
@@ -96,7 +97,7 @@ def _lines_run(obj):
     previous = sys.gettrace()
     sys.settrace(calls)
     try:
-        obj_to_graph(obj)
+        read(obj)
     finally:
         sys.settrace(previous)
     return count
@@ -105,7 +106,14 @@ def _lines_run(obj):
 def test_reading_a_valid_file_runs_no_per_item_loop():
     """The reader's own lines run as often for 10,240 edges as for 192."""
     small, large = (graph_to_obj(generate(InstanceSpec("full-cube", n=n))) for n in (6, 11))
-    assert _lines_run(small) == _lines_run(large)
+    assert _lines_run(obj_to_graph, small, make_subgraph) == _lines_run(obj_to_graph, large, make_subgraph)
+
+
+def test_reading_a_valid_colouring_file_runs_no_per_item_loop():
+    """The colouring reader's own lines run as often for 1,024 pairs as
+    for 32."""
+    small, large = (colouring_to_obj(generate(InstanceSpec("random-colouring", n=n, seed=3))) for n in (4, 8))
+    assert _lines_run(obj_to_colouring, small) == _lines_run(obj_to_colouring, large)
 
 
 #: JSON values that are not integers
@@ -289,6 +297,68 @@ def test_colouring_codec_matches_item_by_item_referee(c, data):
     n = data.draw(st.one_of(st.just(c.n), st.integers(-2, 18), st.integers()))
     assert (_outcome(lambda p: EdgeColouring.from_pairs(n, p), pairs)
             == _outcome(lambda p: oracles.colouring_from_pairs(n, p), pairs))
+
+
+def _pair(data, obj):
+    """One of obj's pair items that is still a list of three, or None."""
+    fit = [p for p in obj["pairs"] if type(p) is list and len(p) == 3]
+    return data.draw(st.sampled_from(fit)) if fit else None
+
+
+def _bad_pair_field(data, obj):
+    pair = _pair(data, obj)
+    if pair:
+        pair[data.draw(st.integers(0, 1))] = data.draw(NOT_INTS)
+
+
+def _bad_colour(data, obj):
+    pair = _pair(data, obj)
+    if pair:
+        pair[2] = data.draw(st.one_of(st.sampled_from(["green", "", "Red", "red "]), NOT_INTS))
+
+
+def _bad_pair_shape(data, obj):
+    item = data.draw(st.one_of(NOT_INTS, st.lists(st.sampled_from([0, 1, "red"]), max_size=4)))
+    obj["pairs"].insert(data.draw(st.integers(0, len(obj["pairs"]))), item)
+
+
+def _moved_pair(data, obj):
+    pair = _pair(data, obj)
+    if pair:
+        pair[data.draw(st.integers(0, 1))] = data.draw(st.integers(-2, 40))
+
+
+def _dropped_or_repeated_pair(data, obj):
+    pairs = obj["pairs"]
+    if not pairs:
+        return
+    i = _index(data, pairs)
+    if data.draw(st.booleans()):
+        del pairs[i]
+    else:
+        pairs.insert(data.draw(st.integers(0, len(pairs))), copy.deepcopy(pairs[i]))
+
+
+def _bad_colouring_field(data, obj):
+    name = data.draw(st.sampled_from(["n", "pairs"]))
+    if data.draw(st.booleans()):
+        del obj[name]
+    else:
+        obj[name] = data.draw(st.one_of(NOT_INTS, st.integers(-2, 18)))
+
+
+PAIR_MUTATIONS = [_bad_pair_field, _bad_colour, _bad_pair_shape, _moved_pair, _dropped_or_repeated_pair]
+
+
+@settings(max_examples=300, deadline=None)
+@given(colourings(max_n=4), st.data())
+def test_colouring_reader_matches_item_by_item_referee(c, data):
+    obj = colouring_to_obj(c)
+    for mutate in data.draw(st.lists(st.sampled_from(PAIR_MUTATIONS), max_size=3)):
+        mutate(data, obj)
+    if data.draw(st.integers(0, 4)) == 0:
+        _bad_colouring_field(data, obj)
+    assert _outcome(obj_to_colouring, obj) == _outcome(oracles.colouring_from_obj, obj)
 
 
 #: Any JSON value, nested a little
