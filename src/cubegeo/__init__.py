@@ -11,7 +11,6 @@ from .core import (
     Edge,
     antipode,
     average_degree,
-    hamming_distance,
     induced_subgraph,
     make_subgraph,
     max_hamming_pair,
@@ -38,7 +37,6 @@ from .setfamilies import (
     is_downset,
     is_t_intersecting,
     iterated_shadow,
-    katona_check,
     level_profile,
     shadow,
 )

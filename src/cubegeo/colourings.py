@@ -6,10 +6,9 @@ between the monochromatic-geodesic and one-change-geodesic properties.
 A colouring assigns a colour to every edge of Q_n. Internally it is a
 single big-int bitmask over core's edge positions (dir << n) | lo, bit
 set for blue, which keeps exhaustive sweeps over 2^16 colourings cheap.
-The antipodal pair table, the antipodal image, the lift to Q_{n+1}, the
-restriction, witness validation and the (lo, dir, colour) triples of
-``from_pairs`` and ``pairs`` work on these positions or on their
-direction blocks.
+The antipodal pair table, the antipodal image, the lift to Q_{n+1},
+witness validation and the (lo, dir, colour) triples of ``from_pairs``
+and ``pairs`` work on these positions or on their direction blocks.
 
 The four antipodal searches share one layered search over 2^n-bit
 vertex sets, ``_antipodal_search``, with two switches: geodesic mode
@@ -57,7 +56,6 @@ __all__ = [
     "monochromatic_half_geodesic",
     "random_antipodal_colouring",
     "random_colouring",
-    "restrict_to_bottom",
     "validate_witness",
 ]
 
@@ -102,19 +100,6 @@ class EdgeColouring:
         _check_dimension(self.n)
         if self.blue_mask & ~_valid_edge_mask(self.n):
             raise ValueError("blue_mask has bits at non-edge positions")
-
-    @classmethod
-    def constant(cls, n: int, colour: Colour) -> "EdgeColouring":
-        return cls(n, _valid_edge_mask(n) if colour is Colour.BLUE else 0)
-
-    @classmethod
-    def direction_split(cls, n: int) -> "EdgeColouring":
-        """Directions 0..n-2 red, direction n-1 blue. Not antipodal; the
-        standard example of a colouring with no monochromatic antipodal
-        path."""
-        if n < 2:
-            raise ValueError("direction split needs n >= 2")
-        return cls(n, _lo_pattern(n, n - 1) << ((n - 1) << n))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int, Colour]]) -> "EdgeColouring":
@@ -564,16 +549,6 @@ def lift_to_antipodal(c: EdgeColouring) -> EdgeColouring:
     if not is_antipodal(lifted):
         raise RuntimeError(f"lift of a colouring of Q_{n} is not antipodal")
     return lifted
-
-
-def restrict_to_bottom(c: EdgeColouring) -> EdgeColouring:
-    """The colouring induced on the bottom subcube (top coordinate 0):
-    the low half of every direction block but the last."""
-    n = c.n - 1
-    if n < 1:
-        raise ValueError("nothing to restrict to below n = 2")
-    low = (1 << (1 << n)) - 1
-    return EdgeColouring(n, _join((b & low for b in _blocks(c.blue_mask, n + 1, n)), n))
 
 
 def derive_B_from_A(c: EdgeColouring) -> AntipodalWitness:

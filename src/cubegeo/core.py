@@ -36,16 +36,6 @@ class Edge(NamedTuple):
     lo: int
     dir: int
 
-    @property
-    def hi(self) -> int:
-        return self.lo ^ (1 << self.dir)
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
-
-    def other(self, v: int) -> int:
-        return v ^ (1 << self.dir)
-
     @classmethod
     def between(cls, u: int, v: int) -> "Edge":
         """Canonical edge between two adjacent vertices.
@@ -271,10 +261,6 @@ def average_degree(g: CubeSubgraph) -> Fraction:
     if not g.vertex_mask:
         raise ValueError("average degree of the empty graph is undefined")
     return Fraction(2 * g.edge_count, len(g))
-
-
-def hamming_distance(x: int, y: int) -> int:
-    return (x ^ y).bit_count()
 
 
 def max_hamming_pair(g: CubeSubgraph) -> tuple[int, int, int]:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import CubeSubgraph, Edge, _bits, average_degree
+from .core import CubeSubgraph, _bits, average_degree
 
 __all__ = [
     "DirectionOrdering",
@@ -88,92 +88,47 @@ def random_ordering(n: int, rng) -> DirectionOrdering:
     return DirectionOrdering(tuple(perm))
 
 
+@dataclass(frozen=True)
 class GeodesicPath:
     """A geodesic: vertex sequence plus the direction of each step.
 
     Directions are pairwise distinct, so the vertices are automatically
-    distinct too. A path and its reversal are the same geodesic; equality
-    and hashing use the canonical orientation (smaller endpoint first).
+    distinct too. Equality is that of the two fields, so a path and its
+    reversal are different objects.
     """
 
-    __slots__ = ("vertices", "directions")
+    vertices: tuple[int, ...]
+    directions: tuple[int, ...]
 
-    def __init__(self, vertices, directions=None):
-        vertices = tuple(vertices)
-        if not vertices:
+    def __post_init__(self):
+        if not self.vertices:
             raise ValueError("a path needs at least one vertex")
-        if directions is None:
-            directions = tuple(
-                Edge.between(u, v).dir for u, v in zip(vertices, vertices[1:])
-            )
-        else:
-            directions = tuple(directions)
-            if len(directions) != len(vertices) - 1:
-                raise ValueError("need exactly one direction per step")
-            for u, v, d in zip(vertices, vertices[1:], directions):
-                if u ^ v != 1 << d:
-                    raise ValueError(f"step {u}->{v} is not in direction {d}")
-        if len(set(directions)) != len(directions):
-            raise ValueError(f"directions {directions} repeat: not a geodesic")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "directions", directions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeodesicPath is immutable")
+        if len(self.directions) != len(self.vertices) - 1:
+            raise ValueError("need exactly one direction per step")
+        for u, v, d in zip(self.vertices, self.vertices[1:], self.directions):
+            if u ^ v != 1 << d:
+                raise ValueError(f"step {u}->{v} is not in direction {d}")
+        if len(set(self.directions)) != len(self.directions):
+            raise ValueError(f"directions {self.directions} repeat: not a geodesic")
 
     @property
     def length(self) -> int:
         return len(self.directions)
 
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
 
-    @property
-    def end(self) -> int:
-        return self.vertices[-1]
-
-    def reversed(self) -> "GeodesicPath":
-        return GeodesicPath(self.vertices[::-1], self.directions[::-1])
-
-    def canonical(self) -> "GeodesicPath":
-        """The orientation starting at the numerically smaller endpoint."""
-        if self.end < self.start:
-            return self.reversed()
-        return self
-
-    def _key(self):
-        c = self.canonical()
-        return (c.vertices, c.directions)
-
-    def __eq__(self, other):
-        if not isinstance(other, GeodesicPath):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"{type(self).__name__}(vertices={self.vertices}, directions={self.directions})"
-
-
+@dataclass(frozen=True)
 class IncreasingGeodesic(GeodesicPath):
-    """A geodesic whose direction ranks strictly increase along the path
-    (identity ordering by default)."""
+    """A geodesic whose direction ranks under ``ordering`` strictly
+    increase along the path."""
 
-    __slots__ = ("ordering",)
+    ordering: DirectionOrdering
 
-    def __init__(self, vertices, directions=None, ordering: DirectionOrdering | None = None):
-        super().__init__(vertices, directions)
-        if ordering is not None:
-            ranks = ordering.ranks
-            seq = [ranks[d] for d in self.directions]
-        else:
-            seq = list(self.directions)
+    def __post_init__(self):
+        super().__post_init__()
+        ranks = self.ordering.ranks
+        seq = [ranks[d] for d in self.directions]
         if any(a >= b for a, b in zip(seq, seq[1:])):
             raise ValueError(f"directions {self.directions} are not increasing")
-        object.__setattr__(self, "ordering", ordering)
 
 
 @dataclass(frozen=True)
@@ -186,9 +141,9 @@ class LTable:
     increasing geodesic along the first t directions of the ordering has
     at least k edges. Each ``levels[t]`` ends at its last non-empty mask;
     ``levels[t][0]`` is the vertex set. ``lo_masks`` are the graph's
-    per-direction edge masks. ``lengths`` (vertex -> length) and ``pred``
-    (vertex -> last edge of its witness, or None) are views built from
-    the masks on first use.
+    per-direction edge masks. ``lengths`` (vertex -> length) is a view
+    built from the masks on first use; ``extract_increasing_geodesic``
+    rebuilds the witness ending at a vertex.
 
     Witnesses are rebuilt backwards. The predecessor of v on its witness
     of l edges after t steps is the smallest u = v ^ 2^perm[r], r < t,
@@ -210,19 +165,6 @@ class LTable:
         for k in range(1, len(final) - 1):
             lengths.update(dict.fromkeys(_bits(final[k] & ~final[k + 1]), k))
         return lengths
-
-    @cached_property
-    def pred(self) -> dict[int, tuple[int, int] | None]:
-        steps = len(self.levels) - 1
-        perm = self.ordering.perm
-        pred = {}
-        for v, length in self.lengths.items():
-            if length:
-                u, r = self._predecessor(v, length, steps)
-                pred[v] = (u, perm[r])
-            else:
-                pred[v] = None
-        return pred
 
     @property
     def total(self) -> int:
@@ -311,7 +253,7 @@ def extract_increasing_geodesic(table: LTable, v: int) -> IncreasingGeodesic:
         verts.append(v)
         dirs.append(table.ordering.perm[steps])
         length -= 1
-    return IncreasingGeodesic(verts[::-1], dirs[::-1], ordering=table.ordering)
+    return IncreasingGeodesic(tuple(verts[::-1]), tuple(dirs[::-1]), table.ordering)
 
 
 def longest_geodesic_lower_bound(
@@ -387,7 +329,7 @@ def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
         dirs.append(dir)
         v ^= bit
         verts.append(v)
-    path = GeodesicPath(verts, dirs)
+    path = GeodesicPath(tuple(verts), tuple(dirs))
     if path.length < math.ceil(half):
         raise RuntimeError(f"greedy geodesic has {path.length} edges, below ceil({half})")
     return path
@@ -401,9 +343,7 @@ def _check_oracle_cap(g: CubeSubgraph) -> None:
         )
 
 
-def _count_paths(
-    g: CubeSubgraph, d: int, perm, increasing: bool, found: set | None = None
-) -> int:
+def _count_paths(g: CubeSubgraph, d: int, perm, increasing: bool) -> int:
     """Directed paths of g with d edges whose directions are distinct
     members of ``perm``, in ``perm``'s order when ``increasing``, found
     by a search over direction sequences.
@@ -411,24 +351,13 @@ def _count_paths(
     The paths that follow a sequence from the vertices of g are fixed by
     their ends W, and a step along direction dir (lo mask M, s = 2^dir)
     maps W to ((W & M) << s) | ((W >> s) & M). A full sequence adds
-    popcount(W) paths; an empty prefix is not extended. With ``found``,
-    each path is also added to it as a GeodesicPath.
+    popcount(W) paths; an empty prefix is not extended.
     """
     masks = g.lo_masks
     n = len(perm)
 
-    def walk(w: int, seq: list[int], start: int, used: int) -> int:
-        depth = len(seq)
+    def walk(w: int, depth: int, start: int, used: int) -> int:
         if depth == d:
-            if found is not None:
-                flip = 0
-                for dir in seq:
-                    flip ^= 1 << dir
-                for end in _bits(w):
-                    verts = [end ^ flip]
-                    for dir in seq:
-                        verts.append(verts[-1] ^ (1 << dir))
-                    found.add(GeodesicPath(verts, seq))
             return w.bit_count()
         total = 0
         for q in range(start, n - (d - depth) + 1 if increasing else n):
@@ -439,37 +368,28 @@ def _count_paths(
             m = masks[dir]
             nxt = ((w & m) << s) | ((w >> s) & m)
             if nxt:
-                seq.append(dir)
-                total += walk(nxt, seq, q + 1 if increasing else 0, used | s)
-                seq.pop()
+                total += walk(nxt, depth + 1, q + 1 if increasing else 0, used | s)
         return total
 
     if d > n or not g.vertex_mask:
         return 0
-    return walk(g.vertex_mask, [], 0, 0)
+    return walk(g.vertex_mask, 0, 0, 0)
 
 
-def enumerate_geodesics_of_length(g: CubeSubgraph, d: int, witnesses: bool = False):
+def enumerate_geodesics_of_length(g: CubeSubgraph, d: int) -> int:
     """Count the geodesics of g with exactly d edges.
 
     A path and its reversal count once: the search over every sequence of
     d distinct directions finds each path in both orientations, and the
-    count returned is that total halved. With ``witnesses=True``, also
-    returns the sorted canonical paths.
+    count returned is that total halved.
     """
     if d < 1:
         raise ValueError("geodesic length must be at least 1")
     _check_oracle_cap(g)
-    found: set[GeodesicPath] | None = set() if witnesses else None
-    directed = _count_paths(g, d, range(g.n), False, found)
+    directed = _count_paths(g, d, range(g.n), False)
     if directed % 2:
         raise RuntimeError(f"odd number {directed} of directed geodesics with {d} edges")
-    count = directed // 2
-    if found is not None:
-        if len(found) != count:
-            raise RuntimeError(f"{len(found)} distinct geodesics with {d} edges, counted {count}")
-        return count, sorted(found, key=lambda p: (p.canonical().vertices))
-    return count
+    return directed // 2
 
 
 def count_increasing_geodesics(

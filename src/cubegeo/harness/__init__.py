@@ -1,7 +1,7 @@
 """Instance generation, theorem verification jobs, conjecture searches,
 JSON serialization, and the CLI."""
 
-from .generators import InstanceSpec, generate, random_t_intersecting_family, subseed
+from .generators import InstanceSpec, generate, random_t_intersecting_family
 from .search import run_search
 from .serialize import (
     ParseError,

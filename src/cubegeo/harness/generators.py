@@ -10,7 +10,7 @@ so that average degree stays defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ..core import (CubeSubgraph, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask, _pos,
@@ -19,7 +19,7 @@ from ..colourings import random_antipodal_colouring, random_colouring
 from ..rng import SplitMix64, derive
 from ..setfamilies import SetFamily, UniformFamily, is_t_intersecting
 
-__all__ = ["InstanceSpec", "generate", "random_t_intersecting_family", "subseed"]
+__all__ = ["InstanceSpec", "generate", "random_t_intersecting_family"]
 
 GRAPH_KINDS = ("induced-random", "edge-random", "hamming-ball", "full-cube", "disjoint-cubes", "from-file")
 COLOURING_KINDS = ("random-colouring", "antipodal-colouring")
@@ -44,14 +44,6 @@ class InstanceSpec:
     t: int | None = None
     size: int | None = None
     path: str | None = None
-
-    def with_seed(self, seed: int) -> "InstanceSpec":
-        return replace(self, seed=seed)
-
-
-def subseed(root: int, *keys: int) -> int:
-    """Per-instance sub-seed; see the RNG module's splitting contract."""
-    return derive(root, *keys)
 
 
 def block_size(total: int) -> int:
@@ -113,6 +105,10 @@ def generate(spec: InstanceSpec):
     if spec.kind == "hamming-ball":
         radius = _need(spec, "radius")
         centre = spec.centre
+        if not 0 <= centre < 1 << n:
+            raise ValueError(f"hamming-ball centre {centre} is not a vertex of Q_{n}")
+        if radius < 0:
+            raise ValueError(f"hamming-ball radius {radius} is negative")
         verts = [v for v in range(1 << n) if (v ^ centre).bit_count() <= radius]
         return induced_subgraph(n, verts)
 

@@ -45,7 +45,8 @@ from ..colourings import (
     random_colouring,
     validate_witness,
 )
-from .generators import block_size, pool_map, subseed
+from ..rng import derive
+from .generators import block_size, pool_map
 from .serialize import Report, colouring_to_obj
 
 __all__ = ["CONJECTURES", "run_search"]
@@ -82,7 +83,7 @@ def _search_block(params: tuple) -> dict:
         keys = range(start, stop)
     else:
         build = random_antipodal_colouring if space.antipodal else random_colouring
-        keys = (subseed(seed, i) for i in range(start, stop))
+        keys = (derive(seed, i) for i in range(start, stop))
     sweep = _sweep(space.check, build, n, keys)
     checked = 0
     fail = None

@@ -170,7 +170,7 @@ def obj_to_colouring(obj: dict) -> EdgeColouring:
 def obj_to_family(obj: dict) -> SetFamily:
     n = _field(obj, "n", int)
     sets = _field(obj, "sets", list)
-    if not all(_is_int(s) for s in sets):
+    if not (set(map(type, sets)) <= {int} or all(map(_is_int, sets))):
         raise ParseError("family members should be ints")
     try:
         return SetFamily.of(n, sets)

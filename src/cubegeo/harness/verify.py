@@ -40,7 +40,7 @@ from ..geodesics import (
     longest_geodesic_lower_bound,
     random_ordering,
 )
-from ..rng import SplitMix64
+from ..rng import SplitMix64, derive
 from ..setfamilies import (
     SetFamily,
     UniformFamily,
@@ -51,7 +51,7 @@ from ..setfamilies import (
     level_profile,
 )
 from .generators import (
-    COLOURING_KINDS, FAMILY_KINDS, GRAPH_KINDS, InstanceSpec, block_size, generate, pool_map, subseed,
+    COLOURING_KINDS, FAMILY_KINDS, GRAPH_KINDS, InstanceSpec, block_size, generate, pool_map,
 )
 from .serialize import Report, instance_to_obj
 
@@ -145,7 +145,7 @@ def _t5_record(g, root_seed: int, index: int) -> dict:
     count_slack = count - bound
     inc_slack = None
     for j in range(3):
-        ordering = random_ordering(g.n, SplitMix64(subseed(root_seed, index, 1000 + j)))
+        ordering = random_ordering(g.n, SplitMix64(derive(root_seed, index, 1000 + j)))
         inc = count_increasing_geodesics(g, d, ordering)
         s = inc - len(g)
         if inc_slack is None or s < inc_slack:
@@ -244,7 +244,7 @@ def _cor_record(c) -> dict:
 def _verify_record(params: tuple) -> dict:
     theorem, template, root_seed, index = params
     entry = _THEOREMS[theorem]
-    spec = template.with_seed(subseed(root_seed, index))
+    spec = replace(template, seed=derive(root_seed, index))
     instance = generate(spec)
     if not isinstance(instance, entry.type):
         raise ValueError(

@@ -23,7 +23,6 @@ __all__ = [
     "is_downset",
     "is_t_intersecting",
     "iterated_shadow",
-    "katona_check",
     "level_profile",
     "shadow",
 ]
@@ -157,15 +156,6 @@ def is_t_intersecting(fam: SetFamily, t: int) -> bool:
             if (a & b).bit_count() < t:
                 return False
     return True
-
-
-def katona_check(fam: UniformFamily, t: int) -> bool:
-    """Whether |t-fold shadow| >= |family| for a t-intersecting uniform
-    family. Always true by Katona's shadow bound; a False return means an
-    implementation bug and fails the test suite."""
-    if not is_t_intersecting(fam, t):
-        raise ValueError(f"family is not {t}-intersecting")
-    return len(iterated_shadow(fam, t)) >= len(fam)
 
 
 def level_profile(fam: SetFamily) -> tuple[int, ...]:

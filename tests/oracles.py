@@ -9,7 +9,7 @@ from itertools import combinations
 
 from cubegeo.colourings import MAX_COLOURING_DIMENSION, Colour, EdgeColouring
 from cubegeo.core import MAX_DIMENSION, CubeSubgraph
-from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N, GeodesicPath
+from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N
 from cubegeo.harness.serialize import ParseError
 from cubegeo.rng import derive
 
@@ -29,9 +29,10 @@ def max_pairwise_distance(vertices):
 
 def adjacency(g):
     adj = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.lo].append((e.dir, e.hi))
-        adj[e.hi].append((e.dir, e.lo))
+    for lo, dir in g.edges:
+        hi = lo ^ (1 << dir)
+        adj[lo].append((dir, hi))
+        adj[hi].append((dir, lo))
     return adj
 
 
@@ -92,7 +93,8 @@ def longest_geodesic_length(g):
 def brute_force_longest_geodesic(g, max_n=ORACLE_MAX_N, max_edges=ORACLE_MAX_EDGES):
     """Exact maximum-length geodesic by memoized DFS over simple paths
     with a used-direction bitmask. Exponential in principle; guarded by
-    a cap (n <= max_n or |E| <= max_edges), by default the library's."""
+    a cap (n <= max_n or |E| <= max_edges), by default the library's.
+    Returns (vertices, directions)."""
     if not g.vertices:
         raise ValueError("empty graph has no geodesics")
     if g.n > max_n and g.edge_count > max_edges:
@@ -120,7 +122,7 @@ def brute_force_longest_geodesic(g, max_n=ORACLE_MAX_N, max_edges=ORACLE_MAX_EDG
         used |= 1 << dir
         verts.append(v)
         dirs.append(dir)
-    return GeodesicPath(verts, dirs)
+    return tuple(verts), tuple(dirs)
 
 
 def count_unordered_geodesics(g, d):
@@ -192,6 +194,20 @@ def is_monochromatic(c, vertices):
 def _canonical_edges(n):
     """(lo, dir) for every edge of Q_n, in (lo, dir) order."""
     return [(lo, d) for lo in range(1 << n) for d in range(n) if not (lo >> d) & 1]
+
+
+def constant_colouring(n, colour):
+    """Every edge of Q_n in one colour."""
+    return EdgeColouring.from_pairs(n, ((lo, d, colour) for lo, d in _canonical_edges(n)))
+
+
+def direction_split(n):
+    """Directions 0..n-2 red, direction n-1 blue. Not antipodal; the
+    standard example of a colouring with no monochromatic antipodal
+    path."""
+    return EdgeColouring.from_pairs(
+        n, ((lo, d, Colour.BLUE if d == n - 1 else Colour.RED) for lo, d in _canonical_edges(n))
+    )
 
 
 def antipodal_colouring_blue_edges(n, index):

@@ -33,7 +33,6 @@ from cubegeo.colourings import (
     antipodal_pair_count,
     colouring_from_index,
     edge_count,
-    restrict_to_bottom,
 )
 from cubegeo.harness.search import _sweep
 
@@ -44,6 +43,8 @@ from oracles import (
     blue_edges,
     colour_changes,
     colouring_blue_edges,
+    constant_colouring,
+    direction_split,
     has_mono_antipodal_geodesic,
     has_mono_antipodal_path,
     has_one_change_antipodal_geodesic,
@@ -59,7 +60,7 @@ RED, BLUE = Colour.RED, Colour.BLUE
 
 
 def all_red(n):
-    return EdgeColouring.constant(n, RED)
+    return constant_colouring(n, RED)
 
 
 class TestEdgeColouring:
@@ -85,12 +86,7 @@ class TestEdgeColouring:
     @pytest.mark.parametrize("u, v", [(0, 3), (1, 1), (0, 1 << 5), (4, 5), (-1, -2), (3, -4)])
     def test_colour_between_rejects_a_non_edge(self, u, v):
         with pytest.raises(ValueError, match="not adjacent vertices of Q_2"):
-            EdgeColouring.constant(2, BLUE).colour_between(u, v)
-
-    def test_direction_split(self):
-        c = EdgeColouring.direction_split(3)
-        for lo, dir, colour in c.pairs():
-            assert colour is (BLUE if dir == 2 else RED)
+            constant_colouring(2, BLUE).colour_between(u, v)
 
 
 class TestIsAntipodal:
@@ -101,7 +97,7 @@ class TestIsAntipodal:
         assert not is_antipodal(all_red(3))
 
     def test_direction_split_is_not(self):
-        assert not is_antipodal(EdgeColouring.direction_split(3))
+        assert not is_antipodal(direction_split(3))
 
     def test_n1_always_false(self):
         assert not is_antipodal(EdgeColouring(1, 0))
@@ -229,7 +225,7 @@ class TestGenerationAgainstReference:
     def test_is_antipodal_matches_pairwise_definition(self):
         for n in range(1, 7):
             for seed in range(20):
-                cs = [random_colouring(n, seed), EdgeColouring.constant(n, Colour.RED)]
+                cs = [random_colouring(n, seed), constant_colouring(n, Colour.RED)]
                 if n >= 2:
                     antipodal = random_antipodal_colouring(n, seed)
                     # flipping edge (0, 0), or the edge (0, n - 1) of the last block
@@ -280,7 +276,7 @@ class TestCheckersAgainstOracles:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_direction_split(self, n):
-        _check_against_oracles(EdgeColouring.direction_split(n))
+        _check_against_oracles(direction_split(n))
 
     def test_sampled_antipodal_indices_n4(self):
         for i in _sampled_indices(300, antipodal_pair_count(4), seed=44):
@@ -299,7 +295,7 @@ class TestMonoPath:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_direction_split_has_none(self, n):
-        assert find_monochromatic_antipodal_path(EdgeColouring.direction_split(n)) is None
+        assert find_monochromatic_antipodal_path(direction_split(n)) is None
 
     def test_all_antipodal_n3(self):
         for i in range(64):
@@ -326,7 +322,7 @@ class TestMonoGeodesic:
         validate_witness(w, c)
 
     def test_direction_split_has_none(self):
-        assert find_monochromatic_antipodal_geodesic(EdgeColouring.direction_split(4)) is None
+        assert find_monochromatic_antipodal_geodesic(direction_split(4)) is None
 
     def test_all_antipodal_n3(self):
         for i in range(64):
@@ -342,7 +338,7 @@ class TestMonoGeodesic:
 
 class TestOneChangeGeodesic:
     def test_direction_split_single_change(self):
-        c = EdgeColouring.direction_split(4)
+        c = direction_split(4)
         w = find_one_change_antipodal_geodesic(c)
         assert w is not None
         validate_witness(w, c)
@@ -374,7 +370,7 @@ class TestMinColourChanges:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_direction_split(self, n):
-        c = EdgeColouring.direction_split(n)
+        c = direction_split(n)
         value, w = min_colour_changes_antipodal(c)
         assert value == 1
         validate_witness(w, c)
@@ -449,7 +445,7 @@ class TestSearchKernel:
         either mode and under any budget, so the minimum statistic
         returns its walk as a path witness."""
         n = data.draw(st.integers(2, 5))
-        everything = EdgeColouring.constant(n, BLUE).blue_mask
+        everything = constant_colouring(n, BLUE).blue_mask
         c = data.draw(st.one_of(
             st.builds(lambda m: EdgeColouring(n, m & everything), st.integers(0, everything)),
             st.builds(lambda i: antipodal_colouring_from_index(n, i),
@@ -547,7 +543,7 @@ class TestLaneSearch:
         """A colouring without a witness, planted at lane k, fits none of
         the witnesses found before it, and the lanes after it still get
         theirs."""
-        planted = EdgeColouring.direction_split(4)
+        planted = direction_split(4)
         assert CHECKERS[kind](planted) is None
         start = 9 << 10
 
@@ -604,8 +600,8 @@ class TestWitnessGroup:
     def test_validates_the_first_colouring(self):
         checked = []
         with pytest.raises(ValueError, match="not monochromatic"):
-            self._sweep_group([EdgeColouring.direction_split(2), all_red(2)], checked)
-        assert checked == [EdgeColouring.direction_split(2)]
+            self._sweep_group([direction_split(2), all_red(2)], checked)
+        assert checked == [direction_split(2)]
 
 
 class TestHalfGeodesic:
@@ -614,7 +610,7 @@ class TestHalfGeodesic:
         assert p.length == 4
 
     def test_direction_split_n5(self):
-        c = EdgeColouring.direction_split(5)
+        c = direction_split(5)
         p = monochromatic_half_geodesic(c)
         assert p.length >= 3
         assert is_monochromatic(c, p.vertices)
@@ -640,7 +636,6 @@ class TestLift:
             c = colouring_from_index(n, i)
             reference = lift_edge_by_edge(c)
             assert lift_to_antipodal(c) == reference
-            assert restrict_to_bottom(reference) == c
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_seeded_colourings_match_edge_by_edge_lift(self, n):
@@ -648,7 +643,6 @@ class TestLift:
             c = random_colouring(n, seed)
             reference = lift_edge_by_edge(c)
             assert lift_to_antipodal(c) == reference
-            assert restrict_to_bottom(reference) == c
 
     @given(st.integers(0, 4095))
     @settings(max_examples=30, deadline=None)
@@ -657,7 +651,8 @@ class TestLift:
         lifted = lift_to_antipodal(c)
         assert lifted.n == 4
         assert is_antipodal(lifted)
-        assert restrict_to_bottom(lifted) == c
+        for lo, dir, colour in c.pairs():
+            assert lifted.colour_between(lo, lo | 1 << dir) is colour
 
     def test_all_red_n2_frozen_rule(self):
         lifted = lift_to_antipodal(all_red(2))
@@ -749,7 +744,7 @@ class TestWitnessValidation:
         _rejects(w, all_red(2), f"step {step} is not a cube edge")
 
     def test_rejects_colour_mismatch(self):
-        c = EdgeColouring.direction_split(2)
+        c = direction_split(2)
         w = AntipodalWitness("mono-path", (0b00, 0b01, 0b11), (0b00, 0b11))
         _rejects(w, c, "mono-path witness is not monochromatic")
 
@@ -759,13 +754,13 @@ class TestWitnessValidation:
         _rejects(w, all_red(2), "witness is not a full-length geodesic")
 
     def test_rejects_mono_geodesic_with_a_change(self):
-        c = EdgeColouring.direction_split(2)
+        c = direction_split(2)
         w = AntipodalWitness("mono-geodesic", (0b00, 0b01, 0b11), (0b00, 0b11))
         _rejects(w, c, "mono-geodesic witness changes colour 1 times")
 
     def test_rejects_one_change_geodesic_with_two(self):
         # red, blue, red under the split (directions 0, 1 red; 2 blue)
-        c = EdgeColouring.direction_split(3)
+        c = direction_split(3)
         w = AntipodalWitness("one-change-geodesic", (0b000, 0b001, 0b101, 0b111), (0b000, 0b111))
         _rejects(w, c, "one-change-geodesic witness changes colour 2 times")
 
@@ -775,7 +770,7 @@ class TestWitnessValidation:
         _rejects(w, all_red(2), "path witness repeats a vertex")
 
     def test_rejects_wrong_change_count(self):
-        c = EdgeColouring.direction_split(2)
+        c = direction_split(2)
         w = AntipodalWitness("path", (0b00, 0b01, 0b11), (0b00, 0b11), change_count=0)
         _rejects(w, c, "witness records 0 changes but has 1")
         validate_witness(AntipodalWitness("path", w.vertices, w.pair, change_count=1), c)

@@ -26,7 +26,6 @@ from cubegeo.harness.generators import InstanceSpec, generate
 from cubegeo.rng import derive
 
 from oracles import (
-    all_geodesic_vertex_sequences,
     brute_force_longest_geodesic,
     chain_sweep_table,
     chain_witness,
@@ -90,32 +89,39 @@ class TestDirectionOrdering:
 
 
 class TestGeodesicPath:
-    def test_derives_directions(self):
-        p = GeodesicPath([0b00, 0b01, 0b11])
-        assert p.directions == (0, 1) and p.length == 2
+    def test_length_is_the_step_count(self):
+        p = GeodesicPath((0b00, 0b01, 0b11), (0, 1))
+        assert p.length == 2 and GeodesicPath((5,), ()).length == 0
 
     def test_rejects_repeated_direction(self):
-        with pytest.raises(ValueError):
-            GeodesicPath([0b00, 0b01, 0b00])
+        with pytest.raises(ValueError, match=r"directions \(0, 0\) repeat: not a geodesic"):
+            GeodesicPath((0b00, 0b01, 0b00), (0, 0))
 
     def test_rejects_non_adjacent_step(self):
-        with pytest.raises(ValueError):
-            GeodesicPath([0b00, 0b11])
-        with pytest.raises(ValueError):
-            GeodesicPath([0b00, 0b01], [1])
+        with pytest.raises(ValueError, match="step 0->3 is not in direction 0"):
+            GeodesicPath((0b00, 0b11), (0,))
+        with pytest.raises(ValueError, match="step 0->1 is not in direction 1"):
+            GeodesicPath((0b00, 0b01), (1,))
 
-    def test_reversal_is_same_geodesic(self):
-        p = GeodesicPath([0b00, 0b01, 0b11])
-        assert p == p.reversed()
-        assert hash(p) == hash(p.reversed())
-        assert p.canonical().start <= p.canonical().end
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="a path needs at least one vertex"):
+            GeodesicPath((), ())
+        with pytest.raises(ValueError, match="need exactly one direction per step"):
+            GeodesicPath((0b00, 0b01), ())
+
+    def test_equality_is_by_fields(self):
+        p = GeodesicPath((0b00, 0b01, 0b11), (0, 1))
+        assert p == GeodesicPath((0b00, 0b01, 0b11), (0, 1))
+        assert hash(p) == hash(GeodesicPath((0b00, 0b01, 0b11), (0, 1)))
+        assert p != GeodesicPath((0b11, 0b01, 0b00), (1, 0))
 
     def test_increasing_validation(self):
-        IncreasingGeodesic([0b00, 0b01, 0b11])
-        with pytest.raises(ValueError):
-            IncreasingGeodesic([0b00, 0b10, 0b11])
+        identity = DirectionOrdering.identity(2)
+        IncreasingGeodesic((0b00, 0b01, 0b11), (0, 1), identity)
+        with pytest.raises(ValueError, match=r"directions \(1, 0\) are not increasing"):
+            IncreasingGeodesic((0b00, 0b10, 0b11), (1, 0), identity)
         # decreasing in identity order but increasing for the ordering
-        IncreasingGeodesic([0b00, 0b10, 0b11], ordering=DirectionOrdering((1, 0)))
+        IncreasingGeodesic((0b00, 0b10, 0b11), (1, 0), DirectionOrdering((1, 0)))
 
 
 class TestTable:
@@ -136,8 +142,7 @@ class TestTable:
         assert t.total == 4 == 2 * 2
         # ties break toward the smaller predecessor: 10 is reachable at
         # length 1 from both 11 (dir 0) and 00 (dir 1); 00 wins
-        assert t.pred[0b10] == (0b00, 1)
-        assert t.pred[0b00] == (0b10, 1)
+        assert extract_increasing_geodesic(t, 0b10).vertices == (0b00, 0b10)
         # the recorded witness for 00 predates the tie replacement and
         # must not reuse direction 1
         p = extract_increasing_geodesic(t, 0b00)
@@ -171,16 +176,6 @@ class TestTable:
         g = random_induced(6, seed)
         assert increasing_geodesic_table(g).total >= 2 * len(g.edges)
 
-    def test_pred_is_first_step_of_witness(self):
-        g = random_induced(5, 99)
-        t = increasing_geodesic_table(g)
-        for v in g.vertices:
-            path = extract_increasing_geodesic(t, v)
-            if t.lengths[v] == 0:
-                assert t.pred[v] is None
-            else:
-                assert t.pred[v] == (path.vertices[-2], path.directions[-1])
-
 
 def referee_cases():
     """(graph, ordering) pairs: seeded induced and non-induced random
@@ -210,8 +205,8 @@ COUNT_CASES = [i for i, (g, _) in enumerate(REFEREE_CASES) if g.n <= 6]
 
 class TestTableAgainstReferee:
     """The mask sweep against the edge-by-edge chain sweep it replaced:
-    lengths, the last edge of each witness, every witness vertex for
-    vertex, the top vertex and the total."""
+    lengths, every witness vertex for vertex, the top vertex and the
+    total."""
 
     @pytest.mark.parametrize("case", range(len(REFEREE_CASES)))
     def test_matches_chain_sweep(self, case):
@@ -219,7 +214,6 @@ class TestTableAgainstReferee:
         t = increasing_geodesic_table(g, ordering)
         lengths, chains = chain_sweep_table(g, ordering)
         assert t.lengths == lengths and list(t.lengths) == list(g.vertices)
-        assert t.pred == {v: c[:2] if c else None for v, c in chains.items()}
         for v in g.vertices:
             p = extract_increasing_geodesic(t, v)
             assert (p.vertices, p.directions) == chain_witness(chains, v)
@@ -243,7 +237,7 @@ class TestTableAgainstReferee:
 
 
 class TestCountsAgainstReferee:
-    @pytest.mark.parametrize("case", COUNT_CASES[::3])
+    @pytest.mark.parametrize("case", COUNT_CASES)
     def test_both_counts_for_every_length(self, case):
         g, ordering = REFEREE_CASES[case]
         for d in range(1, g.n + 2):
@@ -251,16 +245,6 @@ class TestCountsAgainstReferee:
             assert count_increasing_geodesics(g, d, ordering) == count_increasing_paths(g, d, ordering)
         assert enumerate_geodesics_of_length(g, g.n + 1) == 0
         assert count_increasing_geodesics(g, g.n + 1, ordering) == 0
-
-    @pytest.mark.parametrize("case", COUNT_CASES[1::4])
-    def test_witnesses_are_the_canonical_paths(self, case):
-        g, _ = REFEREE_CASES[case]
-        sequences = all_geodesic_vertex_sequences(g)
-        for d in range(1, g.n + 2):
-            count, paths = enumerate_geodesics_of_length(g, d, witnesses=True)
-            expected = sorted({s if s[0] <= s[-1] else s[::-1] for s in sequences if len(s) == d + 1})
-            assert count == len(expected)
-            assert [p.canonical().vertices for p in paths] == expected
 
     def test_count_rejects_mismatched_ordering(self):
         with pytest.raises(ValueError, match="ordering over 2 directions"):
@@ -283,7 +267,7 @@ class TestExtraction:
         t = increasing_geodesic_table(full_cube(2))
         for v in range(4):
             p = extract_increasing_geodesic(t, v)
-            assert p.length == 2 and p.end == v
+            assert p.length == 2 and p.vertices[-1] == v
             assert list(p.directions) == sorted(p.directions)
 
     def test_unknown_vertex(self):
@@ -309,7 +293,7 @@ class TestExtraction:
         t = increasing_geodesic_table(g, ordering)
         for v in g.vertices:
             p = extract_increasing_geodesic(t, v)
-            assert p.end == v and p.length == t.lengths[v]
+            assert p.vertices[-1] == v and p.length == t.lengths[v]
             for u in p.vertices:
                 assert g.vertex_mask >> u & 1
             for u, dir in zip(p.vertices, p.directions):
@@ -323,7 +307,7 @@ class TestLongestLowerBound:
     def test_full_cube_tightness(self, d):
         g = full_cube(d)
         assert longest_geodesic_lower_bound(g).length >= d
-        assert brute_force_longest_geodesic(g).length == d
+        assert len(brute_force_longest_geodesic(g)[1]) == d
 
     def test_single_edge(self):
         assert longest_geodesic_lower_bound(single_edge()).length == 1
@@ -373,28 +357,28 @@ class TestGreedy:
 
 class TestBruteForce:
     def test_full_q3(self):
-        assert brute_force_longest_geodesic(full_cube(3)).length == 3
+        assert len(brute_force_longest_geodesic(full_cube(3))[1]) == 3
 
     def test_three_edge_path_with_repeated_direction(self):
         # 00 -d0- 01 -d1- 11 -d0- 10: three edges but direction 0 repeats
         g = make_subgraph(2, [0, 1, 3, 2], [(0, 0), (1, 1), (2, 0)])
-        assert brute_force_longest_geodesic(g).length == 2
+        assert len(brute_force_longest_geodesic(g)[1]) == 2
 
     def test_edgeless(self):
-        assert brute_force_longest_geodesic(make_subgraph(3, [1], [])).length == 0
+        assert len(brute_force_longest_geodesic(make_subgraph(3, [1], []))[1]) == 0
 
     def test_cap(self):
         g = full_cube(4)
         with pytest.raises(ValueError):
             brute_force_longest_geodesic(g, max_n=3, max_edges=10)
         # within cap by edge count even if n is large
-        assert brute_force_longest_geodesic(g, max_n=3, max_edges=100).length == 4
+        assert len(brute_force_longest_geodesic(g, max_n=3, max_edges=100)[1]) == 4
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_matches_path_enumeration_oracle(self, seed):
         g = random_induced(4, seed)
-        assert brute_force_longest_geodesic(g).length == longest_geodesic_length(g)
+        assert len(brute_force_longest_geodesic(g)[1]) == longest_geodesic_length(g)
 
 
 class TestEnumeration:
@@ -406,11 +390,6 @@ class TestEnumeration:
 
     def test_q3(self):
         assert enumerate_geodesics_of_length(full_cube(3), 3) == 24 == factorial(3) * 8 // 2
-
-    def test_witnesses_match_count(self):
-        count, paths = enumerate_geodesics_of_length(full_cube(3), 2, witnesses=True)
-        assert len(paths) == count == len(set(paths))
-        assert all(p.length == 2 for p in paths)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):

@@ -237,6 +237,46 @@ def test_no_unused_imports():
     assert found == []
 
 
+#: Public names no library module calls, each kept on purpose.
+NO_LIBRARY_CALLER = {
+    # the paper's A <=> B constructions, kept until a harness path runs them
+    "derive_A_from_B",
+    "derive_B_from_A",
+    # the one-draw definition that bernoulli_mask is tested against
+    "SplitMix64.bernoulli",
+    # the documented way to pass endpoints to make_subgraph
+    "Edge.between",
+    # argparse calls it on a usage error
+    "_Parser.error",
+}
+
+
+def test_every_public_name_has_a_library_caller():
+    """Every public top-level function or class of the library, and every
+    public method of a top-level class, is named (as a ``Name`` or an
+    ``Attribute``) in some library module other than a package
+    ``__init__.py``; the allow-list names the exceptions."""
+    package = SRC / "cubegeo"
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(package.rglob("*.py"))}
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path, tree in trees.items() if path.name != "__init__.py"
+        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    public = []
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                public.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                public.extend((f"{node.name}.{m.name}", m.name) for m in node.body
+                              if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+    uncalled = {qualified for qualified, name in public if name not in named}
+    assert uncalled == NO_LIBRARY_CALLER
+
+
 def test_every_export_resolves():
     """Every ``__all__`` entry of every library module names an attribute
     of that module, so a deleted name leaves no stale export."""

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from cubegeo.harness import (
     run_search,
     run_verify,
     save_json,
-    subseed,
 )
 from cubegeo.colourings import (
     antipodal_colouring_from_index,
@@ -42,7 +42,7 @@ from cubegeo.harness.generators import KINDS
 from cubegeo.harness.search import CONJECTURES, _sweep
 from cubegeo.harness.verify import THEOREMS
 from cubegeo.rng import SplitMix64, derive, mix64
-from oracles import SplitMix64Referee, edge_random_graph
+from oracles import SplitMix64Referee, direction_split, edge_random_graph
 
 
 BERNOULLI_PROBABILITIES = [
@@ -242,7 +242,7 @@ class TestGenerate:
     def test_induced_random_seeded(self):
         spec = InstanceSpec("induced-random", n=6, density=Fraction(1, 2), seed=5)
         assert generate(spec) == generate(spec)
-        assert generate(spec) != generate(spec.with_seed(6))
+        assert generate(spec) != generate(replace(spec, seed=6))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 7), st.integers(0, 2**64 - 1), st.fractions(0, 1, max_denominator=12))
@@ -550,7 +550,7 @@ class TestRunSearch:
         statistic all stop at k."""
         import cubegeo.harness.search as search_mod
 
-        planted = EdgeColouring.direction_split(n)
+        planted = direction_split(n)
         build = search_mod.antipodal_colouring_from_index
         monkeypatch.setattr(search_mod, "antipodal_colouring_from_index",
                             lambda n, index: planted if index == k else build(n, index))
@@ -652,12 +652,12 @@ class TestSweep:
         assert [kind for _, kind in swept] == [None if w is None else w.kind for w in verdicts]
 
 
-class TestSubseed:
+class TestDerive:
     @given(st.integers(0, 2**32), st.integers(0, 1000), st.integers(0, 1000))
     @settings(max_examples=50)
     def test_distinct_indices_distinct_seeds(self, root, i, j):
         if i != j:
-            assert subseed(root, i) != subseed(root, j)
+            assert derive(root, i) != derive(root, j)
 
 
 class TestCli:
@@ -763,6 +763,12 @@ class TestCli:
              "dimension -1 outside supported range 0..24"),
             ({}, ["verify", "--theorem", "COMP", "--n", "25"],
              "dimension 25 outside supported range 0..24"),
+            ({}, ["gen", "--model", "hamming-ball", "--n", "3", "--radius", "1", "--centre", "8"],
+             "hamming-ball centre 8 is not a vertex of Q_3"),
+            ({}, ["gen", "--model", "hamming-ball", "--n", "3", "--radius", "1", "--centre", "-1"],
+             "hamming-ball centre -1 is not a vertex of Q_3"),
+            ({}, ["gen", "--model", "hamming-ball", "--n", "3", "--radius", "-1"],
+             "hamming-ball radius -1 is negative"),
         ],
     )
     def test_bad_counts_exit_1_with_one_line(self, tmp_path, env, argv, message):

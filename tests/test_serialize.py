@@ -16,6 +16,7 @@ import copy
 import json
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from cubegeo.harness import (
     obj_to_graph,
 )
 from cubegeo.harness.serialize import obj_to_instance
+from cubegeo.setfamilies import SetFamily
 
 import oracles
 
@@ -80,10 +82,20 @@ def test_writing_builds_no_edge_tuples():
     assert "edges" not in vars(g) and "vertices" not in vars(g)
 
 
+def _nested(code):
+    """``code`` and the code objects defined inside it: its generator
+    expressions, comprehensions and lambdas."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _nested(const)
+
+
 def _lines_run(read, obj, *helpers):
-    """Line events in ``read`` and ``helpers`` themselves (not in the
-    functions they call) while ``read`` reads ``obj``."""
-    watched = {function.__code__ for function in (read, *helpers)}
+    """Line events in ``read``, the code nested in it included, and in
+    ``helpers`` themselves (not in the functions they call) while
+    ``read`` reads ``obj``."""
+    watched = {*_nested(read.__code__), *(helper.__code__ for helper in helpers)}
     count = 0
 
     def local(frame, event, arg):
@@ -114,6 +126,15 @@ def test_reading_a_valid_colouring_file_runs_no_per_item_loop():
     for 32."""
     small, large = (colouring_to_obj(generate(InstanceSpec("random-colouring", n=n, seed=3))) for n in (4, 8))
     assert _lines_run(obj_to_colouring, small) == _lines_run(obj_to_colouring, large)
+
+
+def test_reading_a_valid_family_file_runs_no_per_item_loop():
+    """The family reader's own lines run as often for about 128 members
+    as for 8."""
+    small, large = (family_to_obj(generate(InstanceSpec("random-family", n=n, seed=3, density=Fraction(1, 2))))
+                    for n in (4, 8))
+    assert len(large["sets"]) > 100
+    assert _lines_run(obj_to_family, small, SetFamily.of) == _lines_run(obj_to_family, large, SetFamily.of)
 
 
 #: JSON values that are not integers
@@ -262,7 +283,7 @@ def test_analyze_of_a_malformed_graph_exits_1_with_one_line(obj, tmp_path):
 @st.composite
 def colourings(draw, max_n=6):
     n = draw(st.integers(1, max_n))
-    everything = EdgeColouring.constant(n, Colour.BLUE).blue_mask
+    everything = oracles.constant_colouring(n, Colour.BLUE).blue_mask
     mask = draw(st.one_of(st.just(0), st.just(everything), st.integers(0, everything)))
     return EdgeColouring(n, mask & everything)
 

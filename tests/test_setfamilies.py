@@ -12,7 +12,6 @@ from cubegeo import (
     is_downset,
     is_t_intersecting,
     iterated_shadow,
-    katona_check,
     level_profile,
     max_hamming_pair,
     shadow,
@@ -163,16 +162,11 @@ class TestTIntersecting:
 class TestKatona:
     def test_example(self):
         fam = UniformFamily.of(3, [E1 | E2, E1 | E3])
-        assert katona_check(fam, 1)  # shadow has 3 members >= 2
+        assert len(iterated_shadow(fam, 1)) >= len(fam)  # shadow has 3 members >= 2
 
     def test_single_set_full_intersection(self):
         fam = UniformFamily.of(5, [0b10101])
-        assert katona_check(fam, 3)
-
-    def test_precondition(self):
-        fam = UniformFamily.of(3, [E1 | E2, E1 | E3])
-        with pytest.raises(ValueError):
-            katona_check(fam, 2)
+        assert len(iterated_shadow(fam, 3)) >= len(fam)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -180,7 +174,7 @@ class TestKatona:
         n, k, t = 8, 3, 1 + seed % 3
         fam = random_t_intersecting_family(n, k, t, 12, seed)
         assert is_t_intersecting(fam, t)
-        assert katona_check(fam, t)
+        assert len(iterated_shadow(fam, t)) >= len(fam)
 
 
 class TestLevelProfile:
