@@ -91,6 +91,16 @@ def _mask(positions: Iterable[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _at_least(base: int, masks: Iterable[int], k: int) -> int:
+    """The bits of ``base`` set in at least k of ``masks``, counted in
+    bit-sliced levels: level j holds those set in j masks seen so far."""
+    levels = [base] + [0] * k
+    for m in masks:
+        for j in range(k, 0, -1):
+            levels[j] |= levels[j - 1] & m
+    return levels[k]
+
+
 def _pos(lo: int, dir: int, n: int) -> int:
     return (dir << n) | lo
 

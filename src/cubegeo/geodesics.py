@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import CubeSubgraph, _bits, average_degree
+from .core import CubeSubgraph, _at_least, _bits, average_degree
 
 __all__ = [
     "DirectionOrdering",
@@ -275,28 +275,20 @@ def _min_degree_core(g: CubeSubgraph, threshold) -> int:
     What survives is the unique largest subgraph of minimum degree at
     least k = ceil(threshold), so each round drops every vertex with
     fewer than k live neighbours at once. A round counts live neighbours
-    in bit-sliced levels, as the sweep table counts lengths: level j
-    holds the vertices with at least j live neighbours in the directions
-    seen so far.
+    in bit-sliced levels with ``_at_least``, as the sweep table counts
+    lengths: the live edge ends of each direction are one mask.
 
     Nonempty when threshold is half the average degree: each deletion
     then removes fewer than |E|/|V| edges, so deleting all |V| vertices
     would discard fewer than |E| edges.
     """
     k = math.ceil(threshold)
-    alive = g.vertex_mask
-    while True:
-        levels = [alive] + [0] * k
-        for dir, m in enumerate(g.lo_masks):
-            s = 1 << dir
-            live = m & alive & (alive >> s)
-            if live:
-                ends = live | (live << s)
-                for j in range(k, 0, -1):
-                    levels[j] |= levels[j - 1] & ends
-        if levels[k] == alive:
-            return alive
-        alive = levels[k]
+    alive, previous = g.vertex_mask, None
+    while alive != previous:
+        lives = (m & alive & (alive >> (1 << dir)) for dir, m in enumerate(g.lo_masks))
+        ends = (live | live << (1 << dir) for dir, live in enumerate(lives) if live)
+        alive, previous = _at_least(alive, ends, k), alive
+    return alive
 
 
 def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:

@@ -214,7 +214,7 @@ def _analyze_family(fam: SetFamily) -> tuple[dict, bool]:
         "compressed_size": len(fc),
         "compressed_popcount_sum": popsum,
     }
-    if fam.sets:
+    if fam.mask:
         # consistency probe for a claimed small-distance counterexample:
         # a downset of average degree d whose levels at height >= d/2 are
         # free of pairs with |A | B| >= d

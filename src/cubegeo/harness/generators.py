@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from ..core import (CubeSubgraph, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask, _pos,
-                    _valid_edge_mask, induced_subgraph)
+from ..core import (CubeSubgraph, _at_least, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask,
+                    _pos, _valid_edge_mask, induced_subgraph)
 from ..colourings import random_antipodal_colouring, random_colouring
 from ..rng import SplitMix64, derive
 from ..setfamilies import SetFamily, UniformFamily, is_t_intersecting
@@ -109,8 +110,9 @@ def generate(spec: InstanceSpec):
             raise ValueError(f"hamming-ball centre {centre} is not a vertex of Q_{n}")
         if radius < 0:
             raise ValueError(f"hamming-ball radius {radius} is negative")
-        verts = [v for v in range(1 << n) if (v ^ centre).bit_count() <= radius]
-        return induced_subgraph(n, verts)
+        full = (1 << (1 << n)) - 1
+        differ = (_lo_pattern(n, d) ^ (0 if centre >> d & 1 else full) for d in range(n))
+        return induced_subgraph(n, full ^ _at_least(full, differ, min(radius, n) + 1))
 
     if spec.kind == "disjoint-cubes":
         d = _need(spec, "subdim")
@@ -131,7 +133,7 @@ def generate(spec: InstanceSpec):
     if spec.kind == "random-family":
         density = Fraction(_need(spec, "density"))
         rng = SplitMix64(derive(spec.seed))
-        return SetFamily.of(n, _bits(rng.bernoulli_mask(density, 1 << n)))
+        return SetFamily(n, rng.bernoulli_mask(density, 1 << n))
 
     if spec.kind == "t-intersecting-family":
         return random_t_intersecting_family(
@@ -164,7 +166,7 @@ def random_t_intersecting_family(
     outside = [e for e in range(n) if not (core >> e) & 1]
     kept: list[int] = []
     attempts = 0
-    while len(kept) < size and attempts < 50 * size:
+    while len(kept) < size and attempts < 50 * min(size, comb(n, k)):  # there are only C(n, k) k-sets
         attempts += 1
         rng.shuffle(outside)
         s = core

@@ -92,7 +92,7 @@ def colouring_to_obj(c: EdgeColouring) -> dict:
 
 
 def family_to_obj(fam: SetFamily) -> dict:
-    return {"n": fam.n, "sets": list(fam.sets)}
+    return {"n": fam.n, "sets": _bits(fam.mask)}
 
 
 def instance_to_obj(instance) -> dict:

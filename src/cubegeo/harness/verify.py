@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import ceil, factorial
 from typing import Callable, NamedTuple, Sequence
 
-from ..core import CubeSubgraph, _check_dimension, average_degree, induced_subgraph, max_hamming_pair
+from ..core import CubeSubgraph, average_degree, induced_subgraph, max_hamming_pair
 from ..colourings import EdgeColouring, monochromatic_half_geodesic
 from ..geodesics import (
     count_increasing_geodesics,
@@ -180,29 +180,28 @@ def _full_compression(fam) -> tuple[SetFamily, int, CubeSubgraph, bool]:
     """The full compression of fam, its total popcount, its induced
     subgraph, and whether it is a downset of fam's size whose total
     popcount equals both its induced edge count and its level-weighted
-    size. Checks fam's dimension first: full compression loops over it."""
-    _check_dimension(fam.n)
+    size."""
     fc = full_compress(fam)
     popsum = sum(a.bit_count() for a in fc.sets)
-    g = induced_subgraph(fam.n, fc.sets)
+    g = induced_subgraph(fam.n, fc.mask)
     weighted = sum(k * cnt for k, cnt in enumerate(level_profile(fc)))
     ok = is_downset(fc) and len(fc) == len(fam) and popsum == g.edge_count == weighted
     return fc, popsum, g, ok
 
 
 def _comp_record(fam) -> dict:
-    base = induced_subgraph(fam.n, fam.sets)
+    base = induced_subgraph(fam.n, fam.mask)
     base_edges = base.edge_count
-    base_dist = max_hamming_pair(base)[2] if fam.sets else 0
+    base_dist = max_hamming_pair(base)[2] if fam.mask else 0
     slacks = []
     ok = True
     for i in range(fam.n):
         comp = compress_element(fam, i)
         if len(comp) != len(fam):
             ok = False
-        g = induced_subgraph(fam.n, comp.sets)
+        g = induced_subgraph(fam.n, comp.mask)
         edge_slack = g.edge_count - base_edges
-        dist_slack = base_dist - (max_hamming_pair(g)[2] if comp.sets else 0)
+        dist_slack = base_dist - (max_hamming_pair(g)[2] if comp.mask else 0)
         slacks.extend((edge_slack, dist_slack))
         if edge_slack < 0 or dist_slack < 0:
             ok = False

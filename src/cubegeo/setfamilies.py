@@ -1,10 +1,10 @@
-"""Families of subsets of [n] as bitmasks: down-compression, shadows,
-intersection predicates, and level profiles.
+"""Families of subsets of [n] as vertex masks of Q_n: down-compression,
+shadows, intersection predicates, and level profiles.
 
-Members are ints below 2^n; element i of the ground set is bit i. The
-down-compression here is the standard size-preserving one: a member
-containing i moves to member \\ {i} unless that smaller set is already
-present. Families fixed by every compression are exactly the downsets.
+A set A is a vertex of Q_n, element i being bit i, and a family is the
+2^n-bit mask whose bit A is set iff A is a member. Down-compression moves
+a member containing i to member \\ {i} unless that set is present; the
+families it fixes in every direction are exactly the downsets.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
+
+from .core import _bits, _check_dimension, _lo_pattern, _mask
 
 __all__ = [
     "SetFamily",
@@ -30,25 +32,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A duplicate-free family of subsets of [n], sorted for structural
-    equality."""
+    """A family of subsets of [n]: bit A of ``mask`` is set iff A is a
+    member, so equality and hashing of families are those of the masks."""
 
     n: int
-    sets: tuple[int, ...]
+    mask: int
+
+    def __post_init__(self):
+        _check_dimension(self.n)
+        if self.mask < 0 or self.mask.bit_length() > 1 << self.n:
+            raise ValueError(f"family mask has bits outside the 2^{self.n} subsets of [{self.n}]")
 
     @classmethod
     def of(cls, n: int, members: Iterable[int]) -> "SetFamily":
-        ms = sorted(set(members))
-        if ms and (ms[0] < 0 or ms[-1] >> n):  # 1 << n would run out of memory at a huge n
+        _check_dimension(n)  # before a 2^n-bit mask is built
+        ms = list(members)
+        if ms and (min(ms) < 0 or max(ms) >> n):  # _mask would wrap a negative position
             raise ValueError(f"family members must lie in [0, 2^{n})")
-        return cls(n, tuple(ms))
+        return cls(n, _mask(ms, 1 << n))
 
     @cached_property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.sets)
+    def sets(self) -> tuple[int, ...]:
+        """The members, ascending."""
+        return tuple(_bits(self.mask))
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return self.mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -57,19 +66,28 @@ class UniformFamily(SetFamily):
 
     k: int
 
+    def __post_init__(self):
+        super().__post_init__()
+        sizes = {m.bit_count() for m in self.sets}
+        if sizes - {self.k}:
+            raise ValueError(f"members of sizes {sorted(sizes)} in a {self.k}-uniform family")
+        if not 0 <= self.k <= self.n:
+            raise ValueError(f"uniform size {self.k} out of range for ground set [{self.n}]")
+
     @classmethod
     def of(cls, n: int, members: Iterable[int], k: int | None = None) -> "UniformFamily":
-        ms = SetFamily.of(n, members).sets
-        sizes = {m.bit_count() for m in ms}
+        fam = SetFamily.of(n, members)
         if k is None:
+            sizes = {m.bit_count() for m in fam.sets}
             if len(sizes) != 1:
                 raise ValueError("k must be given for an empty or non-uniform family")
             k = sizes.pop()
-        elif sizes - {k}:
-            raise ValueError(f"members of sizes {sorted(sizes)} in a {k}-uniform family")
-        if not 0 <= k <= n:
-            raise ValueError(f"uniform size {k} out of range for ground set [{n}]")
-        return cls(n, ms, k)
+        return cls(n, fam.mask, k)
+
+
+def _without(fam: SetFamily, i: int) -> int:
+    """D_i: the members that contain i, with i removed."""
+    return (fam.mask >> (1 << i)) & _lo_pattern(fam.n, i)
 
 
 def compress_element(fam: SetFamily, i: int) -> SetFamily:
@@ -78,15 +96,8 @@ def compress_element(fam: SetFamily, i: int) -> SetFamily:
     kept. Preserves the family size exactly."""
     if not 0 <= i < fam.n:
         raise ValueError(f"element index {i} out of range for ground set [{fam.n}]")
-    bit = 1 << i
-    present = fam.member_set
-    out = []
-    for a in fam.sets:
-        if a & bit and (a ^ bit) not in present:
-            out.append(a ^ bit)
-        else:
-            out.append(a)
-    result = SetFamily.of(fam.n, out)
+    moved = _without(fam, i) & ~fam.mask
+    result = SetFamily(fam.n, fam.mask ^ moved ^ (moved << (1 << i)))
     if len(result) != len(fam):
         raise RuntimeError(f"compressing element {i} changed the family size {len(fam)} to {len(result)}")
     return result
@@ -97,42 +108,28 @@ def full_compress(fam: SetFamily) -> SetFamily:
     changes nothing. Terminates because the total popcount strictly drops
     on every changing application; the result is a downset of the same
     size."""
-    current = SetFamily.of(fam.n, fam.sets)
-    while True:
-        nxt = current
+    current, previous = SetFamily(fam.n, fam.mask), None
+    while current != previous:
+        previous = current
         for i in range(fam.n):
-            nxt = compress_element(nxt, i)
-        if nxt == current:
-            return current
-        current = nxt
+            current = compress_element(current, i)
+    return current
 
 
 def is_downset(fam: SetFamily) -> bool:
     """True iff removing any one element from any member stays in the
     family."""
-    present = fam.member_set
-    for a in fam.sets:
-        rest = a
-        while rest:
-            bit = rest & -rest
-            if (a ^ bit) not in present:
-                return False
-            rest ^= bit
-    return True
+    return not any(_without(fam, i) & ~fam.mask for i in range(fam.n))
 
 
 def shadow(fam: UniformFamily) -> UniformFamily:
     """All (k-1)-sets contained in some member."""
     if fam.k < 1:
         raise ValueError("shadow of a 0-uniform family is undefined")
-    out = set()
-    for a in fam.sets:
-        rest = a
-        while rest:
-            bit = rest & -rest
-            out.add(a ^ bit)
-            rest ^= bit
-    return UniformFamily.of(fam.n, out, fam.k - 1)
+    out = 0
+    for i in range(fam.n):
+        out |= _without(fam, i)
+    return UniformFamily(fam.n, out, fam.k - 1)
 
 
 def iterated_shadow(fam: UniformFamily, l: int) -> UniformFamily:

@@ -385,6 +385,45 @@ def colouring_from_pairs(n, pairs):
     return EdgeColouring(n, sum(1 << (d * 2 ** n + lo) for lo, d in blue))
 
 
+def compress_members(members, i):
+    """Referee for down-compression in direction i, member by member: a
+    member containing i drops to member - {i} unless that set is
+    already a member."""
+    present = set(members)
+    bit = 1 << i
+    return {a ^ bit if a & bit and a ^ bit not in present else a for a in present}
+
+
+def full_compress_members(n, members):
+    """Referee for full compression: compress_members in directions
+    0..n-1, pass after pass, until a pass changes nothing."""
+    current = set(members)
+    while True:
+        nxt = current
+        for i in range(n):
+            nxt = compress_members(nxt, i)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def _drops(a):
+    """The sets a - {i} for each element i of a."""
+    return [a ^ (1 << i) for i in range(a.bit_length()) if a >> i & 1]
+
+
+def is_downset_members(members):
+    """Referee for the downset test: every a - {i} of every member a is
+    a member."""
+    present = set(members)
+    return all(b in present for a in present for b in _drops(a))
+
+
+def shadow_members(members):
+    """Referee for the shadow: every a - {i} of every member a."""
+    return {b for a in members for b in _drops(a)}
+
+
 def edge_random_graph(n, density, seed):
     """Referee for the edge-random model: bit i of the seed's Bernoulli
     draw picks the i-th edge in (lo, dir) order, and the graph is built

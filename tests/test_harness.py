@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cubegeo import EdgeColouring, SetFamily, average_degree
+from cubegeo import EdgeColouring, SetFamily, average_degree, induced_subgraph
 from cubegeo.harness import (
     InstanceSpec,
     ParseError,
@@ -238,6 +238,14 @@ class TestGenerate:
     def test_hamming_ball(self):
         g = generate(InstanceSpec("hamming-ball", n=10, radius=1))
         assert len(g.vertices) == 11 and len(g.edges) == 10
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 7])
+    def test_hamming_ball_matches_the_vertex_by_vertex_ball(self, n):
+        for centre in {0, (1 << n) - 1, 5 % (1 << n)}:
+            for radius in (0, 1, n // 2, n, n + 1, 10**9):
+                ball = [v for v in range(1 << n) if (v ^ centre).bit_count() <= radius]
+                assert generate(InstanceSpec("hamming-ball", n=n, radius=radius, centre=centre)) == \
+                    induced_subgraph(n, ball)
 
     def test_induced_random_seeded(self):
         spec = InstanceSpec("induced-random", n=6, density=Fraction(1, 2), seed=5)
@@ -820,8 +828,8 @@ class TestCli:
 
     @pytest.mark.parametrize("n", [30, 100_000_000])
     def test_analyze_family_beyond_the_cap_exits_1_at_once(self, tmp_path, n):
-        """Full compression loops over n, so a family file's dimension is
-        checked before it starts."""
+        """The family reader checks n before it builds a 2^n-bit mask, as
+        the graph and colouring readers do."""
         path = tmp_path / "fam.json"
         path.write_text(json.dumps({"n": n, "sets": [1]}))
         result = subprocess.run(
@@ -829,7 +837,19 @@ class TestCli:
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 1 and result.stdout == ""
-        assert result.stderr == f"cubegeo: error: dimension {n} outside supported range 0..24\n"
+        assert result.stderr == f"cubegeo: parse error: invalid family: dimension {n} outside supported range 0..24\n"
+
+    def test_t_intersecting_family_far_above_c_n_k_ends_at_once(self):
+        """No 4-uniform family on [10] has more than C(10, 4) = 210
+        members, so a size target of 10^9 makes no more draws than one of
+        210 does, and gives the same family as a target of 1000."""
+        result = subprocess.run(
+            [sys.executable, "-m", "cubegeo.harness.cli", "gen", "--model", "t-intersecting-family",
+             "--n", "10", "--k", "4", "--t", "2", "--size", "1000000000"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == family_to_obj(random_t_intersecting_family(10, 4, 2, 1000, 0))
 
     def test_analyze_family_reports_consistency(self, tmp_path):
         path = str(tmp_path / "fam.json")

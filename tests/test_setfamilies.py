@@ -17,6 +17,7 @@ from cubegeo import (
     shadow,
 )
 from cubegeo.harness import random_t_intersecting_family
+from oracles import compress_members, full_compress_members, is_downset_members, shadow_members
 
 # Members are bitmasks: element i of the ground set is bit i.
 E1, E2, E3 = 0b001, 0b010, 0b100
@@ -26,6 +27,62 @@ families = st.builds(
     st.integers(2, 6),
     st.sets(st.integers(0, 63), max_size=24),
 )
+
+uniform_families = st.integers(2, 6).flatmap(lambda n: st.integers(1, n).flatmap(lambda k: st.sets(
+    st.sampled_from([s for s in range(1 << n) if bin(s).count("1") == k]), max_size=16,
+).map(lambda sets: UniformFamily.of(n, sets, k))))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SetFamily(2, 1 << 4), "bits outside the 2\\^2 subsets"),
+        (lambda: SetFamily(2, -1), "bits outside"),
+        (lambda: SetFamily(25, 0), "dimension 25 outside"),
+        (lambda: SetFamily.of(-1, []), "dimension -1 outside"),
+        (lambda: SetFamily.of(3, [-1]), "must lie in"),
+        (lambda: SetFamily.of(3, [8]), "must lie in"),
+        (lambda: UniformFamily(3, 0b10, 2), "members of sizes \\[1\\]"),
+        (lambda: UniformFamily(3, 0, 4), "uniform size 4 out of range"),
+    ])
+    def test_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_members_are_the_set_bits(self):
+        fam = SetFamily.of(3, [5, 0, 5, 3])
+        assert fam == SetFamily(3, 0b101001)
+        assert fam.sets == (0, 3, 5) and len(fam) == 3
+
+
+class TestAgainstReferees:
+    """Each mask kernel against its member-by-member referee."""
+
+    @given(st.one_of(families, uniform_families), st.integers(0, 5))
+    @settings(max_examples=100)
+    def test_compress_element(self, fam, i):
+        i %= fam.n
+        assert compress_element(fam, i).sets == tuple(sorted(compress_members(fam.sets, i)))
+
+    @given(st.one_of(families, uniform_families))
+    @settings(max_examples=100)
+    def test_full_compress(self, fam):
+        assert full_compress(fam).sets == tuple(sorted(full_compress_members(fam.n, fam.sets)))
+
+    @given(st.one_of(families, uniform_families), st.integers(0, 63))
+    @settings(max_examples=100)
+    def test_is_downset(self, fam, drop):
+        """On the family, on its compression, which is a downset, and on
+        the compression less one member, which may not be."""
+        down = sorted(full_compress_members(fam.n, fam.sets))
+        less = down[:drop % len(down)] + down[drop % len(down) + 1:] if down else []
+        for members in (fam.sets, down, less):
+            assert is_downset(SetFamily.of(fam.n, members)) == is_downset_members(members)
+
+    @given(uniform_families)
+    @settings(max_examples=100)
+    def test_shadow(self, fam):
+        out = shadow(fam)
+        assert out.sets == tuple(sorted(shadow_members(fam.sets))) and out.k == fam.k - 1
 
 
 class TestCompressElement:
