@@ -91,14 +91,15 @@ def _mask(positions: Iterable[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _at_least(base: int, masks: Iterable[int], k: int) -> int:
-    """The bits of ``base`` set in at least k of ``masks``, counted in
-    bit-sliced levels: level j holds those set in j masks seen so far."""
+def _at_least(base: int, masks: Iterable[int], k: int) -> list[int]:
+    """Entry j (0 <= j <= k): the bits of ``base`` set in at least j of
+    ``masks``, counted in bit-sliced levels: level j holds those set in j
+    masks seen so far."""
     levels = [base] + [0] * k
     for m in masks:
         for j in range(k, 0, -1):
             levels[j] |= levels[j - 1] & m
-    return levels[k]
+    return levels
 
 
 def _pos(lo: int, dir: int, n: int) -> int:

@@ -287,7 +287,7 @@ def _min_degree_core(g: CubeSubgraph, threshold) -> int:
     while alive != previous:
         lives = (m & alive & (alive >> (1 << dir)) for dir, m in enumerate(g.lo_masks))
         ends = (live | live << (1 << dir) for dir, live in enumerate(lives) if live)
-        alive, previous = _at_least(alive, ends, k), alive
+        alive, previous = _at_least(alive, ends, k)[k], alive
     return alive
 
 

@@ -48,21 +48,106 @@ class InstanceSpec:
 
 
 def block_size(total: int) -> int:
-    """Work items per pool task: at most 1024, and about 16 tasks even for
-    short sweeps. It depends on the work alone, never on --jobs."""
+    """Work items per ``pool_map`` chunk: at most 1024, and about 16
+    chunks even for short sweeps. It depends on the work alone, never on
+    --jobs."""
     return min(1024, -(-total // 16))
 
 
 def pool_map(fn, items, jobs: int, chunksize: int = 1):
-    """fn over items, in order and lazily; on ``jobs`` worker processes
-    when jobs > 1. Closing the generator early stops the pool."""
-    if jobs > 1:
-        import multiprocessing  # here, so that runs without a pool skip its ~10 ms import
+    """fn over items, in order and lazily, split over W = min(jobs, chunk
+    count, usable CPUs) workers; serial when W is 1 or ``os.fork`` is
+    missing. The results never depend on W.
 
-        with multiprocessing.Pool(jobs) as pool:
-            yield from pool.imap(fn, items, chunksize)
-    else:
-        yield from map(fn, items)
+    Chunk c (``chunksize`` items) runs on worker c % W. Worker 0 is the
+    calling process, which runs its chunks as the caller reaches them;
+    workers 1..W-1 are forked children, each sending every chunk's result
+    list down its own pipe as a length-prefixed ``marshal`` frame, so fn
+    must return values of the built-in types marshal takes, as JSON-shaped
+    dicts are; marshal, unlike JSON, keeps int dict keys. An exception
+    in fn is re-raised at its chunk's position, a child that ends before
+    sending a chunk raises RuntimeError, and finishing, failing or closing
+    the generator kills and reaps every child."""
+    if jobs > 1:
+        import os
+
+        items = list(items)
+        chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
+        workers = min(jobs, len(chunks), _usable_cpus())
+        if workers > 1 and hasattr(os, "fork"):
+            yield from _forked_map(fn, chunks, workers)
+            return
+    yield from map(fn, items)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    import os
+
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _forked_map(fn, chunks: list, workers: int):
+    import marshal
+    import os
+    import signal
+
+    children = {}  # worker -> (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _run_child(fn, chunks[w::workers], wr)  # never returns
+            os.close(wr)
+            children[w] = (pid, open(r, "rb"))
+        for c, chunk in enumerate(chunks):
+            w = c % workers
+            if w == 0:
+                yield from map(fn, chunk)
+                continue
+            pipe = children[w][1]
+            head = pipe.read(8)
+            size = int.from_bytes(head, "little")
+            body = pipe.read(size)
+            if len(head) < 8 or len(body) < size:
+                raise RuntimeError(f"worker {w} ended before sending chunk {c}")
+            results = marshal.loads(body)
+            if isinstance(results, bytes):  # the pickled exception fn raised
+                import pickle
+
+                raise pickle.loads(results)
+            yield from results
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(fn, chunks: list, fd: int):
+    """A forked worker's whole life: send each chunk's results, or the
+    pickled exception that stops it, as a marshal frame; then exit at
+    once, running no handler inherited from the parent."""
+    import marshal
+    import os
+
+    try:
+        with open(fd, "wb") as out:
+            for chunk in chunks:
+                try:
+                    frame, failed = marshal.dumps(list(map(fn, chunk))), False
+                except Exception as exc:
+                    import pickle
+
+                    frame, failed = marshal.dumps(pickle.dumps(exc)), True
+                out.write(len(frame).to_bytes(8, "little") + frame)
+                out.flush()
+                if failed:
+                    break
+    finally:
+        os._exit(0)
 
 
 def _need(spec: InstanceSpec, field: str):
@@ -112,7 +197,7 @@ def generate(spec: InstanceSpec):
             raise ValueError(f"hamming-ball radius {radius} is negative")
         full = (1 << (1 << n)) - 1
         differ = (_lo_pattern(n, d) ^ (0 if centre >> d & 1 else full) for d in range(n))
-        return induced_subgraph(n, full ^ _at_least(full, differ, min(radius, n) + 1))
+        return induced_subgraph(n, full ^ _at_least(full, differ, min(radius, n) + 1)[-1])
 
     if spec.kind == "disjoint-cubes":
         d = _need(spec, "subdim")

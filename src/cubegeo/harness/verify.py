@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import ceil, factorial
 from typing import Callable, NamedTuple, Sequence
 
-from ..core import CubeSubgraph, average_degree, induced_subgraph, max_hamming_pair
+from ..core import CubeSubgraph, _lo_pattern, average_degree, induced_subgraph, max_hamming_pair
 from ..colourings import EdgeColouring, monochromatic_half_geodesic
 from ..geodesics import (
     count_increasing_geodesics,
@@ -178,14 +178,15 @@ def _fs_record(g) -> dict:
 
 def _full_compression(fam) -> tuple[SetFamily, int, CubeSubgraph, bool]:
     """The full compression of fam, its total popcount, its induced
-    subgraph, and whether it is a downset of fam's size whose total
-    popcount equals both its induced edge count and its level-weighted
-    size."""
+    subgraph, and whether it is a downset whose total popcount equals both
+    its induced edge count and its level-weighted size. (Its size is fam's:
+    ``compress_element`` raises on any change.) The total popcount counts,
+    per element d, the members containing d."""
     fc = full_compress(fam)
-    popsum = sum(a.bit_count() for a in fc.sets)
+    popsum = sum((fc.mask & ~_lo_pattern(fam.n, d)).bit_count() for d in range(fam.n))
     g = induced_subgraph(fam.n, fc.mask)
     weighted = sum(k * cnt for k, cnt in enumerate(level_profile(fc)))
-    ok = is_downset(fc) and len(fc) == len(fam) and popsum == g.edge_count == weighted
+    ok = is_downset(fc) and popsum == g.edge_count == weighted
     return fc, popsum, g, ok
 
 
@@ -197,8 +198,6 @@ def _comp_record(fam) -> dict:
     ok = True
     for i in range(fam.n):
         comp = compress_element(fam, i)
-        if len(comp) != len(fam):
-            ok = False
         g = induced_subgraph(fam.n, comp.mask)
         edge_slack = g.edge_count - base_edges
         dist_slack = base_dist - (max_hamming_pair(g)[2] if comp.mask else 0)

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import ceil
 from typing import Iterable
 
-from .core import _bits, _check_dimension, _lo_pattern, _mask
+from .core import _at_least, _bits, _check_dimension, _lo_pattern, _mask
 
 __all__ = [
     "SetFamily",
@@ -155,6 +156,14 @@ def is_t_intersecting(fam: SetFamily, t: int) -> bool:
     return True
 
 
+def _level_masks(n: int) -> list[int]:
+    """L_k for k = 0..n: the vertices of Q_n with exactly k elements, from
+    the bit-sliced count of the n masks "element d present"."""
+    full = (1 << (1 << n)) - 1
+    at_least = _at_least(full, (full ^ _lo_pattern(n, d) for d in range(n)), n)
+    return [a ^ b for a, b in zip(at_least, at_least[1:] + [0])]
+
+
 def level_profile(fam: SetFamily) -> tuple[int, ...]:
     """Member counts by size: entry k is the number of k-element members.
 
@@ -163,10 +172,7 @@ def level_profile(fam: SetFamily) -> tuple[int, ...]:
     the induced edge count (each edge is counted at its upper endpoint,
     and a downset member of size k has exactly k lower neighbours).
     """
-    counts = [0] * (fam.n + 1)
-    for a in fam.sets:
-        counts[a.bit_count()] += 1
-    return tuple(counts)
+    return tuple((fam.mask & level).bit_count() for level in _level_masks(fam.n))
 
 
 def feder_subi_intersecting_check(fam: SetFamily, d) -> bool:
@@ -178,14 +184,13 @@ def feder_subi_intersecting_check(fam: SetFamily, d) -> bool:
     if not is_downset(fam):
         raise ValueError("check requires a downset")
     d = Fraction(d)
-    by_level: dict[int, list[int]] = {}
-    for a in fam.sets:
-        by_level.setdefault(a.bit_count(), []).append(a)
-    for k, members in by_level.items():
+    need = ceil(d)  # |A | B| >= d as an int comparison
+    for k, level in enumerate(_level_masks(fam.n)):
         if k < d / 2:
             continue
+        members = _bits(fam.mask & level)
         for i, a in enumerate(members):
             for b in members[i:]:
-                if (a | b).bit_count() >= d:
+                if (a | b).bit_count() >= need:
                     return False
     return True

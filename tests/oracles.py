@@ -424,6 +424,25 @@ def shadow_members(members):
     return {b for a in members for b in _drops(a)}
 
 
+def level_profile_members(n, members):
+    """Referee for the level profile: each member counted at its size."""
+    counts = [0] * (n + 1)
+    for a in members:
+        counts[bin(a).count("1")] += 1
+    return tuple(counts)
+
+
+def feder_subi_members(members, d):
+    """Referee for the Feder-Subi check: no two members of one size k with
+    2k >= d, a member with itself included, have a union of d or more
+    elements."""
+    size = {a: bin(a).count("1") for a in members}
+    return not any(
+        size[a] == size[b] and 2 * size[a] >= d and bin(a | b).count("1") >= d
+        for a in members for b in members
+    )
+
+
 def edge_random_graph(n, density, seed):
     """Referee for the edge-random model: bit i of the seed's Bernoulli
     draw picks the i-th edge in (lo, dir) order, and the graph is built

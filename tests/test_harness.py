@@ -37,8 +37,9 @@ from cubegeo.colourings import (
     find_one_change_antipodal_geodesic,
     min_colour_changes_antipodal,
 )
+from cubegeo.harness import generators
 from cubegeo.harness.cli import main
-from cubegeo.harness.generators import KINDS
+from cubegeo.harness.generators import KINDS, pool_map
 from cubegeo.harness.search import CONJECTURES, _sweep
 from cubegeo.harness.verify import THEOREMS
 from cubegeo.rng import SplitMix64, derive, mix64
@@ -668,6 +669,106 @@ class TestDerive:
             assert derive(root, i) != derive(root, j)
 
 
+def _count_forks(monkeypatch) -> list:
+    """Wrap the real ``os.fork``: the returned list gets each child's pid."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _item(x):
+    """A JSON-shaped result with an int-keyed dict, as search blocks give."""
+    return {"x": x, "squares": {x: x * x}, "pair": [x, None], "ok": x % 2 == 0}
+
+
+class TestPoolMap:
+    """``pool_map`` runs chunk c on worker c % W: the caller for worker 0,
+    forked children for the rest."""
+
+    @pytest.mark.parametrize("jobs, chunksize, workers", [(2, 1, 2), (2, 3, 2), (3, 2, 3), (4, 5, 4), (9, 9, 2)])
+    def test_results_in_order_for_any_worker_count(self, monkeypatch, jobs, chunksize, workers):
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: jobs)
+        forks = _count_forks(monkeypatch)
+        assert list(pool_map(_item, range(17), jobs, chunksize)) == [_item(x) for x in range(17)]
+        assert len(forks) == workers - 1
+        _assert_no_child_left()
+
+    def test_workers_bounded_by_the_chunk_count(self, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        assert list(pool_map(_item, range(3), 10**6)) == [_item(x) for x in range(3)]
+        assert len(forks) <= 2
+        _assert_no_child_left()
+
+    def test_one_usable_cpu_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: 1)
+        forks = _count_forks(monkeypatch)
+        assert list(pool_map(_item, range(3), 10**6)) == [_item(x) for x in range(3)]
+        assert forks == []
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError, ParseError])
+    def test_worker_exception_matches_serial(self, monkeypatch, error):
+        """Item 4 is in chunk 1, a forked worker's; its exception comes
+        back in the caller with the type and message of a serial run."""
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
+
+        def fn(x):
+            if x == 4:
+                raise error(f"item {x} failed")
+            return _item(x)
+
+        with pytest.raises(error) as serial:
+            list(pool_map(fn, range(12), 1, 3))
+        forks = _count_forks(monkeypatch)
+        with pytest.raises(error) as forked:
+            list(pool_map(fn, range(12), 2, 3))
+        assert len(forks) == 1
+        assert type(forked.value) is error and str(forked.value) == str(serial.value)
+        _assert_no_child_left()
+
+    def test_worker_death_raises_at_once(self):
+        script = (
+            "import os\n"
+            "from cubegeo.harness import generators\n"
+            "generators._usable_cpus = lambda: 2\n"
+            "parent = os.getpid()\n"
+            "list(generators.pool_map(lambda x: os._exit(3) if os.getpid() != parent else x, range(4), 2))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == "RuntimeError: worker 1 ended before sending chunk 1"
+
+    @pytest.mark.parametrize("k", [37, 5000, 65535])
+    def test_counterexample_leaves_no_child(self, monkeypatch, k):
+        """At --jobs 3 a planted counterexample in the caller's block 0, a
+        child's block 1 or the last block stops the sweep; every child is
+        reaped."""
+        import cubegeo.harness.search as search_mod
+
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: 3)
+        planted = direction_split(4)
+        build = search_mod.antipodal_colouring_from_index
+        monkeypatch.setattr(search_mod, "antipodal_colouring_from_index",
+                            lambda n, index: planted if index == k else build(n, index))
+        forks = _count_forks(monkeypatch)
+        report = run_search("A", "exhaustive", 4, jobs=3)
+        assert report.records == [{"index": k, "colouring": colouring_to_obj(planted)}]
+        assert report.aggregate["checked"] == k + 1
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+
 class TestCli:
     def test_gen_analyze_roundtrip(self, tmp_path, capsys):
         out = str(tmp_path / "g.json")
@@ -789,16 +890,44 @@ class TestCli:
         assert result.stderr == f"cubegeo: error: {message}\n"
         assert result.stdout == "" and not out.exists()
 
-    def test_cli_import_leaves_multiprocessing_unloaded(self):
-        """Only --jobs > 1 needs a pool, so starting the CLI never loads
-        multiprocessing."""
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cubegeo.harness.cli; print('multiprocessing' in sys.modules)"],
-            capture_output=True, text=True,
+    def test_cli_import_leaves_multiprocessing_unloaded(self, tmp_path):
+        """Starting the CLI never loads multiprocessing, and a --jobs 2
+        run on forked workers loads neither it nor, as no worker fails,
+        pickle."""
+        out = str(tmp_path / "report.json")
+        script = (
+            "import sys, cubegeo.harness.cli\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "from cubegeo.harness import generators\n"
+            "generators._usable_cpus = lambda: 2\n"
+            "code = cubegeo.harness.cli.main(\n"
+            f"    ['verify', '--theorem', 'T2', '--n', '5', '--trials', '8', '--jobs', '2', '--out', {out!r}])\n"
+            "print(code, [m for m in ('multiprocessing', 'pickle') if m in sys.modules])\n"
         )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n"
+        lines = result.stdout.splitlines()
+        assert lines[0] == "False" and lines[-1] == "0 []"
+
+    def test_worker_error_exits_like_a_serial_run(self, tmp_path, monkeypatch, capsys):
+        """A colouring file under T2 fails in every record, so at --jobs 2
+        a forked worker raises too; the exit code and message are those of
+        --jobs 1."""
+        path = str(tmp_path / "colouring.json")
+        assert main(["gen", "--model", "random-colouring", "--n", "3", "--out", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
+        argv = ["verify", "--theorem", "T2", "--model", "from-file", "--file", path]
+        assert main(argv + ["--jobs", "1"]) == 1
+        serial = capsys.readouterr()
+        forks = _count_forks(monkeypatch)
+        assert main(argv + ["--jobs", "2"]) == 1
+        assert capsys.readouterr() == serial
+        assert serial.out == "" and serial.err == (
+            f"cubegeo: error: T2 runs on CubeSubgraph instances, not EdgeColouring ({path})\n"
+        )
+        assert len(forks) == 1
+        _assert_no_child_left()
 
     def test_subprocess_entrypoint(self, tmp_path):
         result = subprocess.run(

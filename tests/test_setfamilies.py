@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,15 @@ from cubegeo import (
     shadow,
 )
 from cubegeo.harness import random_t_intersecting_family
-from oracles import compress_members, full_compress_members, is_downset_members, shadow_members
+from cubegeo.harness.verify import _full_compression
+from oracles import (
+    compress_members,
+    feder_subi_members,
+    full_compress_members,
+    is_downset_members,
+    level_profile_members,
+    shadow_members,
+)
 
 # Members are bitmasks: element i of the ground set is bit i.
 E1, E2, E3 = 0b001, 0b010, 0b100
@@ -83,6 +93,28 @@ class TestAgainstReferees:
     def test_shadow(self, fam):
         out = shadow(fam)
         assert out.sets == tuple(sorted(shadow_members(fam.sets))) and out.k == fam.k - 1
+
+
+    @given(st.one_of(families, uniform_families))
+    @settings(max_examples=100)
+    def test_level_profile(self, fam):
+        assert level_profile(fam) == level_profile_members(fam.n, fam.sets)
+
+    @given(st.one_of(families, uniform_families))
+    @settings(max_examples=100)
+    def test_feder_subi_check(self, fam):
+        """On the compression, a downset, at every threshold d in [0, 2n]
+        with denominator 1, 2 or 3."""
+        down = full_compress_members(fam.n, fam.sets)
+        for d in {Fraction(num, den) for den in (1, 2, 3) for num in range(2 * fam.n * den + 1)}:
+            assert feder_subi_intersecting_check(SetFamily.of(fam.n, down), d) == feder_subi_members(down, d), d
+
+    @given(st.one_of(families, uniform_families))
+    @settings(max_examples=100)
+    def test_compression_popcount_sum(self, fam):
+        down = full_compress_members(fam.n, fam.sets)
+        fc, popsum, _, ok = _full_compression(fam)
+        assert popsum == sum(bin(a).count("1") for a in down) and ok
 
 
 class TestCompressElement:
