@@ -18,10 +18,10 @@ none for the minimum).
 
 ``antipodal_colouring_from_index`` and ``colouring_from_index`` number
 the antipodal and the general colourings of Q_n, so exhaustive sweeps
-can enumerate them. Each steps from the mask it built last at the same
-n, flipping only the pairs (or edges) of the index bits that changed,
-so a sweep in index order costs about two XORs per colouring; the
-colouring built never depends on the order of calls.
+can enumerate them. Both are pure functions of (n, index): index bit i
+XORs a fixed flip into a base mask, and a table per index byte holds
+the XOR of every subset of that byte's flips, so a build is one lookup
+per index byte. Index spaces are capped at ``INDEX_MAX_BITS`` bits.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ MAX_COLOURING_DIMENSION = 16
 
 #: Cap of the antipodal geodesic searches (state space 2^n).
 SEARCH_MAX_N = 12
+
+#: Widest index space of the index builders (A@5 has 40 bits, B@4 32).
+INDEX_MAX_BITS = 64
 
 
 class Colour(enum.Enum):
@@ -204,58 +207,55 @@ def random_colouring(n: int, seed: int) -> EdgeColouring:
     return EdgeColouring(n, raw & _valid_edge_mask(n))
 
 
-#: n -> (index, blue mask) of the last colouring each index builder
-#: built, at most one per dimension. Index i's mask is index 0's mask
-#: XOR the flips of i's bits, so a builder steps from its record by the
-#: flips of ``index ^ last``; consecutive indices differ in two bits on
-#: average. The result never depends on the record, only the work does.
-#: A record is stored whole after a successful build, so a call that
-#: raises leaves it as it was, and concurrent callers can at worst
-#: overwrite each other's record with another consistent one.
-_last_antipodal: dict[int, tuple[int, int]] = {}
-_last_general: dict[int, tuple[int, int]] = {}
+@lru_cache(maxsize=None)
+def _index_tables(n: int, antipodal: bool) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """``(base, bits, tables)`` of an index space: index bit i XORs flip
+    i into ``base``, and entry b of ``tables[j]`` is the XOR of the flips
+    of byte j's set bits. Flip i is the i-th antipodal pair (both edges)
+    or the i-th edge in (lo, dir) order. The width is checked before any
+    flip is built."""
+    if antipodal and n < 2:
+        raise ValueError("antipodal colourings need n >= 2")
+    _check_dimension(n)
+    bits = antipodal_pair_count(n) if antipodal else edge_count(n)
+    if bits > INDEX_MAX_BITS:
+        raise ValueError(f"{bits} index bits at n={n} exceed the cap of {INDEX_MAX_BITS}")
+    if antipodal:
+        base, pairs = _antipodal_pairs(n)
+        flips = [(1 << rep) | (1 << partner) for rep, partner in pairs]
+    else:
+        base, flips = 0, [1 << p for p in _edge_positions(n)]
+    tables = []
+    for j in range(0, bits, 8):
+        table = [0]
+        for flip in flips[j:j + 8]:
+            table += [t ^ flip for t in table]
+        tables.append(tuple(table))
+    return base, bits, tuple(tables)
+
+
+def _from_index(n: int, index: int, antipodal: bool) -> EdgeColouring:
+    base, bits, tables = _index_tables(n, antipodal)
+    if not 0 <= index < (1 << bits):
+        space = "antipodal pairs" if antipodal else "edges"
+        raise ValueError(f"index {index} out of range for {bits} {space}")
+    for table in tables:
+        base ^= table[index & 255]
+        index >>= 8
+    return EdgeColouring(n, base)
 
 
 def antipodal_colouring_from_index(n: int, index: int) -> EdgeColouring:
     """The index-th antipodal colouring: bit i of the index blues the
     i-th representative edge (else its partner). Indices in
-    [0, 2^antipodal_pair_count(n)) enumerate them all. Stepped from the
-    previous call at this n: only the pairs of the changed index bits
-    are flipped."""
-    if n < 2:
-        raise ValueError("antipodal colourings need n >= 2")
-    base, pairs = _antipodal_pairs(n)
-    if not 0 <= index < (1 << len(pairs)):
-        raise ValueError(f"index {index} out of range for {len(pairs)} antipodal pairs")
-    last, blue = _last_antipodal.get(n, (0, base))
-    flips = index ^ last
-    while flips:
-        low = flips & -flips
-        rep, partner = pairs[low.bit_length() - 1]
-        blue ^= (1 << rep) | (1 << partner)
-        flips ^= low
-    c = EdgeColouring(n, blue)
-    _last_antipodal[n] = (index, blue)
-    return c
+    [0, 2^antipodal_pair_count(n)) enumerate them all."""
+    return _from_index(n, index, True)
 
 
 def colouring_from_index(n: int, index: int) -> EdgeColouring:
     """The index-th general colouring: bit i of the index blues the i-th
-    edge in (lo, dir) order. Indices in [0, 2^edge_count(n)). Stepped
-    from the previous call at this n: only the edges of the changed
-    index bits are flipped, which may clear them."""
-    positions = _edge_positions(n)
-    if not 0 <= index < (1 << len(positions)):
-        raise ValueError(f"index {index} out of range for {len(positions)} edges")
-    last, blue = _last_general.get(n, (0, 0))
-    flips = index ^ last
-    while flips:
-        low = flips & -flips
-        blue ^= 1 << positions[low.bit_length() - 1]
-        flips ^= low
-    c = EdgeColouring(n, blue)
-    _last_general[n] = (index, blue)
-    return c
+    edge in (lo, dir) order. Indices in [0, 2^edge_count(n))."""
+    return _from_index(n, index, False)
 
 
 @dataclass(frozen=True)

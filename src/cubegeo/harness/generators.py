@@ -65,9 +65,10 @@ def pool_map(fn, items, jobs: int, chunksize: int = 1):
     list down its own pipe as a length-prefixed ``marshal`` frame, so fn
     must return values of the built-in types marshal takes, as JSON-shaped
     dicts are; marshal, unlike JSON, keeps int dict keys. An exception
-    in fn is re-raised at its chunk's position, a child that ends before
-    sending a chunk raises RuntimeError, and finishing, failing or closing
-    the generator kills and reaps every child."""
+    in fn is re-raised at its chunk's position, a worker's with its
+    traceback text there as ``__cause__``; a child that ends before sending
+    a chunk raises RuntimeError, and finishing, failing or closing the
+    generator kills and reaps every child."""
     if jobs > 1:
         import os
 
@@ -114,10 +115,10 @@ def _forked_map(fn, chunks: list, workers: int):
             if len(head) < 8 or len(body) < size:
                 raise RuntimeError(f"worker {w} ended before sending chunk {c}")
             results = marshal.loads(body)
-            if isinstance(results, bytes):  # the pickled exception fn raised
+            if isinstance(results, tuple):  # the pickled exception fn raised, and its traceback
                 import pickle
 
-                raise pickle.loads(results)
+                raise pickle.loads(results[0]) from _WorkerTraceback(results[1])
             yield from results
     finally:
         for pid, pipe in children.values():
@@ -126,10 +127,15 @@ def _forked_map(fn, chunks: list, workers: int):
             os.waitpid(pid, 0)
 
 
+class _WorkerTraceback(Exception):
+    """The ``__cause__`` of an exception re-raised from a forked worker:
+    its traceback text there, which the pickled exception does not keep."""
+
+
 def _run_child(fn, chunks: list, fd: int):
     """A forked worker's whole life: send each chunk's results, or the
-    pickled exception that stops it, as a marshal frame; then exit at
-    once, running no handler inherited from the parent."""
+    exception that stops it, pickled, with its traceback text, as a marshal
+    frame; then exit at once, running no handler inherited from the parent."""
     import marshal
     import os
 
@@ -140,8 +146,9 @@ def _run_child(fn, chunks: list, fd: int):
                     frame, failed = marshal.dumps(list(map(fn, chunk))), False
                 except Exception as exc:
                     import pickle
+                    import traceback
 
-                    frame, failed = marshal.dumps(pickle.dumps(exc)), True
+                    frame, failed = marshal.dumps((pickle.dumps(exc), traceback.format_exc())), True
                 out.write(len(frame).to_bytes(8, "little") + frame)
                 out.flush()
                 if failed:

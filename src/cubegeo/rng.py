@@ -146,15 +146,6 @@ class SplitMix64:
             if r < bound:
                 return r
 
-    def bernoulli(self, p: Fraction) -> bool:
-        """True with probability exactly p (a Fraction in [0, 1])."""
-        num, den = _probability(p)
-        if num == 0:
-            return False
-        if num == den:
-            return True
-        return self._below(num, den)
-
     def _below(self, num: int, den: int) -> bool:
         """Whether a uniform real U, drawn 16 bits at a time, is below
         num/den: draw v, decide if the window [v, v+1)/2^16 is entirely
@@ -171,9 +162,9 @@ class SplitMix64:
             num -= lo
 
     def bernoulli_mask(self, p: Fraction, count: int) -> int:
-        """``count`` draws of ``bernoulli(p)`` as one int: bit i is the
-        i-th of ``count`` sequential calls, and the generator ends in the
-        same state, buffered bits included.
+        """``count`` draws, each True with probability exactly p (a
+        Fraction in [0, 1]), as one int: bit i is the i-th draw, and the
+        generator ends as after drawing them one by one, buffer included.
 
         A draw's first 16-bit chunk v decides it (True iff v < cut, where
         cut = floor(p * 2^16)) unless p * 2^16 is not an integer and v ==

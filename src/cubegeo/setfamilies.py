@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import ceil
 from typing import Iterable
 
@@ -156,12 +156,14 @@ def is_t_intersecting(fam: SetFamily, t: int) -> bool:
     return True
 
 
-def _level_masks(n: int) -> list[int]:
+@lru_cache(maxsize=1)
+def _level_masks(n: int) -> tuple[int, ...]:
     """L_k for k = 0..n: the vertices of Q_n with exactly k elements, from
-    the bit-sliced count of the n masks "element d present"."""
+    the bit-sliced count of the n masks "element d present". Kept for the
+    last n only: at n = 24 the masks take about 50 MB."""
     full = (1 << (1 << n)) - 1
     at_least = _at_least(full, (full ^ _lo_pattern(n, d) for d in range(n)), n)
-    return [a ^ b for a, b in zip(at_least, at_least[1:] + [0])]
+    return tuple(a ^ b for a, b in zip(at_least, at_least[1:] + [0]))
 
 
 def level_profile(fam: SetFamily) -> tuple[int, ...]:

@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +26,10 @@ from cubegeo import (
     validate_witness,
 )
 from cubegeo.colourings import (
+    INDEX_MAX_BITS,
     SEARCH_MAX_N,
     _antipodal_search,
     _colour_lomasks,
-    _last_antipodal,
-    _last_general,
     antipodal_colouring_from_index,
     antipodal_pair_count,
     colouring_from_index,
@@ -143,8 +144,8 @@ class TestRandomColourings:
 #: dimensions that must raise)
 _INDEX_BUILDERS = {
     "antipodal": (antipodal_colouring_from_index, antipodal_colouring_blue_edges,
-                  antipodal_pair_count, range(2, 6), [-1, 0, 1, 17]),
-    "general": (colouring_from_index, colouring_blue_edges, edge_count, range(1, 5), [-1, 0, 17]),
+                  antipodal_pair_count, range(2, 6), [-1, 0, 1, 6, 17]),
+    "general": (colouring_from_index, colouring_blue_edges, edge_count, range(1, 5), [-1, 0, 5, 17]),
 }
 
 
@@ -171,9 +172,9 @@ class TestGenerationAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_any_call_order_gives_the_reference(self, data):
-        # The builders step from their previous call at the same n; any
-        # order of calls, failing ones between them included, must give
-        # the reference colouring every time.
+        # The builders are pure functions of (n, index): any order of
+        # calls, failing ones between them included, gives the reference
+        # colouring every time.
         last = {}
         for _ in range(data.draw(st.integers(1, 30), label="calls")):
             kind = data.draw(st.sampled_from(sorted(_INDEX_BUILDERS)), label="builder")
@@ -200,17 +201,49 @@ class TestGenerationAgainstReference:
             last[kind, n] = index
             assert blue_edges(build(n, index)) == reference(n, index)
 
-    def test_failed_call_keeps_the_record(self):
-        for build, record, bad in (
-            (antipodal_colouring_from_index, _last_antipodal, 1 << 6),
-            (colouring_from_index, _last_general, 1 << 12),
-        ):
-            build(3, 5)
-            kept = dict(record)
-            for n, index in ((3, bad), (3, -1), (17, 0), (0, 0)):
-                with pytest.raises(ValueError):
-                    build(n, index)
-                assert record == kept
+    @pytest.mark.parametrize("build, n, index, message", [
+        (antipodal_colouring_from_index, -1, 0, "antipodal colourings need n >= 2"),
+        (antipodal_colouring_from_index, 0, 0, "antipodal colourings need n >= 2"),
+        (antipodal_colouring_from_index, 1, 0, "antipodal colourings need n >= 2"),
+        (antipodal_colouring_from_index, 17, 0, "colouring dimension 17 outside 1..16"),
+        (antipodal_colouring_from_index, 3, -1, "index -1 out of range for 6 antipodal pairs"),
+        (antipodal_colouring_from_index, 3, 1 << 6, "index 64 out of range for 6 antipodal pairs"),
+        (antipodal_colouring_from_index, 6, 0, f"96 index bits at n=6 exceed the cap of {INDEX_MAX_BITS}"),
+        (colouring_from_index, -1, 0, "colouring dimension -1 outside 1..16"),
+        (colouring_from_index, 0, 0, "colouring dimension 0 outside 1..16"),
+        (colouring_from_index, 17, 0, "colouring dimension 17 outside 1..16"),
+        (colouring_from_index, 1, -1, "index -1 out of range for 1 edges"),
+        (colouring_from_index, 1, 2, "index 2 out of range for 1 edges"),
+        (colouring_from_index, 3, 1 << 12, "index 4096 out of range for 12 edges"),
+        (colouring_from_index, 5, 0, f"80 index bits at n=5 exceed the cap of {INDEX_MAX_BITS}"),
+    ])
+    def test_error_messages(self, build, n, index, message):
+        # antipodal checks n >= 2 before the dimension, both before the width
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(n, index)
+
+    def test_wide_space_raises_before_building_anything(self):
+        # at n = 16 the flips alone would take gigabytes; under a 1 GiB
+        # address-space limit both builders must refuse with ValueError
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from cubegeo import colourings\n"
+            "for build in (colourings.antipodal_colouring_from_index, colourings.colouring_from_index):\n"
+            "    try:\n"
+            "        build(16, 0)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "print([f.cache_info().currsize for f in (colourings._edge_positions,\n"
+            "       colourings._antipodal_pairs, colourings._index_tables)])\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            f"262144 index bits at n=16 exceed the cap of {INDEX_MAX_BITS}",
+            f"524288 index bits at n=16 exceed the cap of {INDEX_MAX_BITS}",
+            "[0, 0, 0]",
+        ]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_random_antipodal_draws_one_bit_per_pair_in_order(self, n):

@@ -13,7 +13,7 @@ from cubegeo import (
     make_subgraph,
     max_hamming_pair,
 )
-from cubegeo.core import MAX_DIMENSION, _lo_pattern
+from cubegeo.core import MAX_DIMENSION, _bits, _lo_pattern
 from cubegeo.rng import SplitMix64, derive
 
 from oracles import induced_edge_pairs, max_pairwise_distance
@@ -112,7 +112,7 @@ class TestInducedSubgraph:
     def test_matches_oracle_and_make_subgraph(self, n):
         for seed in range(12):
             rng = SplitMix64(derive(seed, n))
-            verts = [v for v in range(1 << n) if rng.bernoulli(Fraction(seed % 4, 3 + seed % 2))]
+            verts = _bits(rng.bernoulli_mask(Fraction(seed % 4, 3 + seed % 2), 1 << n))
             pairs = induced_edge_pairs(n, verts)
             g = induced_subgraph(n, verts)
             assert g.vertices == tuple(sorted(verts))

@@ -22,6 +22,7 @@ from cubegeo import (
     make_subgraph,
     random_ordering,
 )
+from cubegeo.core import _bits
 from cubegeo.harness.generators import InstanceSpec, generate
 from cubegeo.rng import derive
 
@@ -54,7 +55,7 @@ def bent_path():
 
 def random_induced(n, seed, density=Fraction(1, 2)):
     rng = SplitMix64(derive(seed))
-    verts = [v for v in range(1 << n) if rng.bernoulli(density)]
+    verts = _bits(rng.bernoulli_mask(density, 1 << n))
     return induced_subgraph(n, verts or [0])
 
 

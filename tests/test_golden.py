@@ -242,8 +242,6 @@ NO_LIBRARY_CALLER = {
     # the paper's A <=> B constructions, kept until a harness path runs them
     "derive_A_from_B",
     "derive_B_from_A",
-    # the one-draw definition that bernoulli_mask is tested against
-    "SplitMix64.bernoulli",
     # the documented way to pass endpoints to make_subgraph
     "Edge.between",
     # argparse calls it on a usage error

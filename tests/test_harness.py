@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -54,13 +55,13 @@ BERNOULLI_PROBABILITIES = [
 
 def _assert_mask_is_sequential(seed, pre, p, count):
     """bernoulli_mask(p, count) gives the bits of count sequential
-    bernoulli(p) calls and leaves the generator in the same state."""
-    one_by_one, bulk = SplitMix64(seed), SplitMix64(seed)
+    one-draw referee calls and leaves the generator in the same state."""
+    one_by_one, bulk = SplitMix64Referee(seed), SplitMix64(seed)
     one_by_one.bits(pre)
     bulk.bits(pre)
     want = sum(one_by_one.bernoulli(p) << i for i in range(count))
     assert bulk.bernoulli_mask(p, count) == want
-    assert (bulk.state, bulk._buf, bulk._bufbits) == (one_by_one.state, one_by_one._buf, one_by_one._bufbits)
+    assert (bulk.state, bulk._buf, bulk._bufbits) == (one_by_one.state, one_by_one.buf, one_by_one.bufbits)
 
 
 class TestRng:
@@ -88,16 +89,10 @@ class TestRng:
 
     def test_bernoulli_exact_edge_cases(self):
         g = SplitMix64(0)
-        assert not g.bernoulli(Fraction(0))
-        assert g.bernoulli(Fraction(1))
+        assert g.bernoulli_mask(Fraction(0), 1) == 0
+        assert g.bernoulli_mask(Fraction(1), 1) == 1
         with pytest.raises(ValueError):
-            g.bernoulli(Fraction(3, 2))
-
-    def test_bernoulli_frequency(self):
-        g = SplitMix64(123)
-        n = 20_000
-        hits = sum(g.bernoulli(Fraction(1, 5)) for _ in range(n))
-        assert abs(hits / n - 0.2) < 0.01
+            g.bernoulli_mask(Fraction(3, 2), 1)
 
     def test_bernoulli_frequency_of_mask(self):
         hits = SplitMix64(123).bernoulli_mask(Fraction(1, 5), 20_000).bit_count()
@@ -737,6 +732,25 @@ class TestPoolMap:
         assert type(forked.value) is error and str(forked.value) == str(serial.value)
         _assert_no_child_left()
 
+    def test_worker_exception_keeps_the_worker_traceback(self, monkeypatch):
+        """Item 4 fails in chunk 1, a forked worker's; the exception's
+        formatted traceback names the function that raised it there."""
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
+
+        def fails_in_the_worker(x):
+            if x == 4:
+                raise ValueError(f"item {x} failed")
+            return _item(x)
+
+        with pytest.raises(ValueError, match="^item 4 failed$") as forked:
+            list(pool_map(fails_in_the_worker, range(12), 2, 3))
+        cause = forked.value.__cause__
+        assert "in fails_in_the_worker" in str(cause)
+        assert str(cause).rstrip().endswith("ValueError: item 4 failed")
+        assert "in fails_in_the_worker" in "".join(traceback.format_exception(
+            type(forked.value), forked.value, forked.value.__traceback__))
+        _assert_no_child_left()
+
     def test_worker_death_raises_at_once(self):
         script = (
             "import os\n"
@@ -990,6 +1004,21 @@ class TestCli:
         assert rec["compressed_average_degree"] == "2"
         # the square downset has a level-1 pair with |A | B| = 2 = d
         assert rec["intersecting_levels_consistent"] is False
+
+    def test_analyze_family_builds_the_level_masks_once(self, monkeypatch):
+        """The profile, the full compression's check and the Feder-Subi
+        check each read the level masks; they are built once per n."""
+        import cubegeo.setfamilies as setfamilies_mod
+        from cubegeo.harness.cli import _analyze_family
+
+        builds = []
+        at_least = setfamilies_mod._at_least
+        monkeypatch.setattr(setfamilies_mod, "_at_least", lambda *a: builds.append(a) or at_least(*a))
+        setfamilies_mod._level_masks.cache_clear()
+        fam = generate(InstanceSpec("random-family", n=8, seed=3, density=Fraction(1, 3)))
+        first, _ = _analyze_family(fam)
+        assert len(builds) == 1 and "intersecting_levels_consistent" in first
+        assert _analyze_family(fam)[0] == first and len(builds) == 1
 
 
 class TestCliFuzz:
