@@ -27,14 +27,13 @@ per index byte. Index spaces are capped at ``INDEX_MAX_BITS`` bits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
 from typing import Iterable, Iterator
 
-from .core import (CubeSubgraph, _blocks, _components, _edge_keys, _join, _lo_pattern, _mask,
-                   _pos, _valid_edge_mask, antipode)
+from .core import (CubeSubgraph, _Value, _blocks, _components, _edge_keys, _join, _lo_pattern, _mask,
+                   _pos, _set, _valid_edge_mask, antipode)
 from .geodesics import GeodesicPath, increasing_geodesic_table, extract_increasing_geodesic
 from .rng import SplitMix64, derive
 
@@ -91,18 +90,18 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"colouring dimension {n} outside 1..{MAX_COLOURING_DIMENSION}")
 
 
-@dataclass(frozen=True)
-class EdgeColouring:
+class EdgeColouring(_Value):
     """A total red/blue colouring of E(Q_n). ``blue_mask`` has bit
     (dir << n) | lo set iff the edge (lo, dir) is blue."""
 
-    n: int
-    blue_mask: int
+    __slots__ = _fields = ("n", "blue_mask")
 
-    def __post_init__(self):
-        _check_dimension(self.n)
-        if self.blue_mask & ~_valid_edge_mask(self.n):
+    def __init__(self, n: int, blue_mask: int):
+        _check_dimension(n)
+        if blue_mask & ~_valid_edge_mask(n):
             raise ValueError("blue_mask has bits at non-edge positions")
+        _set(self, "n", n)  # faster than _init: exhaustive search builds one per index
+        _set(self, "blue_mask", blue_mask)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int, Colour]]) -> "EdgeColouring":
@@ -258,17 +257,16 @@ def colouring_from_index(n: int, index: int) -> EdgeColouring:
     return _from_index(n, index, False)
 
 
-@dataclass(frozen=True)
-class AntipodalWitness:
+class AntipodalWitness(_Value):
     """A path between antipodal vertices together with what it certifies:
     'mono-path' (all one colour), 'mono-geodesic', 'one-change-geodesic'
     (geodesics of length n), or a simple 'path' carrying its exact
     colour-change count."""
 
-    kind: str
-    vertices: tuple[int, ...]
-    pair: tuple[int, int]
-    change_count: int | None = None
+    __slots__ = _fields = ("kind", "vertices", "pair", "change_count")
+
+    def __init__(self, kind: str, vertices: tuple[int, ...], pair: tuple[int, int], change_count: int | None = None):
+        self._init(kind, vertices, pair, change_count)
 
 
 def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:

@@ -11,13 +11,12 @@ edge order kept here: edge (lo, dir) is bit ``(dir << n) | lo`` of an
 edge mask, whose 2^n-bit block d holds the lo endpoints of direction d,
 and ``_edge_keys`` lists edges in (lo, dir) order.
 
-All values are immutable after construction and safe to share across
-concurrent workers.
+All values are immutable after construction (see ``_Value``) and safe
+to share across concurrent workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
@@ -48,6 +47,42 @@ class Edge(NamedTuple):
                 f"vertices {u} and {v} differ in {bin(diff).count('1')} bits, not 1"
             )
         return cls(min(u, v), diff.bit_length() - 1)
+
+
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the value classes: ``__init__`` sets the slots ``_fields``
+    names, once, with ``_init`` or ``_set``. Values are equal when class
+    and fields are, hash and print by fields, and refuse assignment and
+    deletion. A ``__dict__`` slot holds any ``cached_property`` views."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self._values()))})"
+
+    def __reduce__(self):  # rebuilt through __init__: unpickling cannot set the read-only slots
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _check_dimension(n: int) -> None:
@@ -158,8 +193,7 @@ def _components(n: int, lomasks: Sequence[int]) -> list[int]:
     return comps
 
 
-@dataclass(frozen=True)
-class CubeSubgraph:
+class CubeSubgraph(_Value):
     """A subgraph of Q_n as bitmasks: bit v of ``vertex_mask`` is set iff
     v is a vertex, and bit lo of ``lo_masks[d]`` iff the edge (lo, d) is
     an edge. The masks are canonical, so equality and hashing of
@@ -169,9 +203,11 @@ class CubeSubgraph:
     every other reader, the graph file writer included, works on the
     masks."""
 
-    n: int
-    vertex_mask: int
-    lo_masks: tuple[int, ...]
+    __slots__ = ("n", "vertex_mask", "lo_masks", "__dict__")
+    _fields = __slots__[:-1]
+
+    def __init__(self, n: int, vertex_mask: int, lo_masks: tuple[int, ...]):
+        self._init(n, vertex_mask, lo_masks)
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:

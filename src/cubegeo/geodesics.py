@@ -26,10 +26,9 @@ All functions are pure; tables and paths are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import CubeSubgraph, _at_least, _bits, average_degree
+from .core import CubeSubgraph, _Value, _at_least, _bits, _set, average_degree
 
 __all__ = [
     "DirectionOrdering",
@@ -51,17 +50,18 @@ ORACLE_MAX_N = 8
 ORACLE_MAX_EDGES = 200
 
 
-@dataclass(frozen=True)
-class DirectionOrdering:
+class DirectionOrdering(_Value):
     """A permutation of the directions [0, n). ``perm[r]`` is the
     direction of rank r; a path is increasing with respect to the
     ordering when the ranks of its edge directions strictly increase."""
 
-    perm: tuple[int, ...]
+    __slots__ = ("perm", "__dict__")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"{self.perm} is not a permutation of 0..{len(self.perm) - 1}")
+    def __init__(self, perm: tuple[int, ...]):
+        if sorted(perm) != list(range(len(perm))):
+            raise ValueError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
+        self._init(perm)
 
     @classmethod
     def identity(cls, n: int) -> "DirectionOrdering":
@@ -88,51 +88,50 @@ def random_ordering(n: int, rng) -> DirectionOrdering:
     return DirectionOrdering(tuple(perm))
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
+class GeodesicPath(_Value):
     """A geodesic: vertex sequence plus the direction of each step.
 
     Directions are pairwise distinct, so the vertices are automatically
-    distinct too. Equality is that of the two fields, so a path and its
+    distinct too. Equality is by class and fields, so a path and its
     reversal are different objects.
     """
 
-    vertices: tuple[int, ...]
-    directions: tuple[int, ...]
+    __slots__ = _fields = ("vertices", "directions")
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: tuple[int, ...], directions: tuple[int, ...]):
+        if not vertices:
             raise ValueError("a path needs at least one vertex")
-        if len(self.directions) != len(self.vertices) - 1:
+        if len(directions) != len(vertices) - 1:
             raise ValueError("need exactly one direction per step")
-        for u, v, d in zip(self.vertices, self.vertices[1:], self.directions):
+        for u, v, d in zip(vertices, vertices[1:], directions):
             if u ^ v != 1 << d:
                 raise ValueError(f"step {u}->{v} is not in direction {d}")
-        if len(set(self.directions)) != len(self.directions):
-            raise ValueError(f"directions {self.directions} repeat: not a geodesic")
+        if len(set(directions)) != len(directions):
+            raise ValueError(f"directions {directions} repeat: not a geodesic")
+        self._init(vertices, directions)
 
     @property
     def length(self) -> int:
         return len(self.directions)
 
 
-@dataclass(frozen=True)
 class IncreasingGeodesic(GeodesicPath):
     """A geodesic whose direction ranks under ``ordering`` strictly
     increase along the path."""
 
-    ordering: DirectionOrdering
+    __slots__ = ("ordering",)
+    _fields = GeodesicPath._fields + __slots__
 
-    def __post_init__(self):
-        super().__post_init__()
-        ranks = self.ordering.ranks
-        seq = [ranks[d] for d in self.directions]
+    def __init__(self, vertices: tuple[int, ...], directions: tuple[int, ...], ordering: DirectionOrdering):
+        super().__init__(vertices, directions)
+        ranks = ordering.ranks
+        seq = [ranks[d] for d in directions]
         if any(a >= b for a, b in zip(seq, seq[1:])):
-            raise ValueError(f"directions {self.directions} are not increasing")
+            raise ValueError(f"directions {directions} are not increasing")
+        _set(self, "ordering", ordering)
 
 
-@dataclass(frozen=True)
-class LTable:
+class LTable(_Value):
     """Per-vertex longest increasing-geodesic lengths for one subgraph
     and ordering, kept as vertex masks, with what it takes to rebuild a
     witness.
@@ -153,10 +152,14 @@ class LTable:
     smaller predecessor.
     """
 
-    n: int
-    ordering: DirectionOrdering
-    lo_masks: tuple[int, ...] = field(repr=False)
-    levels: tuple[tuple[int, ...], ...] = field(repr=False)
+    __slots__ = ("n", "ordering", "lo_masks", "levels", "__dict__")
+    _fields = __slots__[:-1]
+
+    def __init__(self, n: int, ordering: DirectionOrdering, lo_masks: tuple[int, ...], levels: tuple):
+        self._init(n, ordering, lo_masks, levels)
+
+    def __repr__(self) -> str:  # without the masks, which can run to millions of digits
+        return f"LTable(n={self.n!r}, ordering={self.ordering!r})"
 
     @cached_property
     def lengths(self) -> dict[int, int]:

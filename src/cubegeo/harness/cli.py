@@ -29,6 +29,9 @@ from .search import _SPACES, CONJECTURES, run_search
 from .serialize import Report, ParseError, dumps, load_instance, save_json
 from .verify import _THEOREMS, THEOREMS, _full_compression, default_template, run_verify
 
+#: Most items (graph vertices and edges, or family members) a ``gen``
+#: file may hold: graphs up to n = 16, random families up to n = 20.
+GEN_MAX_ITEMS = 2**20
 _ANALYZE_SEARCH_MAX_N = 8
 _ANALYZE_CHANGES_MAX_N = 10
 
@@ -245,7 +248,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = _spec_from_args(args)
-    instance = generate(spec)
+    instance = generate(spec, max_items=GEN_MAX_ITEMS)
     if args.out:
         save_json(args.out, instance)
         print(f"wrote {spec.kind} instance -> {args.out}")

@@ -10,11 +10,10 @@ so that average degree stays defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from ..core import (CubeSubgraph, _at_least, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask,
+from ..core import (CubeSubgraph, _Value, _at_least, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask,
                     _pos, _valid_edge_mask, induced_subgraph)
 from ..colourings import random_antipodal_colouring, random_colouring
 from ..rng import SplitMix64, derive
@@ -28,23 +27,21 @@ FAMILY_KINDS = ("random-family", "t-intersecting-family")
 KINDS = GRAPH_KINDS + COLOURING_KINDS + FAMILY_KINDS
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(_Value):
     """What to generate. Unused parameters stay None; ``seed`` fully
     determines the instance for every random kind."""
 
-    kind: str
-    n: int = 0
-    seed: int = 0
-    density: Fraction | None = None
-    radius: int | None = None
-    centre: int = 0
-    subdim: int | None = None
-    copies: int | None = None
-    k: int | None = None
-    t: int | None = None
-    size: int | None = None
-    path: str | None = None
+    __slots__ = _fields = ("kind", "n", "seed", "density", "radius", "centre", "subdim", "copies", "k", "t",
+                           "size", "path")
+
+    def __init__(self, kind: str, n: int = 0, seed: int = 0, density: Fraction | None = None,
+                 radius: int | None = None, centre: int = 0, subdim: int | None = None, copies: int | None = None,
+                 k: int | None = None, t: int | None = None, size: int | None = None, path: str | None = None):
+        self._init(kind, n, seed, density, radius, centre, subdim, copies, k, t, size, path)
+
+    def replace(self, **changes) -> "InstanceSpec":
+        """This spec with the named fields changed; an unknown name is a TypeError."""
+        return InstanceSpec(**dict(zip(self._fields, self._values()), **changes))
 
 
 def block_size(total: int) -> int:
@@ -164,9 +161,16 @@ def _need(spec: InstanceSpec, field: str):
     return value
 
 
-def generate(spec: InstanceSpec):
+def _check_items(spec: InstanceSpec, items: int, max_items: int | None) -> None:
+    if max_items is not None and items > max_items:
+        raise ValueError(f"{spec.kind} instance at n={spec.n} could hold {items} items, over the cap of {max_items}")
+
+
+def generate(spec: InstanceSpec, max_items: int | None = None):
     """Build the instance a spec describes: a CubeSubgraph, an
-    EdgeColouring, or a SetFamily."""
+    EdgeColouring, or a SetFamily. With ``max_items``, a graph or family
+    whose file could hold more items (vertices and edges, or members) is
+    refused after the spec's other checks, before anything is built."""
     if spec.kind not in KINDS:
         raise ValueError(f"unknown instance kind {spec.kind!r}")
     if spec.kind == "from-file":
@@ -177,16 +181,20 @@ def generate(spec: InstanceSpec):
     n = spec.n
     if spec.kind not in COLOURING_KINDS:  # colourings check their own, smaller range
         _check_dimension(n)  # before any 2^n-bit mask is built or any member drawn
+        graph_items = (1 << n) + (n << n >> 1)
     if spec.kind == "full-cube":
+        _check_items(spec, graph_items, max_items)
         return induced_subgraph(n, (1 << (1 << n)) - 1)
 
     if spec.kind == "induced-random":
         density = Fraction(_need(spec, "density"))
+        _check_items(spec, graph_items, max_items)
         rng = SplitMix64(derive(spec.seed))
         return induced_subgraph(n, rng.bernoulli_mask(density, 1 << n) or 1)
 
     if spec.kind == "edge-random":
         density = Fraction(_need(spec, "density"))
+        _check_items(spec, graph_items, max_items)
         rng = SplitMix64(derive(spec.seed))
         # bit i of the draw picks the i-th edge in (lo, dir) order
         keys = _edge_keys(n, _blocks(_valid_edge_mask(n), n, n))
@@ -202,6 +210,7 @@ def generate(spec: InstanceSpec):
             raise ValueError(f"hamming-ball centre {centre} is not a vertex of Q_{n}")
         if radius < 0:
             raise ValueError(f"hamming-ball radius {radius} is negative")
+        _check_items(spec, graph_items, max_items)
         full = (1 << (1 << n)) - 1
         differ = (_lo_pattern(n, d) ^ (0 if centre >> d & 1 else full) for d in range(n))
         return induced_subgraph(n, full ^ _at_least(full, differ, min(radius, n) + 1)[-1])
@@ -211,6 +220,7 @@ def generate(spec: InstanceSpec):
         copies = _need(spec, "copies")
         if copies < 1 or d < 0 or copies << d > 1 << n:
             raise ValueError(f"cannot place {copies} disjoint {d}-cubes inside Q_{n}")
+        _check_items(spec, graph_items, max_items)
         # copy j occupies the consecutive vertices [j 2^d, (j + 1) 2^d)
         vmask = (1 << (copies << d)) - 1
         lo_masks = tuple(_lo_pattern(n, dir) & vmask if dir < d else 0 for dir in range(n))
@@ -224,13 +234,15 @@ def generate(spec: InstanceSpec):
 
     if spec.kind == "random-family":
         density = Fraction(_need(spec, "density"))
+        _check_items(spec, 1 << n, max_items)
         rng = SplitMix64(derive(spec.seed))
         return SetFamily(n, rng.bernoulli_mask(density, 1 << n))
 
     if spec.kind == "t-intersecting-family":
-        return random_t_intersecting_family(
-            n, _need(spec, "k"), _need(spec, "t"), _need(spec, "size"), spec.seed
-        )
+        k, t, size = _need(spec, "k"), _need(spec, "t"), _need(spec, "size")
+        if 0 <= t <= k <= n:  # else random_t_intersecting_family names the fault
+            _check_items(spec, min(size, comb(n, k)), max_items)
+        return random_t_intersecting_family(n, k, t, size, spec.seed)
 
     raise AssertionError(f"unhandled kind {spec.kind}")
 

@@ -18,13 +18,12 @@ are those of an item-by-item check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
 from ..colourings import Colour, EdgeColouring
-from ..core import CubeSubgraph, _bits, _edge_keys, make_subgraph
+from ..core import CubeSubgraph, _Value, _bits, _edge_keys, make_subgraph
 from ..setfamilies import SetFamily
 
 __all__ = [
@@ -53,17 +52,18 @@ class ParseError(ValueError):
     line/field diagnostics."""
 
 
-@dataclass
-class Report:
+class Report(_Value):
     """One verification or search run: enough to reproduce it exactly
-    (parameters + seed) plus per-record results and aggregates."""
+    (parameters + seed) plus per-record results and aggregates. Unlike
+    the instance values it is mutable, so it has no hash."""
 
-    task: str
-    parameters: dict
-    seed: int
-    records: list = field(default_factory=list)
-    aggregate: dict = field(default_factory=dict)
-    passed: bool = True
+    __slots__ = _fields = ("task", "parameters", "seed", "records", "aggregate", "passed")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, task: str, parameters: dict, seed: int, records: list | None = None,
+                 aggregate: dict | None = None, passed: bool = True):
+        self._init(task, parameters, seed, [] if records is None else records,
+                   {} if aggregate is None else aggregate, passed)
 
     def to_obj(self) -> dict:
         return {

@@ -26,7 +26,6 @@ them in index order and are byte-identical to serial runs.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
 from fractions import Fraction
 from math import ceil, factorial
 from typing import Callable, NamedTuple, Sequence
@@ -96,13 +95,12 @@ def _entry(theorem: str) -> _Theorem:
 def default_template(theorem: str, n: int | None = None) -> InstanceSpec:
     """The CLI's template when no model flags are given."""
     template = _entry(theorem).template
-    return template if n is None else replace(template, n=n)
+    return template if n is None else template.replace(n=n)
 
 
 def _spec_obj(spec: InstanceSpec) -> dict:
     obj = {"kind": spec.kind, "n": spec.n}
-    names = [f.name for f in fields(spec)]
-    for name in names[names.index("seed") + 1:]:
+    for name in InstanceSpec._fields[InstanceSpec._fields.index("seed") + 1:]:
         value = getattr(spec, name)
         if value is not None and not (name == "centre" and value == 0):
             obj[name] = str(value) if isinstance(value, Fraction) else value
@@ -242,7 +240,7 @@ def _cor_record(c) -> dict:
 def _verify_record(params: tuple) -> dict:
     theorem, template, root_seed, index = params
     entry = _THEOREMS[theorem]
-    spec = replace(template, seed=derive(root_seed, index))
+    spec = template.replace(seed=derive(root_seed, index))
     instance = generate(spec)
     if not isinstance(instance, entry.type):
         raise ValueError(

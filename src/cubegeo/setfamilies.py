@@ -9,13 +9,12 @@ families it fixes in every direction are exactly the downsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil
 from typing import Iterable
 
-from .core import _at_least, _bits, _check_dimension, _lo_pattern, _mask
+from .core import _Value, _at_least, _bits, _check_dimension, _lo_pattern, _mask, _set
 
 __all__ = [
     "SetFamily",
@@ -31,18 +30,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_Value):
     """A family of subsets of [n]: bit A of ``mask`` is set iff A is a
     member, so equality and hashing of families are those of the masks."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask", "__dict__")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        _check_dimension(self.n)
-        if self.mask < 0 or self.mask.bit_length() > 1 << self.n:
-            raise ValueError(f"family mask has bits outside the 2^{self.n} subsets of [{self.n}]")
+    def __init__(self, n: int, mask: int):
+        _check_dimension(n)
+        if mask < 0 or mask.bit_length() > 1 << n:
+            raise ValueError(f"family mask has bits outside the 2^{n} subsets of [{n}]")
+        self._init(n, mask)
 
     @classmethod
     def of(cls, n: int, members: Iterable[int]) -> "SetFamily":
@@ -61,19 +60,20 @@ class SetFamily:
         return self.mask.bit_count()
 
 
-@dataclass(frozen=True)
 class UniformFamily(SetFamily):
     """A family whose members all have exactly k elements."""
 
-    k: int
+    __slots__ = ("k",)
+    _fields = SetFamily._fields + __slots__
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, n: int, mask: int, k: int):
+        super().__init__(n, mask)
         sizes = {m.bit_count() for m in self.sets}
-        if sizes - {self.k}:
-            raise ValueError(f"members of sizes {sorted(sizes)} in a {self.k}-uniform family")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"uniform size {self.k} out of range for ground set [{self.n}]")
+        if sizes - {k}:
+            raise ValueError(f"members of sizes {sorted(sizes)} in a {k}-uniform family")
+        if not 0 <= k <= n:
+            raise ValueError(f"uniform size {k} out of range for ground set [{n}]")
+        _set(self, "k", k)
 
     @classmethod
     def of(cls, n: int, members: Iterable[int], k: int | None = None) -> "UniformFamily":

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import traceback
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -246,7 +245,7 @@ class TestGenerate:
     def test_induced_random_seeded(self):
         spec = InstanceSpec("induced-random", n=6, density=Fraction(1, 2), seed=5)
         assert generate(spec) == generate(spec)
-        assert generate(spec) != generate(replace(spec, seed=6))
+        assert generate(spec) != generate(spec.replace(seed=6))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 7), st.integers(0, 2**64 - 1), st.fractions(0, 1, max_denominator=12))
@@ -277,6 +276,41 @@ class TestGenerate:
     def test_missing_parameter(self):
         with pytest.raises(ValueError):
             generate(InstanceSpec("induced-random", n=3))
+
+    @pytest.mark.parametrize("spec, items", [
+        # 2^n vertices and n 2^(n-1) edges
+        (InstanceSpec("full-cube", n=3), 8 + 12),
+        (InstanceSpec("induced-random", n=3, density=Fraction(1, 2)), 8 + 12),
+        (InstanceSpec("edge-random", n=3, density=Fraction(1, 2)), 8 + 12),
+        (InstanceSpec("hamming-ball", n=3, radius=1), 8 + 12),
+        (InstanceSpec("disjoint-cubes", n=3, subdim=1, copies=2), 8 + 12),
+        (InstanceSpec("full-cube", n=0), 1),
+        (InstanceSpec("random-family", n=4, density=Fraction(1, 2)), 16),
+        # min(size, C(n, k)) members
+        (InstanceSpec("t-intersecting-family", n=6, k=3, t=1, size=30), 20),
+        (InstanceSpec("t-intersecting-family", n=6, k=3, t=1, size=7), 7),
+    ])
+    def test_max_items_refuses_above_the_cap_only(self, spec, items):
+        assert generate(spec, max_items=items) == generate(spec)
+        with pytest.raises(ValueError, match=f"{spec.kind} instance at n={spec.n} could hold {items} items, "
+                                             f"over the cap of {items - 1}"):
+            generate(spec, max_items=items - 1)
+
+    @pytest.mark.parametrize("spec, message", [
+        (InstanceSpec("full-cube", n=30), "dimension 30 outside"),
+        (InstanceSpec("induced-random", n=3), "need the 'density' parameter"),
+        (InstanceSpec("hamming-ball", n=3), "need the 'radius' parameter"),
+        (InstanceSpec("hamming-ball", n=3, radius=1, centre=9), "centre 9 is not a vertex"),
+        (InstanceSpec("disjoint-cubes", n=3, subdim=2, copies=3), "cannot place 3 disjoint 2-cubes"),
+        (InstanceSpec("random-family", n=3), "need the 'density' parameter"),
+        (InstanceSpec("t-intersecting-family", n=6, k=3, t=4, size=30), "need 0 <= t <= k <= n"),
+        (InstanceSpec("t-intersecting-family", n=6, k=-1, t=0, size=30), "need 0 <= t <= k <= n"),
+        (InstanceSpec("t-intersecting-family", n=6, k=3, t=1, size=0), "size must be at least 1"),
+        (InstanceSpec("random-colouring", n=17), "colouring dimension 17 outside"),
+    ])
+    def test_max_items_comes_after_every_other_check(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            generate(spec, max_items=0)
 
 
 class TestSerialize:
@@ -892,6 +926,18 @@ class TestCli:
              "hamming-ball centre -1 is not a vertex of Q_3"),
             ({}, ["gen", "--model", "hamming-ball", "--n", "3", "--radius", "-1"],
              "hamming-ball radius -1 is negative"),
+            ({}, ["gen", "--model", "full-cube", "--n", "17"],
+             "full-cube instance at n=17 could hold 1245184 items, over the cap of 1048576"),
+            ({}, ["gen", "--model", "induced-random", "--n", "20"],
+             "induced-random instance at n=20 could hold 11534336 items, over the cap of 1048576"),
+            ({}, ["gen", "--model", "random-family", "--n", "21"],
+             "random-family instance at n=21 could hold 2097152 items, over the cap of 1048576"),
+            # the checks from before the cap still come first
+            ({}, ["gen", "--model", "hamming-ball", "--n", "20", "--radius", "-1"],
+             "hamming-ball radius -1 is negative"),
+            ({}, ["gen", "--model", "t-intersecting-family", "--n", "24", "--k", "12", "--t", "13",
+                  "--size", "2000000"],
+             "need 0 <= t <= k <= n, got t=13 k=12 n=24"),
         ],
     )
     def test_bad_counts_exit_1_with_one_line(self, tmp_path, env, argv, message):
@@ -905,13 +951,13 @@ class TestCli:
         assert result.stdout == "" and not out.exists()
 
     def test_cli_import_leaves_multiprocessing_unloaded(self, tmp_path):
-        """Starting the CLI never loads multiprocessing, and a --jobs 2
-        run on forked workers loads neither it nor, as no worker fails,
-        pickle."""
+        """Starting the CLI never loads multiprocessing, dataclasses or
+        inspect, and a --jobs 2 run on forked workers loads neither
+        multiprocessing nor, as no worker fails, pickle."""
         out = str(tmp_path / "report.json")
         script = (
             "import sys, cubegeo.harness.cli\n"
-            "print('multiprocessing' in sys.modules)\n"
+            "print([m for m in ('multiprocessing', 'dataclasses', 'inspect') if m in sys.modules])\n"
             "from cubegeo.harness import generators\n"
             "generators._usable_cpus = lambda: 2\n"
             "code = cubegeo.harness.cli.main(\n"
@@ -921,7 +967,7 @@ class TestCli:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
-        assert lines[0] == "False" and lines[-1] == "0 []"
+        assert lines[0] == "[]" and lines[-1] == "0 []"
 
     def test_worker_error_exits_like_a_serial_run(self, tmp_path, monkeypatch, capsys):
         """A colouring file under T2 fails in every record, so at --jobs 2

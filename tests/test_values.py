@@ -1,0 +1,169 @@
+"""The value classes: equality and hashing by class and fields, read-only
+fields, cached views built once, constructor signatures, and
+``InstanceSpec.replace``."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from cubegeo import (
+    AntipodalWitness,
+    Colour,
+    CubeSubgraph,
+    DirectionOrdering,
+    EdgeColouring,
+    GeodesicPath,
+    IncreasingGeodesic,
+    LTable,
+    SetFamily,
+    UniformFamily,
+    increasing_geodesic_table,
+    induced_subgraph,
+)
+from cubegeo.core import _Value
+from cubegeo.harness import InstanceSpec, Report
+
+_ID2 = DirectionOrdering.identity(2)
+_TABLE = increasing_geodesic_table(induced_subgraph(2, [0, 1, 3]))
+
+#: Per class: a value, an equal value built another way, and a value that
+#: differs from the first in one field.
+VALUES = {
+    "CubeSubgraph": (induced_subgraph(2, [0, 1, 3]), CubeSubgraph(2, 0b1011, (1, 2)),
+                     CubeSubgraph(2, 0b1011, (1, 0))),
+    "EdgeColouring": (EdgeColouring(2, 0b100),
+                      EdgeColouring.from_pairs(2, [(0, 0, Colour.RED), (2, 0, Colour.BLUE), (0, 1, Colour.RED),
+                                                   (1, 1, Colour.RED)]),
+                      EdgeColouring(2, 0b101)),
+    "AntipodalWitness": (AntipodalWitness("mono-path", (0, 1, 3), (0, 3)),
+                         AntipodalWitness("mono-path", (0, 1, 3), (0, 3), None),
+                         AntipodalWitness("mono-path", (0, 1, 3), (0, 3), 0)),
+    "DirectionOrdering": (_ID2, DirectionOrdering((0, 1)), DirectionOrdering((1, 0))),
+    "GeodesicPath": (GeodesicPath((0, 1, 3), (0, 1)), GeodesicPath((0, 1, 3), (0, 1)),
+                     GeodesicPath((3, 1, 0), (1, 0))),
+    "IncreasingGeodesic": (IncreasingGeodesic((0, 1, 3), (0, 1), _ID2),
+                           IncreasingGeodesic((0, 1, 3), (0, 1), DirectionOrdering((0, 1))),
+                           IncreasingGeodesic((0, 2, 3), (1, 0), DirectionOrdering((1, 0)))),
+    "LTable": (_TABLE, LTable(2, _ID2, _TABLE.lo_masks, _TABLE.levels),
+               LTable(2, _ID2, _TABLE.lo_masks, _TABLE.levels[:-1])),
+    "SetFamily": (SetFamily(2, 0b0110), SetFamily.of(2, [2, 1]), SetFamily(2, 0b0111)),
+    "UniformFamily": (UniformFamily(2, 0b0110, 1), UniformFamily.of(2, [1, 2]), UniformFamily(2, 0b1000, 2)),
+    "InstanceSpec": (InstanceSpec("random-family", n=3, density=Fraction(1, 2)),
+                     InstanceSpec("random-family", 3, 0, Fraction(1, 2)),
+                     InstanceSpec("random-family", n=3, density=Fraction(1, 2), seed=1)),
+    "Report": (Report("verify", {"trials": 1}, 0),
+               Report(task="verify", parameters={"trials": 1}, seed=0, records=[], aggregate={}, passed=True),
+               Report("verify", {"trials": 1}, 0, passed=False)),
+}
+FROZEN = sorted(set(VALUES) - {"Report"})
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_class_is_covered():
+    assert {cls.__name__ for cls in _subclasses(_Value)} == set(VALUES)
+    assert {name: type(values[0]).__name__ for name, values in VALUES.items()} == {name: name for name in VALUES}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equality_is_by_class_and_fields(name):
+    a, same, other = VALUES[name]
+    assert type(a) is type(same) is type(other)
+    assert a == same and not a != same
+    assert a != other and not a == other
+    assert a != a._values() and a != object()
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_hash_is_by_fields(name):
+    a, same, other = VALUES[name]
+    assert hash(a) == hash(same)
+    assert len({a, same, other}) == 2
+
+
+def test_report_is_unhashable():
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(VALUES["Report"][0])
+
+
+def test_values_of_different_classes_never_equal():
+    assert EdgeColouring(2, 0) != SetFamily(2, 0)  # both hold (2, 0)
+    assert SetFamily(2, 0b0110) != UniformFamily(2, 0b0110, 1)
+    assert UniformFamily(2, 0b0110, 1) != SetFamily(2, 0b0110)
+    path = GeodesicPath((0, 1, 3), (0, 1))
+    assert path != IncreasingGeodesic((0, 1, 3), (0, 1), _ID2)
+    assert IncreasingGeodesic((0, 1, 3), (0, 1), _ID2) != path
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_fields_are_read_only(name):
+    a, same, _ = VALUES[name]
+    for field in a._fields:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(a, field)
+    with pytest.raises(AttributeError, match="read-only"):
+        a.extra = 1
+    assert a == same
+
+
+def test_report_is_mutable_with_fresh_defaults():
+    report = Report("search", {}, 0)
+    report.records.append({"index": 0})
+    report.passed = False
+    assert report.to_obj() == {"task": "search", "parameters": {}, "seed": 0, "records": [{"index": 0}],
+                               "aggregate": {}, "pass": False}
+    assert Report("search", {}, 0).records == []
+
+
+@pytest.mark.parametrize("cls, view, build", [
+    (CubeSubgraph, "vertices", lambda: induced_subgraph(3, [0, 1, 3, 7])),
+    (CubeSubgraph, "edges", lambda: induced_subgraph(3, [0, 1, 3, 7])),
+    (DirectionOrdering, "ranks", lambda: DirectionOrdering((2, 0, 1))),
+    (LTable, "lengths", lambda: increasing_geodesic_table(induced_subgraph(3, [0, 1, 3, 7]))),
+    (SetFamily, "sets", lambda: SetFamily(3, 0b10110)),
+    (SetFamily, "sets", lambda: UniformFamily(3, 0b10110, 1)),  # validation reads them first
+])
+def test_cached_views_are_built_once(monkeypatch, cls, view, build):
+    prop = vars(cls)[view]
+    calls = []
+    monkeypatch.setattr(prop, "func", lambda self, func=prop.func: calls.append(self) or func(self))
+    value = build()
+    first = getattr(value, view)
+    assert getattr(value, view) is first and vars(value)[view] is first
+    assert calls == [value]
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_pickle_and_print_by_fields(name):
+    a = VALUES[name][0]
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(a).startswith(f"{name}(")
+    if name != "LTable":  # its repr leaves out the masks
+        assert eval(repr(a), {**globals(), "Fraction": Fraction}) == a
+
+
+def test_instance_spec_keeps_its_field_order():
+    assert InstanceSpec._fields == (
+        "kind", "n", "seed", "density", "radius", "centre", "subdim", "copies", "k", "t", "size", "path",
+    )
+    spec = InstanceSpec(*range(12))
+    assert [getattr(spec, f) for f in InstanceSpec._fields] == list(range(12))
+    assert InstanceSpec("full-cube")._values() == ("full-cube", 0, 0, None, None, 0, None, None, None, None,
+                                                   None, None)
+
+
+def test_instance_spec_replace():
+    spec = InstanceSpec("hamming-ball", n=4, radius=2, centre=3)
+    moved = spec.replace(seed=6, radius=1)
+    assert moved == InstanceSpec("hamming-ball", n=4, seed=6, radius=1, centre=3)
+    assert spec == InstanceSpec("hamming-ball", n=4, radius=2, centre=3)
+    assert spec.replace() == spec
+    with pytest.raises(TypeError, match="unexpected keyword argument 'radiuss'"):
+        spec.replace(radiuss=1)
