@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import ceil
 from typing import Iterable, Iterator
 
-from .core import (CubeSubgraph, _Value, _blocks, _components, _edge_keys, _join, _lo_pattern, _mask,
+from .core import (CubeSubgraph, _Value, _blocks, _components, _edge_keys, _join, _lo_pattern, _mask, _reverse,
                    _pos, _set, _valid_edge_mask, antipode)
 from .geodesics import GeodesicPath, increasing_geodesic_table, extract_increasing_geodesic
 from .rng import SplitMix64, derive
@@ -172,7 +172,7 @@ def _antipodal_image(n: int, mask: int) -> int:
     bit d is 1, and shifting down by 2^d clears it."""
     size = 1 << n
     return _join(
-        (int(format(block, f"0{size}b")[::-1], 2) >> (1 << d)
+        (_reverse(block, size) >> (1 << d)
          for d, block in enumerate(_blocks(mask, n, n))),
         n,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from ..core import (CubeSubgraph, _Value, _at_least, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask,
+from ..core import (CubeSubgraph, _Value, _ball, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask,
                     _pos, _valid_edge_mask, induced_subgraph)
 from ..colourings import random_antipodal_colouring, random_colouring
 from ..rng import SplitMix64, derive
@@ -211,9 +211,7 @@ def generate(spec: InstanceSpec, max_items: int | None = None):
         if radius < 0:
             raise ValueError(f"hamming-ball radius {radius} is negative")
         _check_items(spec, graph_items, max_items)
-        full = (1 << (1 << n)) - 1
-        differ = (_lo_pattern(n, d) ^ (0 if centre >> d & 1 else full) for d in range(n))
-        return induced_subgraph(n, full ^ _at_least(full, differ, min(radius, n) + 1)[-1])
+        return induced_subgraph(n, _ball(n, centre, radius))
 
     if spec.kind == "disjoint-cubes":
         d = _need(spec, "subdim")
@@ -255,7 +253,9 @@ def random_t_intersecting_family(
     Seed a common t-element core, draw k-sets containing it, then perturb
     a quarter of the draws by one element swap and keep a draw only if it
     stays t-intersecting with everything kept so far. The first draw is
-    never perturbed, so the family is nonempty.
+    never perturbed, so the family is nonempty. Two supersets of the core
+    share at least t elements, so a draw that holds the core is tested
+    only against the kept members that miss part of it.
     """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t} k={k} n={n}")
@@ -268,7 +268,8 @@ def random_t_intersecting_family(
     for e in elems[:t]:
         core |= 1 << e
     outside = [e for e in range(n) if not (core >> e) & 1]
-    kept: list[int] = []
+    kept: set[int] = set()
+    loose: list[int] = []  # the kept members that miss part of the core
     attempts = 0
     while len(kept) < size and attempts < 50 * min(size, comb(n, k)):  # there are only C(n, k) k-sets
         attempts += 1
@@ -284,8 +285,11 @@ def random_t_intersecting_family(
                 s |= 1 << away[rng.randrange(len(away))]
         if s in kept:
             continue
-        if all((s & other).bit_count() >= t for other in kept):
-            kept.append(s)
+        holds_core = s & core == core
+        if all((s & other).bit_count() >= t for other in (loose if holds_core else kept)):
+            kept.add(s)
+            if not holds_core:
+                loose.append(s)
     fam = UniformFamily.of(n, kept, k)
     if not is_t_intersecting(fam, t):
         raise RuntimeError(f"generated family is not {t}-intersecting")

@@ -34,6 +34,7 @@ the scalar ``next_u64`` loop, which is cheaper there than building lanes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -103,6 +104,13 @@ def _first_chunk(raw: bytes, chunk: bytes) -> int:
     while at > 0 and at & 1:
         at = raw.find(chunk, at + 1)
     return at >> 1 if at >= 0 else len(raw) >> 1
+
+
+@lru_cache(maxsize=64)
+def _shuffle_steps(length: int) -> tuple[tuple[int, int, int], ...]:
+    """(i, 2^k - 1, k) with k = i.bit_length(), for i = length - 1 down to
+    1: the Fisher-Yates steps of a list of this length."""
+    return tuple((i, (1 << i.bit_length()) - 1, i.bit_length()) for i in range(length - 1, 0, -1))
 
 
 class SplitMix64:
@@ -212,16 +220,16 @@ class SplitMix64:
 
         Position i swaps with ``randrange(i + 1)``, drawn as in ``bits``
         but in one loop over a local copy of the state and buffer, with
-        ``mix64`` per refill word; the state is stored back once."""
+        ``mix64`` per refill word; the state is stored back once. Each
+        step's bound, mask and width come from ``_shuffle_steps``."""
         state, buf, bufbits = self.state, self._buf, self._bufbits
-        for i in range(len(seq) - 1, 0, -1):
-            k = i.bit_length()
+        for i, low, k in _shuffle_steps(len(seq)):
             while True:
                 while bufbits < k:
                     state = (state + _GAMMA) & _MASK
                     buf |= mix64(state) << bufbits
                     bufbits += 64
-                j = buf & ((1 << k) - 1)
+                j = buf & low
                 buf >>= k
                 bufbits -= k
                 if j <= i:

@@ -6,6 +6,7 @@ enumeration and simple-path DFS, nothing clever.
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from cubegeo.colourings import MAX_COLOURING_DIMENSION, Colour, EdgeColouring
 from cubegeo.core import MAX_DIMENSION, CubeSubgraph
@@ -25,6 +26,22 @@ def max_pairwise_distance(vertices):
     if len(vs) == 1:
         return 0
     return max(bin(u ^ v).count("1") for u, v in combinations(vs, 2))
+
+
+def lex_first_farthest_pair(vertices):
+    """Referee for ``max_hamming_pair``: (x, y, D) with D the largest
+    Hamming distance over all pairs x < y, and (x, y) the first such pair
+    in lexicographic order; (v, v, 0) for a single vertex v. A double
+    loop over the sorted vertices that keeps a pair only if it is
+    strictly farther than the best so far."""
+    vs = sorted(set(vertices))
+    best = (vs[0], vs[0], 0)
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            d = bin(vs[i] ^ vs[j]).count("1")
+            if d > best[2]:
+                best = (vs[i], vs[j], d)
+    return best
 
 
 def adjacency(g):
@@ -456,6 +473,39 @@ def edge_random_graph(n, density, seed):
             vertices.update((lo, lo + 2 ** d))
             lo_masks[d] |= 1 << lo
     return CubeSubgraph(n, sum(1 << v for v in vertices) or 1, tuple(lo_masks))
+
+
+def t_intersecting_members(n, k, t, size, seed):
+    """Referee for ``random_t_intersecting_family``: the same draws on
+    ``SplitMix64Referee``, with sets of elements. A shuffle of range(n)
+    picks the t-element core; each attempt shuffles the other elements
+    and adds the first k - t of them to the core; after the first kept
+    member, a randrange(4) of 0 swaps a random element of the draw
+    (ascending order) for a random one outside it. A draw is kept if it
+    is new and meets every kept member in t or more elements, until size
+    are kept or 50 min(size, C(n, k)) attempts are made. Returns the kept
+    members, as ints, in draw order."""
+    rng = SplitMix64Referee(derive(seed))
+    elems = list(range(n))
+    rng.shuffle(elems)
+    core = set(elems[:t])
+    outside = [e for e in range(n) if e not in core]
+    kept = []
+    attempts = 0
+    while len(kept) < size and attempts < 50 * min(size, comb(n, k)):
+        attempts += 1
+        rng.shuffle(outside)
+        s = core | set(outside[:k - t])
+        if kept and rng.randrange(4) == 0:
+            inside = sorted(s)
+            away = [e for e in range(n) if e not in s]
+            if inside and away:
+                s.remove(inside[rng.randrange(len(inside))])
+                s.add(away[rng.randrange(len(away))])
+        member = sum(2 ** e for e in s)
+        if member not in kept and all(bin(member & other).count("1") >= t for other in kept):
+            kept.append(member)
+    return kept
 
 
 def fisher_yates_ordering(n, rng):

@@ -16,7 +16,7 @@ from cubegeo import (
 from cubegeo.core import MAX_DIMENSION, _bits, _lo_pattern
 from cubegeo.rng import SplitMix64, derive
 
-from oracles import induced_edge_pairs, max_pairwise_distance
+from oracles import induced_edge_pairs, lex_first_farthest_pair, max_pairwise_distance
 
 
 def square_edges():
@@ -184,6 +184,10 @@ class TestHamming:
             antipode(8, 3)
 
 
+def _hamming_ball(n, centre, radius):
+    return [v for v in range(1 << n) if bin(v ^ centre).count("1") <= radius]
+
+
 class TestMaxHammingPair:
     def test_full_cube(self):
         for d in range(1, 5):
@@ -199,6 +203,29 @@ class TestMaxHammingPair:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             max_hamming_pair(make_subgraph(2, [], []))
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_is_the_oracles_lex_first_farthest_pair(self, data):
+        n = data.draw(st.integers(0, 7))
+        verts = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1))
+        assert max_hamming_pair(induced_subgraph(n, verts)) == lex_first_farthest_pair(verts)
+
+    @pytest.mark.parametrize("n, verts", [
+        *((6, _hamming_ball(6, centre, radius)) for centre in (0, 0b101101, 63) for radius in (0, 1, 2)),
+        (7, _hamming_ball(7, 0b0011010, 3)),
+        (6, [0b100000 | v for v in range(8)]),  # a 3-subcube
+        (6, [v | 1 for v in range(0, 64, 6)]),  # bit 0 fixed
+        *((4, [v]) for v in (0, 6, 15)),
+        (0, [0]),
+    ])
+    def test_fixed_cases_below_n_match_the_oracle(self, n, verts):
+        x, y, dist = max_hamming_pair(induced_subgraph(n, verts))
+        assert (x, y, dist) == lex_first_farthest_pair(verts)
+        assert dist < n or n == 0
+
+    def test_full_cube_at_14(self):
+        assert max_hamming_pair(induced_subgraph(14, (1 << (1 << 14)) - 1)) == (0, (1 << 14) - 1, 14)
 
     @given(st.sets(st.integers(0, 63), min_size=1))
     @settings(max_examples=60)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cubegeo import EdgeColouring, SetFamily, average_degree, induced_subgraph
+from cubegeo import EdgeColouring, SetFamily, UniformFamily, average_degree, induced_subgraph
 from cubegeo.harness import (
     InstanceSpec,
     ParseError,
@@ -43,7 +43,7 @@ from cubegeo.harness.generators import KINDS, pool_map
 from cubegeo.harness.search import CONJECTURES, _sweep
 from cubegeo.harness.verify import THEOREMS
 from cubegeo.rng import SplitMix64, derive, mix64
-from oracles import SplitMix64Referee, direction_split, edge_random_graph
+from oracles import SplitMix64Referee, direction_split, edge_random_graph, t_intersecting_members
 
 
 BERNOULLI_PROBABILITIES = [
@@ -256,6 +256,17 @@ class TestGenerate:
     def test_edge_random_never_empty(self):
         g = generate(InstanceSpec("edge-random", n=4, density=Fraction(0), seed=1))
         assert g.vertices == (0,) and g.edges == ()
+
+    @pytest.mark.parametrize("n, k, t, size", [
+        (8, 3, 1, 12), (10, 4, 2, 40), (9, 5, 3, 25),
+        (6, 3, 0, 10), (7, 0, 0, 3), (7, 7, 0, 2),  # t = 0
+        (7, 3, 3, 5), (6, 6, 6, 4), (5, 2, 2, 1),  # t = k
+        (5, 2, 1, 20), (6, 3, 2, 30), (4, 2, 0, 9),  # size above C(n, k): the attempt cap ends the draws
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+    def test_t_intersecting_matches_the_plain_referee(self, n, k, t, size, seed):
+        members = t_intersecting_members(n, k, t, size, seed)
+        assert random_t_intersecting_family(n, k, t, size, seed) == UniformFamily.of(n, members, k)
 
     def test_colouring_kinds(self):
         c = generate(InstanceSpec("antipodal-colouring", n=3, seed=2))

@@ -21,6 +21,7 @@ from cubegeo import (
     increasing_geodesic_table,
     induced_subgraph,
 )
+from cubegeo.colourings import random_colouring
 from cubegeo.core import _Value
 from cubegeo.harness import InstanceSpec, Report
 
@@ -147,6 +148,27 @@ def test_values_pickle_and_print_by_fields(name):
     assert repr(a).startswith(f"{name}(")
     if name != "LTable":  # its repr leaves out the masks
         assert eval(repr(a), {**globals(), "Fraction": Fraction}) == a
+
+
+@pytest.mark.parametrize("build", [
+    lambda: induced_subgraph(14, (1 << (1 << 14)) - 1),
+    lambda: SetFamily(14, (1 << (1 << 14)) - 1),
+    lambda: random_colouring(11, 0),
+], ids=["CubeSubgraph", "SetFamily", "EdgeColouring"])
+def test_repr_writes_masks_of_over_4300_digits_in_hex(build):
+    """Python 3.11+ refuses to write such an int in decimal."""
+    value = build()
+    text = repr(value)
+    assert "=0x" in text
+    assert eval(text) == value
+
+
+def test_repr_keeps_ints_of_64_bits_in_decimal():
+    assert repr(SetFamily(7, 2**64 - 1)) == f"SetFamily(n=7, mask={2**64 - 1})"
+    assert repr(SetFamily(7, 2**64)) == "SetFamily(n=7, mask=0x10000000000000000)"
+    assert repr(CubeSubgraph(7, 2**64, (2**64, 1))) == \
+        "CubeSubgraph(n=7, vertex_mask=0x10000000000000000, lo_masks=(0x10000000000000000, 1))"
+    assert repr(CubeSubgraph(1, 3, (1,))) == "CubeSubgraph(n=1, vertex_mask=3, lo_masks=(1,))"
 
 
 def test_instance_spec_keeps_its_field_order():
