@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
 from typing import Iterable, Iterator
 
 from .core import (CubeSubgraph, _Value, _blocks, _components, _edge_keys, _join, _lo_pattern, _mask, _reverse,
@@ -494,7 +493,8 @@ def monochromatic_half_geodesic(c: EdgeColouring) -> GeodesicPath:
     The majority colour class has at least half of all edges, so over all
     2^n vertices its average degree is at least n/2, and some connected
     component of it reaches that ratio; the direction-sweep table on that
-    component then yields a geodesic of at least ceil(n/2) edges.
+    component then yields a geodesic of at least ceil(n/2) edges. That
+    bound is the claim under test, so it is left to the caller to check.
     """
     n = c.n
     total = edge_count(n)
@@ -512,8 +512,6 @@ def monochromatic_half_geodesic(c: EdgeColouring) -> GeodesicPath:
     sub = CubeSubgraph(n, best_comp, tuple(m & best_comp for m in lomasks))
     table = increasing_geodesic_table(sub)
     path = extract_increasing_geodesic(table, table.longest_end)
-    if path.length < ceil(Fraction(n, 2)):
-        raise RuntimeError(f"half geodesic has {path.length} edges, below ceil(n/2) at n = {n}")
     if any(c.colour_between(u, v) is not majority for u, v in zip(path.vertices, path.vertices[1:])):
         raise RuntimeError(f"half geodesic {path.vertices} leaves the {majority.value} class")
     return path
@@ -549,17 +547,26 @@ def lift_to_antipodal(c: EdgeColouring) -> EdgeColouring:
     return lifted
 
 
+def _close(verts: tuple[int, ...], s: int, n: int) -> tuple[int, ...]:
+    """A geodesic of Q_n between antipodes, closed at step s: from verts[s]
+    along the rest of ``verts``, which ends at the antipode of verts[0],
+    then along the antipodal image of its first s steps, to the antipode
+    of verts[s]. s = 0 gives ``verts`` back."""
+    mask = (1 << n) - 1
+    return verts[s:] + tuple(v ^ mask for v in verts[1:s + 1])
+
+
 def derive_B_from_A(c: EdgeColouring) -> AntipodalWitness:
     """Produce a one-change antipodal geodesic for an arbitrary colouring
     from a monochromatic antipodal geodesic on its antipodal lift.
 
-    Lift c to an antipodal colouring of Q_{n+1}, find a monochromatic
-    geodesic P between antipodal vertices there, and close it with its
-    antipodal image into a cycle of length 2(n+1). The cycle crosses the
-    new direction exactly twice, so it splits into a bottom arc and a top
-    arc; the bottom arc is a geodesic between Q_n-antipodal vertices made
-    of one piece of P and one piece of the oppositely coloured image, so
-    it changes colour at most once under c.
+    Lift c to an antipodal colouring of Q_{n+1} and find a monochromatic
+    geodesic P between antipodal vertices there. Closed one step after it
+    crosses the new direction, less its last vertex, P becomes a geodesic
+    between antipodes of one subcube: a piece of P, then a piece of its
+    oppositely coloured image. In the bottom subcube, or moved there by
+    the antipodal map, the lift agrees with c, so the path changes colour
+    at most once under c.
     """
     n = c.n
     lifted = lift_to_antipodal(c)
@@ -569,23 +576,12 @@ def derive_B_from_A(c: EdgeColouring) -> AntipodalWitness:
             "no monochromatic antipodal geodesic on the lifted colouring; "
             "cannot run the construction"
         )
-    mask2 = (1 << (n + 1)) - 1
-    p = list(found.vertices)
-    cycle = p + [v ^ mask2 for v in p[1:]]
-    steps = list(zip(cycle, cycle[1:]))
-    crossings = [i for i, (u, v) in enumerate(steps) if u ^ v == 1 << n]
-    if len(crossings) != 2:
-        raise RuntimeError(f"the cycle crosses the new direction {len(crossings)} times, not twice")
-    i1, i2 = crossings
-    arc1 = cycle[i1 + 1 : i2 + 1]
-    arc2 = cycle[i2 + 1 :] + cycle[1 : i1 + 1]
-    top_bit = 1 << n
-    bottom, top = (arc2, arc1) if arc1[0] & top_bit else (arc1, arc2)
-    if any(v & top_bit for v in bottom) or not all(v & top_bit for v in top):
-        raise RuntimeError("an arc of the cycle between its crossings leaves its subcube")
-    witness = AntipodalWitness(
-        "one-change-geodesic", tuple(bottom), (bottom[0], bottom[-1])
-    )
+    p = found.vertices
+    s = next(i for i in range(1, len(p)) if p[i - 1] ^ p[i] == 1 << n)
+    path = _close(p, s, n + 1)[:-1]
+    if path[0] >> n:
+        path = tuple(v ^ ((2 << n) - 1) for v in path)
+    witness = AntipodalWitness("one-change-geodesic", path, (path[0], path[-1]))
     validate_witness(witness, c)
     return witness
 
@@ -605,21 +601,10 @@ def derive_A_from_B(c: EdgeColouring) -> AntipodalWitness:
     found = find_one_change_antipodal_geodesic(c)
     if found is None:
         raise ValueError("no one-change antipodal geodesic; cannot run the construction")
-    verts = list(found.vertices)
+    verts = found.vertices
     cols = [c.colour_between(u, v) for u, v in zip(verts, verts[1:])]
-    split = next(
-        (i + 1 for i in range(len(cols) - 1) if cols[i] is not cols[i + 1]), None
-    )
-    if split is None:
-        witness = AntipodalWitness("mono-geodesic", tuple(verts), (verts[0], verts[-1]))
-        validate_witness(witness, c)
-        return witness
-    mask = (1 << n) - 1
-    tail = verts[split:]
-    head_image = [v ^ mask for v in verts[1 : split + 1]]
-    combined = tail + head_image
-    witness = AntipodalWitness(
-        "mono-geodesic", tuple(combined), (combined[0], combined[-1])
-    )
+    split = next((i for i in range(1, len(cols)) if cols[i - 1] is not cols[i]), 0)
+    path = _close(verts, split, n)
+    witness = AntipodalWitness("mono-geodesic", path, (path[0], path[-1]))
     validate_witness(witness, c)
     return witness

@@ -44,38 +44,34 @@ class InstanceSpec(_Value):
         return InstanceSpec(**dict(zip(self._fields, self._values()), **changes))
 
 
-def block_size(total: int) -> int:
-    """Work items per ``pool_map`` chunk: at most 1024, and about 16
-    chunks even for short sweeps. It depends on the work alone, never on
-    --jobs."""
-    return min(1024, -(-total // 16))
+def pool_map(fn, total: int, jobs: int):
+    """fn(start, stop) on each block of the indices [0, total), the results
+    in order and lazily. Blocks hold min(1024, ceil(total / 16)) indices,
+    the last one the rest: a split by the work alone, never by ``jobs``.
+    They go to W = min(jobs, block count, usable CPUs) workers, serially
+    when W is 1 or ``os.fork`` is missing; the results never depend on W.
 
-
-def pool_map(fn, items, jobs: int, chunksize: int = 1):
-    """fn over items, in order and lazily, split over W = min(jobs, chunk
-    count, usable CPUs) workers; serial when W is 1 or ``os.fork`` is
-    missing. The results never depend on W.
-
-    Chunk c (``chunksize`` items) runs on worker c % W. Worker 0 is the
-    calling process, which runs its chunks as the caller reaches them;
-    workers 1..W-1 are forked children, each sending every chunk's result
-    list down its own pipe as a length-prefixed ``marshal`` frame, so fn
-    must return values of the built-in types marshal takes, as JSON-shaped
-    dicts are; marshal, unlike JSON, keeps int dict keys. An exception
-    in fn is re-raised at its chunk's position, a worker's with its
-    traceback text there as ``__cause__``; a child that ends before sending
-    a chunk raises RuntimeError, and finishing, failing or closing the
-    generator kills and reaps every child."""
+    Block c runs on worker c % W. Worker 0 is the calling process, which
+    runs its blocks as the caller reaches them; workers 1..W-1 are forked
+    children, each sending every block's result down its own pipe as a
+    length-prefixed ``marshal`` frame, so fn must return values of the
+    built-in types marshal takes, as JSON-shaped dicts are; marshal,
+    unlike JSON, keeps int dict keys. An exception in fn is re-raised at
+    its block's position, a worker's with its traceback text there as
+    ``__cause__``; a child that ends before sending a block raises
+    RuntimeError, and finishing, failing or closing the generator kills
+    and reaps every child."""
+    size = min(1024, -(-total // 16))
+    blocks = [(start, min(start + size, total)) for start in range(0, total, size)]
     if jobs > 1:
         import os
 
-        items = list(items)
-        chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
-        workers = min(jobs, len(chunks), _usable_cpus())
+        workers = min(jobs, len(blocks), _usable_cpus())
         if workers > 1 and hasattr(os, "fork"):
-            yield from _forked_map(fn, chunks, workers)
+            yield from _forked_map(fn, blocks, workers)
             return
-    yield from map(fn, items)
+    for start, stop in blocks:
+        yield fn(start, stop)
 
 
 def _usable_cpus() -> int:
@@ -85,7 +81,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _forked_map(fn, chunks: list, workers: int):
+def _forked_map(fn, blocks: list, workers: int):
     import marshal
     import os
     import signal
@@ -97,26 +93,26 @@ def _forked_map(fn, chunks: list, workers: int):
             pid = os.fork()
             if pid == 0:
                 os.close(r)
-                _run_child(fn, chunks[w::workers], wr)  # never returns
+                _run_child(fn, blocks[w::workers], wr)  # never returns
             os.close(wr)
             children[w] = (pid, open(r, "rb"))
-        for c, chunk in enumerate(chunks):
+        for c, (start, stop) in enumerate(blocks):
             w = c % workers
             if w == 0:
-                yield from map(fn, chunk)
+                yield fn(start, stop)
                 continue
             pipe = children[w][1]
             head = pipe.read(8)
             size = int.from_bytes(head, "little")
             body = pipe.read(size)
             if len(head) < 8 or len(body) < size:
-                raise RuntimeError(f"worker {w} ended before sending chunk {c}")
-            results = marshal.loads(body)
-            if isinstance(results, tuple):  # the pickled exception fn raised, and its traceback
+                raise RuntimeError(f"worker {w} ended before sending block {c}")
+            result, trace = marshal.loads(body)
+            if trace is not None:  # result is the pickled exception fn raised
                 import pickle
 
-                raise pickle.loads(results[0]) from _WorkerTraceback(results[1])
-            yield from results
+                raise pickle.loads(result) from _WorkerTraceback(trace)
+            yield result
     finally:
         for pid, pipe in children.values():
             pipe.close()
@@ -129,8 +125,8 @@ class _WorkerTraceback(Exception):
     its traceback text there, which the pickled exception does not keep."""
 
 
-def _run_child(fn, chunks: list, fd: int):
-    """A forked worker's whole life: send each chunk's results, or the
+def _run_child(fn, blocks: list, fd: int):
+    """A forked worker's whole life: send each block's result, or the
     exception that stops it, pickled, with its traceback text, as a marshal
     frame; then exit at once, running no handler inherited from the parent."""
     import marshal
@@ -138,9 +134,9 @@ def _run_child(fn, chunks: list, fd: int):
 
     try:
         with open(fd, "wb") as out:
-            for chunk in chunks:
+            for start, stop in blocks:
                 try:
-                    frame, failed = marshal.dumps(list(map(fn, chunk))), False
+                    frame, failed = marshal.dumps((fn(start, stop), None)), False
                 except Exception as exc:
                     import pickle
                     import traceback

@@ -10,9 +10,10 @@
 One table, ``_SPACES``, gives each conjecture its space (antipodal
 colourings for NORINE/A, all colourings for B), its exhaustive cap
 (n = 4 resp. n = 3), its checker and its key in ``analyze`` reports.
-Work is blocked by colouring index (``generators.block_size``); blocks
-merge in order, so the report is identical for any --jobs value. The
-sweep halts at the first counterexample and embeds the colouring.
+Work is blocked by colouring index (``generators.pool_map`` owns the
+split); blocks merge in order, so the report is identical for any --jobs
+value. The sweep halts at the first counterexample and embeds the
+colouring.
 
 Exhaustive mode builds every colouring of the space from its index,
 sample mode ``budget`` seeded colourings. Both run one sweep per block:
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import closing
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple
 
 from ..colourings import (
@@ -46,7 +48,7 @@ from ..colourings import (
     validate_witness,
 )
 from ..rng import derive
-from .generators import block_size, pool_map
+from .generators import pool_map
 from .serialize import Report, colouring_to_obj
 
 __all__ = ["CONJECTURES", "run_search"]
@@ -72,11 +74,10 @@ _SPACES = {
 CONJECTURES = tuple(_SPACES)
 
 
-def _search_block(params: tuple) -> dict:
+def _search_block(conjecture: str, mode: str, n: int, seed: int, collect_changes: bool, start: int, stop: int) -> dict:
     """Check colourings [start, stop); stop early inside the block at the
     first counterexample. Returns mergeable per-block results: ``kinds``
     counts witness kinds, ``changes`` the minimum-colour-change values."""
-    conjecture, mode, n, seed, start, stop, collect_changes = params
     space = _SPACES[conjecture]
     if mode == "exhaustive":
         build = antipodal_colouring_from_index if space.antipodal else colouring_from_index
@@ -162,16 +163,11 @@ def run_search(
         total = budget
         collect_changes = True
 
-    size = block_size(total)
-    blocks = [
-        (conjecture, mode, n, seed, start, min(start + size, total), collect_changes)
-        for start in range(0, total, size)
-    ]
     checked = 0
     fail = None
     kinds: Counter[str] = Counter()
     changes: Counter[int] = Counter()
-    with closing(pool_map(_search_block, blocks, jobs)) as results:
+    with closing(pool_map(partial(_search_block, conjecture, mode, n, seed, collect_changes), total, jobs)) as results:
         for res in results:
             checked += res["checked"]
             kinds.update(res["kinds"])

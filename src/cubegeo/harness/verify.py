@@ -27,6 +27,7 @@ them in index order and are byte-identical to serial runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import ceil, factorial
 from typing import Callable, NamedTuple, Sequence
 
@@ -49,9 +50,7 @@ from ..setfamilies import (
     iterated_shadow,
     level_profile,
 )
-from .generators import (
-    COLOURING_KINDS, FAMILY_KINDS, GRAPH_KINDS, InstanceSpec, block_size, generate, pool_map,
-)
+from .generators import COLOURING_KINDS, FAMILY_KINDS, GRAPH_KINDS, InstanceSpec, generate, pool_map
 from .serialize import Report, instance_to_obj
 
 __all__ = ["THEOREMS", "default_template", "run_verify"]
@@ -237,8 +236,7 @@ def _cor_record(c) -> dict:
     }
 
 
-def _verify_record(params: tuple) -> dict:
-    theorem, template, root_seed, index = params
+def _verify_record(theorem: str, template: InstanceSpec, root_seed: int, index: int) -> dict:
     entry = _THEOREMS[theorem]
     spec = template.replace(seed=derive(root_seed, index))
     instance = generate(spec)
@@ -253,6 +251,12 @@ def _verify_record(params: tuple) -> dict:
     if not rec["ok"]:
         record["violation"] = instance_to_obj(instance)
     return record
+
+
+def _verify_block(theorem: str, templates: list, root_seed: int, start: int, stop: int) -> list[dict]:
+    """The records of instances [start, stop), each from ``_verify_record``
+    as the module names it when called."""
+    return [_verify_record(theorem, templates[i % len(templates)], root_seed, i) for i in range(start, stop)]
 
 
 def run_verify(
@@ -277,8 +281,8 @@ def run_verify(
     for t in templates:
         if t.kind not in kinds:
             raise ValueError(f"{theorem} cannot run on {t.kind} instances; it takes {', '.join(kinds)}")
-    args = [(theorem, templates[i % len(templates)], seed, i) for i in range(trials)]
-    records = list(pool_map(_verify_record, args, jobs, block_size(trials)))
+    blocks = pool_map(partial(_verify_block, theorem, templates, seed), trials, jobs)
+    records = [record for block in blocks for record in block]
     violations = sum(1 for r in records if not r["ok"])
     slacks = [Fraction(r["slack"]) for r in records if r["slack"] is not None]
     return Report(

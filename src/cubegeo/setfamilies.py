@@ -9,9 +9,10 @@ families it fixes in every direction are exactly the downsets.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import compress
 from math import ceil
+from operator import and_
 from typing import Iterable
 
 from .core import _Value, _at_least, _bits, _check_dimension, _lo_pattern, _mask, _set
@@ -105,16 +106,11 @@ def compress_element(fam: SetFamily, i: int) -> SetFamily:
 
 
 def full_compress(fam: SetFamily) -> SetFamily:
-    """Apply compress_element for i = 0..n-1 cyclically until a full pass
-    changes nothing. Terminates because the total popcount strictly drops
-    on every changing application; the result is a downset of the same
-    size."""
-    current, previous = SetFamily(fam.n, fam.mask), None
-    while current != previous:
-        previous = current
-        for i in range(fam.n):
-            current = compress_element(current, i)
-    return current
+    """Apply compress_element once for each i = 0..n-1: a downset of the
+    same size. Compressing in direction j leaves a family closed under
+    removing i if it was before, so after the step for i the family stays
+    closed under removing each of 0..i, and one pass is the fixpoint."""
+    return reduce(compress_element, range(fam.n), SetFamily(fam.n, fam.mask))
 
 
 def is_downset(fam: SetFamily) -> bool:
@@ -145,15 +141,23 @@ def iterated_shadow(fam: UniformFamily, l: int) -> UniformFamily:
 
 def is_t_intersecting(fam: SetFamily, t: int) -> bool:
     """True iff |A & B| >= t for every unordered pair of members,
-    including A = B, so every member itself needs at least t elements."""
+    including A = B, so every member itself needs at least t elements.
+
+    Bit-sliced over member indices: per element, the mask of the members
+    that hold it (a column of the members' binary digits); the members
+    sharing at least t elements with A are ``_at_least`` t of the masks
+    of A's elements. Members that all hold the t elements held most
+    often share them, so only the others are counted, up to the first
+    that fails."""
     if t < 0:
         raise ValueError("intersection threshold must be nonnegative")
-    sets = fam.sets
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            if (a & b).bit_count() < t:
-                return False
-    return True
+    everyone = (1 << len(fam)) - 1
+    rows = [format(a, f"0{fam.n}b") for a in fam.sets]  # column j is element n - 1 - j
+    holders = [int("".join(column)[::-1], 2) for column in zip(*rows)]
+    top = sorted(holders, key=int.bit_count, reverse=True)[:t]
+    core = reduce(and_, top, everyone) if len(top) == t else 0
+    return all(_at_least(everyone, compress(holders, map("1".__eq__, rows[i])), t)[t] == everyone
+               for i in _bits(everyone ^ core))
 
 
 @lru_cache(maxsize=1)
@@ -180,19 +184,11 @@ def level_profile(fam: SetFamily) -> tuple[int, ...]:
 def feder_subi_intersecting_check(fam: SetFamily, d) -> bool:
     """Internal-consistency check for a downset of claimed average degree
     d: every level at height k >= d/2 must be free of member pairs with
-    |A | B| >= d, equivalently (2k - ceil(d) + 1)-intersecting. Pairs
-    include A = B.
+    |A | B| >= d, pairs including A = B. Two k-sets have |A | B| =
+    2k - |A & B|, so the level must be t-intersecting for
+    t = 2k - ceil(d) + 1, which is at least 1 there.
     """
     if not is_downset(fam):
         raise ValueError("check requires a downset")
-    d = Fraction(d)
-    need = ceil(d)  # |A | B| >= d as an int comparison
-    for k, level in enumerate(_level_masks(fam.n)):
-        if k < d / 2:
-            continue
-        members = _bits(fam.mask & level)
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                if (a | b).bit_count() >= need:
-                    return False
-    return True
+    return all(is_t_intersecting(SetFamily(fam.n, fam.mask & level), 2 * k - ceil(d) + 1)
+               for k, level in enumerate(_level_masks(fam.n)) if 2 * k >= d)

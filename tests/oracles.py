@@ -424,6 +424,12 @@ def full_compress_members(n, members):
         current = nxt
 
 
+def is_t_intersecting_members(members, t):
+    """Referee for the t-intersecting test: every pair of members, a
+    member with itself included, shares at least t elements."""
+    return all(bin(a & b).count("1") >= t for a in members for b in members)
+
+
 def _drops(a):
     """The sets a - {i} for each element i of a."""
     return [a ^ (1 << i) for i in range(a.bit_length()) if a >> i & 1]

@@ -37,6 +37,7 @@ from cubegeo.colourings import (
     find_one_change_antipodal_geodesic,
     min_colour_changes_antipodal,
 )
+from cubegeo.geodesics import GeodesicPath
 from cubegeo.harness import generators
 from cubegeo.harness.cli import main
 from cubegeo.harness.generators import KINDS, pool_map
@@ -455,9 +456,51 @@ class TestRunVerify:
 
         calls = []
         record = verify_mod._verify_record
-        monkeypatch.setattr(verify_mod, "_verify_record", lambda p: calls.append(p[3]) or record(p))
+
+        def counting(theorem, template, root_seed, index):
+            calls.append(index)
+            return record(theorem, template, root_seed, index)
+
+        monkeypatch.setattr(verify_mod, "_verify_record", counting)
         run_verify("COR", InstanceSpec("random-colouring", n=3), 37, seed=2)
         assert calls == list(range(37))
+
+    @pytest.mark.parametrize("trials, sizes", [
+        (1, [1]), (37, [3] * 12 + [1]), (5000, [313] * 15 + [305]), (20000, [1024] * 19 + [544]),
+    ])
+    def test_block_sizes_depend_on_trials_only(self, monkeypatch, trials, sizes):
+        """ceil(trials / 16) records a block, at most 1024."""
+        import cubegeo.harness.verify as verify_mod
+
+        seen = []
+
+        def count_block(theorem, templates, root_seed, start, stop):
+            seen.append(stop - start)
+            return [{"ok": True, "slack": None}] * (stop - start)
+
+        monkeypatch.setattr(verify_mod, "_verify_block", count_block)
+        run_verify("COR", InstanceSpec("random-colouring", n=3), trials)
+        assert seen == sizes
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_short_cor_path_is_a_violation(self, tmp_path, monkeypatch, jobs):
+        """COR's bound is checked in its record alone: a half geodesic
+        below ceil(n/2) ends in exit 2 with the colouring embedded, from a
+        forked worker too."""
+        import cubegeo.colourings as colourings_mod
+
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(colourings_mod, "extract_increasing_geodesic",
+                            lambda table, end: GeodesicPath((end,), ()))
+        out = tmp_path / "cor.json"
+        argv = ["verify", "--theorem", "COR", "--n", "4", "--trials", "3", "--seed", "1"]
+        assert main(argv + ["--jobs", str(jobs), "--out", str(out)]) == 2
+        report = load_json(str(out))
+        assert report["aggregate"]["violations"] == 3
+        for index, record in enumerate(report["records"]):
+            assert record["geodesic_length"] == 0 and record["slack"] == "-2"
+            spec = InstanceSpec("random-colouring", n=4, seed=derive(1, index))
+            assert obj_to_colouring(record["violation"]) == generate(spec)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_kat_at_k_zero(self, tmp_path, seed):
@@ -531,8 +574,7 @@ class TestRunSearch:
 
         seen = []
 
-        def count_block(params):
-            start, stop = params[4], params[5]
+        def count_block(conjecture, mode, n, seed, collect_changes, start, stop):
             seen.append(stop - start)
             return {"checked": stop - start, "fail": None, "kinds": {}, "changes": {}}
 
@@ -733,62 +775,75 @@ def _item(x):
     return {"x": x, "squares": {x: x * x}, "pair": [x, None], "ok": x % 2 == 0}
 
 
+def _block(start, stop):
+    return [_item(x) for x in range(start, stop)]
+
+
 class TestPoolMap:
-    """``pool_map`` runs chunk c on worker c % W: the caller for worker 0,
+    """``pool_map`` runs block c on worker c % W: the caller for worker 0,
     forked children for the rest."""
 
-    @pytest.mark.parametrize("jobs, chunksize, workers", [(2, 1, 2), (2, 3, 2), (3, 2, 3), (4, 5, 4), (9, 9, 2)])
-    def test_results_in_order_for_any_worker_count(self, monkeypatch, jobs, chunksize, workers):
+    @pytest.mark.parametrize("jobs, total, sizes, workers", [
+        (2, 17, [2] * 8 + [1], 2),
+        (3, 17, [2] * 8 + [1], 3),
+        (4, 17, [2] * 8 + [1], 4),
+        (2, 50, [4] * 12 + [2], 2),
+        (9, 2, [1, 1], 2),
+    ])
+    def test_results_in_order_for_any_worker_count(self, monkeypatch, jobs, total, sizes, workers):
         monkeypatch.setattr(generators, "_usable_cpus", lambda: jobs)
         forks = _count_forks(monkeypatch)
-        assert list(pool_map(_item, range(17), jobs, chunksize)) == [_item(x) for x in range(17)]
+        results = list(pool_map(_block, total, jobs))
+        assert [len(block) for block in results] == sizes
+        assert [item for block in results for item in block] == [_item(x) for x in range(total)]
         assert len(forks) == workers - 1
         _assert_no_child_left()
 
-    def test_workers_bounded_by_the_chunk_count(self, monkeypatch):
+    def test_workers_bounded_by_the_block_count(self, monkeypatch):
         forks = _count_forks(monkeypatch)
-        assert list(pool_map(_item, range(3), 10**6)) == [_item(x) for x in range(3)]
+        assert list(pool_map(_block, 3, 10**6)) == [[_item(x)] for x in range(3)]
         assert len(forks) <= 2
         _assert_no_child_left()
 
     def test_one_usable_cpu_forks_nothing(self, monkeypatch):
         monkeypatch.setattr(generators, "_usable_cpus", lambda: 1)
         forks = _count_forks(monkeypatch)
-        assert list(pool_map(_item, range(3), 10**6)) == [_item(x) for x in range(3)]
+        assert list(pool_map(_block, 3, 10**6)) == [[_item(x)] for x in range(3)]
         assert forks == []
 
     @pytest.mark.parametrize("error", [ValueError, KeyError, ParseError])
     def test_worker_exception_matches_serial(self, monkeypatch, error):
-        """Item 4 is in chunk 1, a forked worker's; its exception comes
-        back in the caller with the type and message of a serial run."""
+        """Of 48 items, item 4 is in block 1 (3 items a block), a forked
+        worker's; its exception comes back in the caller with the type and
+        message of a serial run."""
         monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
 
-        def fn(x):
-            if x == 4:
-                raise error(f"item {x} failed")
-            return _item(x)
+        def fn(start, stop):
+            if start <= 4 < stop:
+                raise error("item 4 failed")
+            return _block(start, stop)
 
         with pytest.raises(error) as serial:
-            list(pool_map(fn, range(12), 1, 3))
+            list(pool_map(fn, 48, 1))
         forks = _count_forks(monkeypatch)
         with pytest.raises(error) as forked:
-            list(pool_map(fn, range(12), 2, 3))
+            list(pool_map(fn, 48, 2))
         assert len(forks) == 1
         assert type(forked.value) is error and str(forked.value) == str(serial.value)
         _assert_no_child_left()
 
     def test_worker_exception_keeps_the_worker_traceback(self, monkeypatch):
-        """Item 4 fails in chunk 1, a forked worker's; the exception's
+        """Item 4 fails in block 1, a forked worker's; the exception's
         formatted traceback names the function that raised it there."""
         monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
 
-        def fails_in_the_worker(x):
-            if x == 4:
-                raise ValueError(f"item {x} failed")
-            return _item(x)
+        def fails_in_the_worker(start, stop):
+            if start <= 4 < stop:
+                raise ValueError("item 4 failed")
+            return _block(start, stop)
 
         with pytest.raises(ValueError, match="^item 4 failed$") as forked:
-            list(pool_map(fails_in_the_worker, range(12), 2, 3))
+            list(pool_map(fails_in_the_worker, 48, 2))
         cause = forked.value.__cause__
         assert "in fails_in_the_worker" in str(cause)
         assert str(cause).rstrip().endswith("ValueError: item 4 failed")
@@ -802,11 +857,11 @@ class TestPoolMap:
             "from cubegeo.harness import generators\n"
             "generators._usable_cpus = lambda: 2\n"
             "parent = os.getpid()\n"
-            "list(generators.pool_map(lambda x: os._exit(3) if os.getpid() != parent else x, range(4), 2))\n"
+            "list(generators.pool_map(lambda start, stop: os._exit(3) if os.getpid() != parent else start, 4, 2))\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
         assert result.returncode == 1
-        assert result.stderr.splitlines()[-1] == "RuntimeError: worker 1 ended before sending chunk 1"
+        assert result.stderr.splitlines()[-1] == "RuntimeError: worker 1 ended before sending block 1"
 
     @pytest.mark.parametrize("k", [37, 5000, 65535])
     def test_counterexample_leaves_no_child(self, monkeypatch, k):
@@ -1062,20 +1117,18 @@ class TestCli:
         # the square downset has a level-1 pair with |A | B| = 2 = d
         assert rec["intersecting_levels_consistent"] is False
 
-    def test_analyze_family_builds_the_level_masks_once(self, monkeypatch):
+    def test_analyze_family_builds_the_level_masks_once(self):
         """The profile, the full compression's check and the Feder-Subi
         check each read the level masks; they are built once per n."""
         import cubegeo.setfamilies as setfamilies_mod
         from cubegeo.harness.cli import _analyze_family
 
-        builds = []
-        at_least = setfamilies_mod._at_least
-        monkeypatch.setattr(setfamilies_mod, "_at_least", lambda *a: builds.append(a) or at_least(*a))
         setfamilies_mod._level_masks.cache_clear()
         fam = generate(InstanceSpec("random-family", n=8, seed=3, density=Fraction(1, 3)))
         first, _ = _analyze_family(fam)
-        assert len(builds) == 1 and "intersecting_levels_consistent" in first
-        assert _analyze_family(fam)[0] == first and len(builds) == 1
+        assert setfamilies_mod._level_masks.cache_info().misses == 1
+        assert "intersecting_levels_consistent" in first
+        assert _analyze_family(fam)[0] == first and setfamilies_mod._level_masks.cache_info().misses == 1
 
 
 class TestCliFuzz:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubegeo import (
@@ -25,6 +25,7 @@ from oracles import (
     feder_subi_members,
     full_compress_members,
     is_downset_members,
+    is_t_intersecting_members,
     level_profile_members,
     shadow_members,
 )
@@ -41,6 +42,11 @@ families = st.builds(
 uniform_families = st.integers(2, 6).flatmap(lambda n: st.integers(1, n).flatmap(lambda k: st.sets(
     st.sampled_from([s for s in range(1 << n) if bin(s).count("1") == k]), max_size=16,
 ).map(lambda sets: UniformFamily.of(n, sets, k))))
+
+#: Supersets of a common core, so that t-intersecting families are common.
+intersecting_families = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.integers(0, (1 << n) - 1), st.sets(st.integers(0, (1 << n) - 1), max_size=20),
+).map(lambda drawn: SetFamily.of(n, {drawn[0] | s for s in drawn[1]})))
 
 
 class TestValidation:
@@ -94,6 +100,24 @@ class TestAgainstReferees:
         out = shadow(fam)
         assert out.sets == tuple(sorted(shadow_members(fam.sets))) and out.k == fam.k - 1
 
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_full_compress_on_every_family(self, n):
+        """One pass over the directions reaches the referee's fixpoint on
+        all 2^(2^n) families."""
+        for mask in range(1 << (1 << n)):
+            fam = SetFamily(n, mask)
+            assert full_compress(fam).sets == tuple(sorted(full_compress_members(n, fam.sets))), mask
+
+    @given(st.one_of(families, uniform_families, intersecting_families), st.integers(0, 8))
+    @settings(max_examples=200)
+    @example(SetFamily(3, 0), 0)
+    @example(SetFamily(3, 0), 4)
+    @example(SetFamily.of(3, [0b111]), 4)
+    @example(SetFamily.of(2, [0b01, 0b10]), 0)
+    def test_is_t_intersecting(self, fam, t):
+        """Empty families, t = 0 and t above n included."""
+        assert is_t_intersecting(fam, t) == is_t_intersecting_members(fam.sets, t)
 
     @given(st.one_of(families, uniform_families))
     @settings(max_examples=100)
