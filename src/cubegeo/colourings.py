@@ -10,8 +10,9 @@ The antipodal pair table, the antipodal image, the lift to Q_{n+1},
 witness validation and the (lo, dir, colour) triples of ``from_pairs``
 and ``pairs`` work on these positions or on their direction blocks.
 
-The four antipodal searches share one layered search over 2^n-bit
-vertex sets, ``_antipodal_search``, with two switches: geodesic mode
+The four antipodal searches share one loop over start points,
+``_antipodal_hits``, and one layered search over 2^n-bit vertex sets,
+``_antipodal_search``, with two switches: geodesic mode
 steps only away from the start, and a budget bounds the colour changes
 (0 for monochromatic paths and geodesics, 1 for one-change geodesics,
 none for the minimum).
@@ -27,13 +28,12 @@ per index byte. Index spaces are capped at ``INDEX_MAX_BITS`` bits.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .core import (CubeSubgraph, _Value, _blocks, _components, _edge_keys, _join, _lo_pattern, _mask, _reverse,
-                   _pos, _set, _valid_edge_mask, antipode)
-from .geodesics import GeodesicPath, increasing_geodesic_table, extract_increasing_geodesic
+from .core import (CubeSubgraph, _Value, _blocks, _edge_keys, _join, _lo_pattern, _mask, _reverse, _pos, _set,
+                   _valid_edge_mask, antipode)
+from .geodesics import GeodesicPath, longest_geodesic_lower_bound
 from .rng import SplitMix64, derive
 
 __all__ = [
@@ -143,7 +143,7 @@ class EdgeColouring(_Value):
 def _edge_positions(n: int) -> tuple[int, ...]:
     """Bit position of every edge, in (lo, dir) order."""
     _check_dimension(n)
-    return tuple(_pos(*divmod(key, n), n) for key in _edge_keys(n, _blocks(_valid_edge_mask(n), n, n)))
+    return tuple(_pos(*divmod(key, n), n) for key in _edge_keys(n, _blocks(_valid_edge_mask(n), n)))
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +172,7 @@ def _antipodal_image(n: int, mask: int) -> int:
     size = 1 << n
     return _join(
         (_reverse(block, size) >> (1 << d)
-         for d, block in enumerate(_blocks(mask, n, n))),
+         for d, block in enumerate(_blocks(mask, n))),
         n,
     )
 
@@ -410,6 +410,23 @@ def _backtrack(steps: list, levels: list, c: int, v: int) -> tuple[int, ...]:
 _SWITCHES = {"mono-path": (False, 0), "mono-geodesic": (True, 0), "one-change-geodesic": (True, 1)}
 
 
+def _antipodal_hits(c: EdgeColouring, geodesic: bool, budget: int | None) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """``(x, changes, vertices)`` for each start x, ascending, that is
+    joined to its antipode with fewer changes than every hit before it:
+    after a hit the budget drops below its changes, and a hit with no
+    changes ends the search."""
+    n = c.n
+    classes = _colour_lomasks(c)
+    for x in range(1 << (n - 1)):
+        found = _antipodal_search(n, classes, x, geodesic, budget)
+        if found is not None:
+            changes, vertices = found
+            yield x, changes, vertices
+            if not changes:
+                return
+            budget = changes - 1
+
+
 def _first_antipodal(c: EdgeColouring, kind: str):
     """The witness for the first x, ascending, joined to its antipode
     within the change budget. Geodesic searches refuse n above
@@ -418,11 +435,8 @@ def _first_antipodal(c: EdgeColouring, kind: str):
     geodesic, budget = _SWITCHES[kind]
     if geodesic and n > SEARCH_MAX_N:
         raise ValueError(f"n={n} exceeds the subset-search cap {SEARCH_MAX_N}")
-    classes = _colour_lomasks(c)
-    for x in range(1 << (n - 1)):
-        found = _antipodal_search(n, classes, x, geodesic, budget)
-        if found is not None:
-            return AntipodalWitness(kind, found[1], (x, x ^ ((1 << n) - 1)))
+    for x, _, vertices in _antipodal_hits(c, geodesic, budget):
+        return AntipodalWitness(kind, vertices, (x, x ^ ((1 << n) - 1)))
     return None
 
 
@@ -459,59 +473,40 @@ def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitnes
     a simple path: level k of a colour starts from every vertex the
     levels before it reached, so each segment steps only onto vertices
     new to the walk. The walk minimum is therefore the path minimum, and
-    the witness is validated as a path before it is returned. After the
-    first x, each x is searched only for fewer changes than the best so
-    far.
+    the witness is validated as a path before it is returned. It is the
+    last of the start points' hits.
     """
     n = c.n
-    classes = _colour_lomasks(c)
-    best: tuple[int, AntipodalWitness] | None = None
-    for x in range(1 << (n - 1)):
-        found = _antipodal_search(n, classes, x, False, None if best is None else best[0] - 1)
-        if found is None:
-            if best is None:
-                raise RuntimeError("Q_n is connected, yet the antipode was not reached")
-            continue
-        value, walk = found
-        best = (value, AntipodalWitness("path", walk, (x, x ^ ((1 << n) - 1)), value))
-        if value == 0:
-            break
-    validate_witness(best[1], c)
-    return best
+    hits = list(_antipodal_hits(c, False, None))
+    if not hits:
+        raise RuntimeError("Q_n is connected, yet the antipode was not reached")
+    x, value, walk = hits[-1]
+    witness = AntipodalWitness("path", walk, (x, x ^ ((1 << n) - 1)), value)
+    validate_witness(witness, c)
+    return value, witness
 
 
 def _colour_lomasks(c: EdgeColouring) -> tuple[list[int], list[int]]:
     """Per-direction lo-endpoint masks of the red and the blue class."""
     n = c.n
-    blue = _blocks(c.blue_mask, n, n)
+    blue = _blocks(c.blue_mask, n)
     return [_lo_pattern(n, dir) ^ b for dir, b in enumerate(blue)], blue
 
 
 def monochromatic_half_geodesic(c: EdgeColouring) -> GeodesicPath:
     """A single-colour geodesic of length at least ceil(n/2).
 
-    The majority colour class has at least half of all edges, so over all
-    2^n vertices its average degree is at least n/2, and some connected
-    component of it reaches that ratio; the direction-sweep table on that
-    component then yields a geodesic of at least ceil(n/2) edges. That
-    bound is the claim under test, so it is left to the caller to check.
+    The majority colour class has at least half of all edges, so as a
+    subgraph on all 2^n vertices its average degree is at least n/2, and
+    the main theorem gives it a geodesic of at least ceil(n/2) edges: the
+    longest witness of its direction-sweep table. That bound is the claim
+    under test, so it is left to the caller to check.
     """
     n = c.n
     total = edge_count(n)
     majority = Colour.RED if 2 * (total - c.blue_count()) >= total else Colour.BLUE
     lomasks = _colour_lomasks(c)[majority is Colour.BLUE]
-    best_comp = None
-    best_avg = None
-    for comp in _components(n, lomasks):
-        edges = sum((lomasks[d] & comp).bit_count() for d in range(n))
-        avg = Fraction(2 * edges, comp.bit_count())
-        if best_avg is None or avg > best_avg:
-            best_comp, best_avg = comp, avg
-    if best_avg is None or 2 * best_avg < n:
-        raise RuntimeError(f"densest {majority.value} component has average degree {best_avg} < n/2")
-    sub = CubeSubgraph(n, best_comp, tuple(m & best_comp for m in lomasks))
-    table = increasing_geodesic_table(sub)
-    path = extract_increasing_geodesic(table, table.longest_end)
+    path = longest_geodesic_lower_bound(CubeSubgraph(n, (1 << (1 << n)) - 1, tuple(lomasks)))
     if any(c.colour_between(u, v) is not majority for u, v in zip(path.vertices, path.vertices[1:])):
         raise RuntimeError(f"half geodesic {path.vertices} leaves the {majority.value} class")
     return path
@@ -538,8 +533,8 @@ def lift_to_antipodal(c: EdgeColouring) -> EdgeColouring:
             split ^= low ^ _lo_pattern(n, d)  # the vertices with bit d set
     else:
         split = low ^ _lo_pattern(n, n - 1)
-    bottom = _blocks(c.blue_mask, n, n)
-    top = _blocks(_valid_edge_mask(n) ^ _antipodal_image(n, c.blue_mask), n, n)
+    bottom = _blocks(c.blue_mask, n)
+    top = _blocks(_valid_edge_mask(n) ^ _antipodal_image(n, c.blue_mask), n)
     blocks = [b | t << (1 << n) for b, t in zip(bottom, top)] + [split]
     lifted = EdgeColouring(n + 1, _join(blocks, n + 1))
     if not is_antipodal(lifted):

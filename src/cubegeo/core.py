@@ -169,11 +169,11 @@ def _pos(lo: int, dir: int, n: int) -> int:
     return (dir << n) | lo
 
 
-def _blocks(mask: int, n: int, count: int) -> list[int]:
-    """The first ``count`` 2^n-bit direction blocks of an edge mask of
-    Q_n: bit lo of block d is the bit of edge (lo, d)."""
+def _blocks(mask: int, n: int) -> list[int]:
+    """The n 2^n-bit direction blocks of an edge mask of Q_n: bit lo of
+    block d is the bit of edge (lo, d)."""
     low = (1 << (1 << n)) - 1
-    return [(mask >> (d << n)) & low for d in range(count)]
+    return [(mask >> (d << n)) & low for d in range(n)]
 
 
 def _join(blocks: Iterable[int], n: int) -> int:
@@ -195,30 +195,6 @@ def _edge_keys(n: int, lo_masks: Iterable[int]) -> list[int]:
     return sorted(chain.from_iterable(
         map(add, map(mul, _bits(m), repeat(n)), repeat(dir)) for dir, m in enumerate(lo_masks)
     ))
-
-
-def _components(n: int, lomasks: Sequence[int]) -> list[int]:
-    """Connected components (as vertex bitsets over all 2^n vertices) of
-    the subgraph whose direction-d edges have lo endpoints in
-    lomasks[d]. Isolated vertices are singleton components."""
-    comps = []
-    unvisited = (1 << (1 << n)) - 1
-    shifts = [1 << d for d in range(n)]
-    while unvisited:
-        comp = unvisited & -unvisited
-        while True:
-            nxt = comp
-            for d in range(n):
-                sh = shifts[d]
-                lom = lomasks[d]
-                nxt |= (comp & lom) << sh
-                nxt |= (comp >> sh) & lom
-            if nxt == comp:
-                break
-            comp = nxt
-        comps.append(comp)
-        unvisited &= ~comp
-    return comps
 
 
 class CubeSubgraph(_Value):
@@ -294,7 +270,7 @@ def make_subgraph(
     dirs = list(map(itemgetter(1), edges))
     if min(dirs) >= 0 and max(dirs) < n and min(los) >= 0 and max(los) < size:
         every = _mask(map(or_, map(lshift, dirs, repeat(n)), los), n << n)
-        lo_masks = tuple(_blocks(every, n, n))
+        lo_masks = tuple(_blocks(every, n))
         if not any(m & ~(vmask & (vmask >> (1 << d)) & _lo_pattern(n, d))
                    for d, m in enumerate(lo_masks)):
             return CubeSubgraph(n, vmask, lo_masks)

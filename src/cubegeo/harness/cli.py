@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from ..core import CubeSubgraph, average_degree
-from ..colourings import EdgeColouring, edge_count, is_antipodal, min_colour_changes_antipodal
+from ..colourings import EdgeColouring, edge_count, is_antipodal, min_colour_changes_antipodal, validate_witness
 from ..geodesics import greedy_geodesic
 from ..setfamilies import SetFamily, feder_subi_intersecting_check, is_downset, level_profile
 from .generators import GRAPH_KINDS, COLOURING_KINDS, FAMILY_KINDS, InstanceSpec, generate
@@ -201,7 +201,10 @@ def _analyze_colouring(c: EdgeColouring) -> tuple[dict, bool]:
     else:
         info["min_colour_changes"] = None
     for space in _SPACES.values():
-        info[space.key] = space.check(c) is not None if n <= _ANALYZE_SEARCH_MAX_N else None
+        witness = space.check(c) if n <= _ANALYZE_SEARCH_MAX_N else None
+        if witness is not None:
+            validate_witness(witness, c)
+        info[space.key] = witness is not None if n <= _ANALYZE_SEARCH_MAX_N else None
     return info, cor["ok"]
 
 

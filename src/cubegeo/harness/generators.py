@@ -193,9 +193,9 @@ def generate(spec: InstanceSpec, max_items: int | None = None):
         _check_items(spec, graph_items, max_items)
         rng = SplitMix64(derive(spec.seed))
         # bit i of the draw picks the i-th edge in (lo, dir) order
-        keys = _edge_keys(n, _blocks(_valid_edge_mask(n), n, n))
+        keys = _edge_keys(n, _blocks(_valid_edge_mask(n), n))
         picked = [divmod(keys[i], n) for i in _bits(rng.bernoulli_mask(density, len(keys)))]
-        lo_masks = tuple(_blocks(_mask((_pos(lo, dir, n) for lo, dir in picked), n << n), n, n))
+        lo_masks = tuple(_blocks(_mask((_pos(lo, dir, n) for lo, dir in picked), n << n), n))
         vmask = _mask((v for lo, dir in picked for v in (lo, lo | 1 << dir)), 1 << n)
         return CubeSubgraph(n, vmask or 1, lo_masks)
 

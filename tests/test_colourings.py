@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cubegeo import (
     AntipodalWitness,
     Colour,
+    DirectionOrdering,
     Edge,
     EdgeColouring,
     antipode,
@@ -19,6 +20,7 @@ from cubegeo import (
     find_one_change_antipodal_geodesic,
     is_antipodal,
     lift_to_antipodal,
+    make_subgraph,
     min_colour_changes_antipodal,
     monochromatic_half_geodesic,
     random_antipodal_colouring,
@@ -49,6 +51,7 @@ from oracles import (
     has_mono_antipodal_geodesic,
     has_mono_antipodal_path,
     has_one_change_antipodal_geodesic,
+    increasing_lengths_by_end,
     is_antipodal_pairwise,
     is_monochromatic,
     lift_edge_by_edge,
@@ -660,6 +663,33 @@ class TestHalfGeodesic:
     def test_n1(self):
         p = monochromatic_half_geodesic(EdgeColouring(1, 1))
         assert p.length == 1
+
+    @staticmethod
+    def _assert_longest_in_majority_class(c):
+        """The length is the longest increasing geodesic of the majority
+        class (red on a tie), built edge by edge on all 2^n vertices."""
+        n = c.n
+        blue = blue_edges(c)
+        red = {(lo, d) for lo in range(1 << n) for d in range(n) if not lo >> d & 1} - blue
+        majority = make_subgraph(n, range(1 << n), blue if len(blue) > len(red) else red)
+        lengths = increasing_lengths_by_end(majority, DirectionOrdering.identity(n))
+        assert monochromatic_half_geodesic(c).length == max(lengths.values())
+
+    # a smaller component of the majority class holds a longer increasing
+    # geodesic than its densest one
+    @pytest.mark.parametrize("index", [3367, 3948, 8044, 11555, 12140, 14483])
+    def test_whole_majority_class_antipodal_q4(self, index):
+        self._assert_longest_in_majority_class(antipodal_colouring_from_index(4, index))
+
+    @given(st.integers(0, (1 << 16) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_whole_majority_class_sampled_antipodal_q4(self, index):
+        self._assert_longest_in_majority_class(antipodal_colouring_from_index(4, index))
+
+    @given(st.integers(1, 6), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_whole_majority_class_random(self, n, seed):
+        self._assert_longest_in_majority_class(random_colouring(n, seed))
 
 
 class TestLift:

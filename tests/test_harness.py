@@ -30,6 +30,7 @@ from cubegeo.harness import (
     save_json,
 )
 from cubegeo.colourings import (
+    AntipodalWitness,
     antipodal_colouring_from_index,
     colouring_from_index,
     find_monochromatic_antipodal_geodesic,
@@ -490,8 +491,7 @@ class TestRunVerify:
         import cubegeo.colourings as colourings_mod
 
         monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(colourings_mod, "extract_increasing_geodesic",
-                            lambda table, end: GeodesicPath((end,), ()))
+        monkeypatch.setattr(colourings_mod, "longest_geodesic_lower_bound", lambda g: GeodesicPath((0,), ()))
         out = tmp_path / "cor.json"
         argv = ["verify", "--theorem", "COR", "--n", "4", "--trials", "3", "--seed", "1"]
         assert main(argv + ["--jobs", str(jobs), "--out", str(out)]) == 2
@@ -912,6 +912,22 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["analyze", "--file", str(bad)]) == 1
         assert "parse error" in capsys.readouterr().err
+
+    def test_analyze_rejects_a_bad_witness(self, tmp_path, monkeypatch, capsys):
+        """analyze validates every witness it reports, as search does: a
+        checker that returns a broken path exits 1 with one line and
+        writes no report."""
+        import cubegeo.harness.search as search_mod
+
+        colouring, out = str(tmp_path / "c.json"), tmp_path / "r.json"
+        assert main(["gen", "--model", "antipodal-colouring", "--n", "4", "--out", colouring]) == 0
+        monkeypatch.setattr(search_mod, "find_monochromatic_antipodal_geodesic",
+                            lambda c: AntipodalWitness("mono-geodesic", (0, 3, 15), (0, 15)))
+        capsys.readouterr()
+        assert main(["analyze", "--file", colouring, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cubegeo: error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
