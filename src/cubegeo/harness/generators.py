@@ -10,7 +10,9 @@ so that average degree stays defined.
 
 from __future__ import annotations
 
+from contextlib import closing
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from ..core import (CubeSubgraph, _Value, _ball, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask,
@@ -246,12 +248,16 @@ def random_t_intersecting_family(
 ) -> UniformFamily:
     """A nonempty t-intersecting k-uniform family on [n].
 
-    Seed a common t-element core, draw k-sets containing it, then perturb
-    a quarter of the draws by one element swap and keep a draw only if it
-    stays t-intersecting with everything kept so far. The first draw is
-    never perturbed, so the family is nonempty. Two supersets of the core
-    share at least t elements, so a draw that holds the core is tested
-    only against the kept members that miss part of it.
+    Seed a common t-element core by a shuffle of [n], then take candidate
+    k-sets from ``SplitMix64.subset_draws``: the core plus k - t shuffled
+    elements outside it, and after the first candidate, one element swap
+    in a quarter of them. A candidate is kept if it is new and stays
+    t-intersecting with everything kept so far, until ``size`` are kept
+    or 50 min(size, C(n, k)) candidates are drawn (there are only C(n, k)
+    k-sets). The first candidate is never perturbed, so the family is
+    nonempty. Two supersets of the core share at least t elements, so a
+    candidate that holds the core is tested only against the kept members
+    that miss part of it.
     """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t} k={k} n={n}")
@@ -263,29 +269,20 @@ def random_t_intersecting_family(
     core = 0
     for e in elems[:t]:
         core |= 1 << e
-    outside = [e for e in range(n) if not (core >> e) & 1]
+    outside = [1 << e for e in range(n) if not (core >> e) & 1]
     kept: set[int] = set()
     loose: list[int] = []  # the kept members that miss part of the core
-    attempts = 0
-    while len(kept) < size and attempts < 50 * min(size, comb(n, k)):  # there are only C(n, k) k-sets
-        attempts += 1
-        rng.shuffle(outside)
-        s = core
-        for e in outside[: k - t]:
-            s |= 1 << e
-        if kept and rng.randrange(4) == 0:
-            inside = [e for e in range(n) if (s >> e) & 1]
-            away = [e for e in range(n) if not (s >> e) & 1]
-            if inside and away:
-                s ^= 1 << inside[rng.randrange(len(inside))]
-                s |= 1 << away[rng.randrange(len(away))]
-        if s in kept:
-            continue
-        holds_core = s & core == core
-        if all((s & other).bit_count() >= t for other in (loose if holds_core else kept)):
-            kept.add(s)
-            if not holds_core:
-                loose.append(s)
+    with closing(rng.subset_draws(outside, k - t, core, n)) as draws:
+        for s in islice(draws, 50 * min(size, comb(n, k))):
+            if s in kept:
+                continue
+            holds_core = s & core == core
+            if all((s & other).bit_count() >= t for other in (loose if holds_core else kept)):
+                kept.add(s)
+                if not holds_core:
+                    loose.append(s)
+                if len(kept) == size:
+                    break
     fam = UniformFamily.of(n, kept, k)
     if not is_t_intersecting(fam, t):
         raise RuntimeError(f"generated family is not {t}-intersecting")

@@ -29,10 +29,21 @@ and up, which the mask clears before the multiply and the final gather
 (the low 8 bytes of every 16) drops. Each output is therefore the word
 ``next_u64`` would have returned. A refill of at most three words keeps
 the scalar ``next_u64`` loop, which is cheaper there than building lanes.
+
+Short draws in a loop run on local state. The two draw rules that loops
+repeat are module helpers that take the stream as ``(state, buf,
+bufbits)`` and return it advanced: ``_randbelow``, the rejection draw of
+a uniform int below a bound, and ``_fisher_yates``, one in-place shuffle.
+A caller copies the generator's three fields into locals, draws through
+the helpers and stores the fields back once, so the stream is word for
+word the one that single calls would read. ``shuffle`` does this for one
+shuffle; ``subset_draws`` does it for a whole stream of shuffle-based
+draws, and stores the fields back when the stream is closed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -113,6 +124,54 @@ def _shuffle_steps(length: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((i, (1 << i.bit_length()) - 1, i.bit_length()) for i in range(length - 1, 0, -1))
 
 
+def _randbelow(bound: int, state: int, buf: int, bufbits: int) -> tuple[int, int, int, int]:
+    """A uniform int in [0, bound), unbiased by rejection: draw
+    (bound - 1).bit_length() bits from the buffer, refilled one ``mix64``
+    word at a time, until they are below ``bound``. Returns the int and
+    the advanced ``(state, buf, bufbits)``; a bound of 1 draws nothing."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    k = (bound - 1).bit_length()
+    low = (1 << k) - 1
+    while True:
+        while bufbits < k:
+            state = (state + _GAMMA) & _MASK
+            buf |= mix64(state) << bufbits
+            bufbits += 64
+        r = buf & low
+        buf >>= k
+        bufbits -= k
+        if r < bound:
+            return r, state, buf, bufbits
+
+
+def _fisher_yates(seq: list, state: int, buf: int, bufbits: int) -> tuple[int, int, int]:
+    """Shuffle ``seq`` in place and return the advanced ``(state, buf,
+    bufbits)``. Position i, from the last down to 1, swaps with a
+    ``_randbelow(i + 1)`` draw, written out here with each step's bound,
+    mask and width from ``_shuffle_steps``."""
+    for i, low, k in _shuffle_steps(len(seq)):
+        while True:
+            while bufbits < k:
+                state = (state + _GAMMA) & _MASK
+                buf |= mix64(state) << bufbits
+                bufbits += 64
+            j = buf & low
+            buf >>= k
+            bufbits -= k
+            if j <= i:
+                break
+        seq[i], seq[j] = seq[j], seq[i]
+    return state, buf, bufbits
+
+
+def _nth_bit(x: int, i: int) -> int:
+    """The i-th lowest one bit of x (from 0), as a one-bit mask."""
+    for _ in range(i):
+        x &= x - 1
+    return x & -x
+
+
 class SplitMix64:
     """The harness RNG. 64-bit state; see the module docstring."""
 
@@ -143,16 +202,6 @@ class SplitMix64:
         self._buf >>= k
         self._bufbits -= k
         return out
-
-    def randrange(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        k = (bound - 1).bit_length()
-        while True:
-            r = self.bits(k) if k else 0
-            if r < bound:
-                return r
 
     def _below(self, num: int, den: int) -> bool:
         """Whether a uniform real U, drawn 16 bits at a time, is below
@@ -216,23 +265,47 @@ class SplitMix64:
         return int(b"".join(reversed(digits)) or b"0", 2)
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates; every permutation equiprobable.
+        """In-place Fisher-Yates; every permutation equiprobable. Runs
+        ``_fisher_yates`` on a local copy of the state and buffer, which
+        is stored back once."""
+        self.state, self._buf, self._bufbits = _fisher_yates(seq, self.state, self._buf, self._bufbits)
 
-        Position i swaps with ``randrange(i + 1)``, drawn as in ``bits``
-        but in one loop over a local copy of the state and buffer, with
-        ``mix64`` per refill word; the state is stored back once. Each
-        step's bound, mask and width come from ``_shuffle_steps``."""
+    def subset_draws(self, outside: list[int], m: int, base: int, n: int) -> Iterator[int]:
+        """An endless stream of masks over [n]: each is ``base`` plus the
+        first m one-bit masks of ``outside`` (disjoint from ``base``) after
+        a Fisher-Yates shuffle of them, the shuffles running on in one
+        copy of the list. From the second mask on, a 2-bit coin is drawn;
+        at 0, when the mask has k >= 1 one bits and n - k >= 1 zero bits,
+        its ``_randbelow(k)``-th one bit (ascending) is swapped for its
+        ``_randbelow(n - k)``-th zero bit below 2^n.
+
+        The draws run on a local copy of the state and buffer, stored
+        back when the stream is closed (or collected); the generator then
+        ends exactly as after the same shuffles and rejection draws made
+        one call at a time. Draw nothing else from it until then."""
+        outside = list(outside)
+        k = base.bit_count() + m
+        full = (1 << n) - 1
+        swaps = 0 < k < n
         state, buf, bufbits = self.state, self._buf, self._bufbits
-        for i, low, k in _shuffle_steps(len(seq)):
+        try:
+            state, buf, bufbits = _fisher_yates(outside, state, buf, bufbits)
+            yield base + sum(outside[:m])
             while True:
-                while bufbits < k:
+                state, buf, bufbits = _fisher_yates(outside, state, buf, bufbits)
+                s = base + sum(outside[:m])
+                # the coin, _randbelow(4) written out: 2 bits, never rejected
+                if bufbits < 2:
                     state = (state + _GAMMA) & _MASK
                     buf |= mix64(state) << bufbits
                     bufbits += 64
-                j = buf & low
-                buf >>= k
-                bufbits -= k
-                if j <= i:
-                    break
-            seq[i], seq[j] = seq[j], seq[i]
-        self.state, self._buf, self._bufbits = state, buf, bufbits
+                coin = buf & 3
+                buf >>= 2
+                bufbits -= 2
+                if not coin and swaps:
+                    i, state, buf, bufbits = _randbelow(k, state, buf, bufbits)
+                    j, state, buf, bufbits = _randbelow(n - k, state, buf, bufbits)
+                    s ^= _nth_bit(s, i) | _nth_bit(full ^ s, j)
+                yield s
+        finally:
+            self.state, self._buf, self._bufbits = state, buf, bufbits

@@ -514,6 +514,29 @@ def t_intersecting_members(n, k, t, size, seed):
     return kept
 
 
+def subset_draw_masks(rng, n, k, core, count):
+    """Referee for ``SplitMix64.subset_draws``, with sets of elements: the
+    first ``count`` masks of the stream whose base is the element set
+    ``core`` and which adds k - len(core) elements, drawn on the referee
+    ``rng``. Each draw shuffles the elements outside the core (one list,
+    shuffled again and again) and adds the first k - len(core) of them to
+    the core; from the second draw on, a randrange(4) of 0 swaps the
+    randrange(k)-th element of the draw (ascending order) for the
+    randrange(n - k)-th element outside it, when 0 < k < n."""
+    outside = [e for e in range(n) if e not in core]
+    masks = []
+    for d in range(count):
+        rng.shuffle(outside)
+        s = set(core) | set(outside[:k - len(core)])
+        if d and rng.randrange(4) == 0 and 0 < k < n:
+            inside = sorted(s)
+            away = [e for e in range(n) if e not in s]
+            s.remove(inside[rng.randrange(k)])
+            s.add(away[rng.randrange(n - k)])
+        masks.append(sum(2 ** e for e in s))
+    return masks
+
+
 def fisher_yates_ordering(n, rng):
     """The direction permutation of a Fisher-Yates shuffle of range(n),
     drawing ``rng.randrange(i + 1)`` for i = n - 1 down to 1."""

@@ -27,6 +27,7 @@ from cubegeo.harness.generators import InstanceSpec, generate
 from cubegeo.rng import derive
 
 from oracles import (
+    SplitMix64Referee,
     brute_force_longest_geodesic,
     chain_sweep_table,
     chain_witness,
@@ -84,9 +85,9 @@ class TestDirectionOrdering:
     def test_random_ordering_matches_fisher_yates_reference(self):
         for n in range(1, 13):
             for seed in range(500):
-                rng, ref = SplitMix64(seed), SplitMix64(seed)
+                rng, ref = SplitMix64(seed), SplitMix64Referee(seed)
                 assert random_ordering(n, rng).perm == fisher_yates_ordering(n, ref)
-                assert (rng.state, rng._buf, rng._bufbits) == (ref.state, ref._buf, ref._bufbits)
+                assert (rng.state, rng._buf, rng._bufbits) == (ref.state, ref.buf, ref.bufbits)
 
 
 class TestGeodesicPath:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import traceback
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -44,8 +45,9 @@ from cubegeo.harness.cli import main
 from cubegeo.harness.generators import KINDS, pool_map
 from cubegeo.harness.search import CONJECTURES, _sweep
 from cubegeo.harness.verify import THEOREMS
-from cubegeo.rng import SplitMix64, derive, mix64
-from oracles import SplitMix64Referee, direction_split, edge_random_graph, t_intersecting_members
+from cubegeo.rng import SplitMix64, _randbelow, derive, mix64
+from oracles import (SplitMix64Referee, direction_split, edge_random_graph, subset_draw_masks,
+                     t_intersecting_members)
 
 
 BERNOULLI_PROBABILITIES = [
@@ -78,15 +80,22 @@ class TestRng:
         assert g.next_u64() == 0x6E789E6AA1B965F4
         assert g.next_u64() == 0x06C45D188009454F
 
-    def test_randrange_bounds_and_determinism(self):
-        g = SplitMix64(7)
-        vals = [g.randrange(10) for _ in range(1000)]
+    def test_randbelow_bounds_and_determinism(self):
+        ref = SplitMix64Referee(7)
+        state, buf, bufbits = 7, 0, 0
+        vals = []
+        for _ in range(1000):
+            v, state, buf, bufbits = _randbelow(10, state, buf, bufbits)
+            vals.append(v)
+        assert vals == [ref.randrange(10) for _ in range(1000)]
+        assert (state, buf, bufbits) == (ref.state, ref.buf, ref.bufbits)
         assert all(0 <= v < 10 for v in vals)
         assert len(set(vals)) == 10
 
-    def test_randrange_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
-            SplitMix64(0).randrange(0)
+    def test_randbelow_rejects_bad_bound(self):
+        for bound in (0, -1):
+            with pytest.raises(ValueError):
+                _randbelow(bound, 0, 0, 0)
 
     def test_bernoulli_exact_edge_cases(self):
         g = SplitMix64(0)
@@ -155,6 +164,16 @@ def _assert_same_state(rng, ref):
 _SEEDS = st.integers(0, (1 << 64) - 1)
 
 
+@st.composite
+def _subset_shapes(draw):
+    """(n, k, core) with n <= 12, 0 <= len(core) = t <= k <= n, and core a
+    sorted list of t elements of [n]."""
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(0, n))
+    t = draw(st.integers(0, k))
+    return n, k, sorted(draw(st.permutations(range(n)))[:t])
+
+
 class TestRngAgainstReferee:
     """Every draw and the generator's whole state after it, against the
     scalar SplitMix64 in tests/oracles.py. Draws long enough for the lane
@@ -177,6 +196,33 @@ class TestRngAgainstReferee:
         rng.shuffle(got)
         ref.shuffle(want)
         assert got == want
+        _assert_same_state(rng, ref)
+
+    @given(_SEEDS, st.integers(0, 64), st.lists(st.integers(1, 1 << 70), max_size=20))
+    @example(seed=3, pre=0, bounds=[1, 1, 2, (1 << 64) + 1, 3])
+    @settings(max_examples=60, deadline=None)
+    def test_randbelow(self, seed, pre, bounds):
+        rng, ref = _primed(seed, pre)
+        stream = rng.state, rng._buf, rng._bufbits
+        for bound in bounds:
+            v, *stream = _randbelow(bound, *stream)
+            assert v == ref.randrange(bound)
+            assert tuple(stream) == (ref.state, ref.buf, ref.bufbits)
+
+    @given(_SEEDS, st.integers(0, 64), _subset_shapes(), st.integers(0, 200))
+    # closed before the first draw, and right after it (which takes no coin)
+    @example(seed=5, pre=0, shape=(12, 4, [3, 7]), count=0)
+    @example(seed=5, pre=3, shape=(12, 4, [3, 7]), count=1)
+    @example(seed=5, pre=0, shape=(9, 5, [0, 4, 8]), count=200)
+    @settings(max_examples=80, deadline=None)
+    def test_subset_draws(self, seed, pre, shape, count):
+        n, k, core = shape
+        rng, ref = _primed(seed, pre)
+        draws = rng.subset_draws([1 << e for e in range(n) if e not in core], k - len(core),
+                                 sum(1 << e for e in core), n)
+        got = list(islice(draws, count))
+        draws.close()
+        assert got == subset_draw_masks(ref, n, k, core, count)
         _assert_same_state(rng, ref)
 
     @given(
