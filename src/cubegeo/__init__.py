@@ -8,7 +8,6 @@ antipodal edge colourings, and a seeded verification harness with a CLI
 
 from .core import (
     CubeSubgraph,
-    Edge,
     antipode,
     average_degree,
     induced_subgraph,

@@ -300,14 +300,11 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:
         if last is not None and colour != last:
             changes += 1
         last = colour
-    if w.kind == "mono-path":
-        if changes != 0:
-            raise ValueError("mono-path witness is not monochromatic")
-    elif w.kind in ("mono-geodesic", "one-change-geodesic"):
-        if repeated or len(verts) - 1 != n:
+    if w.kind in _SWITCHES:
+        geodesic, budget = _SWITCHES[w.kind]
+        if geodesic and (repeated or len(verts) - 1 != n):
             raise ValueError("witness is not a full-length geodesic")
-        limit = 0 if w.kind == "mono-geodesic" else 1
-        if changes > limit:
+        if changes > budget:
             raise ValueError(f"{w.kind} witness changes colour {changes} times")
     elif w.kind == "path":
         if len(set(verts)) != len(verts):
@@ -406,7 +403,7 @@ def _backtrack(steps: list, levels: list, c: int, v: int) -> tuple[int, ...]:
 
 
 #: Witness kind -> (geodesic only?, change budget) of the search that
-#: finds it (``_first_antipodal``).
+#: finds it (``_first_antipodal``) and of its check (``validate_witness``).
 _SWITCHES = {"mono-path": (False, 0), "mono-geodesic": (True, 0), "one-change-geodesic": (True, 1)}
 
 

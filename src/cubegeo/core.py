@@ -18,35 +18,14 @@ to share across concurrent workers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, lshift, mul, or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 #: Hard cap on the ambient dimension. Subset-indexed tables allocate
 #: O(2^n) state, so anything beyond this is a usage error, not a feature.
 MAX_DIMENSION = 24
-
-
-class Edge(NamedTuple):
-    """An edge of Q_n in canonical form: ``lo`` is the endpoint with bit
-    ``dir`` equal to 0; the other endpoint is ``lo ^ (1 << dir)``."""
-
-    lo: int
-    dir: int
-
-    @classmethod
-    def between(cls, u: int, v: int) -> "Edge":
-        """Canonical edge between two adjacent vertices.
-
-        Raises ValueError if u and v do not differ in exactly one bit.
-        """
-        diff = u ^ v
-        if diff == 0 or diff & (diff - 1):
-            raise ValueError(
-                f"vertices {u} and {v} differ in {bin(diff).count('1')} bits, not 1"
-            )
-        return cls(min(u, v), diff.bit_length() - 1)
 
 
 _set = object.__setattr__
@@ -56,7 +35,8 @@ class _Value:
     """Base of the value classes: ``__init__`` sets the slots ``_fields``
     names, once, with ``_init`` or ``_set``. Values are equal when class
     and fields are, hash and print by fields, and refuse assignment and
-    deletion. A ``__dict__`` slot holds any ``cached_property`` views."""
+    deletion. A subclass with ``cached_property`` views gives them a
+    ``__dict__`` slot."""
 
     __slots__ = ()
 
@@ -201,29 +181,19 @@ class CubeSubgraph(_Value):
     """A subgraph of Q_n as bitmasks: bit v of ``vertex_mask`` is set iff
     v is a vertex, and bit lo of ``lo_masks[d]`` iff the edge (lo, d) is
     an edge. The masks are canonical, so equality and hashing of
-    subgraphs are those of the masks. The sorted ``vertices`` and
-    ``edges`` tuples, which the report embedding of ``graph_to_obj``
-    reads, are built from the masks on first use; every other reader,
-    ``max_hamming_pair`` and the graph file writer included, works on the
-    masks."""
+    subgraphs are those of the masks, and every reader works on them."""
 
-    __slots__ = ("n", "vertex_mask", "lo_masks", "__dict__")
-    _fields = __slots__[:-1]
+    __slots__ = _fields = ("n", "vertex_mask", "lo_masks")
 
     def __init__(self, n: int, vertex_mask: int, lo_masks: tuple[int, ...]):
         self._init(n, vertex_mask, lo_masks)
 
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        """Sorted vertices."""
-        return tuple(_bits(self.vertex_mask))
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """Canonical edges sorted by (lo, dir)."""
-        # tuple.__new__(Edge, (lo, dir)) builds each Edge at C speed
-        keys = _edge_keys(self.n, self.lo_masks)
-        return tuple(map(tuple.__new__, repeat(Edge), map(divmod, keys, repeat(self.n))))
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (lo, dir) edges in (lo, dir) order, built on every call.
+        Kept only for the benchmark tracer's ``core.edges_built`` and
+        ``geodesics.relaxations`` counters."""
+        return tuple(map(divmod, _edge_keys(self.n, self.lo_masks), repeat(self.n)))
 
     @property
     def edge_count(self) -> int:
@@ -241,10 +211,10 @@ def make_subgraph(
 ) -> CubeSubgraph:
     """Validate and canonicalize a subgraph of Q_n.
 
-    Each edge is a (lo, dir) pair: an ``Edge``, a tuple or a list; an
-    item of another length is rejected before any value is checked. For
-    endpoints u and v, ``Edge.between(u, v)`` gives the pair. Duplicates
-    are dropped. Every edge endpoint must appear in ``vertices``.
+    Each edge is a (lo, dir) pair, a tuple or a list: lo is the endpoint
+    whose bit dir is 0, and lo ^ 2^dir the other. An item of another
+    length is rejected before any value is checked. Duplicates are
+    dropped. Every edge endpoint must appear in ``vertices``.
 
     Validation is in bulk: ranges by min and max, then all lo endpoints
     as one mask over the positions ``(dir << n) | lo``, and per direction
@@ -278,10 +248,10 @@ def make_subgraph(
         if not 0 <= dir < n:
             raise ValueError(f"edge direction {dir} out of range for Q_{n}")
         if lo & (1 << dir):
-            raise ValueError(f"edge {Edge(lo, dir)} is not canonical: bit {dir} of lo is set")
+            raise ValueError(f"edge {(lo, dir)} is not canonical: bit {dir} of lo is set")
         _check_vertex(lo ^ (1 << dir), n)
         if not vmask >> lo & vmask >> (lo ^ (1 << dir)) & 1:
-            raise ValueError(f"edge {Edge(lo, dir)} has an endpoint outside the vertex set")
+            raise ValueError(f"edge {(lo, dir)} has an endpoint outside the vertex set")
     raise RuntimeError("the bulk edge check rejected edges that pass one by one")
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .core import CubeSubgraph, _Value, _at_least, _bits, _set, average_degree
+from .core import CubeSubgraph, _Value, _at_least, _set, average_degree
 
 __all__ = [
     "DirectionOrdering",
@@ -140,9 +140,9 @@ class LTable(_Value):
     increasing geodesic along the first t directions of the ordering has
     at least k edges. Each ``levels[t]`` ends at its last non-empty mask;
     ``levels[t][0]`` is the vertex set. ``lo_masks`` are the graph's
-    per-direction edge masks. ``lengths`` (vertex -> length) is a view
-    built from the masks on first use; ``extract_increasing_geodesic``
-    rebuilds the witness ending at a vertex.
+    per-direction edge masks. A vertex's length is the highest k with its
+    bit set in ``levels[-1][k]``; ``extract_increasing_geodesic`` rebuilds
+    the witness ending at a vertex.
 
     Witnesses are rebuilt backwards. The predecessor of v on its witness
     of l edges after t steps is the smallest u = v ^ 2^perm[r], r < t,
@@ -152,22 +152,13 @@ class LTable(_Value):
     smaller predecessor.
     """
 
-    __slots__ = ("n", "ordering", "lo_masks", "levels", "__dict__")
-    _fields = __slots__[:-1]
+    __slots__ = _fields = ("n", "ordering", "lo_masks", "levels")
 
     def __init__(self, n: int, ordering: DirectionOrdering, lo_masks: tuple[int, ...], levels: tuple):
         self._init(n, ordering, lo_masks, levels)
 
     def __repr__(self) -> str:  # without the masks, which can run to millions of digits
         return f"LTable(n={self.n!r}, ordering={self.ordering!r})"
-
-    @cached_property
-    def lengths(self) -> dict[int, int]:
-        final = (*self.levels[-1], 0)
-        lengths = dict.fromkeys(_bits(final[0]), 0)
-        for k in range(1, len(final) - 1):
-            lengths.update(dict.fromkeys(_bits(final[k] & ~final[k + 1]), k))
-        return lengths
 
     @property
     def total(self) -> int:
@@ -242,8 +233,9 @@ def increasing_geodesic_table(
 
 
 def extract_increasing_geodesic(table: LTable, v: int) -> IncreasingGeodesic:
-    """The witness ending at v: a valid increasing geodesic with exactly
-    ``table.lengths[v]`` edges, rebuilt backwards from the levels."""
+    """The witness ending at v: a valid increasing geodesic with as many
+    edges as the highest k with bit v set in ``table.levels[-1][k]``,
+    rebuilt backwards from the levels."""
     final = table.levels[-1]
     if v < 0 or not final[0] >> v & 1:
         raise ValueError(f"vertex {v} not in table")

@@ -77,11 +77,10 @@ class Report(_Value):
 
 
 def graph_to_obj(g: CubeSubgraph) -> dict:
-    return {
-        "n": g.n,
-        "vertices": list(g.vertices),
-        "edges": [[e.lo, e.dir] for e in g.edges],
-    }
+    """The graph file's dict, its lists read off the masks as
+    ``_graph_text`` reads them."""
+    edges = map(list, map(divmod, _edge_keys(g.n, g.lo_masks), repeat(g.n)))
+    return {"n": g.n, "vertices": _bits(g.vertex_mask), "edges": list(edges)}
 
 
 def colouring_to_obj(c: EdgeColouring) -> dict:
@@ -203,8 +202,8 @@ def _json_list(items: list[str]) -> str:
 
 
 def _graph_text(g: CubeSubgraph) -> str:
-    """The text ``dumps(graph_to_obj(g))`` gives, written from the masks:
-    no ``Edge`` tuples and no per-edge lists."""
+    """The text ``dumps(graph_to_obj(g))`` gives, written from the masks
+    with no per-edge lists."""
     vertices = list(map(str, _bits(g.vertex_mask)))
     edges = list(map(_EDGE_TEXT.__mod__, map(divmod, _edge_keys(g.n, g.lo_masks), repeat(g.n))))
     return _GRAPH_TEXT % (g.n, _json_list(vertices), _json_list(edges))

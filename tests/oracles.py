@@ -15,6 +15,41 @@ from cubegeo.harness.serialize import ParseError
 from cubegeo.rng import derive
 
 
+def _set_bits(m):
+    """Positions of the set bits of m, ascending, by peeling off the
+    lowest set bit one at a time."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def vertex_list(g):
+    """Referee for a subgraph's vertices: the set bits of its vertex
+    mask, ascending."""
+    return _set_bits(g.vertex_mask)
+
+
+def edge_list(g):
+    """Referee for a subgraph's edges: a (lo, dir) pair for each set bit
+    lo of each direction's lo mask, sorted by (lo, dir)."""
+    return sorted((lo, dir) for dir, m in enumerate(g.lo_masks) for lo in _set_bits(m))
+
+
+def lengths_from_levels(table):
+    """Referee for a sweep table's lengths: vertex -> the highest k whose
+    mask in ``table.levels[-1]`` has the vertex's bit set, vertices
+    ascending."""
+    final = table.levels[-1]
+    lengths = {}
+    for k, level in enumerate(final):
+        for v in _set_bits(level):
+            lengths[v] = k
+    return dict(sorted(lengths.items()))
+
+
 def induced_edge_pairs(n, vertices):
     """All unordered vertex pairs at Hamming distance 1."""
     vs = sorted(set(vertices))
@@ -45,8 +80,8 @@ def lex_first_farthest_pair(vertices):
 
 
 def adjacency(g):
-    adj = {v: [] for v in g.vertices}
-    for lo, dir in g.edges:
+    adj = {v: [] for v in vertex_list(g)}
+    for lo, dir in edge_list(g):
         hi = lo ^ (1 << dir)
         adj[lo].append((dir, hi))
         adj[hi].append((dir, lo))
@@ -60,7 +95,7 @@ def greedy_walk(g):
     survivor, each step along the smallest unused direction whose
     neighbour survived. Returns (vertices, directions)."""
     adj = adjacency(g)
-    half = Fraction(len(g.edges), len(adj))
+    half = Fraction(len(edge_list(g)), len(adj))
     deg = {v: len(nbrs) for v, nbrs in adj.items()}
     alive = set(adj)
     stack = sorted((v for v in alive if deg[v] < half), reverse=True)
@@ -99,7 +134,7 @@ def all_geodesic_vertex_sequences(g):
                 walk(w, used | (1 << dir), trail)
                 trail.pop()
 
-    for s in g.vertices:
+    for s in vertex_list(g):
         walk(s, 0, [s])
     return out
 
@@ -112,7 +147,7 @@ def brute_force_longest_geodesic(g, max_n=ORACLE_MAX_N, max_edges=ORACLE_MAX_EDG
     with a used-direction bitmask. Exponential in principle; guarded by
     a cap (n <= max_n or |E| <= max_edges), by default the library's.
     Returns (vertices, directions)."""
-    if not g.vertices:
+    if not g.vertex_mask:
         raise ValueError("empty graph has no geodesics")
     if g.n > max_n and g.edge_count > max_edges:
         raise ValueError(f"instance (n={g.n}, |E|={g.edge_count}) exceeds the cap")
@@ -131,7 +166,7 @@ def brute_force_longest_geodesic(g, max_n=ORACLE_MAX_N, max_edges=ORACLE_MAX_EDG
             memo[key] = (best, best_dir)
         return memo[key]
 
-    start = max(g.vertices, key=lambda v: (longest_from(v, 0)[0], -v))
+    start = max(vertex_list(g), key=lambda v: (longest_from(v, 0)[0], -v))
     verts, dirs = [start], []
     v, used = start, 0
     while (dir := longest_from(v, used)[1]) is not None:
@@ -155,7 +190,7 @@ def increasing_lengths_by_end(g, ordering):
     """Longest rank-increasing path length ending at each vertex."""
     ranks = ordering.ranks
     adj = adjacency(g)
-    best = dict.fromkeys(g.vertices, 0)
+    best = dict.fromkeys(vertex_list(g), 0)
 
     def walk(v, last, depth):
         if depth > best[v]:
@@ -164,7 +199,7 @@ def increasing_lengths_by_end(g, ordering):
             if ranks[dir] > last:
                 walk(w, ranks[dir], depth + 1)
 
-    for s in g.vertices:
+    for s in vertex_list(g):
         walk(s, -1, 0)
     return best
 
@@ -625,10 +660,11 @@ def chain_sweep_table(g, ordering):
     (predecessor, direction, predecessor's chain). Ties between
     predecessors of equal length go to the smaller one. Returns
     (lengths, chains)."""
-    lengths = dict.fromkeys(g.vertices, 0)
-    chains = dict.fromkeys(g.vertices, None)
+    lengths = dict.fromkeys(vertex_list(g), 0)
+    chains = dict.fromkeys(vertex_list(g), None)
+    edges = edge_list(g)
     for dir in ordering.perm:
-        for lo in sorted(e.lo for e in g.edges if e.dir == dir):
+        for lo in sorted(lo for lo, d in edges if d == dir):
             hi = lo ^ (1 << dir)
             llo, lhi = lengths[lo], lengths[hi]
             clo, chi = chains[lo], chains[hi]
@@ -661,7 +697,7 @@ def count_increasing_paths(g, d, ordering):
             return 1
         return sum(walk(w, ranks[dir], depth + 1) for dir, w in adj[v] if ranks[dir] > last)
 
-    return sum(walk(s, -1, 0) for s in g.vertices)
+    return sum(walk(s, -1, 0) for s in vertex_list(g))
 
 
 def _is_json_int(value):
@@ -713,7 +749,7 @@ def _graph_from_items(n, vertices, edges):
         vset.add(v)
     lo_masks = [0] * n
     for lo, dir in edges:
-        name = f"Edge(lo={lo}, dir={dir})"
+        name = (lo, dir)
         if not 0 <= dir < n:
             raise ValueError(f"edge direction {dir} out of range for Q_{n}")
         if lo & (1 << dir):

@@ -33,10 +33,13 @@ from oracles import (
     chain_witness,
     count_increasing_paths,
     count_unordered_geodesics,
+    edge_list,
     fisher_yates_ordering,
     greedy_walk,
     increasing_lengths_by_end,
+    lengths_from_levels,
     longest_geodesic_length,
+    vertex_list,
 )
 
 
@@ -129,18 +132,18 @@ class TestGeodesicPath:
 class TestTable:
     def test_single_edge(self):
         t = increasing_geodesic_table(single_edge())
-        assert set(t.lengths.values()) == {1}
+        assert set(lengths_from_levels(t).values()) == {1}
         assert t.total == 2
 
     def test_full_q2(self):
         g = full_cube(2)
         t = increasing_geodesic_table(g)
-        assert t.lengths == {0: 2, 1: 2, 2: 2, 3: 2}
-        assert t.total == 8 == 2 * len(g.edges)
+        assert lengths_from_levels(t) == {0: 2, 1: 2, 2: 2, 3: 2}
+        assert t.total == 8 == 2 * len(edge_list(g))
 
     def test_bent_path_hand_simulation(self):
         t = increasing_geodesic_table(bent_path())
-        assert t.lengths == {0b00: 2, 0b10: 1, 0b11: 1}
+        assert lengths_from_levels(t) == {0b00: 2, 0b10: 1, 0b11: 1}
         assert t.total == 4 == 2 * 2
         # ties break toward the smaller predecessor: 10 is reachable at
         # length 1 from both 11 (dir 0) and 00 (dir 1); 00 wins
@@ -154,13 +157,13 @@ class TestTable:
     def test_full_cube_equality_case(self, d):
         g = full_cube(d)
         t = increasing_geodesic_table(g)
-        assert set(t.lengths.values()) == {d}
-        assert t.total == d * (1 << d) == 2 * len(g.edges)
+        assert set(lengths_from_levels(t).values()) == {d}
+        assert t.total == d * (1 << d) == 2 * len(edge_list(g))
 
     def test_matches_oracle_on_small_cubes(self):
         for d in range(1, 5):
             g = full_cube(d)
-            assert increasing_geodesic_table(g).lengths == increasing_lengths_by_end(
+            assert lengths_from_levels(increasing_geodesic_table(g)) == increasing_lengths_by_end(
                 g, DirectionOrdering.identity(d)
             )
 
@@ -170,13 +173,13 @@ class TestTable:
         g = random_induced(5, seed)
         ordering = random_ordering(5, SplitMix64(ord_seed))
         t = increasing_geodesic_table(g, ordering)
-        assert t.lengths == increasing_lengths_by_end(g, ordering)
+        assert lengths_from_levels(t) == increasing_lengths_by_end(g, ordering)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_theorem4_inequality(self, seed):
         g = random_induced(6, seed)
-        assert increasing_geodesic_table(g).total >= 2 * len(g.edges)
+        assert increasing_geodesic_table(g).total >= 2 * len(edge_list(g))
 
 
 def referee_cases():
@@ -215,13 +218,13 @@ class TestTableAgainstReferee:
         g, ordering = REFEREE_CASES[case]
         t = increasing_geodesic_table(g, ordering)
         lengths, chains = chain_sweep_table(g, ordering)
-        assert t.lengths == lengths and list(t.lengths) == list(g.vertices)
-        for v in g.vertices:
+        assert lengths_from_levels(t) == lengths
+        for v in vertex_list(g):
             p = extract_increasing_geodesic(t, v)
             assert (p.vertices, p.directions) == chain_witness(chains, v)
         assert t.total == sum(lengths.values()) >= 2 * g.edge_count
         if g.vertex_mask:
-            assert t.longest_end == max(g.vertices, key=lengths.__getitem__)
+            assert t.longest_end == max(vertex_list(g), key=lengths.__getitem__)
             assert longest_geodesic_lower_bound(g, ordering) == extract_increasing_geodesic(
                 t, t.longest_end
             )
@@ -293,9 +296,9 @@ class TestExtraction:
         g = random_induced(5, seed)
         ordering = random_ordering(5, SplitMix64(ord_seed))
         t = increasing_geodesic_table(g, ordering)
-        for v in g.vertices:
+        for v in vertex_list(g):
             p = extract_increasing_geodesic(t, v)
-            assert p.vertices[-1] == v and p.length == t.lengths[v]
+            assert p.vertices[-1] == v and p.length == lengths_from_levels(t)[v]
             for u in p.vertices:
                 assert g.vertex_mask >> u & 1
             for u, dir in zip(p.vertices, p.directions):
@@ -401,7 +404,7 @@ class TestEnumeration:
         # Q_9 has n > 8 and 2304 > 200 edges; a 200-edge subgraph of it is in range
         with pytest.raises(ValueError, match=r"\(n=9, \|E\|=2304\) exceeds the oracle cap"):
             enumerate_geodesics_of_length(full_cube(9), 1)
-        g = make_subgraph(9, range(1 << 9), list(full_cube(9).edges)[:200])
+        g = make_subgraph(9, range(1 << 9), edge_list(full_cube(9))[:200])
         assert enumerate_geodesics_of_length(g, 1) == 200
 
     @given(st.integers(0, 10_000), st.integers(1, 3))
@@ -423,11 +426,11 @@ class TestIncreasingCount:
         for d in range(1, 5):
             g = full_cube(d)
             assert enumerate_geodesics_of_length(g, d) == Fraction(
-                factorial(d) * len(g.vertices), 2
+                factorial(d) * len(vertex_list(g)), 2
             )
             for s in range(5):
                 ordering = random_ordering(d, SplitMix64(s))
-                assert count_increasing_geodesics(g, d, ordering) >= len(g.vertices)
+                assert count_increasing_geodesics(g, d, ordering) >= len(vertex_list(g))
 
     def test_expectation_identity_small(self):
         g = full_cube(3)

@@ -46,8 +46,8 @@ from cubegeo.harness.generators import KINDS, pool_map
 from cubegeo.harness.search import CONJECTURES, _sweep
 from cubegeo.harness.verify import THEOREMS
 from cubegeo.rng import SplitMix64, _randbelow, derive, mix64
-from oracles import (SplitMix64Referee, direction_split, edge_random_graph, subset_draw_masks,
-                     t_intersecting_members)
+from oracles import (SplitMix64Referee, direction_split, edge_list, edge_random_graph, subset_draw_masks,
+                     t_intersecting_members, vertex_list)
 
 
 BERNOULLI_PROBABILITIES = [
@@ -260,11 +260,11 @@ class TestRngAgainstReferee:
 class TestGenerate:
     def test_full_cube(self):
         g = generate(InstanceSpec("full-cube", n=3))
-        assert len(g.vertices) == 8 and len(g.edges) == 12
+        assert len(vertex_list(g)) == 8 and len(edge_list(g)) == 12
 
     def test_disjoint_cubes(self):
         g = generate(InstanceSpec("disjoint-cubes", n=4, subdim=2, copies=2))
-        assert len(g.vertices) == 8 and len(g.edges) == 8
+        assert len(vertex_list(g)) == 8 and len(edge_list(g)) == 8
         assert average_degree(g) == 2
 
     def test_disjoint_cubes_capacity(self):
@@ -280,7 +280,7 @@ class TestGenerate:
 
     def test_hamming_ball(self):
         g = generate(InstanceSpec("hamming-ball", n=10, radius=1))
-        assert len(g.vertices) == 11 and len(g.edges) == 10
+        assert len(vertex_list(g)) == 11 and len(edge_list(g)) == 10
 
     @pytest.mark.parametrize("n", [0, 1, 4, 7])
     def test_hamming_ball_matches_the_vertex_by_vertex_ball(self, n):
@@ -303,7 +303,7 @@ class TestGenerate:
 
     def test_edge_random_never_empty(self):
         g = generate(InstanceSpec("edge-random", n=4, density=Fraction(0), seed=1))
-        assert g.vertices == (0,) and g.edges == ()
+        assert vertex_list(g) == [0] and edge_list(g) == []
 
     @pytest.mark.parametrize("n, k, t, size", [
         (8, 3, 1, 12), (10, 4, 2, 40), (9, 5, 3, 25),
@@ -484,19 +484,24 @@ class TestRunVerify:
         with pytest.raises(ValueError):
             run_verify("T9", InstanceSpec("full-cube", n=2), 1)
 
-    def test_violation_embeds_instance(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_violation_embeds_instance(self, monkeypatch, jobs):
         """The embed-on-violation plumbing is unreachable with true
-        invariants, so force a failing record."""
+        invariants, so force a failing record; the embedded graph is the
+        graph file's object, from a forked worker too."""
         import cubegeo.harness.verify as verify_mod
 
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(
             verify_mod, "_t4_record", lambda g: {"slack": "-1", "ok": False}
         )
-        report = run_verify("T4", InstanceSpec("full-cube", n=3), 2, seed=1)
+        report = run_verify("T4", InstanceSpec("full-cube", n=3), 2, seed=1, jobs=jobs)
         assert not report.passed
         assert report.aggregate["violations"] == 2
-        violation = report.records[0]["violation"]
-        assert obj_to_graph(violation) == generate(InstanceSpec("full-cube", n=3))
+        instance = generate(InstanceSpec("full-cube", n=3))
+        for record in report.records:
+            assert record["violation"] == json.loads(dumps(instance))
+            assert obj_to_graph(record["violation"]) == instance
 
     def test_record_looked_up_when_called(self, monkeypatch):
         import cubegeo.harness.verify as verify_mod
