@@ -22,13 +22,18 @@ the antipodal and the general colourings of Q_n, so exhaustive sweeps
 can enumerate them. Both are pure functions of (n, index): index bit i
 XORs a fixed flip into a base mask, and a table per index byte holds
 the XOR of every subset of that byte's flips, so a build is one lookup
-per index byte. Index spaces are capped at ``INDEX_MAX_BITS`` bits.
+per index byte. Each table is checked once, when it is built, to hold
+edge masks only, so an index build sets the value's slots without the
+per-value check of ``EdgeColouring``; no colouring can hold a bit at a
+non-edge position either way. Index spaces are capped at
+``INDEX_MAX_BITS`` bits.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 from .core import (CubeSubgraph, _Value, _blocks, _edge_keys, _join, _lo_pattern, _mask, _reverse, _pos, _set,
@@ -99,7 +104,7 @@ class EdgeColouring(_Value):
         _check_dimension(n)
         if blue_mask & ~_valid_edge_mask(n):
             raise ValueError("blue_mask has bits at non-edge positions")
-        _set(self, "n", n)  # faster than _init: exhaustive search builds one per index
+        _set(self, "n", n)  # faster than _init: sample search builds one per draw
         _set(self, "blue_mask", blue_mask)
 
     @classmethod
@@ -210,8 +215,13 @@ def _index_tables(n: int, antipodal: bool) -> tuple[int, int, tuple[tuple[int, .
     """``(base, bits, tables)`` of an index space: index bit i XORs flip
     i into ``base``, and entry b of ``tables[j]`` is the XOR of the flips
     of byte j's set bits. Flip i is the i-th antipodal pair (both edges)
-    or the i-th edge in (lo, dir) order. The width is checked before any
-    flip is built."""
+    or the i-th edge in (lo, dir) order. n and the width are checked
+    before any flip is built, and on every call, as the cache keeps no
+    exceptions.
+
+    Checked once per table, by a raise that ``python -O`` keeps: ``base``
+    and every flip lie inside ``_valid_edge_mask(n)``, so every XOR of
+    them does, and ``_from_index`` needs no per-value check."""
     if antipodal and n < 2:
         raise ValueError("antipodal colourings need n >= 2")
     _check_dimension(n)
@@ -223,6 +233,8 @@ def _index_tables(n: int, antipodal: bool) -> tuple[int, int, tuple[tuple[int, .
         flips = [(1 << rep) | (1 << partner) for rep, partner in pairs]
     else:
         base, flips = 0, [1 << p for p in _edge_positions(n)]
+    if reduce(or_, flips, base) & ~_valid_edge_mask(n):
+        raise RuntimeError(f"index table at n={n} has bits at non-edge positions")
     tables = []
     for j in range(0, bits, 8):
         table = [0]
@@ -232,7 +244,18 @@ def _index_tables(n: int, antipodal: bool) -> tuple[int, int, tuple[tuple[int, .
     return base, bits, tuple(tables)
 
 
+# the slot setters of _from_index, looked up once
+_new = object.__new__
+_set_n = EdgeColouring.n.__set__
+_set_blue_mask = EdgeColouring.blue_mask.__set__
+
+
 def _from_index(n: int, index: int, antipodal: bool) -> EdgeColouring:
+    """The index-th colouring of a space, one table lookup per index
+    byte. Its mask is an XOR of table entries, which ``_index_tables``
+    checked to be edge masks, so the value is set slot by slot without
+    ``EdgeColouring.__init__``'s check; the index range is checked on
+    every call."""
     base, bits, tables = _index_tables(n, antipodal)
     if not 0 <= index < (1 << bits):
         space = "antipodal pairs" if antipodal else "edges"
@@ -240,7 +263,10 @@ def _from_index(n: int, index: int, antipodal: bool) -> EdgeColouring:
     for table in tables:
         base ^= table[index & 255]
         index >>= 8
-    return EdgeColouring(n, base)
+    c = _new(EdgeColouring)
+    _set_n(c, n)
+    _set_blue_mask(c, base)
+    return c
 
 
 def antipodal_colouring_from_index(n: int, index: int) -> EdgeColouring:
@@ -283,16 +309,12 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:
         raise ValueError("path endpoints do not match the antipodal pair")
     blue = c.blue_mask
     path = 0
-    used = 0
-    repeated = False
     changes = 0
     last = None
     for u, v in zip(verts, verts[1:]):
         d = u ^ v
         if d == 0 or d & (d - 1) or d >> n:
             raise ValueError(f"step {u}->{v} is not a cube edge")
-        repeated = repeated or bool(used & d)
-        used |= d
         # u & v is the lo endpoint of the edge between adjacent u and v
         pos = _pos(u & v, d.bit_length() - 1, n)
         path |= 1 << pos
@@ -302,7 +324,10 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:
         last = colour
     if w.kind in _SWITCHES:
         geodesic, budget = _SWITCHES[w.kind]
-        if geodesic and (repeated or len(verts) - 1 != n):
+        # x ^ y has all n bits set, so the single-bit steps flip each of
+        # the n coordinates an odd number of times, at least once: a walk
+        # of exactly n steps flips each once and repeats no direction.
+        if geodesic and len(verts) - 1 != n:
             raise ValueError("witness is not a full-length geodesic")
         if changes > budget:
             raise ValueError(f"{w.kind} witness changes colour {changes} times")

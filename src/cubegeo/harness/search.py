@@ -18,11 +18,12 @@ colouring.
 Exhaustive mode builds every colouring of the space from its index,
 sample mode ``budget`` seeded colourings. Both run one sweep per block:
 a witness path is a witness for every colouring that gives the path's
-edges the same colours, so each colouring first tries the block's
-earlier witnesses, one AND each, and only a colouring that fits none
-goes to the conjecture's checker, whose witness is validated in full
-against it. Both modes collect the minimum-colour-change statistic per
-colouring where asked.
+edges the same colours, so each colouring first tries the witness that
+fitted the colouring before it, then the block's witnesses in the order
+found, one AND each, and only a colouring that fits none goes to the
+conjecture's checker, whose witness is validated in full against it.
+Both modes collect the minimum-colour-change statistic per colouring
+where asked.
 """
 
 from __future__ import annotations
@@ -106,25 +107,35 @@ def _sweep(check, build, n: int, keys):
     """Yield (colouring, witness kind or None) for ``build(n, key)`` per
     key. A witness validated against one colouring is a witness for
     every colouring that gives its path's edges the same colours, so
-    each colouring first tries the sweep's earlier witnesses, in the
-    order found, one AND each. Any other colouring goes to ``check``,
-    and its witness is validated in full before it is kept, as the path
-    edge mask that validation returns and the colours on it."""
+    each colouring first tries the witness that fitted the colouring
+    before it, then the sweep's witnesses in the order found, one AND
+    each. Any other colouring goes to ``check``, and its witness is
+    validated in full before it is kept, as the path edge mask that
+    validation returns and the colours on it.
+
+    Neighbouring indices of an exhaustive sweep differ in few edges, so
+    the last fit mostly fits again. The fit test is exact, so the order
+    decides only which fitting witness is named: the colourings that
+    reach ``check`` are those that fit no witness, in any order, and each
+    conjecture's checker finds one witness kind."""
     found = []  # (path edge mask, blue edges on the path, kind) per witness
+    last = (0, 1, None)  # fits nothing: blue & 0 is never 1
     for key in keys:
         c = build(n, key)
         blue = c.blue_mask
-        for path, colours, kind in found:
-            if blue & path == colours:
-                break
-        else:
-            witness = check(c)
-            kind = None
-            if witness is not None:
+        if blue & last[0] != last[1]:
+            for last in found:  # the loop leaves ``last`` at the witness that fits
+                if blue & last[0] == last[1]:
+                    break
+            else:
+                witness = check(c)
+                if witness is None:
+                    yield c, None
+                    continue
                 path = validate_witness(witness, c)
-                kind = witness.kind
-                found.append((path, blue & path, kind))
-        yield c, kind
+                last = (path, blue & path, witness.kind)
+                found.append(last)
+        yield c, last[2]
 
 
 def run_search(

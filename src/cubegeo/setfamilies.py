@@ -120,13 +120,17 @@ def is_downset(fam: SetFamily) -> bool:
 
 
 def shadow(fam: UniformFamily) -> UniformFamily:
-    """All (k-1)-sets contained in some member."""
+    """All (k-1)-sets contained in some member. Each is a k-member with
+    one element removed, so the result is (k-1)-uniform by construction
+    and is built without ``UniformFamily.__init__``'s member scan."""
     if fam.k < 1:
         raise ValueError("shadow of a 0-uniform family is undefined")
     out = 0
     for i in range(fam.n):
         out |= _without(fam, i)
-    return UniformFamily(fam.n, out, fam.k - 1)
+    result = object.__new__(UniformFamily)
+    result._init(fam.n, out, fam.k - 1)
+    return result
 
 
 def iterated_shadow(fam: UniformFamily, l: int) -> UniformFamily:

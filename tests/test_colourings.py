@@ -1,3 +1,5 @@
+import os
+import pickle
 import re
 import subprocess
 import sys
@@ -26,6 +28,7 @@ from cubegeo import (
     random_colouring,
     validate_witness,
 )
+from cubegeo import colourings
 from cubegeo.colourings import (
     INDEX_MAX_BITS,
     SEARCH_MAX_N,
@@ -280,6 +283,78 @@ class TestGenerationAgainstReference:
     def test_is_antipodal_on_every_antipodal_colouring_n3(self):
         for i in range(1 << antipodal_pair_count(3)):
             assert is_antipodal(antipodal_colouring_from_index(3, i))
+
+
+#: A script that gives the n = 3 antipodal flip table a bit at position
+#: 1, the non-edge (lo 1, dir 0), and prints what building from it raises.
+_BAD_FLIP_SCRIPT = """
+from cubegeo import colourings
+base, pairs = colourings._antipodal_pairs(3)
+colourings._antipodal_pairs = lambda n: (base, pairs[:-1] + ((pairs[-1][0], 1),))
+colourings._index_tables.cache_clear()
+try:
+    colourings.antipodal_colouring_from_index(3, 0)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+class TestTableCheckedBuild:
+    """The index builders set a value's slots without the per-value check
+    of ``EdgeColouring``, since ``_index_tables`` checked each table once,
+    when it was built, to hold edge masks only."""
+
+    @staticmethod
+    def _is_validated(c, n):
+        assert c == EdgeColouring(n, c.blue_mask)  # equal values share a class
+        assert pickle.loads(pickle.dumps(c)) == c
+
+    @pytest.mark.parametrize("antipodal, n", [(True, 2), (True, 3), (True, 4), (False, 1), (False, 2), (False, 3)])
+    def test_every_index(self, antipodal, n):
+        bits = antipodal_pair_count(n) if antipodal else edge_count(n)
+        for index in range(1 << bits):
+            self._is_validated(colourings._from_index(n, index, antipodal), n)
+
+    def test_sampled_general_indices_n4(self):
+        for index in _sampled_indices(2000, edge_count(4), seed=44):
+            self._is_validated(colourings._from_index(4, index, False), 4)
+
+    @pytest.fixture
+    def fresh_tables(self):
+        colourings._index_tables.cache_clear()
+        yield
+        colourings._index_tables.cache_clear()
+
+    def _raises_at_table_build(self, build, n):
+        # index 0 XORs no flip in: the table build itself must refuse, on
+        # every call, since the cache keeps no exceptions
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match=f"^index table at n={n} has bits at non-edge positions$"):
+                build(n, 0)
+        assert colourings._index_tables.cache_info().currsize == 0
+
+    def test_antipodal_flip_off_the_edges(self, monkeypatch, fresh_tables):
+        base, pairs = colourings._antipodal_pairs(3)
+        monkeypatch.setattr(colourings, "_antipodal_pairs", lambda n: (base, pairs[:-1] + ((pairs[-1][0], 1),)))
+        self._raises_at_table_build(antipodal_colouring_from_index, 3)
+
+    def test_antipodal_base_off_the_edges(self, monkeypatch, fresh_tables):
+        base, pairs = colourings._antipodal_pairs(3)
+        monkeypatch.setattr(colourings, "_antipodal_pairs", lambda n: (base | 1 << 1, pairs))
+        self._raises_at_table_build(antipodal_colouring_from_index, 3)
+
+    def test_general_flip_off_the_edges(self, monkeypatch, fresh_tables):
+        positions = colourings._edge_positions(3)
+        monkeypatch.setattr(colourings, "_edge_positions", lambda n: positions[:-1] + (1,))
+        self._raises_at_table_build(colouring_from_index, 3)
+
+    def test_flip_off_the_edges_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(colourings.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-O", "-c", _BAD_FLIP_SCRIPT], env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, timeout=30)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "index table at n=3 has bits at non-edge positions\n"
 
 
 def _first_pair(c, w):
@@ -814,6 +889,16 @@ class TestWitnessValidation:
     def test_rejects_repeated_direction(self, kind):
         w = AntipodalWitness(kind, (0b00, 0b01, 0b00, 0b10, 0b11), (0b00, 0b11))
         _rejects(w, all_red(2), "witness is not a full-length geodesic")
+
+    @pytest.mark.parametrize("kind", ["mono-geodesic", "one-change-geodesic"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rejects_a_walk_two_steps_too_long(self, kind, n):
+        # steps along direction 0 out and back, then a geodesic from 0 to
+        # its antipode: n + 2 cube edges, direction 0 three times
+        walk = (0, 1, 0) + tuple((1 << d) - 1 for d in range(1, n + 1))
+        assert len(walk) - 1 == n + 2
+        w = AntipodalWitness(kind, walk, (0, (1 << n) - 1))
+        _rejects(w, all_red(n), "witness is not a full-length geodesic")
 
     def test_rejects_mono_geodesic_with_a_change(self):
         c = direction_split(2)

@@ -580,6 +580,14 @@ class TestRunVerify:
         assert report.records[0]["count"] == 48  # 3! * 16 / 2
 
 
+def _counting(counts, name, fn):
+    """``fn``, counting its calls in ``counts[name]``."""
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+    return wrapper
+
+
 class TestRunSearch:
     def test_exhaustive_counts(self):
         assert run_search("NORINE", "exhaustive", 2).aggregate["checked"] == 4
@@ -665,15 +673,8 @@ class TestRunSearch:
             "validate_witness",
         )
         counts = dict.fromkeys(names, 0)
-
-        def counting(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-
         for name in names:
-            monkeypatch.setattr(search_mod, name, counting(name, getattr(search_mod, name)))
+            monkeypatch.setattr(search_mod, name, _counting(counts, name, getattr(search_mod, name)))
         report = run_search(conjecture, mode, n, budget=budget)
         assert report.aggregate["checked"] == calls
         assert counts.pop(builder) == calls
@@ -682,6 +683,32 @@ class TestRunSearch:
         assert counts == dict.fromkeys(counts, 0)
         if mode == "exhaustive":
             assert checks < calls
+
+    @pytest.mark.parametrize(
+        "conjecture, n, checker, calls",
+        [
+            ("NORINE", 4, "find_monochromatic_antipodal_path", 1026),
+            ("A", 4, "find_monochromatic_antipodal_geodesic", 938),
+            ("NORINE", 3, "find_monochromatic_antipodal_path", 35),
+            ("A", 3, "find_monochromatic_antipodal_geodesic", 35),
+            ("B", 3, "find_one_change_antipodal_geodesic", 111),
+            ("B", 2, "find_one_change_antipodal_geodesic", 16),
+        ],
+    )
+    def test_exhaustive_checker_calls_are_pinned(self, monkeypatch, conjecture, n, checker, calls):
+        """The colourings that reach the checker are those that fit none
+        of their block's earlier witnesses, whatever order the sweep
+        tries them in: the exact checker and ``validate_witness`` counts
+        of an exhaustive run. A sweep whose witness order changed which
+        colourings are checked fails here."""
+        import cubegeo.harness.search as search_mod
+
+        counts = dict.fromkeys((checker, "validate_witness"), 0)
+        for name in counts:
+            monkeypatch.setattr(search_mod, name, _counting(counts, name, getattr(search_mod, name)))
+        report = run_search(conjecture, "exhaustive", n)
+        assert report.passed and report.aggregate["checked"] == report.aggregate["space"]
+        assert counts == {checker: calls, "validate_witness": calls}
 
     @pytest.mark.parametrize("conjecture", ["NORINE", "A"])
     @pytest.mark.parametrize("n, k", [(3, 0), (3, 37), (4, 0), (4, 37), (4, 1023), (4, 65535)])

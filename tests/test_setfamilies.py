@@ -234,6 +234,15 @@ class TestShadow:
         with pytest.raises(ValueError):
             shadow(UniformFamily.of(3, [0]))
 
+    @given(uniform_families)
+    @settings(max_examples=200)
+    def test_equals_the_validated_family(self, fam):
+        """``shadow`` skips the constructor's size scan; the value it
+        builds is the one the validating constructor builds from the
+        same mask, and it passes that scan."""
+        out = shadow(fam)
+        assert out == UniformFamily(fam.n, out.mask, fam.k - 1)
+
     def test_uniformity_enforced(self):
         with pytest.raises(ValueError):
             UniformFamily.of(3, [E1, E1 | E2])
