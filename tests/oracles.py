@@ -10,9 +10,13 @@ from math import comb
 
 from cubegeo.colourings import MAX_COLOURING_DIMENSION, Colour, EdgeColouring
 from cubegeo.core import MAX_DIMENSION, CubeSubgraph
-from cubegeo.geodesics import ORACLE_MAX_EDGES, ORACLE_MAX_N
 from cubegeo.harness.serialize import ParseError
 from cubegeo.rng import derive
+
+#: Default cap of brute_force_longest_geodesic: an instance is in range
+#: when n <= ORACLE_MAX_N or |E| <= ORACLE_MAX_EDGES.
+ORACLE_MAX_N = 8
+ORACLE_MAX_EDGES = 200
 
 
 def _set_bits(m):
@@ -145,7 +149,7 @@ def longest_geodesic_length(g):
 def brute_force_longest_geodesic(g, max_n=ORACLE_MAX_N, max_edges=ORACLE_MAX_EDGES):
     """Exact maximum-length geodesic by memoized DFS over simple paths
     with a used-direction bitmask. Exponential in principle; guarded by
-    a cap (n <= max_n or |E| <= max_edges), by default the library's.
+    a cap (n <= max_n or |E| <= max_edges), by default this module's.
     Returns (vertices, directions)."""
     if not g.vertex_mask:
         raise ValueError("empty graph has no geodesics")

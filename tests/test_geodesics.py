@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from cubegeo import (
     make_subgraph,
     random_ordering,
 )
+from cubegeo import geodesics
 from cubegeo.core import _bits
 from cubegeo.harness.generators import InstanceSpec, generate
 from cubegeo.rng import derive
@@ -34,6 +35,7 @@ from oracles import (
     count_increasing_paths,
     count_unordered_geodesics,
     edge_list,
+    edge_random_graph,
     fisher_yates_ordering,
     greedy_walk,
     increasing_lengths_by_end,
@@ -400,18 +402,50 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_geodesics_of_length(full_cube(2), 0)
 
-    def test_cap(self):
-        # Q_9 has n > 8 and 2304 > 200 edges; a 200-edge subgraph of it is in range
-        with pytest.raises(ValueError, match=r"\(n=9, \|E\|=2304\) exceeds the oracle cap"):
-            enumerate_geodesics_of_length(full_cube(9), 1)
-        g = make_subgraph(9, range(1 << 9), edge_list(full_cube(9))[:200])
-        assert enumerate_geodesics_of_length(g, 1) == 200
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_full_cube_equality_case_above_the_old_cap(self, n):
+        assert enumerate_geodesics_of_length(full_cube(n), n) == factorial(n) * 2**n // 2
 
-    @given(st.integers(0, 10_000), st.integers(1, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_unordered_oracle(self, seed, d):
-        g = random_induced(4, seed)
-        assert enumerate_geodesics_of_length(g, d) == count_unordered_geodesics(g, d)
+    def test_cap(self):
+        # the widest layer of Q_16 at d = 16: C(16, 9) sets of bit_length(9!) = 19
+        # planes of 2^16 bits; the increasing count keeps one plane per set, and
+        # Q_18 at d = 9 needs C(18, 9) planes of 2^18 bits
+        with pytest.raises(ValueError, match=r"^instance \(n=16, \|E\|=524288, d=16\) needs "
+                           r"14244904960 layer bits, which exceeds the count cap 8589934592$"):
+            enumerate_geodesics_of_length(full_cube(16), 16)
+        with pytest.raises(ValueError, match=f"needs {comb(18, 9) << 18} layer bits, which exceeds the count cap"):
+            count_increasing_geodesics(full_cube(18), 9)
+
+    def test_cap_boundary(self, monkeypatch):
+        # Q_4 at d = 4: the widest unordered layer is C(4, 2) sets of 2 planes
+        # (or C(4, 3) of 3) of 16 bits, the widest increasing one C(4, 2) planes;
+        # only directions with edges count, so a square in Q_4 needs 32 bits
+        g = full_cube(4)
+        two_dirs = induced_subgraph(4, [0b0000, 0b0001, 0b0010, 0b0011])
+        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 192)
+        assert enumerate_geodesics_of_length(g, 4) == 192
+        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 191)
+        with pytest.raises(ValueError, match="needs 192 layer bits, which exceeds the count cap 191"):
+            enumerate_geodesics_of_length(g, 4)
+        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 96)
+        assert count_increasing_geodesics(g, 4) == 16
+        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 95)
+        with pytest.raises(ValueError, match="needs 96 layer bits"):
+            count_increasing_geodesics(g, 4)
+        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 48)
+        assert enumerate_geodesics_of_length(two_dirs, 2) == 4
+        assert count_increasing_geodesics(two_dirs, 2) == 4
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n)))),
+           st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_path_oracles(self, n_perm, seed, edges):
+        n, perm = n_perm
+        g = edge_random_graph(n, Fraction(1, 2), seed) if edges else random_induced(n, seed)
+        ordering = DirectionOrdering(tuple(perm))
+        for d in range(1, n + 2):
+            assert enumerate_geodesics_of_length(g, d) == count_unordered_geodesics(g, d)
+            assert count_increasing_geodesics(g, d, ordering) == count_increasing_paths(g, d, ordering)
 
 
 class TestIncreasingCount:

@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,10 @@ VERIFIES = {
     "verify-T5-full-cube-n4": ["T5", "--trials", "4", "--model", "full-cube", "--n", "4"],
     "verify-T5-disjoint-cubes-n6": ["T5", "--trials", "12", "--model", "disjoint-cubes",
                                     "--n", "6", "--subdim", "2", "--copies", "5"],
+    # above the cap of the direction-sequence search that the subset DP replaced
+    "verify-T5-full-cube-n10": ["T5", "--trials", "2", "--model", "full-cube", "--n", "10"],
+    "verify-T5-disjoint-cubes-n12": ["T5", "--trials", "2", "--model", "disjoint-cubes",
+                                     "--n", "12", "--subdim", "4", "--copies", "8"],
     "verify-FS-n9": ["FS", "--trials", "24", "--model", "induced-random", "--n", "9",
                      "--density", "1/5"],
     "verify-COMP-n6": ["COMP", "--trials", "16", "--model", "random-family", "--n", "6",
@@ -129,6 +134,17 @@ def test_search_report_matches_golden(name, jobs, tmp_path):
 def test_verify_report_matches_golden(name, jobs, tmp_path):
     out = tmp_path / f"{name}.json"
     _check(name, _verify(name, out, jobs), out)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("verify-T5-full-cube-n10", factorial(10) * 2**10 // 2),
+    ("verify-T5-disjoint-cubes-n12", 8 * (factorial(4) * 2**4 // 2)),
+])
+def test_t5_goldens_hold_the_equality_case(name, count):
+    """Q_d has d! 2^d / 2 geodesics of length d, and disjoint copies add
+    theirs: each count equals the bound d!|G|/2, with slack 0."""
+    records = json.loads((GOLDEN / f"{name}.json").read_bytes())["records"]
+    assert [(r["count"], r["bound"], r["slack"]) for r in records] == [(count, str(count), "0")] * 2
 
 
 @pytest.mark.parametrize("name", sorted(GENS))

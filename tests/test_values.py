@@ -123,15 +123,16 @@ def test_report_is_mutable_with_fresh_defaults():
     assert Report("search", {}, 0).records == []
 
 
-@pytest.mark.parametrize("name, gone", [("CubeSubgraph", "vertices"), ("LTable", "lengths")])
+@pytest.mark.parametrize("name, gone", [("CubeSubgraph", "vertices"), ("LTable", "lengths"),
+                                        ("DirectionOrdering", None)])
 def test_mask_values_keep_only_their_fields(name, gone):
+    """No ``__dict__``, so no cached view; ``gone`` names one that was deleted."""
     a = VALUES[name][0]
-    assert type(a).__slots__ == a._fields
-    assert not hasattr(a, "__dict__") and not hasattr(a, gone)
+    assert type(a).__slots__ == a._fields and not hasattr(a, "__dict__")
+    assert gone is None or not hasattr(a, gone)
 
 
 @pytest.mark.parametrize("cls, view, build", [
-    (DirectionOrdering, "ranks", lambda: DirectionOrdering((2, 0, 1))),
     (SetFamily, "sets", lambda: SetFamily(3, 0b10110)),
     (SetFamily, "sets", lambda: UniformFamily(3, 0b10110, 1)),  # validation reads them first
 ])
