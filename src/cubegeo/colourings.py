@@ -6,9 +6,10 @@ between the monochromatic-geodesic and one-change-geodesic properties.
 A colouring assigns a colour to every edge of Q_n. Internally it is a
 single big-int bitmask over core's edge positions (dir << n) | lo, bit
 set for blue, which keeps exhaustive sweeps over 2^16 colourings cheap.
-The antipodal pair table, the antipodal image, the lift to Q_{n+1},
-witness validation and the (lo, dir, colour) triples of ``from_pairs``
-and ``pairs`` work on these positions or on their direction blocks.
+The antipodal pair table, the antipodal image, the lift to Q_{n+1} and
+witness validation work on these positions or on their direction
+blocks; the colouring file format, (lo, dir, colour) triples, is read
+and written by ``harness.serialize``.
 
 The four antipodal searches share one loop over start points,
 ``_antipodal_hits``, and one layered search over 2^n-bit vertex sets,
@@ -34,7 +35,7 @@ from __future__ import annotations
 import enum
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import (CubeSubgraph, _Value, _blocks, _edge_keys, _join, _lo_pattern, _mask, _reverse, _pos, _set,
                    _valid_edge_mask, antipode)
@@ -66,7 +67,7 @@ __all__ = [
 #: get unwieldy and no supported operation needs them.
 MAX_COLOURING_DIMENSION = 16
 
-#: Cap of the antipodal geodesic searches (state space 2^n).
+#: Cap of the antipodal geodesic searches (layers of 2^n-bit vertex bitsets).
 SEARCH_MAX_N = 12
 
 #: Widest index space of the index builders (A@5 has 40 bits, B@4 32).
@@ -107,25 +108,6 @@ class EdgeColouring(_Value):
         _set(self, "n", n)  # faster than _init: sample search builds one per draw
         _set(self, "blue_mask", blue_mask)
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int, Colour]]) -> "EdgeColouring":
-        """Build from (lo, dir, colour) triples; must cover every edge
-        exactly once. The blue mask is built once, from its positions."""
-        _check_dimension(n)
-        seen, blue = set(), []
-        for lo, dir, colour in pairs:
-            if not 0 <= dir < n or lo >> n or (lo >> dir) & 1:
-                raise ValueError(f"({lo}, {dir}) is not a canonical edge of Q_{n}")
-            p = _pos(lo, dir, n)
-            if p in seen:
-                raise ValueError(f"edge ({lo}, {dir}) coloured twice")
-            seen.add(p)
-            if colour is Colour.BLUE:
-                blue.append(p)
-        if len(seen) != edge_count(n):  # as many distinct edges as the cube has: all of them
-            raise ValueError("colouring does not cover every edge of the cube")
-        return cls(n, _mask(blue, n << n))
-
     def colour_between(self, u: int, v: int) -> Colour:
         """Colour of the edge between two adjacent vertices of Q_n."""
         dir = (u ^ v).bit_length() - 1
@@ -135,13 +117,6 @@ class EdgeColouring(_Value):
 
     def blue_count(self) -> int:
         return self.blue_mask.bit_count()
-
-    def pairs(self) -> Iterator[tuple[int, int, Colour]]:
-        """(lo, dir, colour) for every edge, in (lo, dir) order."""
-        n = self.n
-        digits = format(self.blue_mask, f"0{n << n}b")[::-1]
-        colours = {"0": Colour.RED, "1": Colour.BLUE}
-        return ((p & ((1 << n) - 1), p >> n, colours[digits[p]]) for p in _edge_positions(n))
 
 
 @lru_cache(maxsize=None)
@@ -456,7 +431,7 @@ def _first_antipodal(c: EdgeColouring, kind: str):
     n = c.n
     geodesic, budget = _SWITCHES[kind]
     if geodesic and n > SEARCH_MAX_N:
-        raise ValueError(f"n={n} exceeds the subset-search cap {SEARCH_MAX_N}")
+        raise ValueError(f"n={n} exceeds the antipodal-search cap {SEARCH_MAX_N}")
     for x, _, vertices in _antipodal_hits(c, geodesic, budget):
         return AntipodalWitness(kind, vertices, (x, x ^ ((1 << n) - 1)))
     return None

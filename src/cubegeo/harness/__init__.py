@@ -5,7 +5,6 @@ from .generators import InstanceSpec, generate, random_t_intersecting_family
 from .search import run_search
 from .serialize import (
     ParseError,
-    Report,
     colouring_to_obj,
     dumps,
     family_to_obj,

@@ -26,7 +26,7 @@ from ..geodesics import greedy_geodesic
 from ..setfamilies import SetFamily, feder_subi_intersecting_check, is_downset, level_profile
 from .generators import GRAPH_KINDS, COLOURING_KINDS, FAMILY_KINDS, InstanceSpec, generate
 from .search import _SPACES, CONJECTURES, run_search
-from .serialize import Report, ParseError, dumps, load_instance, save_json
+from .serialize import ParseError, dumps, load_instance, report, save_json
 from .verify import _THEOREMS, THEOREMS, _full_compression, default_template, run_verify
 
 #: Most items (graph vertices and edges, or family members) a ``gen``
@@ -139,29 +139,28 @@ def _jobs(args) -> int:
     return jobs
 
 
-def _emit_report(report: Report, out: str | None) -> int:
-    obj = report.to_obj()
+def _emit_report(obj: dict, out: str | None) -> int:
     if out:
         save_json(out, obj)
-        agg = ", ".join(f"{k}={v}" for k, v in report.aggregate.items() if not isinstance(v, dict))
-        print(f"{'PASS' if report.passed else 'FAIL'} {report.task} ({agg}) -> {out}")
+        agg = ", ".join(f"{k}={v}" for k, v in obj["aggregate"].items() if not isinstance(v, dict))
+        print(f"{'PASS' if obj['pass'] else 'FAIL'} {obj['task']} ({agg}) -> {out}")
     else:
         sys.stdout.write(dumps(obj))
-    return 0 if report.passed else 2
+    return 0 if obj["pass"] else 2
 
 
 def _cmd_verify(args) -> int:
     template = _spec_from_args(args) if args.model else default_template(args.theorem, args.n)
-    report = run_verify(args.theorem, template, args.trials, seed=args.seed, jobs=_jobs(args))
-    return _emit_report(report, args.out)
+    obj = run_verify(args.theorem, template, args.trials, seed=args.seed, jobs=_jobs(args))
+    return _emit_report(obj, args.out)
 
 
 def _cmd_search(args) -> int:
-    report = run_search(
+    obj = run_search(
         args.conjecture, args.mode, args.n,
         budget=args.budget, seed=args.seed, jobs=_jobs(args),
     )
-    return _emit_report(report, args.out)
+    return _emit_report(obj, args.out)
 
 
 def _analyze_graph(g: CubeSubgraph) -> tuple[dict, bool]:
@@ -238,15 +237,7 @@ def _cmd_analyze(args) -> int:
         info, ok = _analyze_colouring(instance)
     else:
         info, ok = _analyze_family(instance)
-    report = Report(
-        task="analyze",
-        parameters={"file": args.file},
-        seed=args.seed,
-        records=[info],
-        aggregate={},
-        passed=ok,
-    )
-    return _emit_report(report, args.out)
+    return _emit_report(report("analyze", {"file": args.file}, args.seed, [info], {}, ok), args.out)
 
 
 def _cmd_gen(args) -> int:

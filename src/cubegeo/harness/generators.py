@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from contextlib import closing
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import comb
+from operator import or_
 
 from ..core import (CubeSubgraph, _Value, _ball, _bits, _blocks, _check_dimension, _edge_keys, _lo_pattern, _mask,
                     _pos, _valid_edge_mask, induced_subgraph)
@@ -198,7 +200,8 @@ def generate(spec: InstanceSpec, max_items: int | None = None):
         keys = _edge_keys(n, _blocks(_valid_edge_mask(n), n))
         picked = [divmod(keys[i], n) for i in _bits(rng.bernoulli_mask(density, len(keys)))]
         lo_masks = tuple(_blocks(_mask((_pos(lo, dir, n) for lo, dir in picked), n << n), n))
-        vmask = _mask((v for lo, dir in picked for v in (lo, lo | 1 << dir)), 1 << n)
+        # an edge (lo, d) has the endpoints lo and lo + 2^d
+        vmask = reduce(or_, (m | m << (1 << d) for d, m in enumerate(lo_masks)), 0)
         return CubeSubgraph(n, vmask or 1, lo_masks)
 
     if spec.kind == "hamming-ball":

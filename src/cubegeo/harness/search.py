@@ -50,7 +50,7 @@ from ..colourings import (
 )
 from ..rng import derive
 from .generators import pool_map
-from .serialize import Report, colouring_to_obj
+from .serialize import colouring_to_obj, report
 
 __all__ = ["CONJECTURES", "run_search"]
 
@@ -145,7 +145,7 @@ def run_search(
     budget: int | None = None,
     seed: int = 0,
     jobs: int = 1,
-) -> Report:
+) -> dict:
     """Sweep colourings of Q_n for a counterexample to one conjecture.
 
     Exhaustive mode ignores ``budget`` and covers the whole space; sample
@@ -205,7 +205,7 @@ def run_search(
             else None
         )
     records = [] if fail is None else [fail]
-    return Report(
+    return report(
         task="search",
         parameters={
             "conjecture": conjecture,

@@ -7,28 +7,29 @@ Formats (all 0-based directions, all keys in fixed order):
   family    {"n": int, "sets": [int]}
   report    {"task", "parameters", "seed", "records", "aggregate", "pass"}
 
-Serialization is canonical (sorted members, fixed key order, indent 2,
-trailing newline), so identical runs produce byte-identical files. A
-graph is written straight from its masks in exactly the text the stdlib
-encoder gives for its ``graph_to_obj`` dict. Graphs and colourings are
-read with shape checks in bulk; the error messages for malformed files
-are those of an item-by-item check.
+Every file format lives here; a report is the dict it writes. Output is
+canonical (sorted members, fixed key order, indent 2, trailing newline),
+so identical runs produce byte-identical files. A graph is written from
+its masks in exactly the text the stdlib encoder gives for its
+``graph_to_obj`` dict, a colouring from one digit string of its mask.
+Graphs and colourings are read with shape and edge checks in bulk; the
+error messages for malformed files are those of an item-by-item check.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import itemgetter, lshift, or_
 from typing import Any
 
-from ..colourings import Colour, EdgeColouring
-from ..core import CubeSubgraph, _Value, _bits, _edge_keys, make_subgraph
+from ..colourings import EdgeColouring, _check_dimension, _edge_positions, edge_count
+from ..core import CubeSubgraph, _bits, _edge_keys, _mask, _valid_edge_mask, make_subgraph
 from ..setfamilies import SetFamily
 
 __all__ = [
     "ParseError",
-    "Report",
+    "report",
     "dumps",
     "instance_to_obj",
     "load_instance",
@@ -43,37 +44,17 @@ __all__ = [
 ]
 
 
-#: A colour by its name in a colouring file.
-_COLOURS = {colour.value: colour for colour in Colour}
-
-
 class ParseError(ValueError):
     """A file could not be parsed or validated; the message carries
     line/field diagnostics."""
 
 
-class Report(_Value):
-    """One verification or search run: enough to reproduce it exactly
-    (parameters + seed) plus per-record results and aggregates. Unlike
-    the instance values it is mutable, so it has no hash."""
-
-    __slots__ = _fields = ("task", "parameters", "seed", "records", "aggregate", "passed")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(self, task: str, parameters: dict, seed: int, records: list | None = None,
-                 aggregate: dict | None = None, passed: bool = True):
-        self._init(task, parameters, seed, [] if records is None else records,
-                   {} if aggregate is None else aggregate, passed)
-
-    def to_obj(self) -> dict:
-        return {
-            "task": self.task,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "records": self.records,
-            "aggregate": self.aggregate,
-            "pass": self.passed,
-        }
+def report(task: str, parameters: dict, seed: int, records: list, aggregate: dict, passed: bool) -> dict:
+    """One verification or search run as its file's object: enough to
+    reproduce it exactly (parameters + seed) plus per-record results and
+    aggregates, with ``"pass"`` last."""
+    return {"task": task, "parameters": parameters, "seed": seed, "records": records,
+            "aggregate": aggregate, "pass": passed}
 
 
 def graph_to_obj(g: CubeSubgraph) -> dict:
@@ -84,10 +65,12 @@ def graph_to_obj(g: CubeSubgraph) -> dict:
 
 
 def colouring_to_obj(c: EdgeColouring) -> dict:
-    return {
-        "n": c.n,
-        "pairs": [[lo, dir, colour.value] for lo, dir, colour in c.pairs()],
-    }
+    """The colouring file's dict, every colour read off one digit string
+    of the blue mask, in (lo, dir) order."""
+    n, low = c.n, (1 << c.n) - 1
+    digits = format(c.blue_mask, f"0{n << n}b")[::-1]
+    return {"n": n, "pairs": [[p & low, p >> n, "blue" if digits[p] == "1" else "red"]
+                              for p in _edge_positions(n)]}
 
 
 def family_to_obj(fam: SetFamily) -> dict:
@@ -143,27 +126,42 @@ def obj_to_graph(obj: dict) -> CubeSubgraph:
 def obj_to_colouring(obj: dict) -> EdgeColouring:
     """The colouring of a parsed colouring file, its shapes checked as
     ``obj_to_graph`` checks them (types before colour names, which could
-    be unhashable lists); ``from_pairs`` validates the edges."""
+    be unhashable lists), then its edges: as many as the cube has, in
+    range, and with the mask of every edge, so each appears exactly once.
+    Only when that fails does a scan in item order name the first bad one."""
     n = _field(obj, "n", int)
     raw = _field(obj, "pairs", list)
     if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {3}
             and set(map(type, chain.from_iterable(map(itemgetter(0, 1), raw)))) <= {int}
             and set(map(type, map(itemgetter(2), raw))) <= {str}
-            and set(map(itemgetter(2), raw)) <= _COLOURS.keys()):
+            and set(map(itemgetter(2), raw)) <= {"red", "blue"}):
         for i, item in enumerate(raw):
             if not (isinstance(item, list) and len(item) == 3):
                 raise ParseError(f"pairs[{i}] should be [lo, dir, colour], got {item!r}")
             lo, dir, colour = item
             if not _is_int(lo) or not _is_int(dir):
                 raise ParseError(f"pairs[{i}] endpoints should be ints")
-            if not (isinstance(colour, str) and colour in _COLOURS):
+            if not (isinstance(colour, str) and colour in ("red", "blue")):
                 raise ParseError(f"pairs[{i}] colour {colour!r} is not 'red' or 'blue'")
-    pairs = zip(map(itemgetter(0), raw), map(itemgetter(1), raw),
-                map(_COLOURS.__getitem__, map(itemgetter(2), raw)))
     try:
-        return EdgeColouring.from_pairs(n, pairs)
+        _check_dimension(n)
     except ValueError as exc:
         raise ParseError(f"invalid colouring: {exc}") from exc
+    los, dirs = list(map(itemgetter(0), raw)), list(map(itemgetter(1), raw))
+    positions = []
+    if (len(raw) == edge_count(n) and 0 <= min(los) and max(los) < 1 << n
+            and 0 <= min(dirs) and max(dirs) < n):
+        positions = list(map(or_, map(lshift, dirs, repeat(n)), los))
+    if _mask(positions, n << n) != _valid_edge_mask(n):
+        seen = set()
+        for lo, dir in zip(los, dirs):
+            if not 0 <= dir < n or lo >> n or (lo >> dir) & 1:
+                raise ParseError(f"invalid colouring: ({lo}, {dir}) is not a canonical edge of Q_{n}")
+            if (lo, dir) in seen:
+                raise ParseError(f"invalid colouring: edge ({lo}, {dir}) coloured twice")
+            seen.add((lo, dir))
+        raise ParseError("invalid colouring: colouring does not cover every edge of the cube")
+    return EdgeColouring(n, _mask(compress(positions, map("blue".__eq__, map(itemgetter(2), raw))), n << n))
 
 
 def obj_to_family(obj: dict) -> SetFamily:

@@ -51,7 +51,7 @@ from ..setfamilies import (
     level_profile,
 )
 from .generators import COLOURING_KINDS, FAMILY_KINDS, GRAPH_KINDS, InstanceSpec, generate, pool_map
-from .serialize import Report, instance_to_obj
+from .serialize import instance_to_obj, report
 
 __all__ = ["THEOREMS", "default_template", "run_verify"]
 
@@ -265,7 +265,7 @@ def run_verify(
     trials: int,
     seed: int = 0,
     jobs: int = 1,
-) -> Report:
+) -> dict:
     """Run one theorem's invariant over ``trials`` generated instances.
 
     Instance i uses templates[i % len(templates)] with the sub-seed
@@ -285,7 +285,7 @@ def run_verify(
     records = [record for block in blocks for record in block]
     violations = sum(1 for r in records if not r["ok"])
     slacks = [Fraction(r["slack"]) for r in records if r["slack"] is not None]
-    return Report(
+    return report(
         task="verify",
         parameters={
             "theorem": theorem,

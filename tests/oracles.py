@@ -254,14 +254,14 @@ def _canonical_edges(n):
 
 def constant_colouring(n, colour):
     """Every edge of Q_n in one colour."""
-    return EdgeColouring.from_pairs(n, ((lo, d, colour) for lo, d in _canonical_edges(n)))
+    return colouring_from_pairs(n, ((lo, d, colour) for lo, d in _canonical_edges(n)))
 
 
 def direction_split(n):
     """Directions 0..n-2 red, direction n-1 blue. Not antipodal; the
     standard example of a colouring with no monochromatic antipodal
     path."""
-    return EdgeColouring.from_pairs(
+    return colouring_from_pairs(
         n, ((lo, d, Colour.BLUE if d == n - 1 else Colour.RED) for lo, d in _canonical_edges(n))
     )
 
@@ -287,7 +287,7 @@ def colouring_blue_edges(n, index):
 
 
 def blue_edges(c):
-    return {(lo, d) for lo, d, colour in c.pairs() if colour.value == "blue"}
+    return {(lo, d) for lo, d, colour in colouring_pairs(c) if colour is Colour.BLUE}
 
 
 def _edge_colour(c, u, v):
@@ -397,7 +397,7 @@ def lift_edge_by_edge(c):
         odd, other_odd = bin(lo).count("1") % 2, bin(other).count("1") % 2
         red = odd == 0 if odd != other_odd else lo < other
         triples.append((lo, n, Colour.RED if red else Colour.BLUE))
-    return EdgeColouring.from_pairs(n + 1, triples)
+    return colouring_from_pairs(n + 1, triples)
 
 
 def path_edge_positions(n, vertices):
@@ -412,18 +412,20 @@ def path_edge_positions(n, vertices):
 
 
 def colouring_pairs(c):
-    """Referee for ``EdgeColouring.pairs``: (lo, dir, colour) for every
-    edge in (lo, dir) order, each colour read by its own shift of the
-    mask."""
+    """Referee for the triples of ``serialize.colouring_to_obj``:
+    (lo, dir, colour) for every edge in (lo, dir) order, each colour read
+    by its own shift of the mask."""
     n = c.n
     return [(lo, d, Colour.BLUE if (c.blue_mask >> (d * 2 ** n + lo)) & 1 else Colour.RED)
             for lo, d in _canonical_edges(n)]
 
 
 def colouring_from_pairs(n, pairs):
-    """Referee for ``EdgeColouring.from_pairs``: the dimension, then one
-    triple at a time in input order, with its messages; the coloured and
-    the blue edges are kept as sets of (lo, dir)."""
+    """A colouring built from (lo, dir, colour) triples without the
+    library's codec, and the referee for the edge checks of
+    ``serialize.obj_to_colouring``: the dimension, then one triple at a
+    time in input order, with the reader's messages; the coloured and the
+    blue edges are kept as sets of (lo, dir)."""
     if not 1 <= n <= MAX_COLOURING_DIMENSION:
         raise ValueError(f"colouring dimension {n} outside 1..{MAX_COLOURING_DIMENSION}")
     edges = set(_canonical_edges(n))

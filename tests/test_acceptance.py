@@ -94,14 +94,14 @@ def test_criterion_1_theorem4_sweeps():
         for d in DENSITIES
     ]
     r1 = run_verify("T4", induced, 1000, seed=101)
-    assert r1.passed and Fraction(r1.aggregate["min_slack"]) >= 0
+    assert r1["pass"] and Fraction(r1["aggregate"]["min_slack"]) >= 0
     edges = [
         InstanceSpec("edge-random", n=n, density=d)
         for n in range(4, 11)
         for d in DENSITIES
     ]
     r2 = run_verify("T4", edges, 1000, seed=102)
-    assert r2.passed and Fraction(r2.aggregate["min_slack"]) >= 0
+    assert r2["pass"] and Fraction(r2["aggregate"]["min_slack"]) >= 0
     for d in range(1, 7):
         g = generate(InstanceSpec("full-cube", n=d))
         assert increasing_geodesic_table(g).total == 2 * len(edge_list(g)) == d << d
@@ -111,7 +111,7 @@ def test_criterion_1_theorem4_sweeps():
         1,
         monotonic() - t0,
         10,
-        f"2000 instances, min slacks {r1.aggregate['min_slack']}/{r2.aggregate['min_slack']}, "
+        f"2000 instances, min slacks {r1['aggregate']['min_slack']}/{r2['aggregate']['min_slack']}, "
         "equality on Q_1..Q_6 and a single edge",
     )
 
@@ -224,19 +224,19 @@ def test_criterion_5_feder_subi_and_compression():
         for d in DENSITIES
     ]
     r1 = run_verify("FS", graphs, 500, seed=103)
-    assert r1.passed and Fraction(r1.aggregate["min_slack"]) >= 0
+    assert r1["pass"] and Fraction(r1["aggregate"]["min_slack"]) >= 0
     families = [
         InstanceSpec("random-family", n=n, density=d)
         for n in (4, 5, 6)
         for d in DENSITIES
     ]
     r2 = run_verify("COMP", families, 1000, seed=104)
-    assert r2.passed and Fraction(r2.aggregate["min_slack"]) >= 0
+    assert r2["pass"] and Fraction(r2["aggregate"]["min_slack"]) >= 0
     _report(
         5,
         monotonic() - t0,
         30,
-        f"FS on 500 graphs (min slack {r1.aggregate['min_slack']}); "
+        f"FS on 500 graphs (min slack {r1['aggregate']['min_slack']}); "
         "compression invariants + equation (2) on 1000 families x every index",
     )
 
@@ -250,7 +250,7 @@ def test_criterion_6_katona():
         for t in (1, 2, k)
     ]
     report = run_verify("KAT", templates, 500, seed=105)
-    assert report.passed and Fraction(report.aggregate["min_slack"]) >= 0
+    assert report["pass"] and Fraction(report["aggregate"]["min_slack"]) >= 0
     _report(6, monotonic() - t0, 30, "500 t-intersecting families, all |shadow^t| >= |family|")
 
 
@@ -260,12 +260,12 @@ def test_criterion_7_sweeps():
     for n, space in ((2, 4), (3, 64), (4, 65536)):
         for conj in ("NORINE", "A"):
             r = run_search(conj, "exhaustive", n)
-            assert r.passed and r.aggregate["checked"] == space
-            counts[f"{conj}@{n}"] = r.aggregate["checked"]
+            assert r["pass"] and r["aggregate"]["checked"] == space
+            counts[f"{conj}@{n}"] = r["aggregate"]["checked"]
     for n, space in ((2, 16), (3, 4096)):
         r = run_search("B", "exhaustive", n)
-        assert r.passed and r.aggregate["checked"] == space
-        counts[f"B@{n}"] = r.aggregate["checked"]
+        assert r["pass"] and r["aggregate"]["checked"] == space
+        counts[f"B@{n}"] = r["aggregate"]["checked"]
     for n in range(3, 9):
         c = direction_split(n)
         assert find_monochromatic_antipodal_path(c) is None
@@ -301,8 +301,8 @@ def test_criterion_9_corollary():
     slacks = []
     for n in range(4, 11):
         report = run_verify("COR", InstanceSpec("random-colouring", n=n), 1000, seed=106 + n)
-        assert report.passed
-        slacks.append(Fraction(report.aggregate["min_slack"]))
+        assert report["pass"]
+        slacks.append(Fraction(report["aggregate"]["min_slack"]))
     assert min(slacks) >= 0
     _report(9, monotonic() - t0, 60, f"7000 colourings, min slack {min(slacks)}")
 

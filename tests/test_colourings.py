@@ -39,6 +39,7 @@ from cubegeo.colourings import (
     colouring_from_index,
     edge_count,
 )
+from cubegeo.harness import ParseError, colouring_to_obj, obj_to_colouring
 from cubegeo.harness.search import _sweep
 
 from cubegeo.rng import SplitMix64, derive
@@ -48,6 +49,8 @@ from oracles import (
     blue_edges,
     colour_changes,
     colouring_blue_edges,
+    colouring_from_pairs,
+    colouring_pairs,
     constant_colouring,
     direction_split,
     has_mono_antipodal_geodesic,
@@ -72,22 +75,23 @@ def all_red(n):
 class TestEdgeColouring:
     def test_total_edge_count(self):
         for n in (1, 2, 3, 4):
-            assert len(list(all_red(n).pairs())) == edge_count(n) == n * (1 << (n - 1))
+            assert len(colouring_to_obj(all_red(n))["pairs"]) == edge_count(n) == n * (1 << (n - 1))
 
-    def test_from_pairs_roundtrip(self):
+    def test_file_object_roundtrip(self):
         c = random_colouring(3, 5)
-        again = EdgeColouring.from_pairs(3, list(c.pairs()))
-        assert again == c
+        assert obj_to_colouring(colouring_to_obj(c)) == c
 
-    def test_from_pairs_requires_totality(self):
-        pairs = list(all_red(2).pairs())[:-1]
-        with pytest.raises(ValueError):
-            EdgeColouring.from_pairs(2, pairs)
+    def test_file_object_requires_totality(self):
+        obj = colouring_to_obj(all_red(2))
+        del obj["pairs"][-1]
+        with pytest.raises(ParseError, match="^invalid colouring: colouring does not cover every edge of the cube$"):
+            obj_to_colouring(obj)
 
-    def test_from_pairs_rejects_duplicates(self):
-        pairs = list(all_red(2).pairs())
-        with pytest.raises(ValueError):
-            EdgeColouring.from_pairs(2, pairs + [pairs[0]])
+    def test_file_object_rejects_duplicates(self):
+        obj = colouring_to_obj(all_red(2))
+        obj["pairs"].append(list(obj["pairs"][0]))
+        with pytest.raises(ParseError, match=r"^invalid colouring: edge \(0, 0\) coloured twice$"):
+            obj_to_colouring(obj)
 
     @pytest.mark.parametrize("u, v", [(0, 3), (1, 1), (0, 1 << 5), (4, 5), (-1, -2), (3, -4)])
     def test_colour_between_rejects_a_non_edge(self, u, v):
@@ -420,11 +424,11 @@ class TestMonoGeodesic:
         # colour one specific 0 -> 7 geodesic red, everything else blue
         plant = [0b000, 0b001, 0b011, 0b111]
         planted = {(min(u, v), (u ^ v).bit_length() - 1) for u, v in zip(plant, plant[1:])}
-        c = EdgeColouring.from_pairs(
+        c = colouring_from_pairs(
             3,
             [
                 (lo, dir, RED if (lo, dir) in planted else BLUE)
-                for lo, dir, _ in all_red(3).pairs()
+                for lo, dir, _ in colouring_pairs(all_red(3))
             ],
         )
         w = find_monochromatic_antipodal_geodesic(c)
@@ -442,7 +446,7 @@ class TestMonoGeodesic:
             validate_witness(w, c)
 
     def test_cap(self):
-        with pytest.raises(ValueError, match=f"^n=13 exceeds the subset-search cap {SEARCH_MAX_N}$"):
+        with pytest.raises(ValueError, match=f"^n=13 exceeds the antipodal-search cap {SEARCH_MAX_N}$"):
             find_monochromatic_antipodal_geodesic(all_red(13))
 
 
@@ -468,7 +472,7 @@ class TestOneChangeGeodesic:
             validate_witness(w, c)
 
     def test_cap(self):
-        with pytest.raises(ValueError, match=f"^n=13 exceeds the subset-search cap {SEARCH_MAX_N}$"):
+        with pytest.raises(ValueError, match=f"^n=13 exceeds the antipodal-search cap {SEARCH_MAX_N}$"):
             find_one_change_antipodal_geodesic(all_red(13))
 
 
@@ -512,8 +516,8 @@ class TestSearchKernel:
     def _parity_colouring(n):
         # edge (lo, d) blue iff lo has odd weight: every geodesic from 0
         # alternates colours, n - 1 changes
-        return EdgeColouring.from_pairs(
-            n, [(lo, dir, BLUE if lo.bit_count() & 1 else RED) for lo, dir, _ in all_red(n).pairs()]
+        return colouring_from_pairs(
+            n, [(lo, dir, BLUE if lo.bit_count() & 1 else RED) for lo, dir, _ in colouring_pairs(all_red(n))]
         )
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -788,13 +792,13 @@ class TestLift:
         lifted = lift_to_antipodal(c)
         assert lifted.n == 4
         assert is_antipodal(lifted)
-        for lo, dir, colour in c.pairs():
+        for lo, dir, colour in colouring_pairs(c):
             assert lifted.colour_between(lo, lo | 1 << dir) is colour
 
     def test_all_red_n2_frozen_rule(self):
         lifted = lift_to_antipodal(all_red(2))
         # top subcube edges are forced opposite: all blue
-        for lo, dir, _ in all_red(2).pairs():
+        for lo, dir, _ in colouring_pairs(all_red(2)):
             assert lifted.colour_between(lo | 4, lo | 4 | 1 << dir) is BLUE
             assert lifted.colour_between(lo, lo | 1 << dir) is RED
         # new-direction pairs have equal parity at n=2: smaller endpoint red

@@ -301,6 +301,11 @@ class TestGenerate:
         spec = InstanceSpec("edge-random", n=n, seed=seed, density=density)
         assert generate(spec) == edge_random_graph(n, density, seed)
 
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_edge_random_matches_edge_by_edge_referee_at_larger_n(self, n):
+        spec = InstanceSpec("edge-random", n=n, seed=n, density=Fraction(1, 2))
+        assert generate(spec) == edge_random_graph(n, Fraction(1, 2), n)
+
     def test_edge_random_never_empty(self):
         g = generate(InstanceSpec("edge-random", n=4, density=Fraction(0), seed=1))
         assert vertex_list(g) == [0] and edge_list(g) == []
@@ -455,14 +460,14 @@ class TestRunVerify:
         spec = InstanceSpec("induced-random", n=6, density=Fraction(1, 2))
         r1 = run_verify("T4", spec, 40, seed=11)
         r2 = run_verify("T4", spec, 40, seed=11)
-        assert r1.passed and dumps(r1.to_obj()) == dumps(r2.to_obj())
-        assert Fraction(r1.aggregate["min_slack"]) >= 0
+        assert r1["pass"] and dumps(r1) == dumps(r2)
+        assert Fraction(r1["aggregate"]["min_slack"]) >= 0
 
     def test_jobs_do_not_change_report(self):
         spec = InstanceSpec("edge-random", n=5, density=Fraction(1, 2))
         serial = run_verify("T2", spec, 30, seed=12, jobs=1)
         parallel = run_verify("T2", spec, 30, seed=12, jobs=4)
-        assert dumps(serial.to_obj()) == dumps(parallel.to_obj())
+        assert dumps(serial) == dumps(parallel)
 
     @pytest.mark.parametrize(
         "theorem,spec",
@@ -477,8 +482,8 @@ class TestRunVerify:
     )
     def test_each_theorem_job_passes(self, theorem, spec):
         report = run_verify(theorem, spec, 25, seed=13)
-        assert report.passed
-        assert report.aggregate["violations"] == 0
+        assert report["pass"]
+        assert report["aggregate"]["violations"] == 0
 
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
@@ -496,10 +501,10 @@ class TestRunVerify:
             verify_mod, "_t4_record", lambda g: {"slack": "-1", "ok": False}
         )
         report = run_verify("T4", InstanceSpec("full-cube", n=3), 2, seed=1, jobs=jobs)
-        assert not report.passed
-        assert report.aggregate["violations"] == 2
+        assert not report["pass"]
+        assert report["aggregate"]["violations"] == 2
         instance = generate(InstanceSpec("full-cube", n=3))
-        for record in report.records:
+        for record in report["records"]:
             assert record["violation"] == json.loads(dumps(instance))
             assert obj_to_graph(record["violation"]) == instance
 
@@ -569,15 +574,15 @@ class TestRunVerify:
     def test_full_cube_t2_tight(self):
         for d in range(1, 7):
             report = run_verify("T2", InstanceSpec("full-cube", n=d), 1)
-            assert report.passed
-            assert report.records[0]["slack"] == "0"
+            assert report["pass"]
+            assert report["records"][0]["slack"] == "0"
 
     def test_disjoint_cubes_t5_equality(self):
         spec = InstanceSpec("disjoint-cubes", n=6, subdim=3, copies=2)
         report = run_verify("T5", spec, 1)
-        assert report.passed
-        assert report.aggregate["min_slack"] == "0"
-        assert report.records[0]["count"] == 48  # 3! * 16 / 2
+        assert report["pass"]
+        assert report["aggregate"]["min_slack"] == "0"
+        assert report["records"][0]["count"] == 48  # 3! * 16 / 2
 
 
 def _counting(counts, name, fn):
@@ -590,14 +595,14 @@ def _counting(counts, name, fn):
 
 class TestRunSearch:
     def test_exhaustive_counts(self):
-        assert run_search("NORINE", "exhaustive", 2).aggregate["checked"] == 4
-        assert run_search("B", "exhaustive", 2).aggregate["checked"] == 16
+        assert run_search("NORINE", "exhaustive", 2)["aggregate"]["checked"] == 4
+        assert run_search("B", "exhaustive", 2)["aggregate"]["checked"] == 16
 
     def test_sample_mode(self):
         r = run_search("A", "sample", 5, budget=50, seed=14)
-        assert r.passed and r.aggregate["checked"] == 50
-        assert "min_changes" in r.aggregate
-        assert r.aggregate["min_changes"]["min"] >= 0
+        assert r["pass"] and r["aggregate"]["checked"] == 50
+        assert "min_changes" in r["aggregate"]
+        assert r["aggregate"]["min_changes"]["min"] >= 0
 
     def test_sample_needs_budget(self):
         with pytest.raises(ValueError):
@@ -612,12 +617,12 @@ class TestRunSearch:
     def test_jobs_do_not_change_report(self):
         serial = run_search("B", "exhaustive", 3, jobs=1)
         parallel = run_search("B", "exhaustive", 3, jobs=4)
-        assert dumps(serial.to_obj()) == dumps(parallel.to_obj())
+        assert dumps(serial) == dumps(parallel)
 
     def test_jobs_do_not_change_short_sample_report(self):
         serial = run_search("A", "sample", 5, budget=40, seed=15, jobs=1)
         parallel = run_search("A", "sample", 5, budget=40, seed=15, jobs=4)
-        assert dumps(serial.to_obj()) == dumps(parallel.to_obj())
+        assert dumps(serial) == dumps(parallel)
 
     @pytest.mark.parametrize(
         "mode, n, budget, sizes",
@@ -676,7 +681,7 @@ class TestRunSearch:
         for name in names:
             monkeypatch.setattr(search_mod, name, _counting(counts, name, getattr(search_mod, name)))
         report = run_search(conjecture, mode, n, budget=budget)
-        assert report.aggregate["checked"] == calls
+        assert report["aggregate"]["checked"] == calls
         assert counts.pop(builder) == calls
         checks = counts.pop(checker)
         assert 0 < checks == counts.pop("validate_witness") <= calls
@@ -707,7 +712,7 @@ class TestRunSearch:
         for name in counts:
             monkeypatch.setattr(search_mod, name, _counting(counts, name, getattr(search_mod, name)))
         report = run_search(conjecture, "exhaustive", n)
-        assert report.passed and report.aggregate["checked"] == report.aggregate["space"]
+        assert report["pass"] and report["aggregate"]["checked"] == report["aggregate"]["space"]
         assert counts == {checker: calls, "validate_witness": calls}
 
     @pytest.mark.parametrize("conjecture", ["NORINE", "A"])
@@ -724,13 +729,13 @@ class TestRunSearch:
         monkeypatch.setattr(search_mod, "antipodal_colouring_from_index",
                             lambda n, index: planted if index == k else build(n, index))
         report = run_search(conjecture, "exhaustive", n)
-        assert not report.passed
-        assert report.records == [{"index": k, "colouring": colouring_to_obj(planted)}]
-        assert report.aggregate["checked"] == k + 1
-        assert sum(report.aggregate["witness_kinds"].values()) == k
+        assert not report["pass"]
+        assert report["records"] == [{"index": k, "colouring": colouring_to_obj(planted)}]
+        assert report["aggregate"]["checked"] == k + 1
+        assert sum(report["aggregate"]["witness_kinds"].values()) == k
         if n <= 3:
             values = [min_colour_changes_antipodal(build(n, i))[0] for i in range(k)]
-            assert report.aggregate["min_changes"] == (
+            assert report["aggregate"]["min_changes"] == (
                 {"min": min(values), "max": max(values), "mean": str(Fraction(sum(values), k))}
                 if k else None
             )
@@ -754,7 +759,7 @@ class TestRunSearch:
                 yield c, None if key == k else kind
 
         monkeypatch.setattr(search_mod, "_sweep", dropping)
-        reuse_report = dumps(run_search(conjecture, "exhaustive", n).to_obj())
+        reuse_report = dumps(run_search(conjecture, "exhaustive", n))
         monkeypatch.undo()
 
         def per_colouring(check, build, n, keys):
@@ -764,7 +769,7 @@ class TestRunSearch:
                 yield c, None if w is None else w.kind
 
         monkeypatch.setattr(search_mod, "_sweep", per_colouring)
-        colouring_report = dumps(run_search(conjecture, "exhaustive", n).to_obj())
+        colouring_report = dumps(run_search(conjecture, "exhaustive", n))
         assert reuse_report == colouring_report
         report = json.loads(reuse_report)
         assert report["records"][0]["index"] == k
@@ -792,9 +797,9 @@ class TestRunSearch:
         monkeypatch.setattr(search_mod, "find_one_change_antipodal_geodesic",
                             lambda c: None if c == planted else check(c))
         report = run_search("B", "exhaustive", 3)
-        assert report.records == [{"index": index, "colouring": colouring_to_obj(planted)}]
-        assert report.aggregate["checked"] == index + 1
-        assert sum(report.aggregate["witness_kinds"].values()) == index
+        assert report["records"] == [{"index": index, "colouring": colouring_to_obj(planted)}]
+        assert report["aggregate"]["checked"] == index + 1
+        assert sum(report["aggregate"]["witness_kinds"].values()) == index
 
     def test_unknown_conjecture_and_mode(self):
         with pytest.raises(ValueError):
@@ -955,8 +960,8 @@ class TestPoolMap:
                             lambda n, index: planted if index == k else build(n, index))
         forks = _count_forks(monkeypatch)
         report = run_search("A", "exhaustive", 4, jobs=3)
-        assert report.records == [{"index": k, "colouring": colouring_to_obj(planted)}]
-        assert report.aggregate["checked"] == k + 1
+        assert report["records"] == [{"index": k, "colouring": colouring_to_obj(planted)}]
+        assert report["aggregate"]["checked"] == k + 1
         assert len(forks) == 2
         _assert_no_child_left()
 
@@ -1167,13 +1172,40 @@ class TestCli:
 
     def test_failing_report_exits_2(self, tmp_path, capsys):
         from cubegeo.harness.cli import _emit_report
-        from cubegeo.harness import Report
+        from cubegeo.harness.serialize import report
 
-        bad = Report(task="verify", parameters={}, seed=0, records=[], aggregate={}, passed=False)
+        bad = report("verify", {}, 0, [], {}, False)
         assert _emit_report(bad, None) == 2
         out = str(tmp_path / "fail.json")
         assert _emit_report(bad, out) == 2
         assert load_json(out)["pass"] is False
+
+    def test_out_prints_one_summary_line(self, tmp_path, monkeypatch, capsys):
+        """With --out, a run prints one line: the verdict, the task, the
+        aggregates that are not dicts, and the file; a counterexample
+        prints FAIL and exits 2."""
+        import cubegeo.harness.search as search_mod
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--model", "full-cube", "--n", "3", "--out", "g.json"]) == 0
+        capsys.readouterr()
+        runs = [
+            (["verify", "--theorem", "T2", "--trials", "8", "--out", "v.json"], 0,
+             "PASS verify (trials=8, violations=0, min_slack=2) -> v.json\n"),
+            (["search", "--conjecture", "A", "--mode", "exhaustive", "--n", "3", "--out", "s.json"], 0,
+             "PASS search (space=64, checked=64, counterexamples=0) -> s.json\n"),
+            (["analyze", "--file", "g.json", "--out", "a.json"], 0, "PASS analyze () -> a.json\n"),
+        ]
+        for argv, code, line in runs:
+            assert main(argv) == code
+            assert capsys.readouterr() == (line, "")
+        planted = direction_split(3)
+        build = search_mod.antipodal_colouring_from_index
+        monkeypatch.setattr(search_mod, "antipodal_colouring_from_index",
+                            lambda n, index: planted if index == 37 else build(n, index))
+        assert main(["search", "--conjecture", "A", "--mode", "exhaustive", "--n", "3", "--out", "f.json"]) == 2
+        assert capsys.readouterr() == ("FAIL search (space=64, checked=38, counterexamples=1) -> f.json\n", "")
+        assert load_json("f.json")["pass"] is False
 
     @pytest.mark.parametrize("n", [30, 100_000_000])
     def test_analyze_family_beyond_the_cap_exits_1_at_once(self, tmp_path, n):

@@ -8,8 +8,9 @@ indent=2)`` gives, and that dict must hold the lists of
 must return the same subgraph as ``oracles.graph_from_obj``, or raise
 the same exception with the same message, on every mutation of a valid
 graph file; the colouring reader must agree with
-``oracles.colouring_from_obj`` in the same way, and the colouring codec
-with ``oracles.colouring_pairs`` and ``oracles.colouring_from_pairs``.
+``oracles.colouring_from_obj`` in the same way, also on every mutation
+of a valid colouring's edge list, and the colouring writer with
+``oracles.colouring_pairs``.
 Any JSON value must read as a valid instance or raise ``ParseError``.
 """
 
@@ -39,7 +40,7 @@ from cubegeo.harness import (
     obj_to_family,
     obj_to_graph,
 )
-from cubegeo.harness.serialize import obj_to_instance
+from cubegeo.harness.serialize import obj_to_instance, report
 from cubegeo.setfamilies import SetFamily
 
 import oracles
@@ -287,6 +288,13 @@ def test_analyze_of_a_malformed_graph_exits_1_with_one_line(obj, tmp_path):
     assert result.stderr == f"cubegeo: parse error: {message}\n"
 
 
+def test_report_is_its_file_object_with_pass_last():
+    obj = report("search", {"n": 2}, 7, [{"index": 0}], {"checked": 1}, False)
+    assert list(obj.items()) == [("task", "search"), ("parameters", {"n": 2}), ("seed", 7),
+                                 ("records", [{"index": 0}]), ("aggregate", {"checked": 1}), ("pass", False)]
+    assert dumps(obj).endswith('  "pass": false\n}\n')
+
+
 @st.composite
 def colourings(draw, max_n=6):
     n = draw(st.integers(1, max_n))
@@ -316,15 +324,30 @@ def _mutate_pairs(data, n, pairs):
 @given(colourings(), st.data())
 def test_colouring_codec_matches_item_by_item_referee(c, data):
     pairs = oracles.colouring_pairs(c)
-    assert list(c.pairs()) == pairs
     obj = colouring_to_obj(c)
     assert obj == {"n": c.n, "pairs": [[lo, d, colour.value] for lo, d, colour in pairs]}
-    assert obj_to_colouring(obj) == EdgeColouring.from_pairs(c.n, c.pairs()) == c
+    assert obj_to_colouring(obj) == c
     for _ in range(data.draw(st.integers(0, 3))):
         _mutate_pairs(data, c.n, pairs)
     n = data.draw(st.one_of(st.just(c.n), st.integers(-2, 18), st.integers()))
-    assert (_outcome(lambda p: EdgeColouring.from_pairs(n, p), pairs)
-            == _outcome(lambda p: oracles.colouring_from_pairs(n, p), pairs))
+    obj = {"n": n, "pairs": [[lo, d, colour.value] for lo, d, colour in pairs]}
+    assert _outcome(obj_to_colouring, obj) == _outcome(oracles.colouring_from_obj, obj)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([[1, 0, "red"], [2, 0, "red"], [0, 1, "red"], [0, 1, "red"]], r"\(1, 0\) is not a canonical edge of Q_2"),
+    ([[0, 0, "red"], [0, 0, "blue"], [0, 1, "red"], [3, 1, "red"]], r"edge \(0, 0\) coloured twice"),
+    ([[0, 0, "red"], [2, 0, "red"], [0, 1, "red"], [4, 1, "red"]], r"\(4, 1\) is not a canonical edge of Q_2"),
+    ([[0, 0, "red"], [2, 0, "red"], [0, 1, "red"], [0, 1, "blue"], [1, 1, "red"]], r"edge \(0, 1\) coloured twice"),
+    ([[0, 0, "red"], [2, 0, "red"], [0, 1, "red"]], "colouring does not cover every edge of the cube"),
+], ids=["non-edge-first", "repeat-first", "lo-out-of-range", "one-too-many", "one-missing"])
+def test_colouring_reader_names_the_first_bad_edge_in_file_order(pairs, message):
+    """Each case gets past a different part of the bulk edge check (count,
+    ranges, mask), so the scan in file order names the fault."""
+    obj = {"n": 2, "pairs": pairs}
+    with pytest.raises(ParseError, match=f"^invalid colouring: {message}$"):
+        obj_to_colouring(obj)
+    assert _outcome(obj_to_colouring, obj) == _outcome(oracles.colouring_from_obj, obj)
 
 
 def _pair(data, obj):
