@@ -41,7 +41,6 @@ from .setfamilies import (
 )
 from .colourings import (
     AntipodalWitness,
-    Colour,
     EdgeColouring,
     derive_A_from_B,
     derive_B_from_A,

@@ -32,7 +32,6 @@ non-edge position either way. Index spaces are capped at
 
 from __future__ import annotations
 
-import enum
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterator
@@ -44,7 +43,6 @@ from .rng import SplitMix64, derive
 
 __all__ = [
     "AntipodalWitness",
-    "Colour",
     "EdgeColouring",
     "antipodal_pair_count",
     "antipodal_colouring_from_index",
@@ -72,11 +70,6 @@ SEARCH_MAX_N = 12
 
 #: Widest index space of the index builders (A@5 has 40 bits, B@4 32).
 INDEX_MAX_BITS = 64
-
-
-class Colour(enum.Enum):
-    RED = "red"
-    BLUE = "blue"
 
 
 def edge_count(n: int) -> int:
@@ -107,16 +100,6 @@ class EdgeColouring(_Value):
             raise ValueError("blue_mask has bits at non-edge positions")
         _set(self, "n", n)  # faster than _init: sample search builds one per draw
         _set(self, "blue_mask", blue_mask)
-
-    def colour_between(self, u: int, v: int) -> Colour:
-        """Colour of the edge between two adjacent vertices of Q_n."""
-        dir = (u ^ v).bit_length() - 1
-        if not (0 <= u < 1 << self.n and 0 <= dir < self.n and u ^ v == 1 << dir):
-            raise ValueError(f"{u} and {v} are not adjacent vertices of Q_{self.n}")
-        return Colour.BLUE if (self.blue_mask >> _pos(min(u, v), dir, self.n)) & 1 else Colour.RED
-
-    def blue_count(self) -> int:
-        return self.blue_mask.bit_count()
 
 
 @lru_cache(maxsize=None)
@@ -500,12 +483,13 @@ def monochromatic_half_geodesic(c: EdgeColouring) -> GeodesicPath:
     under test, so it is left to the caller to check.
     """
     n = c.n
-    total = edge_count(n)
-    majority = Colour.RED if 2 * (total - c.blue_count()) >= total else Colour.BLUE
-    lomasks = _colour_lomasks(c)[majority is Colour.BLUE]
+    blue = 2 * c.blue_mask.bit_count() > edge_count(n)  # red wins a tie
+    lomasks = _colour_lomasks(c)[blue]
     path = longest_geodesic_lower_bound(CubeSubgraph(n, (1 << (1 << n)) - 1, tuple(lomasks)))
-    if any(c.colour_between(u, v) is not majority for u, v in zip(path.vertices, path.vertices[1:])):
-        raise RuntimeError(f"half geodesic {path.vertices} leaves the {majority.value} class")
+    verts = path.vertices
+    # u & v is the lo end of the step between adjacent u and v
+    if any(not (lomasks[d] >> (u & v)) & 1 for u, v, d in zip(verts, verts[1:], path.directions)):
+        raise RuntimeError(f"half geodesic {verts} leaves the {'blue' if blue else 'red'} class")
     return path
 
 
@@ -594,8 +578,8 @@ def derive_A_from_B(c: EdgeColouring) -> AntipodalWitness:
     if found is None:
         raise ValueError("no one-change antipodal geodesic; cannot run the construction")
     verts = found.vertices
-    cols = [c.colour_between(u, v) for u, v in zip(verts, verts[1:])]
-    split = next((i for i in range(1, len(cols)) if cols[i - 1] is not cols[i]), 0)
+    cols = [(c.blue_mask >> _pos(u & v, (u ^ v).bit_length() - 1, n)) & 1 for u, v in zip(verts, verts[1:])]
+    split = next((i for i in range(1, len(cols)) if cols[i - 1] != cols[i]), 0)
     path = _close(verts, split, n)
     witness = AntipodalWitness("mono-geodesic", path, (path[0], path[-1]))
     validate_witness(witness, c)

@@ -35,8 +35,7 @@ class _Value:
     """Base of the value classes: ``__init__`` sets the slots ``_fields``
     names, once, with ``_init`` or ``_set``. Values are equal when class
     and fields are, hash and print by fields, and refuse assignment and
-    deletion. A subclass with ``cached_property`` views gives them a
-    ``__dict__`` slot."""
+    deletion."""
 
     __slots__ = ()
 

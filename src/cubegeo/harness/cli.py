@@ -185,11 +185,12 @@ def _analyze_graph(g: CubeSubgraph) -> tuple[dict, bool]:
 def _analyze_colouring(c: EdgeColouring) -> tuple[dict, bool]:
     n = c.n
     cor = _THEOREMS["COR"].record(c)
+    blue = c.blue_mask.bit_count()
     info: dict = {
         "type": "colouring",
         "n": n,
-        "blue_edges": c.blue_count(),
-        "red_edges": edge_count(n) - c.blue_count(),
+        "blue_edges": blue,
+        "red_edges": edge_count(n) - blue,
         "antipodal": is_antipodal(c),
         "half_geodesic_length": cor["geodesic_length"],
         "cor_slack": int(cor["slack"]),

@@ -66,16 +66,20 @@ def pool_map(fn, total: int, jobs: int):
     RuntimeError, and finishing, failing or closing the generator kills
     and reaps every child."""
     size = min(1024, -(-total // 16))
-    blocks = [(start, min(start + size, total)) for start in range(0, total, size)]
+    starts = range(0, total, size)  # O(1) to build and to slice: no block is listed
+
+    def block(start: int):
+        return fn(start, min(start + size, total))
+
     if jobs > 1:
         import os
 
-        workers = min(jobs, len(blocks), _usable_cpus())
+        workers = min(jobs, -(-total // size), _usable_cpus())  # the block count: len(starts) overflows past 2^63
         if workers > 1 and hasattr(os, "fork"):
-            yield from _forked_map(fn, blocks, workers)
+            yield from _forked_map(block, starts, workers)
             return
-    for start, stop in blocks:
-        yield fn(start, stop)
+    for start in starts:
+        yield block(start)
 
 
 def _usable_cpus() -> int:
@@ -85,7 +89,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _forked_map(fn, blocks: list, workers: int):
+def _forked_map(block, starts: range, workers: int):
     import marshal
     import os
     import signal
@@ -97,13 +101,13 @@ def _forked_map(fn, blocks: list, workers: int):
             pid = os.fork()
             if pid == 0:
                 os.close(r)
-                _run_child(fn, blocks[w::workers], wr)  # never returns
+                _run_child(block, starts[w::workers], wr)  # never returns
             os.close(wr)
             children[w] = (pid, open(r, "rb"))
-        for c, (start, stop) in enumerate(blocks):
+        for c, start in enumerate(starts):
             w = c % workers
             if w == 0:
-                yield fn(start, stop)
+                yield block(start)
                 continue
             pipe = children[w][1]
             head = pipe.read(8)
@@ -129,18 +133,19 @@ class _WorkerTraceback(Exception):
     its traceback text there, which the pickled exception does not keep."""
 
 
-def _run_child(fn, blocks: list, fd: int):
-    """A forked worker's whole life: send each block's result, or the
-    exception that stops it, pickled, with its traceback text, as a marshal
-    frame; then exit at once, running no handler inherited from the parent."""
+def _run_child(block, starts: range, fd: int):
+    """A forked worker's whole life: send the result of each block, by its
+    start, or the exception that stops it, pickled, with its traceback
+    text, as a marshal frame; then exit at once, running no handler
+    inherited from the parent, also when the parent closed the pipe."""
     import marshal
     import os
 
     try:
         with open(fd, "wb") as out:
-            for start, stop in blocks:
+            for start in starts:
                 try:
-                    frame, failed = marshal.dumps((fn(start, stop), None)), False
+                    frame, failed = marshal.dumps((block(start), None)), False
                 except Exception as exc:
                     import pickle
                     import traceback

@@ -9,7 +9,7 @@ families it fixes in every direction are exactly the downsets.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from math import ceil
 from operator import and_
@@ -35,8 +35,7 @@ class SetFamily(_Value):
     """A family of subsets of [n]: bit A of ``mask`` is set iff A is a
     member, so equality and hashing of families are those of the masks."""
 
-    __slots__ = ("n", "mask", "__dict__")
-    _fields = __slots__[:-1]
+    __slots__ = _fields = ("n", "mask")
 
     def __init__(self, n: int, mask: int):
         _check_dimension(n)
@@ -52,11 +51,6 @@ class SetFamily(_Value):
             raise ValueError(f"family members must lie in [0, 2^{n})")
         return cls(n, _mask(ms, 1 << n))
 
-    @cached_property
-    def sets(self) -> tuple[int, ...]:
-        """The members, ascending."""
-        return tuple(_bits(self.mask))
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -69,7 +63,7 @@ class UniformFamily(SetFamily):
 
     def __init__(self, n: int, mask: int, k: int):
         super().__init__(n, mask)
-        sizes = {m.bit_count() for m in self.sets}
+        sizes = {m.bit_count() for m in _bits(mask)}
         if sizes - {k}:
             raise ValueError(f"members of sizes {sorted(sizes)} in a {k}-uniform family")
         if not 0 <= k <= n:
@@ -77,14 +71,8 @@ class UniformFamily(SetFamily):
         _set(self, "k", k)
 
     @classmethod
-    def of(cls, n: int, members: Iterable[int], k: int | None = None) -> "UniformFamily":
-        fam = SetFamily.of(n, members)
-        if k is None:
-            sizes = {m.bit_count() for m in fam.sets}
-            if len(sizes) != 1:
-                raise ValueError("k must be given for an empty or non-uniform family")
-            k = sizes.pop()
-        return cls(n, fam.mask, k)
+    def of(cls, n: int, members: Iterable[int], k: int) -> "UniformFamily":
+        return cls(n, SetFamily.of(n, members).mask, k)
 
 
 def _without(fam: SetFamily, i: int) -> int:
@@ -156,7 +144,7 @@ def is_t_intersecting(fam: SetFamily, t: int) -> bool:
     if t < 0:
         raise ValueError("intersection threshold must be nonnegative")
     everyone = (1 << len(fam)) - 1
-    rows = [format(a, f"0{fam.n}b") for a in fam.sets]  # column j is element n - 1 - j
+    rows = [format(a, f"0{fam.n}b") for a in _bits(fam.mask)]  # column j is element n - 1 - j
     holders = [int("".join(column)[::-1], 2) for column in zip(*rows)]
     top = sorted(holders, key=int.bit_count, reverse=True)[:t]
     core = reduce(and_, top, everyone) if len(top) == t else 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from cubegeo.colourings import MAX_COLOURING_DIMENSION, Colour, EdgeColouring
+from cubegeo.colourings import MAX_COLOURING_DIMENSION, EdgeColouring
 from cubegeo.core import MAX_DIMENSION, CubeSubgraph
 from cubegeo.harness.serialize import ParseError
 from cubegeo.rng import derive
@@ -28,6 +28,12 @@ def _set_bits(m):
         out.append(low.bit_length() - 1)
         m ^= low
     return out
+
+
+def members(fam):
+    """Referee for a family's members: the set bits of its mask,
+    ascending."""
+    return _set_bits(fam.mask)
 
 
 def vertex_list(g):
@@ -153,8 +159,9 @@ def brute_force_longest_geodesic(g, max_n=ORACLE_MAX_N, max_edges=ORACLE_MAX_EDG
     Returns (vertices, directions)."""
     if not g.vertex_mask:
         raise ValueError("empty graph has no geodesics")
-    if g.n > max_n and g.edge_count > max_edges:
-        raise ValueError(f"instance (n={g.n}, |E|={g.edge_count}) exceeds the cap")
+    edge_count = len(edge_list(g))
+    if g.n > max_n and edge_count > max_edges:
+        raise ValueError(f"instance (n={g.n}, |E|={edge_count}) exceeds the cap")
     adj = adjacency(g)
     memo = {}
 
@@ -190,9 +197,14 @@ def count_unordered_geodesics(g, d):
     return len(seqs)
 
 
+def _ranks(ordering):
+    """direction -> its position in the ordering's permutation."""
+    return {d: r for r, d in enumerate(ordering.perm)}
+
+
 def increasing_lengths_by_end(g, ordering):
     """Longest rank-increasing path length ending at each vertex."""
-    ranks = ordering.ranks
+    ranks = _ranks(ordering)
     adj = adjacency(g)
     best = dict.fromkeys(vertex_list(g), 0)
 
@@ -225,26 +237,40 @@ def min_changes_simple_paths(c, x, y):
             w = v ^ (1 << dir)
             if w in visited:
                 continue
-            col = c.colour_between(v, w)
-            extra = 0 if last_colour is None or col is last_colour else 1
+            col = colour_of(c, v, w)
+            extra = 0 if last_colour is None or col == last_colour else 1
             walk(w, visited | {w}, col, changes + extra)
 
     walk(x, {x}, None, 0)
     return best
 
 
+def _edge_position(n, u, v):
+    """The position dir * 2^n + lo of the edge between u and v: they
+    differ in exactly one coordinate, its direction, and its lo end is
+    the smaller of the two."""
+    (d,) = [d for d in range(n) if (u >> d) & 1 != (v >> d) & 1]
+    return d * 2 ** n + min(u, v)
+
+
+def colour_of(c, u, v):
+    """Referee for an edge's colour: "blue" if the colouring's mask has
+    the bit of the edge between u and v, else "red"."""
+    return "blue" if (c.blue_mask >> _edge_position(c.n, u, v)) & 1 else "red"
+
+
 def path_colours(c, vertices):
-    return [c.colour_between(u, v) for u, v in zip(vertices, vertices[1:])]
+    return [colour_of(c, u, v) for u, v in zip(vertices, vertices[1:])]
 
 
 def colour_changes(c, vertices):
     cols = path_colours(c, vertices)
-    return sum(1 for a, b in zip(cols, cols[1:]) if a is not b)
+    return sum(1 for a, b in zip(cols, cols[1:]) if a != b)
 
 
 def is_monochromatic(c, vertices):
     cols = path_colours(c, vertices)
-    return all(col is cols[0] for col in cols)
+    return all(col == cols[0] for col in cols)
 
 
 def _canonical_edges(n):
@@ -262,7 +288,7 @@ def direction_split(n):
     standard example of a colouring with no monochromatic antipodal
     path."""
     return colouring_from_pairs(
-        n, ((lo, d, Colour.BLUE if d == n - 1 else Colour.RED) for lo, d in _canonical_edges(n))
+        n, ((lo, d, "blue" if d == n - 1 else "red") for lo, d in _canonical_edges(n))
     )
 
 
@@ -287,11 +313,7 @@ def colouring_blue_edges(n, index):
 
 
 def blue_edges(c):
-    return {(lo, d) for lo, d, colour in colouring_pairs(c) if colour is Colour.BLUE}
-
-
-def _edge_colour(c, u, v):
-    return c.colour_between(u, v).value
+    return {(lo, d) for lo, d, colour in colouring_pairs(c) if colour == "blue"}
 
 
 def has_mono_antipodal_path(c):
@@ -310,7 +332,7 @@ def has_mono_antipodal_path(c):
                     return (x, colour)
                 for d in range(n):
                     w = v ^ (1 << d)
-                    if w not in seen and _edge_colour(c, v, w) == colour:
+                    if w not in seen and colour_of(c, v, w) == colour:
                         seen.add(w)
                         stack.append(w)
     return None
@@ -329,7 +351,7 @@ def has_mono_antipodal_geodesic(c):
             return True
         for d in range(n):
             w = v ^ (1 << d)
-            if not (used >> d) & 1 and _edge_colour(c, v, w) == colour:
+            if not (used >> d) & 1 and colour_of(c, v, w) == colour:
                 if walk(w, used | (1 << d), colour):
                     return True
         return False
@@ -356,7 +378,7 @@ def min_changes_geodesics(c, x):
         for d in range(n):
             if not (used >> d) & 1:
                 w = v ^ (1 << d)
-                colour = _edge_colour(c, v, w)
+                colour = colour_of(c, v, w)
                 walk(w, used | (1 << d), colour, changes + (last is not None and colour != last))
 
     walk(x, 0, None, 0)
@@ -386,17 +408,17 @@ def lift_edge_by_edge(c):
     differ, else on the smaller end, and blue on the other."""
     n = c.n
     full = (1 << n) - 1
-    opposite = {"red": Colour.BLUE, "blue": Colour.RED}
+    opposite = {"red": "blue", "blue": "red"}
     triples = []
     for lo, d in _canonical_edges(n):
-        triples.append((lo, d, c.colour_between(lo, lo + 2 ** d)))
-        partner = c.colour_between(full ^ lo, full ^ lo ^ (1 << d))
-        triples.append((lo + 2 ** n, d, opposite[partner.value]))
+        triples.append((lo, d, colour_of(c, lo, lo + 2 ** d)))
+        partner = colour_of(c, full ^ lo, full ^ lo ^ (1 << d))
+        triples.append((lo + 2 ** n, d, opposite[partner]))
     for lo in range(2 ** n):
         other = full ^ lo
         odd, other_odd = bin(lo).count("1") % 2, bin(other).count("1") % 2
         red = odd == 0 if odd != other_odd else lo < other
-        triples.append((lo, n, Colour.RED if red else Colour.BLUE))
+        triples.append((lo, n, "red" if red else "blue"))
     return colouring_from_pairs(n + 1, triples)
 
 
@@ -404,11 +426,7 @@ def path_edge_positions(n, vertices):
     """The positions dir * 2^n + lo of a path's edges, read step by step:
     each step flips exactly one coordinate, its direction, and its lo
     end is the smaller of the two vertices."""
-    positions = set()
-    for u, v in zip(vertices, vertices[1:]):
-        (d,) = [d for d in range(n) if (u >> d) & 1 != (v >> d) & 1]
-        positions.add(d * 2 ** n + min(u, v))
-    return positions
+    return {_edge_position(n, u, v) for u, v in zip(vertices, vertices[1:])}
 
 
 def colouring_pairs(c):
@@ -416,7 +434,7 @@ def colouring_pairs(c):
     (lo, dir, colour) for every edge in (lo, dir) order, each colour read
     by its own shift of the mask."""
     n = c.n
-    return [(lo, d, Colour.BLUE if (c.blue_mask >> (d * 2 ** n + lo)) & 1 else Colour.RED)
+    return [(lo, d, "blue" if (c.blue_mask >> (d * 2 ** n + lo)) & 1 else "red")
             for lo, d in _canonical_edges(n)]
 
 
@@ -436,7 +454,7 @@ def colouring_from_pairs(n, pairs):
         if (lo, d) in seen:
             raise ValueError(f"edge ({lo}, {d}) coloured twice")
         seen.add((lo, d))
-        if colour is Colour.BLUE:
+        if colour == "blue":
             blue.add((lo, d))
     if seen != edges:
         raise ValueError("colouring does not cover every edge of the cube")
@@ -695,7 +713,7 @@ def chain_witness(chains, v):
 def count_increasing_paths(g, d, ordering):
     """Paths with d edges whose direction ranks strictly increase along
     the path, by depth-first search from every vertex."""
-    ranks = ordering.ranks
+    ranks = _ranks(ordering)
     adj = adjacency(g)
 
     def walk(v, last, depth):
@@ -734,7 +752,7 @@ def colouring_from_obj(obj):
             raise ParseError(f"pairs[{i}] endpoints should be ints")
         if not (isinstance(name, str) and name in ("red", "blue")):
             raise ParseError(f"pairs[{i}] colour {name!r} is not 'red' or 'blue'")
-        pairs.append((lo, d, Colour.RED if name == "red" else Colour.BLUE))
+        pairs.append((lo, d, name))
     try:
         return colouring_from_pairs(n, pairs)
     except ValueError as exc:

@@ -25,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
+from cubegeo.core import _Value
 from cubegeo.harness.cli import main
+from test_values import _subclasses
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = GOLDEN.parent.parent / "src"
@@ -305,6 +307,21 @@ def test_every_public_name_has_a_library_caller():
         if all(id(node) in inside or method and isinstance(node, ast.Name) for node in loads.get(name, ())):
             uncalled.add(qualified)
     assert uncalled == NO_LIBRARY_CALLER
+
+
+def test_referees_read_only_fields():
+    """The oracles read a value through its fields alone: no public method
+    or property of a library value class that is no class's field name is
+    loaded as an attribute in ``tests/oracles.py``, so no referee decodes
+    a value with the code it checks. Importing the CLI defines every
+    value class."""
+    classes = list(_subclasses(_Value))
+    fields = {field for cls in classes for field in cls._fields}
+    views = {name for cls in classes for name in vars(cls) if not name.startswith("_")} - fields
+    assert {"edge_count", "ranks"} <= views
+    tree = ast.parse((GOLDEN.parent / "oracles.py").read_text())
+    loaded = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert sorted(loaded & views) == []
 
 
 def test_every_export_resolves():

@@ -46,7 +46,7 @@ from cubegeo.harness.generators import KINDS, pool_map
 from cubegeo.harness.search import CONJECTURES, _sweep
 from cubegeo.harness.verify import THEOREMS
 from cubegeo.rng import SplitMix64, _randbelow, derive, mix64
-from oracles import (SplitMix64Referee, direction_split, edge_list, edge_random_graph, subset_draw_masks,
+from oracles import (SplitMix64Referee, direction_split, edge_list, edge_random_graph, members, subset_draw_masks,
                      t_intersecting_members, vertex_list)
 
 
@@ -562,7 +562,7 @@ class TestRunVerify:
     def test_kat_at_k_zero(self, tmp_path, seed):
         """The only 0-set is the empty set, so every 0-uniform family is
         {∅}, and KAT holds on it."""
-        assert random_t_intersecting_family(5, 0, 0, 3, seed).sets == (0,)
+        assert members(random_t_intersecting_family(5, 0, 0, 3, seed)) == [0]
         out = tmp_path / "kat.json"
         argv = ["verify", "--theorem", "KAT", "--model", "t-intersecting-family", "--n", "5",
                 "--k", "0", "--t", "0", "--size", "3", "--trials", "20", "--seed", str(seed)]
@@ -933,6 +933,28 @@ class TestPoolMap:
         assert "in fails_in_the_worker" in "".join(traceback.format_exception(
             type(forked.value), forked.value, forked.value.__traceback__))
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_block_comes_at_once_from_2_to_the_62_indices(self, jobs):
+        """The blocks are not listed before the first one runs: in 1 GiB of
+        address space, 2^52 blocks of 1024 indices give the first block
+        within the timeout, and closing the generator reaps the worker."""
+        script = (
+            "import os, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from cubegeo.harness import generators\n"
+            "generators._usable_cpus = lambda: 2\n"
+            f"blocks = generators.pool_map(lambda start, stop: (start, stop), 1 << 62, {jobs})\n"
+            "print(next(blocks), next(blocks))\n"
+            "blocks.close()\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "(0, 1024) (1024, 2048)\nno child left\n"
 
     def test_worker_death_raises_at_once(self):
         script = (

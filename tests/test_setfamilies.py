@@ -28,6 +28,7 @@ from oracles import (
     is_downset_members,
     is_t_intersecting_members,
     level_profile_members,
+    members,
     shadow_members,
 )
 
@@ -68,7 +69,7 @@ class TestValidation:
     def test_members_are_the_set_bits(self):
         fam = SetFamily.of(3, [5, 0, 5, 3])
         assert fam == SetFamily(3, 0b101001)
-        assert fam.sets == (0, 3, 5) and len(fam) == 3
+        assert members(fam) == [0, 3, 5] and len(fam) == 3
 
 
 class TestAgainstReferees:
@@ -78,28 +79,28 @@ class TestAgainstReferees:
     @settings(max_examples=100)
     def test_compress_element(self, fam, i):
         i %= fam.n
-        assert compress_element(fam, i).sets == tuple(sorted(compress_members(fam.sets, i)))
+        assert members(compress_element(fam, i)) == sorted(compress_members(members(fam), i))
 
     @given(st.one_of(families, uniform_families))
     @settings(max_examples=100)
     def test_full_compress(self, fam):
-        assert full_compress(fam).sets == tuple(sorted(full_compress_members(fam.n, fam.sets)))
+        assert members(full_compress(fam)) == sorted(full_compress_members(fam.n, members(fam)))
 
     @given(st.one_of(families, uniform_families), st.integers(0, 63))
     @settings(max_examples=100)
     def test_is_downset(self, fam, drop):
         """On the family, on its compression, which is a downset, and on
         the compression less one member, which may not be."""
-        down = sorted(full_compress_members(fam.n, fam.sets))
+        down = sorted(full_compress_members(fam.n, members(fam)))
         less = down[:drop % len(down)] + down[drop % len(down) + 1:] if down else []
-        for members in (fam.sets, down, less):
-            assert is_downset(SetFamily.of(fam.n, members)) == is_downset_members(members)
+        for sets in (members(fam), down, less):
+            assert is_downset(SetFamily.of(fam.n, sets)) == is_downset_members(sets)
 
     @given(uniform_families)
     @settings(max_examples=100)
     def test_shadow(self, fam):
         out = shadow(fam)
-        assert out.sets == tuple(sorted(shadow_members(fam.sets))) and out.k == fam.k - 1
+        assert members(out) == sorted(shadow_members(members(fam))) and out.k == fam.k - 1
 
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -108,7 +109,7 @@ class TestAgainstReferees:
         all 2^(2^n) families."""
         for mask in range(1 << (1 << n)):
             fam = SetFamily(n, mask)
-            assert full_compress(fam).sets == tuple(sorted(full_compress_members(n, fam.sets))), mask
+            assert members(full_compress(fam)) == sorted(full_compress_members(n, members(fam))), mask
 
     @given(st.one_of(families, uniform_families, intersecting_families), st.integers(0, 8))
     @settings(max_examples=200)
@@ -118,26 +119,26 @@ class TestAgainstReferees:
     @example(SetFamily.of(2, [0b01, 0b10]), 0)
     def test_is_t_intersecting(self, fam, t):
         """Empty families, t = 0 and t above n included."""
-        assert is_t_intersecting(fam, t) == is_t_intersecting_members(fam.sets, t)
+        assert is_t_intersecting(fam, t) == is_t_intersecting_members(members(fam), t)
 
     @given(st.one_of(families, uniform_families))
     @settings(max_examples=100)
     def test_level_profile(self, fam):
-        assert level_profile(fam) == level_profile_members(fam.n, fam.sets)
+        assert level_profile(fam) == level_profile_members(fam.n, members(fam))
 
     @given(st.one_of(families, uniform_families))
     @settings(max_examples=100)
     def test_feder_subi_check(self, fam):
         """On the compression, a downset, at every threshold d in [0, 2n]
         with denominator 1, 2 or 3."""
-        down = full_compress_members(fam.n, fam.sets)
+        down = full_compress_members(fam.n, members(fam))
         for d in {Fraction(num, den) for den in (1, 2, 3) for num in range(2 * fam.n * den + 1)}:
             assert feder_subi_intersecting_check(SetFamily.of(fam.n, down), d) == feder_subi_members(down, d), d
 
     @given(st.one_of(families, uniform_families))
     @settings(max_examples=100)
     def test_compression_popcount_sum(self, fam):
-        down = full_compress_members(fam.n, fam.sets)
+        down = full_compress_members(fam.n, members(fam))
         fc, popsum, _, ok = _full_compression(fam)
         assert popsum == sum(bin(a).count("1") for a in down) and ok
 
@@ -168,10 +169,10 @@ class TestCompressElement:
         i = i % fam.n
         comp = compress_element(fam, i)
         assert len(comp) == len(fam)
-        before = induced_subgraph(fam.n, fam.sets)
-        after = induced_subgraph(fam.n, comp.sets)
+        before = induced_subgraph(fam.n, members(fam))
+        after = induced_subgraph(fam.n, members(comp))
         assert len(edge_list(after)) >= len(edge_list(before))
-        if fam.sets:
+        if fam.mask:
             assert max_hamming_pair(after)[2] <= max_hamming_pair(before)[2]
 
 
@@ -203,8 +204,8 @@ class TestFullCompress:
         """For a downset, total popcount = induced edge count: every edge
         is counted at its upper endpoint."""
         out = full_compress(fam)
-        g = induced_subgraph(out.n, out.sets)
-        popsum = sum(bin(a).count("1") for a in out.sets)
+        g = induced_subgraph(out.n, members(out))
+        popsum = sum(bin(a).count("1") for a in members(out))
         profile = level_profile(out)
         assert popsum == len(edge_list(g))
         assert popsum == sum(k * c for k, c in enumerate(profile))
@@ -220,19 +221,19 @@ class TestIsDownset:
 
 class TestShadow:
     def test_single_pair(self):
-        fam = UniformFamily.of(2, [E1 | E2])
+        fam = UniformFamily.of(2, [E1 | E2], 2)
         assert shadow(fam) == UniformFamily.of(2, [E1, E2], 1)
 
     def test_union_of_shadows(self):
-        fam = UniformFamily.of(3, [E1 | E2, E1 | E3])
-        assert set(shadow(fam).sets) == {E1, E2, E3}
+        fam = UniformFamily.of(3, [E1 | E2, E1 | E3], 2)
+        assert set(members(shadow(fam))) == {E1, E2, E3}
 
     def test_empty(self):
-        assert shadow(UniformFamily.of(4, [], 2)).sets == ()
+        assert members(shadow(UniformFamily.of(4, [], 2))) == []
 
     def test_zero_uniform_errors(self):
         with pytest.raises(ValueError):
-            shadow(UniformFamily.of(3, [0]))
+            shadow(UniformFamily.of(3, [0], 0))
 
     @given(uniform_families)
     @settings(max_examples=200)
@@ -245,25 +246,25 @@ class TestShadow:
 
     def test_uniformity_enforced(self):
         with pytest.raises(ValueError):
-            UniformFamily.of(3, [E1, E1 | E2])
+            UniformFamily.of(3, [E1, E1 | E2], 1)
 
 
 class TestIteratedShadow:
     def test_identity(self):
-        fam = UniformFamily.of(4, [0b0011, 0b1100])
+        fam = UniformFamily.of(4, [0b0011, 0b1100], 2)
         assert iterated_shadow(fam, 0) == fam
 
     def test_two_steps(self):
-        fam = UniformFamily.of(3, [E1 | E2 | E3])
-        assert set(iterated_shadow(fam, 2).sets) == {E1, E2, E3}
+        fam = UniformFamily.of(3, [E1 | E2 | E3], 3)
+        assert set(members(iterated_shadow(fam, 2))) == {E1, E2, E3}
 
     def test_disjoint_pairs(self):
-        fam = UniformFamily.of(4, [0b0011, 0b1100])
-        assert set(iterated_shadow(fam, 1).sets) == {0b0001, 0b0010, 0b0100, 0b1000}
+        fam = UniformFamily.of(4, [0b0011, 0b1100], 2)
+        assert set(members(iterated_shadow(fam, 1))) == {0b0001, 0b0010, 0b0100, 0b1000}
 
     def test_too_deep(self):
         with pytest.raises(ValueError):
-            iterated_shadow(UniformFamily.of(3, [E1 | E2]), 3)
+            iterated_shadow(UniformFamily.of(3, [E1 | E2], 2), 3)
 
 
 class TestTIntersecting:
@@ -284,11 +285,11 @@ class TestTIntersecting:
 
 class TestKatona:
     def test_example(self):
-        fam = UniformFamily.of(3, [E1 | E2, E1 | E3])
+        fam = UniformFamily.of(3, [E1 | E2, E1 | E3], 2)
         assert len(iterated_shadow(fam, 1)) >= len(fam)  # shadow has 3 members >= 2
 
     def test_single_set_full_intersection(self):
-        fam = UniformFamily.of(5, [0b10101])
+        fam = UniformFamily.of(5, [0b10101], 3)
         assert len(iterated_shadow(fam, 3)) >= len(fam)
 
     @given(st.integers(0, 10_000))
@@ -304,7 +305,7 @@ class TestLevelProfile:
     def test_square_downset(self):
         fam = SetFamily.of(2, [0, E1, E2, E1 | E2])
         assert level_profile(fam) == (1, 2, 1)
-        g = induced_subgraph(2, fam.sets)
+        g = induced_subgraph(2, members(fam))
         assert sum(k * c for k, c in enumerate(level_profile(fam))) == len(edge_list(g)) == 4
 
     def test_empty_and_singleton(self):

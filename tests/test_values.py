@@ -1,6 +1,6 @@
 """The value classes: equality and hashing by class and fields, read-only
-fields, cached views built once, constructor signatures, and
-``InstanceSpec.replace``."""
+fields, slots that are the fields and nothing else, constructor
+signatures, and ``InstanceSpec.replace``."""
 
 import pickle
 from fractions import Fraction
@@ -48,7 +48,7 @@ VALUES = {
     "LTable": (_TABLE, LTable(2, _ID2, _TABLE.lo_masks, _TABLE.levels),
                LTable(2, _ID2, _TABLE.lo_masks, _TABLE.levels[:-1])),
     "SetFamily": (SetFamily(2, 0b0110), SetFamily.of(2, [2, 1]), SetFamily(2, 0b0111)),
-    "UniformFamily": (UniformFamily(2, 0b0110, 1), UniformFamily.of(2, [1, 2]), UniformFamily(2, 0b1000, 2)),
+    "UniformFamily": (UniformFamily(2, 0b0110, 1), UniformFamily.of(2, [1, 2], 1), UniformFamily(2, 0b1000, 2)),
     "InstanceSpec": (InstanceSpec("random-family", n=3, density=Fraction(1, 2)),
                      InstanceSpec("random-family", 3, 0, Fraction(1, 2)),
                      InstanceSpec("random-family", n=3, density=Fraction(1, 2), seed=1)),
@@ -104,27 +104,26 @@ def test_fields_are_read_only(name):
     assert a == same
 
 
-@pytest.mark.parametrize("name, gone", [("CubeSubgraph", "vertices"), ("LTable", "lengths"),
-                                        ("DirectionOrdering", None)])
-def test_mask_values_keep_only_their_fields(name, gone):
-    """No ``__dict__``, so no cached view; ``gone`` names one that was deleted."""
+#: Per class, the views that were deleted; none may come back.
+GONE = {
+    "CubeSubgraph": ("vertices",),
+    "LTable": ("lengths",),
+    "SetFamily": ("sets",),
+    "UniformFamily": ("sets",),
+    "EdgeColouring": ("colour_between", "blue_count"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_mask_values_keep_only_their_fields(name):
+    """No ``__dict__``, so no cached view: the slots of the class and its
+    bases, base first, are the fields (a subclass's own slots extend its
+    base class's); ``GONE`` names the views that were deleted."""
     a = VALUES[name][0]
-    assert type(a).__slots__ == a._fields and not hasattr(a, "__dict__")
-    assert gone is None or not hasattr(a, gone)
-
-
-@pytest.mark.parametrize("cls, view, build", [
-    (SetFamily, "sets", lambda: SetFamily(3, 0b10110)),
-    (SetFamily, "sets", lambda: UniformFamily(3, 0b10110, 1)),  # validation reads them first
-])
-def test_cached_views_are_built_once(monkeypatch, cls, view, build):
-    prop = vars(cls)[view]
-    calls = []
-    monkeypatch.setattr(prop, "func", lambda self, func=prop.func: calls.append(self) or func(self))
-    value = build()
-    first = getattr(value, view)
-    assert getattr(value, view) is first and vars(value)[view] is first
-    assert calls == [value]
+    assert not hasattr(a, "__dict__")
+    slots = [slot for cls in reversed(type(a).__mro__) for slot in vars(cls).get("__slots__", ())]
+    assert tuple(slots) == a._fields
+    assert [view for view in GONE.get(name, ()) if hasattr(a, view)] == []
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
