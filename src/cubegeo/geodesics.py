@@ -335,16 +335,23 @@ def _count_paths(g: CubeSubgraph, d: int, perm, increasing: bool) -> int:
     v of plane i is bit i of the number of paths with that set ending at v.
     A step along direction dir (lo mask M, s = 2^dir) moves each plane P to
     ((P & M) << s) | ((P >> s) & M), and steps into one set are added. An
-    increasing path extends a set only by ranks above its top that leave
-    enough ranks for the rest, so each set keeps one plane. Refused when a
-    layer, C(n, j) sets of bit_length(j!) planes (one if increasing) of
-    2^g.n bits, would exceed COUNT_MAX_BITS.
+    increasing path extends only by ranks above its top that leave enough
+    ranks for the rest, so paths of one length and top rank q have the same
+    futures: the increasing count keys them on 2^q alone, n - d + 1 keys a
+    layer. Refused when a layer of planes of 2^g.n bits would exceed
+    COUNT_MAX_BITS: C(n, j) sets of bit_length(j!) planes, or n - d + 1 top
+    ranks of bit_length(C(n, min(d, n // 2))) planes, as at most
+    C(q, j - 1) <= C(n, j) increasing paths of j edges and top rank q end
+    at a vertex.
     """
     steps = [(1 << dir, g.lo_masks[dir]) for dir in perm if g.lo_masks[dir]]
     n = len(steps)
     if d > n or not g.vertex_mask:
         return 0
-    bits = max(math.comb(n, j) * (1 if increasing else math.factorial(j).bit_length()) for j in range(d + 1)) << g.n
+    if increasing:
+        bits = (n - d + 1) * math.comb(n, min(d, n // 2)).bit_length() << g.n
+    else:
+        bits = max(math.comb(n, j) * math.factorial(j).bit_length() for j in range(d + 1)) << g.n
     if bits > COUNT_MAX_BITS:
         raise ValueError(f"instance (n={g.n}, |E|={g.edge_count}, d={d}) needs {bits} layer bits, "
                          f"which exceeds the count cap {COUNT_MAX_BITS}")
@@ -358,7 +365,7 @@ def _count_paths(g: CubeSubgraph, d: int, perm, increasing: bool) -> int:
                     s, m = steps[q]
                     moved = [((p & m) << s) | ((p >> s) & m) for p in planes]
                     if any(moved):
-                        key = used | 1 << q
+                        key = 1 << q if increasing else used | 1 << q
                         sums[key] = _add_planes(sums[key], moved) if key in sums else moved
         layer = sums
     return sum(p.bit_count() << i for planes in layer.values() for i, p in enumerate(planes))

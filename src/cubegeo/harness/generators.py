@@ -10,7 +10,7 @@ so that average degree stays defined.
 
 from __future__ import annotations
 
-from contextlib import closing
+from contextlib import closing, suppress
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
@@ -60,9 +60,13 @@ def pool_map(fn, total: int, jobs: int):
     children, each sending every block's result down its own pipe as a
     length-prefixed ``marshal`` frame, so fn must return values of the
     built-in types marshal takes, as JSON-shaped dicts are; marshal,
-    unlike JSON, keeps int dict keys. An exception in fn is re-raised at
-    its block's position, a worker's with its traceback text there as
-    ``__cause__``; a child that ends before sending a block raises
+    unlike JSON, keeps int dict keys. Worker w runs on CPU
+    cpus[w % len(cpus)] alone, cpus being the caller's allowed set in
+    order, so no two workers share a CPU while another idles; the caller
+    gets its own mask back when the map ends, and where the OS cannot or
+    will not pin, it places the workers itself. An exception in fn is
+    re-raised at its block's position, a worker's with its traceback text
+    there as ``__cause__``; a child that ends before sending a block raises
     RuntimeError, and finishing, failing or closing the generator kills
     and reaps every child."""
     size = min(1024, -(-total // 16))
@@ -94,14 +98,17 @@ def _forked_map(block, starts: range, workers: int):
     import os
     import signal
 
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    cpus = sorted(mask)  # worker w runs on cpus[w % len(cpus)]; none: the OS places every worker
     children = {}  # worker -> (pid, read end of its pipe)
     try:
+        _pin(cpus[:1])
         for w in range(1, workers):
             r, wr = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(r)
-                _run_child(block, starts[w::workers], wr)  # never returns
+                _run_child(block, starts[w::workers], wr, cpus and [cpus[w % len(cpus)]])  # never returns
             os.close(wr)
             children[w] = (pid, open(r, "rb"))
         for c, start in enumerate(starts):
@@ -126,6 +133,7 @@ def _forked_map(block, starts: range, workers: int):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        _pin(mask)
 
 
 class _WorkerTraceback(Exception):
@@ -133,15 +141,27 @@ class _WorkerTraceback(Exception):
     its traceback text there, which the pickled exception does not keep."""
 
 
-def _run_child(block, starts: range, fd: int):
-    """A forked worker's whole life: send the result of each block, by its
-    start, or the exception that stops it, pickled, with its traceback
-    text, as a marshal frame; then exit at once, running no handler
-    inherited from the parent, also when the parent closed the pipe."""
+def _pin(cpus) -> None:
+    """Run this process on ``cpus`` alone. With none given, or where the
+    OS refuses, its placement stays the OS's, and the run goes on."""
+    import os
+
+    if cpus:
+        with suppress(OSError):
+            os.sched_setaffinity(0, cpus)
+
+
+def _run_child(block, starts: range, fd: int, cpus):
+    """A forked worker's whole life: move to ``cpus``, then send the result
+    of each block, by its start, or the exception that stops it, pickled,
+    with its traceback text, as a marshal frame; then exit at once, running
+    no handler inherited from the parent, also when the parent closed the
+    pipe."""
     import marshal
     import os
 
     try:
+        _pin(cpus)
         with open(fd, "wb") as out:
             for start in starts:
                 try:

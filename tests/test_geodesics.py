@@ -408,18 +408,23 @@ class TestEnumeration:
 
     def test_cap(self):
         # the widest layer of Q_16 at d = 16: C(16, 9) sets of bit_length(9!) = 19
-        # planes of 2^16 bits; the increasing count keeps one plane per set, and
-        # Q_18 at d = 9 needs C(18, 9) planes of 2^18 bits
+        # planes of 2^16 bits
         with pytest.raises(ValueError, match=r"^instance \(n=16, \|E\|=524288, d=16\) needs "
                            r"14244904960 layer bits, which exceeds the count cap 8589934592$"):
             enumerate_geodesics_of_length(full_cube(16), 16)
-        with pytest.raises(ValueError, match=f"needs {comb(18, 9) << 18} layer bits, which exceeds the count cap"):
-            count_increasing_geodesics(full_cube(18), 9)
+
+    def test_increasing_count_above_the_old_cap(self):
+        # keyed by top rank, a layer of Q_18 at d = 9 is 10 top ranks of
+        # bit_length(C(18, 9)) = 16 planes of 2^18 bits; keyed by direction
+        # set it was C(18, 9) sets of one plane, over the cap
+        assert count_increasing_geodesics(full_cube(18), 9) == comb(18, 9) << 18
 
     def test_cap_boundary(self, monkeypatch):
         # Q_4 at d = 4: the widest unordered layer is C(4, 2) sets of 2 planes
-        # (or C(4, 3) of 3) of 16 bits, the widest increasing one C(4, 2) planes;
-        # only directions with edges count, so a square in Q_4 needs 32 bits
+        # (or C(4, 3) of 3) of 16 bits; an increasing layer is 4 - 4 + 1 top
+        # ranks of bit_length(C(4, 2)) = 3 planes, and Q_6 at d = 3 has 4 top
+        # ranks of bit_length(C(6, 3)) = 5 planes of 64 bits; only directions
+        # with edges count, so a square in Q_4 needs 32 bits
         g = full_cube(4)
         two_dirs = induced_subgraph(4, [0b0000, 0b0001, 0b0010, 0b0011])
         monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 192)
@@ -427,11 +432,17 @@ class TestEnumeration:
         monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 191)
         with pytest.raises(ValueError, match="needs 192 layer bits, which exceeds the count cap 191"):
             enumerate_geodesics_of_length(g, 4)
-        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 96)
+        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 48)
         assert count_increasing_geodesics(g, 4) == 16
-        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 95)
-        with pytest.raises(ValueError, match="needs 96 layer bits"):
+        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 47)
+        with pytest.raises(ValueError, match=r"^instance \(n=4, \|E\|=32, d=4\) needs 48 layer bits, "
+                           r"which exceeds the count cap 47$"):
             count_increasing_geodesics(g, 4)
+        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 1280)
+        assert count_increasing_geodesics(full_cube(6), 3) == comb(6, 3) << 6
+        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 1279)
+        with pytest.raises(ValueError, match="needs 1280 layer bits, which exceeds the count cap 1279$"):
+            count_increasing_geodesics(full_cube(6), 3)
         monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 48)
         assert enumerate_geodesics_of_length(two_dirs, 2) == 4
         assert count_increasing_geodesics(two_dirs, 2) == 4

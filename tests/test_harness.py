@@ -853,6 +853,11 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _cpu_mask():
+    """The CPUs this process may run on, where the OS says."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
 def _item(x):
     """A JSON-shaped result with an int-keyed dict, as search blocks give."""
     return {"x": x, "squares": {x: x * x}, "pair": [x, None], "ok": x % 2 == 0}
@@ -934,6 +939,52 @@ class TestPoolMap:
             type(forked.value), forked.value, forked.value.__traceback__))
         _assert_no_child_left()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_worker_runs_on_one_cpu_of_the_callers_set(self, monkeypatch, workers):
+        """Worker w runs on cpus[w % len(cpus)] alone, cpus being the
+        caller's set in order; the caller's mask is back after a full run, a
+        worker's exception and a close mid-sweep; and a caller restricted to
+        one CPU keeps every worker on that CPU."""
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: workers)
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+
+        def where(start, stop):  # 9 indices: 9 blocks of one, block c on worker c % workers
+            return os.getpid(), sorted(os.sched_getaffinity(0))
+
+        results = list(pool_map(where, 9, workers))
+        assert [cpus_seen for _, cpus_seen in results] == [[cpus[c % workers % len(cpus)]] for c in range(9)]
+        pids = [pid for pid, _ in results]
+        assert pids == [pids[c % workers] for c in range(9)] and pids[0] == os.getpid()
+        assert len(set(pids)) == workers
+        assert os.sched_getaffinity(0) == mask
+
+        def fails(start, stop):
+            if start == 1:
+                raise ValueError("block 1 failed")
+            return where(start, stop)
+
+        with pytest.raises(ValueError, match="^block 1 failed$"):
+            list(pool_map(fails, 9, workers))
+        assert os.sched_getaffinity(0) == mask
+
+        blocks = pool_map(where, 9, workers)
+        assert next(blocks) == (os.getpid(), cpus[:1])  # the caller runs on cpus[0] during the map
+        next(blocks)
+        blocks.close()
+        assert os.sched_getaffinity(0) == mask
+        _assert_no_child_left()
+
+        os.sched_setaffinity(0, cpus[-1:])
+        try:
+            results = list(pool_map(where, 9, workers))
+            assert os.sched_getaffinity(0) == {cpus[-1]}
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert [cpus_seen for _, cpus_seen in results] == [cpus[-1:]] * 9
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_block_comes_at_once_from_2_to_the_62_indices(self, jobs):
         """The blocks are not listed before the first one runs: in 1 GiB of
@@ -956,6 +1007,40 @@ class TestPoolMap:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "(0, 1024) (1024, 2048)\nno child left\n"
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here")
+    @pytest.mark.parametrize("refused_in", [("caller",), ("child",), ("caller", "child")],
+                             ids=["caller", "child", "both"])
+    def test_refused_pin_changes_nothing(self, refused_in):
+        """Where the OS refuses a pin, in the caller, in the children or in
+        both, the run goes on unpinned: the results are the serial ones, both
+        children are reaped, and none runs the caller's code after the map."""
+        script = (
+            "import os\n"
+            "from cubegeo.harness import generators\n"
+            "generators._usable_cpus = lambda: 3\n"
+            "parent, pin = os.getpid(), os.sched_setaffinity\n"
+            "def refuse(pid, cpus):\n"
+            "    who = 'caller' if os.getpid() == parent else 'child'\n"
+            f"    if who in {refused_in!r}:\n"
+            "        os.write(2, f'{who} refused\\n'.encode())\n"
+            "        raise OSError(22, 'Invalid argument')\n"
+            "    pin(pid, cpus)\n"
+            "os.sched_setaffinity = refuse\n"
+            "fn = lambda start, stop: [x * x for x in range(start, stop)]\n"
+            "print(list(generators.pool_map(fn, 100, 3)) == list(generators.pool_map(fn, 100, 1)))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True\nno child left\n"
+        # the caller pins itself and restores its mask; each of the two children pins itself once
+        want = {"caller": 2, "child": 2}
+        assert sorted(result.stderr.splitlines()) == sorted(f"{who} refused" for who in refused_in
+                                                             for _ in range(want[who]))
+
     def test_worker_death_raises_at_once(self):
         script = (
             "import os\n"
@@ -972,7 +1057,7 @@ class TestPoolMap:
     def test_counterexample_leaves_no_child(self, monkeypatch, k):
         """At --jobs 3 a planted counterexample in the caller's block 0, a
         child's block 1 or the last block stops the sweep; every child is
-        reaped."""
+        reaped, and the caller's CPU mask is what it was."""
         import cubegeo.harness.search as search_mod
 
         monkeypatch.setattr(generators, "_usable_cpus", lambda: 3)
@@ -981,10 +1066,12 @@ class TestPoolMap:
         monkeypatch.setattr(search_mod, "antipodal_colouring_from_index",
                             lambda n, index: planted if index == k else build(n, index))
         forks = _count_forks(monkeypatch)
+        mask = _cpu_mask()
         report = run_search("A", "exhaustive", 4, jobs=3)
         assert report["records"] == [{"index": k, "colouring": colouring_to_obj(planted)}]
         assert report["aggregate"]["checked"] == k + 1
         assert len(forks) == 2
+        assert _cpu_mask() == mask
         _assert_no_child_left()
 
 
