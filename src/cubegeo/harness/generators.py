@@ -60,15 +60,21 @@ def pool_map(fn, total: int, jobs: int):
     children, each sending every block's result down its own pipe as a
     length-prefixed ``marshal`` frame, so fn must return values of the
     built-in types marshal takes, as JSON-shaped dicts are; marshal,
-    unlike JSON, keeps int dict keys. Worker w runs on CPU
-    cpus[w % len(cpus)] alone, cpus being the caller's allowed set in
-    order, so no two workers share a CPU while another idles; the caller
-    gets its own mask back when the map ends, and where the OS cannot or
-    will not pin, it places the workers itself. An exception in fn is
-    re-raised at its block's position, a worker's with its traceback text
-    there as ``__cause__``; a child that ends before sending a block raises
+    unlike JSON, keeps int dict keys. An exception in fn is re-raised at
+    its block's position, a worker's with its traceback text there as
+    ``__cause__``; a child that ends before sending a block raises
     RuntimeError, and finishing, failing or closing the generator kills
-    and reaps every child."""
+    and reaps every child.
+
+    Where W equals the size of the caller's allowed CPU set, as at
+    ``--jobs 2`` on two CPUs, worker w runs on the w-th CPU of the set
+    alone, in ascending order, and the calling thread stays on the first
+    until the generator finishes or is closed: a caller that stops early
+    must close it to get its own mask back. With fewer workers than CPUs,
+    or where the OS cannot or will not pin, the OS places the workers.
+    The pins keep apart the workers of one map, not of two processes: two
+    maps on the same set pin to the same CPUs, and a pinned worker stays
+    on its CPU while another process keeps that CPU busy."""
     size = min(1024, -(-total // 16))
     starts = range(0, total, size)  # O(1) to build and to slice: no block is listed
 
@@ -99,7 +105,8 @@ def _forked_map(block, starts: range, workers: int):
     import signal
 
     mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    cpus = sorted(mask)  # worker w runs on cpus[w % len(cpus)]; none: the OS places every worker
+    # one CPU a worker only where the workers fill the set; otherwise the OS places every worker
+    cpus = sorted(mask) if len(mask) == workers else []
     children = {}  # worker -> (pid, read end of its pipe)
     try:
         _pin(cpus[:1])
@@ -108,7 +115,7 @@ def _forked_map(block, starts: range, workers: int):
             pid = os.fork()
             if pid == 0:
                 os.close(r)
-                _run_child(block, starts[w::workers], wr, cpus and [cpus[w % len(cpus)]])  # never returns
+                _run_child(block, starts[w::workers], wr, cpus[w:w + 1])  # never returns
             os.close(wr)
             children[w] = (pid, open(r, "rb"))
         for c, start in enumerate(starts):
@@ -133,7 +140,7 @@ def _forked_map(block, starts: range, workers: int):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        _pin(mask)
+        _pin(cpus and mask)
 
 
 class _WorkerTraceback(Exception):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import traceback
+from contextlib import closing
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -941,11 +942,13 @@ class TestPoolMap:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here")
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_each_worker_runs_on_one_cpu_of_the_callers_set(self, monkeypatch, workers):
-        """Worker w runs on cpus[w % len(cpus)] alone, cpus being the
-        caller's set in order; the caller's mask is back after a full run, a
-        worker's exception and a close mid-sweep; and a caller restricted to
-        one CPU keeps every worker on that CPU."""
+    def test_workers_are_pinned_only_where_they_fill_the_callers_set(self, monkeypatch, workers):
+        """With the caller's set cut to its first k CPUs: at k == W, worker w
+        runs on the w-th CPU alone and the caller on the first during the
+        map; at any other k every worker keeps the whole set. Either way the
+        caller's mask is back after a full run, a worker's exception and a
+        close mid-sweep. The pinned case needs W CPUs; k runs over 1..W+1
+        where the runner has them."""
         monkeypatch.setattr(generators, "_usable_cpus", lambda: workers)
         mask = os.sched_getaffinity(0)
         cpus = sorted(mask)
@@ -953,37 +956,32 @@ class TestPoolMap:
         def where(start, stop):  # 9 indices: 9 blocks of one, block c on worker c % workers
             return os.getpid(), sorted(os.sched_getaffinity(0))
 
-        results = list(pool_map(where, 9, workers))
-        assert [cpus_seen for _, cpus_seen in results] == [[cpus[c % workers % len(cpus)]] for c in range(9)]
-        pids = [pid for pid, _ in results]
-        assert pids == [pids[c % workers] for c in range(9)] and pids[0] == os.getpid()
-        assert len(set(pids)) == workers
-        assert os.sched_getaffinity(0) == mask
-
         def fails(start, stop):
             if start == 1:
                 raise ValueError("block 1 failed")
             return where(start, stop)
 
-        with pytest.raises(ValueError, match="^block 1 failed$"):
-            list(pool_map(fails, 9, workers))
-        assert os.sched_getaffinity(0) == mask
-
-        blocks = pool_map(where, 9, workers)
-        assert next(blocks) == (os.getpid(), cpus[:1])  # the caller runs on cpus[0] during the map
-        next(blocks)
-        blocks.close()
-        assert os.sched_getaffinity(0) == mask
-        _assert_no_child_left()
-
-        os.sched_setaffinity(0, cpus[-1:])
-        try:
-            results = list(pool_map(where, 9, workers))
-            assert os.sched_getaffinity(0) == {cpus[-1]}
-        finally:
-            os.sched_setaffinity(0, mask)
-        assert [cpus_seen for _, cpus_seen in results] == [cpus[-1:]] * 9
-        _assert_no_child_left()
+        for k in range(1, min(workers + 1, len(cpus)) + 1):
+            pinned = k == workers
+            os.sched_setaffinity(0, cpus[:k])
+            try:
+                results = list(pool_map(where, 9, workers))
+                assert os.sched_getaffinity(0) == set(cpus[:k])
+                with pytest.raises(ValueError, match="^block 1 failed$"):
+                    list(pool_map(fails, 9, workers))
+                assert os.sched_getaffinity(0) == set(cpus[:k])
+                with closing(pool_map(where, 9, workers)) as blocks:  # closed mid-sweep, also on a failed assert
+                    assert next(blocks) == (os.getpid(), cpus[:1] if pinned else cpus[:k])
+                    next(blocks)
+                assert os.sched_getaffinity(0) == set(cpus[:k])
+            finally:
+                os.sched_setaffinity(0, mask)
+            want = [[cpus[c % workers]] for c in range(9)] if pinned else [cpus[:k]] * 9
+            assert [cpus_seen for _, cpus_seen in results] == want, f"caller on {cpus[:k]}"
+            pids = [pid for pid, _ in results]
+            assert pids == [pids[c % workers] for c in range(9)] and pids[0] == os.getpid()
+            assert len(set(pids)) == workers
+            _assert_no_child_left()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_block_comes_at_once_from_2_to_the_62_indices(self, jobs):
@@ -1007,17 +1005,21 @@ class TestPoolMap:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "(0, 1024) (1024, 2048)\nno child left\n"
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls here")
+    @pytest.mark.skipif(len(_cpu_mask() or ()) < 2, reason="pins need two CPUs and the affinity calls")
     @pytest.mark.parametrize("refused_in", [("caller",), ("child",), ("caller", "child")],
                              ids=["caller", "child", "both"])
     def test_refused_pin_changes_nothing(self, refused_in):
         """Where the OS refuses a pin, in the caller, in the children or in
-        both, the run goes on unpinned: the results are the serial ones, both
-        children are reaped, and none runs the caller's code after the map."""
+        both, the run goes on unpinned: the results are the serial ones, every
+        child is reaped, and none runs the caller's code after the map. The
+        caller's set is cut to its first 3 CPUs (2 on a 2-CPU runner), and W
+        fills it, so every worker pins."""
+        workers = min(3, len(_cpu_mask()))
         script = (
             "import os\n"
             "from cubegeo.harness import generators\n"
-            "generators._usable_cpus = lambda: 3\n"
+            f"os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{workers}])\n"
+            f"generators._usable_cpus = lambda: {workers}\n"
             "parent, pin = os.getpid(), os.sched_setaffinity\n"
             "def refuse(pid, cpus):\n"
             "    who = 'caller' if os.getpid() == parent else 'child'\n"
@@ -1027,7 +1029,7 @@ class TestPoolMap:
             "    pin(pid, cpus)\n"
             "os.sched_setaffinity = refuse\n"
             "fn = lambda start, stop: [x * x for x in range(start, stop)]\n"
-            "print(list(generators.pool_map(fn, 100, 3)) == list(generators.pool_map(fn, 100, 1)))\n"
+            f"print(list(generators.pool_map(fn, 100, {workers})) == list(generators.pool_map(fn, 100, 1)))\n"
             "try:\n"
             "    os.waitpid(-1, os.WNOHANG)\n"
             "except ChildProcessError:\n"
@@ -1036,8 +1038,8 @@ class TestPoolMap:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "True\nno child left\n"
-        # the caller pins itself and restores its mask; each of the two children pins itself once
-        want = {"caller": 2, "child": 2}
+        # the caller pins itself and restores its mask; each of the W - 1 children pins itself once
+        want = {"caller": 2, "child": workers - 1}
         assert sorted(result.stderr.splitlines()) == sorted(f"{who} refused" for who in refused_in
                                                              for _ in range(want[who]))
 
