@@ -138,14 +138,7 @@ class LTable(_Value):
     ``levels[t][0]`` is the vertex set. ``lo_masks`` are the graph's
     per-direction edge masks. A vertex's length is the highest k with its
     bit set in ``levels[-1][k]``; ``extract_increasing_geodesic`` rebuilds
-    the witness ending at a vertex.
-
-    Witnesses are rebuilt backwards. The predecessor of v on its witness
-    of l edges after t steps is the smallest u = v ^ 2^perm[r], r < t,
-    joined to v by an edge and of length exactly l - 1 after r steps; the
-    witness goes on from u after r steps. These are the choices of a
-    sweep that relaxes edges one by one and breaks ties toward the
-    smaller predecessor.
+    the witness ending at a vertex from the step that raised it.
     """
 
     __slots__ = _fields = ("n", "ordering", "lo_masks", "levels")
@@ -169,29 +162,6 @@ class LTable(_Value):
         if not top:
             raise ValueError("empty graph has no geodesics")
         return (top & -top).bit_length() - 1
-
-    def _predecessor(self, v: int, length: int, steps: int) -> tuple[int, int]:
-        """(u, r): the predecessor of v on its witness of ``length`` edges
-        after ``steps`` steps, and the step whose direction joins them."""
-        best = None
-        for r in range(steps):
-            dir = self.ordering.perm[r]
-            u = v ^ (1 << dir)
-            if best is not None and u > best[0]:
-                continue
-            levels = self.levels[r]
-            if (
-                self.lo_masks[dir] >> min(u, v) & 1
-                and length - 1 < len(levels)
-                and levels[length - 1] >> u & 1
-                and not (length < len(levels) and levels[length] >> u & 1)
-            ):
-                best = (u, r)
-        if best is None:
-            raise RuntimeError(
-                f"vertex {v} has no predecessor at length {length} after {steps} steps"
-            )
-        return best
 
 
 def increasing_geodesic_table(
@@ -231,19 +201,30 @@ def increasing_geodesic_table(
 def extract_increasing_geodesic(table: LTable, v: int) -> IncreasingGeodesic:
     """The witness ending at v: a valid increasing geodesic with as many
     edges as the highest k with bit v set in ``table.levels[-1][k]``,
-    rebuilt backwards from the levels."""
-    final = table.levels[-1]
+    rebuilt backwards the way the sweep built it. Step t (direction
+    ``perm[t-1]``) raised v to l edges when v is in ``levels[t][l]`` but
+    not in ``levels[t-1][l]``; its neighbour u across that direction then
+    had l - 1 edges after t - 1 steps, and the walk goes on from u. One
+    step back per direction: O(n) per witness."""
+    levels, perm = table.levels, table.ordering.perm
+    final = levels[-1]
     if v < 0 or not final[0] >> v & 1:
         raise ValueError(f"vertex {v} not in table")
     length = max(k for k, level in enumerate(final) if level >> v & 1)
-    steps = len(table.levels) - 1
+    t = len(levels) - 1
     verts = [v]
     dirs = []
     while length:
-        v, steps = table._predecessor(v, length, steps)
-        verts.append(v)
-        dirs.append(table.ordering.perm[steps])
-        length -= 1
+        while t and length < len(levels[t - 1]) and levels[t - 1][length] >> v & 1:
+            t -= 1
+        dir = perm[t - 1] if t else 0
+        u = v ^ (1 << dir)
+        if not (t and length - 1 < len(levels[t - 1]) and levels[t - 1][length - 1] >> u & 1
+                and table.lo_masks[dir] >> min(u, v) & 1):
+            raise RuntimeError(f"vertex {v} has no predecessor at length {length} after {t} steps")
+        verts.append(u)
+        dirs.append(dir)
+        v, length, t = u, length - 1, t - 1
     return IncreasingGeodesic(tuple(verts[::-1]), tuple(dirs[::-1]), table.ordering)
 
 

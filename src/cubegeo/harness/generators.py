@@ -52,19 +52,20 @@ def pool_map(fn, total: int, jobs: int):
     """fn(start, stop) on each block of the indices [0, total), the results
     in order and lazily. Blocks hold min(1024, ceil(total / 16)) indices,
     the last one the rest: a split by the work alone, never by ``jobs``.
-    They go to W = min(jobs, block count, usable CPUs) workers, serially
-    when W is 1 or ``os.fork`` is missing; the results never depend on W.
+    They go to W = min(jobs, block count, usable CPUs) workers, at least
+    one, and to one where ``os.fork`` is missing; the results never depend
+    on W, and every W takes the same path.
 
     Block c runs on worker c % W. Worker 0 is the calling process, which
-    runs its blocks as the caller reaches them; workers 1..W-1 are forked
-    children, each sending every block's result down its own pipe as a
-    length-prefixed ``marshal`` frame, so fn must return values of the
-    built-in types marshal takes, as JSON-shaped dicts are; marshal,
-    unlike JSON, keeps int dict keys. An exception in fn is re-raised at
-    its block's position, a worker's with its traceback text there as
-    ``__cause__``; a child that ends before sending a block raises
-    RuntimeError, and finishing, failing or closing the generator kills
-    and reaps every child.
+    runs its blocks as the caller reaches them, so W = 1 forks and pins
+    nothing; workers 1..W-1 are forked children, each sending every
+    block's result down its own pipe as a length-prefixed ``marshal``
+    frame, so fn must return values of the built-in types marshal takes,
+    as JSON-shaped dicts are; marshal, unlike JSON, keeps int dict keys.
+    An exception in fn is re-raised at its block's position, a worker's
+    with its traceback text there as ``__cause__``; a child that ends
+    before sending a block raises RuntimeError, and finishing, failing or
+    closing the generator kills and reaps every child.
 
     Where W equals the size of the caller's allowed CPU set, as at
     ``--jobs 2`` on two CPUs, worker w runs on the w-th CPU of the set
@@ -81,15 +82,11 @@ def pool_map(fn, total: int, jobs: int):
     def block(start: int):
         return fn(start, min(start + size, total))
 
-    if jobs > 1:
-        import os
+    import os
 
-        workers = min(jobs, -(-total // size), _usable_cpus())  # the block count: len(starts) overflows past 2^63
-        if workers > 1 and hasattr(os, "fork"):
-            yield from _forked_map(block, starts, workers)
-            return
-    for start in starts:
-        yield block(start)
+    # -(-total // size) is the block count: len(starts) overflows past 2^63
+    workers = min(jobs, -(-total // size), _usable_cpus()) if hasattr(os, "fork") else 1
+    yield from _forked_map(block, starts, max(workers, 1))
 
 
 def _usable_cpus() -> int:
@@ -104,8 +101,8 @@ def _forked_map(block, starts: range, workers: int):
     import os
     import signal
 
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    # one CPU a worker only where the workers fill the set; otherwise the OS places every worker
+    mask = os.sched_getaffinity(0) if workers > 1 and hasattr(os, "sched_setaffinity") else set()
+    # one CPU a worker only where two or more workers fill the set; otherwise the OS places every worker
     cpus = sorted(mask) if len(mask) == workers else []
     children = {}  # worker -> (pid, read end of its pipe)
     try:

@@ -14,6 +14,9 @@ its masks in exactly the text the stdlib encoder gives for its
 ``graph_to_obj`` dict, a colouring from one digit string of its mask.
 Graphs and colourings are read with shape and edge checks in bulk; the
 error messages for malformed files are those of an item-by-item check.
+Each list item appears once: a reader refuses a file that lists a
+vertex, an edge, a pair or a member twice, or that has the fields of
+more than one instance type.
 """
 
 from __future__ import annotations
@@ -102,11 +105,22 @@ def _field(obj: dict, name: str, kind: type):
     return value
 
 
+def _first_repeat(items) -> Any:
+    """The first item, in order, equal to one before it."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+
+
 def obj_to_graph(obj: dict) -> CubeSubgraph:
     """The graph of a parsed graph file. Shapes are checked in bulk, by
     the sets of item types and lengths; only when that fails does a scan
     in item order name the first bad item. ``make_subgraph`` validates
-    the rest."""
+    the rest. Last, no vertex and no edge may be listed twice, as the
+    writer never lists one twice: the counts are compared in bulk, and a
+    scan names the first repeat."""
     n = _field(obj, "n", int)
     vertices = _field(obj, "vertices", list)
     if not (set(map(type, vertices)) <= {int} or all(map(_is_int, vertices))):
@@ -118,9 +132,14 @@ def obj_to_graph(obj: dict) -> CubeSubgraph:
             if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
                 raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
     try:
-        return make_subgraph(n, vertices, raw_edges)
+        g = make_subgraph(n, vertices, raw_edges)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"invalid graph: {exc}") from exc
+    if len(set(vertices)) != len(vertices):
+        raise ParseError(f"invalid graph: vertex {_first_repeat(vertices)} listed twice")
+    if g.edge_count != len(raw_edges):
+        raise ParseError(f"invalid graph: edge {_first_repeat(map(tuple, raw_edges))} listed twice")
+    return g
 
 
 def obj_to_colouring(obj: dict) -> EdgeColouring:
@@ -165,20 +184,29 @@ def obj_to_colouring(obj: dict) -> EdgeColouring:
 
 
 def obj_to_family(obj: dict) -> SetFamily:
+    """The family of a parsed family file; last, no member may be listed
+    twice."""
     n = _field(obj, "n", int)
     sets = _field(obj, "sets", list)
     if not (set(map(type, sets)) <= {int} or all(map(_is_int, sets))):
         raise ParseError("family members should be ints")
     try:
-        return SetFamily.of(n, sets)
+        fam = SetFamily.of(n, sets)
     except ValueError as exc:
         raise ParseError(f"invalid family: {exc}") from exc
+    if len(fam) != len(sets):
+        raise ParseError(f"invalid family: member {_first_repeat(sets)} listed twice")
+    return fam
 
 
 def obj_to_instance(obj: dict):
-    """Sniff the instance type from its fields."""
+    """Sniff the instance type from its fields: exactly one of
+    ``vertices``, ``pairs`` and ``sets``."""
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    kinds = [name for name in ("vertices", "pairs", "sets") if name in obj]
+    if len(kinds) > 1:
+        raise ParseError(f"object has the fields {' and '.join(map(repr, kinds))} of more than one instance type")
     if "vertices" in obj:
         return obj_to_graph(obj)
     if "pairs" in obj:

@@ -681,9 +681,8 @@ def chain_sweep_table(g, ordering):
     """Referee for the direction-sweep table: relax the edges of each
     direction class one by one, in increasing lo order, from pre-class
     values, keeping per-vertex lengths and snapshot chains
-    (predecessor, direction, predecessor's chain). Ties between
-    predecessors of equal length go to the smaller one. Returns
-    (lengths, chains)."""
+    (predecessor, direction, predecessor's chain). A chain is replaced
+    only by a strictly longer one. Returns (lengths, chains)."""
     lengths = dict.fromkeys(vertex_list(g), 0)
     chains = dict.fromkeys(vertex_list(g), None)
     edges = edge_list(g)
@@ -692,9 +691,9 @@ def chain_sweep_table(g, ordering):
             hi = lo ^ (1 << dir)
             llo, lhi = lengths[lo], lengths[hi]
             clo, chi = chains[lo], chains[hi]
-            if llo + 1 > lhi or (llo + 1 == lhi and lo < chi[0]):
+            if llo + 1 > lhi:
                 lengths[hi], chains[hi] = llo + 1, (lo, dir, clo)
-            if lhi + 1 > llo or (lhi + 1 == llo and hi < clo[0]):
+            if lhi + 1 > llo:
                 lengths[lo], chains[lo] = lhi + 1, (hi, dir, chi)
     return lengths, chains
 
@@ -790,7 +789,8 @@ def _graph_from_items(n, vertices, edges):
 def graph_from_obj(obj):
     """Referee for reading a parsed graph file: field, vertex and edge
     item checks one at a time, in file order, raising ``ParseError``
-    with the reader's messages."""
+    with the reader's messages; last, the first vertex, then the first
+    edge, listed a second time."""
     n = _file_field(obj, "n", int)
     vertices = _file_field(obj, "vertices", list)
     for v in vertices:
@@ -804,6 +804,11 @@ def graph_from_obj(obj):
             raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
         edges.append((item[0], item[1]))
     try:
-        return _graph_from_items(n, vertices, edges)
+        g = _graph_from_items(n, vertices, edges)
     except ValueError as exc:
         raise ParseError(f"invalid graph: {exc}") from exc
+    for kind, items in (("vertex", vertices), ("edge", edges)):
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ParseError(f"invalid graph: {kind} {item} listed twice")
+    return g

@@ -147,11 +147,10 @@ class TestTable:
         t = increasing_geodesic_table(bent_path())
         assert lengths_from_levels(t) == {0b00: 2, 0b10: 1, 0b11: 1}
         assert t.total == 4 == 2 * 2
-        # ties break toward the smaller predecessor: 10 is reachable at
-        # length 1 from both 11 (dir 0) and 00 (dir 1); 00 wins
-        assert extract_increasing_geodesic(t, 0b10).vertices == (0b00, 0b10)
-        # the recorded witness for 00 predates the tie replacement and
-        # must not reuse direction 1
+        # 10 reaches length 1 at the first step, across 11 (dir 0); the
+        # tie with 00 at the second step (dir 1) leaves that witness
+        assert extract_increasing_geodesic(t, 0b10).vertices == (0b11, 0b10)
+        # the witness for 00 goes through 10's and does not reuse direction 1
         p = extract_increasing_geodesic(t, 0b00)
         assert p.vertices == (0b11, 0b10, 0b00) and p.directions == (0, 1)
 
@@ -289,6 +288,22 @@ class TestExtraction:
         planted = LTable(t.n, t.ordering, t.lo_masks, (*t.levels[:-1], (*t.levels[-1], 0b1000)))
         with pytest.raises(RuntimeError, match="vertex 3 has no predecessor at length 3 after 2 steps"):
             extract_increasing_geodesic(planted, 3)
+
+    def test_raise_across_a_missing_edge_raises(self):
+        t = increasing_geodesic_table(full_cube(2))
+        # the levels raise 3 to 2 edges at the second step, across the
+        # edge (1, dir 1), which the lo masks no longer hold
+        planted = LTable(t.n, t.ordering, (t.lo_masks[0], 0b0001), t.levels)
+        with pytest.raises(RuntimeError, match="^vertex 3 has no predecessor"):
+            extract_increasing_geodesic(planted, 3)
+
+    def test_raise_from_a_shorter_neighbour_raises(self):
+        t = increasing_geodesic_table(full_cube(2))
+        # vertex 0 has no edge after the first step, yet the second step
+        # raises its neighbour 2 (dir 1) to 2 edges
+        planted = LTable(t.n, t.ordering, t.lo_masks, (t.levels[0], (0b1111, 0b1110), t.levels[2]))
+        with pytest.raises(RuntimeError, match="^vertex 2 has no predecessor at length 2 after 2 steps$"):
+            extract_increasing_geodesic(planted, 2)
 
     @given(st.integers(0, 10_000), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)

@@ -288,6 +288,40 @@ def test_analyze_of_a_malformed_graph_exits_1_with_one_line(obj, tmp_path):
     assert result.stderr == f"cubegeo: parse error: {message}\n"
 
 
+def test_a_repeat_is_named_first_in_file_order_after_every_other_check():
+    for read, obj, message in [
+        (obj_to_graph, {"n": 2, "vertices": [2, 1, 1, 2], "edges": []}, "invalid graph: vertex 1 listed twice"),
+        (obj_to_graph, {"n": 2, "vertices": [0, 0, 4], "edges": []}, "invalid graph: vertex 4 out of range for Q_2"),
+        (obj_to_graph, {"n": 2, "vertices": [0, 1, 0], "edges": [[0, 0], [0, 0], [1, 0]]},
+         "invalid graph: edge (1, 0) is not canonical: bit 0 of lo is set"),
+        (obj_to_family, {"n": 2, "sets": [3, 1, 1, 3]}, "invalid family: member 1 listed twice"),
+        (obj_to_family, {"n": 2, "sets": [1, 1, 4]}, "invalid family: family members must lie in [0, 2^2)"),
+    ]:
+        with pytest.raises(ParseError) as refused:
+            read(obj)
+        assert str(refused.value) == message, obj
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"n": 3, "vertices": [1, 1], "edges": []}, "invalid graph: vertex 1 listed twice"),
+    ({"n": 2, "vertices": [2, 0, 1, 3], "edges": [[0, 1], [0, 0], [0, 1]]}, "invalid graph: edge (0, 1) listed twice"),
+    ({"n": 3, "sets": [5, 3, 5]}, "invalid family: member 5 listed twice"),
+    ({"n": 2, "vertices": [0], "edges": [], "sets": [0]},
+     "object has the fields 'vertices' and 'sets' of more than one instance type"),
+])
+def test_analyze_of_a_file_the_writer_would_not_write_exits_1_with_one_line(obj, message, tmp_path):
+    """A vertex, an edge or a member listed twice, or a graph that also
+    holds a family's field: the writer writes none of these files."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    result = subprocess.run(
+        [sys.executable, "-m", "cubegeo.harness.cli", "analyze", "--file", str(path)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == f"cubegeo: parse error: {message}\n"
+
+
 def test_report_is_its_file_object_with_pass_last():
     obj = report("search", {"n": 2}, 7, [{"index": 0}], {"checked": 1}, False)
     assert list(obj.items()) == [("task", "search"), ("parameters", {"n": 2}), ("seed", 7),
