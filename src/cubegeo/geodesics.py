@@ -16,7 +16,8 @@ so a table costs at most n(n + 1) level updates whatever |E| is. The
 table's per-vertex totals always sum to at least 2|E(G)|, which is the
 inequality the verification harness checks on every generated instance.
 
-Geodesic counts step bit-sliced count planes of path ends the same way,
+The increasing count runs the same sweep on bit-sliced count planes of
+path ends; the unordered count steps such planes through a subset DP,
 one set of planes per set of directions, not per path or sequence.
 
 All functions are pure; tables and paths are immutable.
@@ -164,6 +165,15 @@ class LTable(_Value):
         return (top & -top).bit_length() - 1
 
 
+def _ordering_for(g: CubeSubgraph, ordering: DirectionOrdering | None) -> DirectionOrdering:
+    """``ordering``, the identity by default, refused unless it orders g's n directions."""
+    if ordering is None:
+        return DirectionOrdering.identity(g.n)
+    if ordering.n != g.n:
+        raise ValueError(f"ordering over {ordering.n} directions used with Q_{g.n}")
+    return ordering
+
+
 def increasing_geodesic_table(
     g: CubeSubgraph, ordering: DirectionOrdering | None = None
 ) -> LTable:
@@ -177,10 +187,7 @@ def increasing_geodesic_table(
     least 2 (whether or not the old values were equal), so the output
     always satisfies sum(lengths) >= 2|E(G)|.
     """
-    if ordering is None:
-        ordering = DirectionOrdering.identity(g.n)
-    if ordering.n != g.n:
-        raise ValueError(f"ordering over {ordering.n} directions used with Q_{g.n}")
+    ordering = _ordering_for(g, ordering)
     levels = (g.vertex_mask,)
     history = [levels]
     for dir in ordering.perm:
@@ -308,60 +315,38 @@ def _add_planes(xs: list[int], ys: list[int]) -> list[int]:
     return out + [carry] if carry else out
 
 
-def _count_paths(g: CubeSubgraph, d: int, perm, increasing: bool) -> int:
-    """Directed paths of g with d edges whose directions are distinct
-    members of ``perm``, in ``perm``'s order when ``increasing``: a subset
-    DP (Bellman; Held and Karp) over the ranks of the n directions with
-    edges. Layer j maps each set of j ranks to bit-sliced count planes; bit
-    v of plane i is bit i of the number of paths with that set ending at v.
-    A step along direction dir (lo mask M, s = 2^dir) moves each plane P to
-    ((P & M) << s) | ((P >> s) & M), and steps into one set are added. An
-    increasing path extends only by ranks above its top that leave enough
-    ranks for the rest, so paths of one length and top rank q have the same
-    futures: the increasing count keys them on 2^q alone, n - d + 1 keys a
-    layer. Refused when a layer of planes of 2^g.n bits would exceed
-    COUNT_MAX_BITS: C(n, j) sets of bit_length(j!) planes, or n - d + 1 top
-    ranks of bit_length(C(n, min(d, n // 2))) planes, as at most
-    C(q, j - 1) <= C(n, j) increasing paths of j edges and top rank q end
-    at a vertex.
+def enumerate_geodesics_of_length(g: CubeSubgraph, d: int) -> int:
+    """Count the geodesics of g with exactly d edges.
+
+    A subset DP (Bellman; Held and Karp) over the n directions with edges
+    counts directed paths: layer j maps each set of j directions to
+    bit-sliced count planes of the paths with that set ending at each
+    vertex, and steps into one set are added. A path and its reversal
+    count once: the total is halved. Refused when a layer, C(n, j) sets of
+    bit_length(j!) planes of 2^g.n bits, would exceed COUNT_MAX_BITS.
     """
-    steps = [(1 << dir, g.lo_masks[dir]) for dir in perm if g.lo_masks[dir]]
+    if d < 1:
+        raise ValueError("geodesic length must be at least 1")
+    steps = [(1 << dir, m) for dir, m in enumerate(g.lo_masks) if m]
     n = len(steps)
-    if d > n or not g.vertex_mask:
+    if d > n:
         return 0
-    if increasing:
-        bits = (n - d + 1) * math.comb(n, min(d, n // 2)).bit_length() << g.n
-    else:
-        bits = max(math.comb(n, j) * math.factorial(j).bit_length() for j in range(d + 1)) << g.n
+    bits = max(math.comb(n, j) * math.factorial(j).bit_length() for j in range(d + 1)) << g.n
     if bits > COUNT_MAX_BITS:
         raise ValueError(f"instance (n={g.n}, |E|={g.edge_count}, d={d}) needs {bits} layer bits, "
                          f"which exceeds the count cap {COUNT_MAX_BITS}")
     layer = {0: [g.vertex_mask]}
-    for depth in range(d):
-        stop = n - d + depth + 1 if increasing else n
+    for _ in range(d):
         sums = {}
         for used, planes in layer.items():
-            for q in range(used.bit_length() if increasing else 0, stop):
+            for q, (s, m) in enumerate(steps):
                 if not used >> q & 1:
-                    s, m = steps[q]
                     moved = [((p & m) << s) | ((p >> s) & m) for p in planes]
                     if any(moved):
-                        key = 1 << q if increasing else used | 1 << q
+                        key = used | 1 << q
                         sums[key] = _add_planes(sums[key], moved) if key in sums else moved
         layer = sums
-    return sum(p.bit_count() << i for planes in layer.values() for i, p in enumerate(planes))
-
-
-def enumerate_geodesics_of_length(g: CubeSubgraph, d: int) -> int:
-    """Count the geodesics of g with exactly d edges.
-
-    A path and its reversal count once: the count over direction sets
-    finds each path in both orientations, and the count returned is that
-    total halved. Refused past the count cap (see ``_count_paths``).
-    """
-    if d < 1:
-        raise ValueError("geodesic length must be at least 1")
-    directed = _count_paths(g, d, range(g.n), False)
+    directed = sum(p.bit_count() << i for planes in layer.values() for i, p in enumerate(planes))
     if directed % 2:
         raise RuntimeError(f"odd number {directed} of directed geodesics with {d} edges")
     return directed // 2
@@ -379,11 +364,23 @@ def count_increasing_geodesics(
     whenever average_degree(g) >= d for an integer d, and averaging over
     uniform orderings satisfies E(count) = 2 * L / d! where L is the
     unordered geodesic count of enumerate_geodesics_of_length.
+
+    The sweep of ``increasing_geodesic_table`` on bit-sliced count planes:
+    each direction with edges, in rank order, adds the moved ``counts[k-1]``
+    (paths of k - 1 edges by end) into ``counts[k]``, k from high to low so
+    each step reads pre-class values, and only for the k that can still
+    reach d. No cap: of r directions with edges, at most C(r, k) paths of k
+    edges end at a vertex, so ``counts[k]`` holds at most
+    max(bit_length(C(r, j)) for j <= k) planes (a slot keeps the width of
+    what is added into it): 463 in all at r = n = 24, under COUNT_MAX_BITS.
     """
     if d < 1:
         raise ValueError("geodesic length must be at least 1")
-    if ordering is None:
-        ordering = DirectionOrdering.identity(g.n)
-    if ordering.n != g.n:
-        raise ValueError(f"ordering over {ordering.n} directions used with Q_{g.n}")
-    return _count_paths(g, d, ordering.perm, True)
+    steps = [(1 << dir, g.lo_masks[dir]) for dir in _ordering_for(g, ordering).perm if g.lo_masks[dir]]
+    r = len(steps)
+    counts = [[g.vertex_mask]] + [[]] * d  # slots are replaced, never changed in place
+    for q, (s, m) in enumerate(steps):
+        for k in range(min(d, q + 1), max(0, d - r + q), -1):
+            moved = [((p & m) << s) | ((p >> s) & m) for p in counts[k - 1]]
+            counts[k] = _add_planes(counts[k], moved) if counts[k] else moved
+    return sum(p.bit_count() << i for i, p in enumerate(counts[d]))

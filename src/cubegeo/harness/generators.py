@@ -76,7 +76,7 @@ def pool_map(fn, total: int, jobs: int):
     The pins keep apart the workers of one map, not of two processes: two
     maps on the same set pin to the same CPUs, and a pinned worker stays
     on its CPU while another process keeps that CPU busy."""
-    size = min(1024, -(-total // 16))
+    size = min(1024, -(-total // 16)) or 1  # total 0: no block and no fork
     starts = range(0, total, size)  # O(1) to build and to slice: no block is listed
 
     def block(start: int):

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubegeo import (
@@ -23,7 +24,7 @@ from cubegeo import (
     random_ordering,
 )
 from cubegeo import geodesics
-from cubegeo.core import _bits
+from cubegeo.core import MAX_DIMENSION, _bits
 from cubegeo.harness.generators import InstanceSpec, generate
 from cubegeo.rng import derive
 
@@ -429,17 +430,24 @@ class TestEnumeration:
             enumerate_geodesics_of_length(full_cube(16), 16)
 
     def test_increasing_count_above_the_old_cap(self):
-        # keyed by top rank, a layer of Q_18 at d = 9 is 10 top ranks of
-        # bit_length(C(18, 9)) = 16 planes of 2^18 bits; keyed by direction
-        # set it was C(18, 9) sets of one plane, over the cap
+        # the sweep has no cap: Q_18 at d = 9 holds at most
+        # sum(bit_length(C(18, k)) for k <= 9) = 112 planes of 2^18 bits
         assert count_increasing_geodesics(full_cube(18), 9) == comb(18, 9) << 18
+
+    def test_increasing_count_fits_under_the_cap_at_every_length(self):
+        # of n <= MAX_DIMENSION directions, at most C(n, k) increasing paths of
+        # k edges end at a vertex, and the sweep's counts[k] keeps the width of
+        # counts[k - 1] added into it: max(bit_length(C(n, j)) for j <= k) planes
+        n = MAX_DIMENSION
+        widths = list(accumulate((comb(n, k).bit_length() for k in range(n + 1)), max))
+        for d in range(n + 1):
+            assert sum(comb(n, k).bit_length() for k in range(d + 1)) << n <= geodesics.COUNT_MAX_BITS
+            assert sum(widths[:d + 1]) << n <= geodesics.COUNT_MAX_BITS
 
     def test_cap_boundary(self, monkeypatch):
         # Q_4 at d = 4: the widest unordered layer is C(4, 2) sets of 2 planes
-        # (or C(4, 3) of 3) of 16 bits; an increasing layer is 4 - 4 + 1 top
-        # ranks of bit_length(C(4, 2)) = 3 planes, and Q_6 at d = 3 has 4 top
-        # ranks of bit_length(C(6, 3)) = 5 planes of 64 bits; only directions
-        # with edges count, so a square in Q_4 needs 32 bits
+        # (or C(4, 3) of 3) of 16 bits; only directions with edges count, so a
+        # square in Q_4 needs 32 bits; the increasing count has no cap
         g = full_cube(4)
         two_dirs = induced_subgraph(4, [0b0000, 0b0001, 0b0010, 0b0011])
         monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 192)
@@ -447,17 +455,8 @@ class TestEnumeration:
         monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 191)
         with pytest.raises(ValueError, match="needs 192 layer bits, which exceeds the count cap 191"):
             enumerate_geodesics_of_length(g, 4)
-        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 48)
         assert count_increasing_geodesics(g, 4) == 16
-        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 47)
-        with pytest.raises(ValueError, match=r"^instance \(n=4, \|E\|=32, d=4\) needs 48 layer bits, "
-                           r"which exceeds the count cap 47$"):
-            count_increasing_geodesics(g, 4)
-        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 1280)
         assert count_increasing_geodesics(full_cube(6), 3) == comb(6, 3) << 6
-        monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 1279)
-        with pytest.raises(ValueError, match="needs 1280 layer bits, which exceeds the count cap 1279$"):
-            count_increasing_geodesics(full_cube(6), 3)
         monkeypatch.setattr(geodesics, "COUNT_MAX_BITS", 48)
         assert enumerate_geodesics_of_length(two_dirs, 2) == 4
         assert count_increasing_geodesics(two_dirs, 2) == 4
@@ -475,6 +474,26 @@ class TestEnumeration:
 
 
 class TestIncreasingCount:
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+               st.just(n), st.permutations(range(n)), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))),
+           st.integers(0, 10_000))
+    @example((5, [4, 0, 3, 1, 2], 0b10101, 0b01010), 0)
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_with_edgeless_directions_between(self, case, seed):
+        """Two copies of the subcube spanned by ``live``, differing in every other
+        direction, less a random quarter of their edges: under a random
+        ordering the directions without edges fall between those with edges,
+        so the band of lengths the sweep steps starts and ends mid-sweep."""
+        n, perm, live, base = case
+        dead = ~live & ((1 << n) - 1)
+        g = induced_subgraph(n, [v for v in range(1 << n) if v & dead in (base & dead, ~base & dead)])
+        edges = edge_list(g)
+        kept = SplitMix64(derive(seed)).bernoulli_mask(Fraction(3, 4), len(edges))
+        g = make_subgraph(n, _bits(g.vertex_mask), [e for i, e in enumerate(edges) if kept >> i & 1])
+        ordering = DirectionOrdering(tuple(perm))
+        for d in range(1, sum(1 for m in g.lo_masks if m) + 2):
+            assert count_increasing_geodesics(g, d, ordering) == count_increasing_paths(g, d, ordering)
+
     def test_q2_identity(self):
         assert count_increasing_geodesics(full_cube(2), 2) == 4
 

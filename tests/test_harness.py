@@ -878,6 +878,8 @@ class TestPoolMap:
         (4, 17, [2] * 8 + [1], 4),
         (2, 50, [4] * 12 + [2], 2),
         (9, 2, [1, 1], 2),
+        (1, 0, [], 1),
+        (2, 0, [], 1),
     ])
     def test_results_in_order_for_any_worker_count(self, monkeypatch, jobs, total, sizes, workers):
         monkeypatch.setattr(generators, "_usable_cpus", lambda: jobs)
