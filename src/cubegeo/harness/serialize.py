@@ -256,12 +256,14 @@ def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_instance(path: str):

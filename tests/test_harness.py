@@ -1,10 +1,13 @@
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import traceback
-from contextlib import closing
+from contextlib import closing, redirect_stdout
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -1368,6 +1371,120 @@ class TestCli:
         assert setfamilies_mod._level_masks.cache_info().misses == 1
         assert "intersecting_levels_consistent" in first
         assert _analyze_family(fam)[0] == first and setfamilies_mod._level_masks.cache_info().misses == 1
+
+
+#: ``python -m cubegeo.harness.cli`` with an exit hook that reports the
+#: collector's state last on stderr, after everything the CLI wrote.
+_HOOKED_CLI = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('collector', gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "runpy.run_module('cubegeo.harness.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _cyclic_garbage(run) -> int:
+    """Objects in reference cycles that ``run()`` leaves, found by one
+    collection after it has run with the collector off, as in a CLI
+    process."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with redirect_stdout(io.StringIO()):
+            run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _garbage_by_size(argvs) -> list[int]:
+    """``_cyclic_garbage`` of ``main`` on each argv, the first run twice
+    so that nothing done once per process is counted."""
+    return [_cyclic_garbage(lambda: main(argv)) for argv in [argvs[0], *argvs]][1:]
+
+
+class TestCollectorPolicy:
+    """A CLI process runs with the cyclic collector off and ends with its
+    heap frozen, which is safe while a run leaves a constant amount of
+    cyclic garbage, however much work it does; ``main`` in process leaves
+    the caller's collector alone."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--theorem", "T4", "--trials", "5"], 0),
+        (["--help"], 0),
+        (["verify", "--trials", "x"], 1),
+    ], ids=["verify", "help", "usage-error"])
+    def test_a_cli_process_runs_with_the_collector_off_and_ends_frozen(self, argv, code, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # the same help text in process and in the child
+        monkeypatch.delenv("CUBEGEO_JOBS", raising=False)
+        try:
+            in_process = main(argv)
+        except SystemExit as exc:
+            in_process = exc.code
+        out, err = capsys.readouterr()
+        result = subprocess.run([sys.executable, "-c", _HOOKED_CLI, *argv], capture_output=True, text=True,
+                                timeout=60)
+        assert in_process == result.returncode == code
+        assert result.stdout == out
+        assert result.stderr == err + "collector False True\n"
+
+    def test_main_and_the_import_leave_the_callers_collector_alone(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        for enabled in (True, False):
+            before = gc.get_freeze_count()
+            gc.enable() if enabled else gc.disable()
+            try:
+                with redirect_stdout(io.StringIO()):
+                    assert main(["verify", "--theorem", "T2", "--trials", "3", "--out", out]) == 0
+                assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, before)
+            finally:
+                gc.enable()
+        script = ("import gc\n"
+                  "before = gc.isenabled(), gc.get_freeze_count()\n"
+                  "import cubegeo.harness.cli\n"
+                  "print(before, (gc.isenabled(), gc.get_freeze_count()))\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert result.stdout == "(True, 0) (True, 0)\n", result.stderr
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_verify_garbage_does_not_grow_with_the_trials(self, theorem):
+        argvs = [["verify", "--theorem", theorem, "--trials", str(trials)] for trials in (2, 40)]
+        small, large = _garbage_by_size(argvs)
+        assert small == large
+
+    # each small run has fewer blocks than its large run (at most 16)
+    @pytest.mark.parametrize("conjecture, mode, sizes", [
+        *((c, "sample", (["--n", "3", "--budget", "10"], ["--n", "3", "--budget", "300"])) for c in CONJECTURES),
+        *((c, "exhaustive", (["--n", "2"], ["--n", "3"])) for c in ("NORINE", "A")),
+        ("B", "exhaustive", (["--n", "1"], ["--n", "3"])),
+    ])
+    def test_search_garbage_does_not_grow_with_the_space(self, conjecture, mode, sizes):
+        argvs = [["search", "--conjecture", conjecture, "--mode", mode, *size] for size in sizes]
+        small, large = _garbage_by_size(argvs)
+        assert small == large
+
+    def test_search_garbage_does_not_grow_with_the_blocks_of_a_budget_of_10_to_the_12(self):
+        """A sampled search over 10^12 colourings runs for as long as it
+        is let: each block it checks leaves no cyclic garbage."""
+        import cubegeo.harness.search as search_mod
+
+        def blocks(k):
+            fn = partial(search_mod._search_block, "A", "sample", 3, 0, True)
+            with closing(pool_map(fn, 10**12, 1)) as results:
+                assert sum(res["checked"] for res in islice(results, k)) == 1024 * k
+
+        small, large = [_cyclic_garbage(lambda: blocks(k)) for k in (1, 1, 3)][1:]
+        assert small == large
+
+    @pytest.mark.parametrize("model, sizes", [("induced-random", (4, 9)), ("antipodal-colouring", (3, 6)),
+                                              ("random-family", (4, 9))])
+    def test_gen_and_analyze_garbage_does_not_grow_with_the_instance(self, model, sizes, tmp_path):
+        files = [str(tmp_path / f"{model}-{n}.json") for n in sizes]
+        gen = _garbage_by_size([["gen", "--model", model, "--n", str(n), "--out", path]
+                                for n, path in zip(sizes, files)])
+        analyze = _garbage_by_size([["analyze", "--file", path] for path in files])
+        assert gen[0] == gen[1] and analyze[0] == analyze[1]
 
 
 class TestCliFuzz:

@@ -322,6 +322,25 @@ def test_analyze_of_a_file_the_writer_would_not_write_exits_1_with_one_line(obj,
     assert result.stderr == f"cubegeo: parse error: {message}\n"
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+    (b'{"n": 2, "sets": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
+], ids=["nested-100000-deep", "not-utf-8"])
+def test_analyze_of_a_file_json_cannot_read_names_the_file_in_one_line(content, message, tmp_path):
+    """Nesting deeper than the decoder's recursion limit and bytes that
+    are not UTF-8 are parse errors of the file, as a syntax error is: one
+    line that names the file and the decoder's message."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    result = subprocess.run(
+        [sys.executable, "-m", "cubegeo.harness.cli", "analyze", "--file", str(path)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith(f"cubegeo: parse error: {path}: {message}")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
 def test_report_is_its_file_object_with_pass_last():
     obj = report("search", {"n": 2}, 7, [{"index": 0}], {"checked": 1}, False)
     assert list(obj.items()) == [("task", "search"), ("parameters", {"n": 2}), ("seed", 7),
