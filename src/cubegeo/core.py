@@ -203,6 +203,20 @@ class CubeSubgraph(_Value):
         return self.vertex_mask.bit_count()
 
 
+class _EdgeColumns(tuple):
+    """``(los, dirs)``: the lo and the dir column of a list of (lo, dir)
+    pairs, as ``_edge_columns`` splits it. ``make_subgraph`` reads it as
+    that list, so a caller that has split the pairs already need not have
+    them split again."""
+
+    __slots__ = ()
+
+
+def _edge_columns(edges: list) -> _EdgeColumns:
+    """The lo and the dir column of a list of (lo, dir) pairs."""
+    return _EdgeColumns((list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))))
+
+
 def make_subgraph(
     n: int,
     vertices: Iterable[int],
@@ -212,8 +226,9 @@ def make_subgraph(
 
     Each edge is a (lo, dir) pair, a tuple or a list: lo is the endpoint
     whose bit dir is 0, and lo ^ 2^dir the other. An item of another
-    length is rejected before any value is checked. Duplicates are
-    dropped. Every edge endpoint must appear in ``vertices``.
+    length is rejected before any value is checked. The edges may also
+    come as the columns ``_edge_columns`` splits them into. Duplicates
+    are dropped. Every edge endpoint must appear in ``vertices``.
 
     Validation is in bulk: ranges by min and max, then all lo endpoints
     as one mask over the positions ``(dir << n) | lo``, and per direction
@@ -230,20 +245,21 @@ def make_subgraph(
         for v in vertices:
             _check_vertex(v, n)
     vmask = _mask(vertices, size)
-    edges = list(edges)
-    if not edges:
+    if type(edges) is not _EdgeColumns:
+        edges = list(edges)
+        if edges and set(map(len, edges)) != {2}:
+            raise ValueError(f"edge {next(e for e in edges if len(e) != 2)!r} is not a (lo, dir) pair")
+        edges = _edge_columns(edges)
+    los, dirs = edges
+    if not los:
         return CubeSubgraph(n, vmask, (0,) * n)
-    if set(map(len, edges)) != {2}:
-        raise ValueError(f"edge {next(e for e in edges if len(e) != 2)!r} is not a (lo, dir) pair")
-    los = list(map(itemgetter(0), edges))
-    dirs = list(map(itemgetter(1), edges))
     if min(dirs) >= 0 and max(dirs) < n and min(los) >= 0 and max(los) < size:
         every = _mask(map(or_, map(lshift, dirs, repeat(n)), los), n << n)
         lo_masks = tuple(_blocks(every, n))
         if not any(m & ~(vmask & (vmask >> (1 << d)) & _lo_pattern(n, d))
                    for d, m in enumerate(lo_masks)):
             return CubeSubgraph(n, vmask, lo_masks)
-    for lo, dir in edges:
+    for lo, dir in zip(los, dirs):
         if not 0 <= dir < n:
             raise ValueError(f"edge direction {dir} out of range for Q_{n}")
         if lo & (1 << dir):

@@ -9,10 +9,12 @@ Formats (all 0-based directions, all keys in fixed order):
 
 Every file format lives here; a report is the dict it writes. Output is
 canonical (sorted members, fixed key order, indent 2, trailing newline),
-so identical runs produce byte-identical files. A graph is written from
-its masks in exactly the text the stdlib encoder gives for its
-``graph_to_obj`` dict, a colouring from one digit string of its mask.
-Graphs and colourings are read with shape and edge checks in bulk; the
+so identical runs produce byte-identical files. An instance is written
+straight from its masks, in exactly the text the stdlib encoder gives
+for its ``*_to_obj`` dict; only reports go through the encoder. Edges
+and pairs are written from text templates, picked by a byte table of
+the masks' binary digits, so no Python line runs per edge. Graphs and
+colourings are read with shape and edge checks in bulk; the
 error messages for malformed files are those of an item-by-item check.
 Each list item appears once: a reader refuses a file that lists a
 vertex, an edge, a pair or a member twice, or that has the fields of
@@ -22,12 +24,15 @@ more than one instance type.
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, repeat
-from operator import itemgetter, lshift, or_
+from collections import deque
+from functools import reduce
+from itertools import chain, compress, cycle, repeat
+from operator import getitem, itemgetter, lshift, or_
 from typing import Any
 
 from ..colourings import EdgeColouring, _check_dimension, _edge_positions, edge_count
-from ..core import CubeSubgraph, _bits, _edge_keys, _mask, _valid_edge_mask, make_subgraph
+from ..core import (CubeSubgraph, _bits, _blocks, _edge_columns, _edge_keys, _lo_pattern, _mask, _valid_edge_mask,
+                    make_subgraph)
 from ..setfamilies import SetFamily
 
 __all__ = [
@@ -61,8 +66,7 @@ def report(task: str, parameters: dict, seed: int, records: list, aggregate: dic
 
 
 def graph_to_obj(g: CubeSubgraph) -> dict:
-    """The graph file's dict, its lists read off the masks as
-    ``_graph_text`` reads them."""
+    """The graph file's dict, its lists read off the masks."""
     edges = map(list, map(divmod, _edge_keys(g.n, g.lo_masks), repeat(g.n)))
     return {"n": g.n, "vertices": _bits(g.vertex_mask), "edges": list(edges)}
 
@@ -116,23 +120,27 @@ def _first_repeat(items) -> Any:
 
 def obj_to_graph(obj: dict) -> CubeSubgraph:
     """The graph of a parsed graph file. Shapes are checked in bulk, by
-    the sets of item types and lengths; only when that fails does a scan
-    in item order name the first bad item. ``make_subgraph`` validates
-    the rest. Last, no vertex and no edge may be listed twice, as the
-    writer never lists one twice: the counts are compared in bulk, and a
-    scan names the first repeat."""
+    the sets of item types and lengths; then each edge is split once, into
+    the lo and the dir column that ``make_subgraph`` reads, and the item
+    types are checked on those. Only when that fails does a scan in item
+    order name the first bad item. ``make_subgraph`` validates the rest.
+    Last, no vertex and no edge may be listed twice, as the writer never
+    lists one twice: the counts are compared in bulk, and a scan names
+    the first repeat."""
     n = _field(obj, "n", int)
     vertices = _field(obj, "vertices", list)
     if not (set(map(type, vertices)) <= {int} or all(map(_is_int, vertices))):
         raise ParseError("graph vertices should be ints")
     raw_edges = _field(obj, "edges", list)
-    if not (set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {2}
-            and set(map(type, chain.from_iterable(raw_edges))) <= {int}):
+    edges = raw_edges
+    if set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {2}:
+        edges = _edge_columns(raw_edges)
+    if edges is raw_edges or not set(map(type, chain.from_iterable(edges))) <= {int}:
         for i, item in enumerate(raw_edges):
             if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
                 raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
     try:
-        g = make_subgraph(n, vertices, raw_edges)
+        g = make_subgraph(n, vertices, edges)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"invalid graph: {exc}") from exc
     if len(set(vertices)) != len(vertices):
@@ -216,34 +224,100 @@ def obj_to_instance(obj: dict):
     raise ParseError("object is neither a graph, a colouring, nor a family")
 
 
-#: The text of a graph file; the two lists are filled in by ``_json_list``.
-_GRAPH_TEXT = '{\n  "n": %d,\n  "vertices": %s,\n  "edges": %s\n}\n'
-#: One ``[lo, dir]`` item of the edge list, indented as the encoder does.
-_EDGE_TEXT = "[\n      %d,\n      %d\n    ]"
+#: The text of a graph, a colouring and a family file up to the list its
+#: last field holds, and the end of every file.
+_GRAPH_HEAD = '{\n  "n": %d,\n  "vertices": %s,\n  "edges": '
+_COLOURING_HEAD = '{\n  "n": %d,\n  "pairs": '
+_FAMILY_HEAD = '{\n  "n": %d,\n  "sets": '
+_TAIL = "\n}\n"
+#: An edge or pair item up to its dir, indented as the encoder does, after
+#: the separator from the item before it; the dir and the rest of the
+#: item are the suffix of its column.
+_LO_TEXT = ",\n    [\n      %d,\n      "
+#: The lo values in one chunk of ``_items_text``'s byte table.
+_CHUNK = 1 << 12
+#: Binary digits to the bytes 0 and 1.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _json_list(items: list[str]) -> str:
-    """A list of encoded items at the depth of a graph file's fields."""
+    """A list of encoded items at the depth of a file's fields."""
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
+def _items_text(head: str, n: int, columns: list[int], suffixes: list[str]) -> str:
+    """A file: ``head``, then the list of the items (lo, c), in (lo, c)
+    order, where bit lo of ``columns[c]`` is set, each item the text of
+    its lo and the suffix of column c, then the file's end. The lo values
+    of Q_n go in chunks of ``_CHUNK``, each through a byte table whose
+    byte i k + c is 1 iff item (base + i, c) is present (k columns),
+    filled column by column, by one strided slice assignment each, from
+    the binary digits of the chunk's part of its mask;
+    ``itertools.compress`` then picks the items' lo texts and
+    suffixes, with no Python line run per column or item. Chunks with no
+    item are skipped."""
+    k, width, pieces = len(columns), min(_CHUNK, 1 << n), [head]
+    present = reduce(or_, columns, 0)
+    size = (present.bit_length() + 7) >> 3
+    # the masks and their union as bytes of one length, the lowest bits first
+    present, *columns = map(int.to_bytes, (present, *columns), repeat(size), repeat("little"))
+    digits = f"0{width}b"
+    # The table is filled backwards, as binary digits come highest first:
+    # column c of the chunk at the bytes k - 1 - c, 2k - 1 - c, ...
+    backwards = list(map(slice, range(k - 1, -1, -1), repeat(None), repeat(k)))
+    for base in range(0, min(size << 3, 1 << n), width):
+        lo, hi = base >> 3, (base + width + 7) >> 3  # below n = 3, the one chunk is byte 0
+        if not int.from_bytes(present[lo:hi], "little"):
+            continue
+        parts = map(int.from_bytes, map(getitem, columns, repeat(slice(lo, hi))), repeat("little"))
+        table = bytearray(width * k)
+        # one slice assignment per column; the empty deque only drains the map
+        deque(map(table.__setitem__, backwards, map(str.encode, map(format, parts, repeat(digits)))), 0)
+        table = table[::-1].translate(_DIGIT_BITS)
+        los = chain.from_iterable(map(repeat, map(_LO_TEXT.__mod__, range(base, base + width)), repeat(k)))
+        pieces += chain.from_iterable(zip(compress(los, table), compress(cycle(suffixes), table)))
+    if len(pieces) == 1:
+        return head + "[]" + _TAIL
+    pieces[1] = "[" + pieces[1][1:]  # the first item follows no separator
+    pieces.append("\n  ]" + _TAIL)
+    return "".join(pieces)
+
+
 def _graph_text(g: CubeSubgraph) -> str:
-    """The text ``dumps(graph_to_obj(g))`` gives, written from the masks
-    with no per-edge lists."""
-    vertices = list(map(str, _bits(g.vertex_mask)))
-    edges = list(map(_EDGE_TEXT.__mod__, map(divmod, _edge_keys(g.n, g.lo_masks), repeat(g.n))))
-    return _GRAPH_TEXT % (g.n, _json_list(vertices), _json_list(edges))
+    """The stdlib encoder's text of ``graph_to_obj(g)`` at indent 2, and a
+    newline: edge (lo, d) is item (lo, d) of ``_items_text``."""
+    head = _GRAPH_HEAD % (g.n, _json_list(list(map(str, _bits(g.vertex_mask)))))
+    return _items_text(head, g.n, g.lo_masks, list(map("{}\n    ]".format, range(g.n))))
+
+
+def _colouring_text(c: EdgeColouring) -> str:
+    """The stdlib encoder's text of ``colouring_to_obj(c)`` at indent 2,
+    and a newline: edge (lo, d) is item (lo, 2d) of ``_items_text`` if
+    red and (lo, 2d + 1) if blue."""
+    columns, suffixes = [], []
+    for d, blue in enumerate(_blocks(c.blue_mask, c.n)):
+        columns += _lo_pattern(c.n, d) & ~blue, blue
+        suffixes += f'{d},\n      "red"\n    ]', f'{d},\n      "blue"\n    ]'
+    return _items_text(_COLOURING_HEAD % c.n, c.n, columns, suffixes)
+
+
+def _family_text(fam: SetFamily) -> str:
+    """The stdlib encoder's text of ``family_to_obj(fam)`` at indent 2,
+    and a newline."""
+    return _FAMILY_HEAD % fam.n + _json_list(list(map(str, _bits(fam.mask)))) + _TAIL
 
 
 def dumps(obj: Any) -> str:
     """Canonical JSON text: fixed key order as constructed, indent 2,
-    newline-terminated. An instance is written in its file format: a
-    graph straight from its masks, a colouring or family through its
-    ``*_to_obj`` dict."""
-    if isinstance(obj, (CubeSubgraph, EdgeColouring, SetFamily)):
-        if isinstance(obj, CubeSubgraph):
-            return _graph_text(obj)
-        obj = instance_to_obj(obj)
+    newline-terminated. An instance is written in its file format
+    straight from its masks, in the text the stdlib encoder gives for its
+    ``*_to_obj`` dict; any other object, a report, through the encoder."""
+    if isinstance(obj, CubeSubgraph):
+        return _graph_text(obj)
+    if isinstance(obj, EdgeColouring):
+        return _colouring_text(obj)
+    if isinstance(obj, SetFamily):
+        return _family_text(obj)
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -76,6 +76,11 @@ GENS = {
     # ends the draws
     "gen-t-intersecting-family-n9": ["t-intersecting-family", "--n", "9", "--k", "5", "--t", "3",
                                      "--size", "25"],
+    # the draw selects no vertex: the singleton {0} fallback, with no edge
+    "gen-induced-random-n4-empty-draw": ["induced-random", "--n", "4", "--density", "1/20"],
+    "gen-random-colouring-n5": ["random-colouring", "--n", "5"],
+    "gen-antipodal-colouring-n6": ["antipodal-colouring", "--n", "6"],
+    "gen-random-family-n8": ["random-family", "--n", "8", "--density", "1/3"],
 }
 
 ANALYSES = {

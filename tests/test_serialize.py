@@ -1,9 +1,10 @@
-"""Instance files: the graph mask writer against the stdlib encoder, the
-graph and colouring readers against item-by-item referees, and a fuzz
-of the colouring and family readers.
+"""Instance files: the mask writer against the stdlib encoder, the graph
+and colouring readers against item-by-item referees, and a fuzz of the
+colouring and family readers.
 
-The writer must give exactly the text ``json.dumps(graph_to_obj(g),
-indent=2)`` gives, and that dict must hold the lists of
+The writer must give, for every graph, colouring and family, exactly
+the text ``json.dumps(instance_to_obj(x), indent=2)`` gives, with no
+Python line run per edge, and a graph's dict must hold the lists of
 ``oracles.vertex_list`` and ``oracles.edge_list``; the graph reader
 must return the same subgraph as ``oracles.graph_from_obj``, or raise
 the same exception with the same message, on every mutation of a valid
@@ -25,8 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubegeo.colourings import EdgeColouring
-from cubegeo.core import CubeSubgraph, induced_subgraph, make_subgraph
+from cubegeo.colourings import EdgeColouring, edge_count
+from cubegeo.core import CubeSubgraph, _edge_columns, _lo_pattern, induced_subgraph, make_subgraph
 from cubegeo.harness import (
     InstanceSpec,
     ParseError,
@@ -40,7 +41,8 @@ from cubegeo.harness import (
     obj_to_family,
     obj_to_graph,
 )
-from cubegeo.harness.serialize import obj_to_instance, report
+from cubegeo.harness.serialize import (_CHUNK, _graph_text, _items_text, _json_list, obj_to_instance,
+                                      report)
 from cubegeo.setfamilies import SetFamily
 
 import oracles
@@ -74,11 +76,110 @@ def test_graph_text_is_the_stdlib_encoding(g):
     assert obj_to_graph(json.loads(text)) == g
 
 
-@pytest.mark.parametrize("kind, n", [("random-colouring", 4), ("antipodal-colouring", 3),
-                                     ("random-family", 5)])
-def test_other_instances_are_written_through_their_dicts(kind, n):
-    instance = generate(InstanceSpec(kind, n=n, seed=3, density=Fraction(1, 3)))
-    assert dumps(instance) == json.dumps(instance_to_obj(instance), indent=2) + "\n"
+def _encoded(instance):
+    return json.dumps(instance_to_obj(instance), indent=2) + "\n"
+
+
+def test_every_colouring_of_q1_and_q2_is_written_as_the_stdlib_encodes_it():
+    for n in (1, 2):
+        everything = oracles.constant_colouring(n, "blue").blue_mask
+        colourings = {EdgeColouring(n, mask & everything) for mask in range(everything + 1)}
+        assert len(colourings) == 2 ** edge_count(n)
+        for c in colourings:
+            assert dumps(c) == _encoded(c)
+
+
+@pytest.mark.parametrize("kind, first", [("random-colouring", 1), ("antipodal-colouring", 2)])
+def test_seeded_colourings_are_written_as_the_stdlib_encodes_them(kind, first):
+    for n in range(first, 9):
+        for seed in (0, 7):
+            c = generate(InstanceSpec(kind, n=n, seed=seed))
+            assert dumps(c) == _encoded(c), (n, seed)
+
+
+def test_families_are_written_as_the_stdlib_encodes_them():
+    for n in range(9):
+        for fam in (SetFamily(n, 0), SetFamily(n, (1 << (1 << n)) - 1),
+                    generate(InstanceSpec("random-family", n=n, seed=n, density=Fraction(1, 3)))):
+            assert dumps(fam) == _encoded(fam), fam
+
+
+#: A spec of every graph model but ``from-file``, at dimension n.
+GRAPH_SPECS = {
+    "full-cube": lambda n: InstanceSpec("full-cube", n=n),
+    "induced-random": lambda n: InstanceSpec("induced-random", n=n, seed=n, density=Fraction(3, 5)),
+    "edge-random": lambda n: InstanceSpec("edge-random", n=n, seed=n, density=Fraction(1, 3)),
+    "hamming-ball": lambda n: InstanceSpec("hamming-ball", n=n, radius=n // 3, centre=(1 << n) // 3),
+    "disjoint-cubes": lambda n: InstanceSpec("disjoint-cubes", n=n, subdim=n // 2,
+                                             copies=(1 << (n - n // 2)) // 2 or 1),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GRAPH_SPECS))
+def test_every_graph_model_is_written_as_the_stdlib_encodes_it(model):
+    for n in range(15):
+        g = generate(GRAPH_SPECS[model](n))
+        assert dumps(g) == _encoded(g), (model, n)
+
+
+def test_a_sparse_graph_over_many_chunks_is_written_as_the_stdlib_encodes_it():
+    """A Hamming ball of radius 1 at n = 16 whose edges fall in 3 of the
+    16 chunks of lo values, one of them at the last lo of a chunk with its
+    other endpoint in the next chunk."""
+    g = generate(InstanceSpec("hamming-ball", n=16, radius=1, centre=0x5FFF))
+    los = {lo for lo, _ in oracles.edge_list(g)}
+    assert {lo // _CHUNK for lo in los} == {1, 4, 5}
+    assert (0x4FFF, 12) in oracles.edge_list(g) and 0x4FFF % _CHUNK == _CHUNK - 1
+    assert dumps(g) == _encoded(g)
+
+
+@st.composite
+def lo_masks(draw):
+    """A subgraph of Q_n for n <= 14 with any lo masks of its edges,
+    dense or a few set bits each, over any vertex mask."""
+    n = draw(st.integers(0, 14))
+    every = (1 << (1 << n)) - 1
+    sparse = st.lists(st.integers(0, (1 << n) - 1), max_size=6).map(lambda bits: sum({1 << b for b in bits}))
+    masks = tuple(draw(st.one_of(sparse, st.integers(0, every))) & _lo_pattern(n, d) for d in range(n))
+    return CubeSubgraph(n, draw(st.integers(0, every)), masks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo_masks())
+def test_any_lo_masks_are_written_as_the_stdlib_encodes_them(g):
+    assert dumps(g) == _encoded(g)
+
+
+def test_a_sparse_graph_at_n_24_round_trips_in_1_gb(tmp_path):
+    """A ``from-file`` round trip of the 25-vertex Hamming ball around the
+    top vertex of Q_24, whose lo masks are 2^24 bits wide, in 1 GiB of
+    address space: the writer's table spans one chunk of lo values at a
+    time, not all n 2^n edge positions."""
+    ball, again = tmp_path / "ball.json", tmp_path / "again.json"
+    script = (
+        "import json, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from cubegeo.harness import InstanceSpec, generate, graph_to_obj\n"
+        "from cubegeo.harness.cli import main\n"
+        "g = generate(InstanceSpec('hamming-ball', n=24, radius=1, centre=(1 << 24) - 1))\n"
+        "text = json.dumps(graph_to_obj(g), indent=2) + '\\n'\n"
+        f"with open({str(ball)!r}, 'w') as fh:\n"
+        "    fh.write(text)\n"
+        f"code = main(['gen', '--model', 'from-file', '--file', {str(ball)!r}, '--out', {str(again)!r}])\n"
+        f"with open({str(again)!r}) as fh:\n"
+        "    print(code, len(g), fh.read() == text)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("\n0 25 True\n")
+
+
+def test_writing_a_graph_runs_no_per_edge_loop():
+    """The graph writer's own lines run as often for 24,576 edges as for
+    32."""
+    small, large = (generate(InstanceSpec("full-cube", n=n)) for n in (4, 12))
+    helpers = (_graph_text, _items_text, _json_list)
+    assert _lines_run(dumps, small, *helpers) == _lines_run(dumps, large, *helpers)
 
 
 def test_writing_builds_no_edge_tuples(monkeypatch):
@@ -126,7 +227,8 @@ def _lines_run(read, obj, *helpers):
 def test_reading_a_valid_file_runs_no_per_item_loop():
     """The reader's own lines run as often for 10,240 edges as for 192."""
     small, large = (graph_to_obj(generate(InstanceSpec("full-cube", n=n))) for n in (6, 11))
-    assert _lines_run(obj_to_graph, small, make_subgraph) == _lines_run(obj_to_graph, large, make_subgraph)
+    helpers = (make_subgraph, _edge_columns)
+    assert _lines_run(obj_to_graph, small, *helpers) == _lines_run(obj_to_graph, large, *helpers)
 
 
 def test_reading_a_valid_colouring_file_runs_no_per_item_loop():
