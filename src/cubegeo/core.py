@@ -203,20 +203,6 @@ class CubeSubgraph(_Value):
         return self.vertex_mask.bit_count()
 
 
-class _EdgeColumns(tuple):
-    """``(los, dirs)``: the lo and the dir column of a list of (lo, dir)
-    pairs, as ``_edge_columns`` splits it. ``make_subgraph`` reads it as
-    that list, so a caller that has split the pairs already need not have
-    them split again."""
-
-    __slots__ = ()
-
-
-def _edge_columns(edges: list) -> _EdgeColumns:
-    """The lo and the dir column of a list of (lo, dir) pairs."""
-    return _EdgeColumns((list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))))
-
-
 def make_subgraph(
     n: int,
     vertices: Iterable[int],
@@ -224,19 +210,21 @@ def make_subgraph(
 ) -> CubeSubgraph:
     """Validate and canonicalize a subgraph of Q_n.
 
-    Each edge is a (lo, dir) pair, a tuple or a list: lo is the endpoint
-    whose bit dir is 0, and lo ^ 2^dir the other. An item of another
-    length is rejected before any value is checked. The edges may also
-    come as the columns ``_edge_columns`` splits them into. Duplicates
-    are dropped. Every edge endpoint must appear in ``vertices``.
+    Each edge is a (lo, dir) pair of ints, a tuple or a list: lo is the
+    endpoint whose bit dir is 0, and lo ^ 2^dir the other. An item of
+    another length is rejected before any value is checked, with a
+    ``ValueError``; then an item holding a value that is not an int (a
+    bool is none), with a ``TypeError``. Duplicates are dropped. Every
+    edge endpoint must appear in ``vertices``.
 
-    Validation is in bulk: ranges by min and max, then all lo endpoints
-    as one mask over the positions ``(dir << n) | lo``, and per direction
-    one mask test that the edges lie inside the subgraph induced on the
-    vertices, which holds iff each is canonical with both endpoints
-    present. Only when a bulk check fails does a scan in input order find
-    the first offending item, so the error message is the one an
-    item-by-item check gives.
+    Validation is in bulk: the pairs are split once, into a lo and a dir
+    column, and their value types checked as one set; then ranges by min
+    and max, then all lo endpoints as one mask over the positions
+    ``(dir << n) | lo``, and per direction one mask test that the edges
+    lie inside the subgraph induced on the vertices, which holds iff each
+    is canonical with both endpoints present. Only when a bulk check
+    fails does a scan in input order find the first offending item, so
+    the error message is the one an item-by-item check gives.
     """
     _check_dimension(n)
     size = 1 << n
@@ -245,14 +233,15 @@ def make_subgraph(
         for v in vertices:
             _check_vertex(v, n)
     vmask = _mask(vertices, size)
-    if type(edges) is not _EdgeColumns:
-        edges = list(edges)
-        if edges and set(map(len, edges)) != {2}:
-            raise ValueError(f"edge {next(e for e in edges if len(e) != 2)!r} is not a (lo, dir) pair")
-        edges = _edge_columns(edges)
-    los, dirs = edges
-    if not los:
+    edges = edges if type(edges) is list else list(edges)
+    if not edges:
         return CubeSubgraph(n, vmask, (0,) * n)
+    if set(map(len, edges)) != {2}:
+        raise ValueError(f"edge {next(e for e in edges if len(e) != 2)!r} is not a (lo, dir) pair")
+    los, dirs = list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))
+    if not set(map(type, chain(los, dirs))) <= {int}:
+        raise TypeError(f"edge {next(e for e in edges if not type(e[0]) is type(e[1]) is int)!r} "
+                        "is not a pair of ints")
     if min(dirs) >= 0 and max(dirs) < n and min(los) >= 0 and max(los) < size:
         every = _mask(map(or_, map(lshift, dirs, repeat(n)), los), n << n)
         lo_masks = tuple(_blocks(every, n))

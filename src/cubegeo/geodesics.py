@@ -240,9 +240,8 @@ def longest_geodesic_lower_bound(
 ) -> GeodesicPath:
     """The longest witness in the sweep table: a geodesic whose length is
     at least ceil(average_degree(g)), since the table totals at least
-    2|E| = avg * |G| and lengths are integers."""
-    if not g.vertex_mask:
-        raise ValueError("empty graph has no geodesics")
+    2|E| = avg * |G| and lengths are integers. ``longest_end`` refuses
+    the empty graph."""
     table = increasing_geodesic_table(g, ordering)
     return extract_increasing_geodesic(table, table.longest_end)
 

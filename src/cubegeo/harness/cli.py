@@ -208,11 +208,7 @@ def _analyze_colouring(c: EdgeColouring) -> tuple[dict, bool]:
         "half_geodesic_length": cor["geodesic_length"],
         "cor_slack": int(cor["slack"]),
     }
-    if n <= _ANALYZE_CHANGES_MAX_N:
-        value, _ = min_colour_changes_antipodal(c)
-        info["min_colour_changes"] = value
-    else:
-        info["min_colour_changes"] = None
+    info["min_colour_changes"] = min_colour_changes_antipodal(c)[0] if n <= _ANALYZE_CHANGES_MAX_N else None
     for space in _SPACES.values():
         witness = space.check(c) if n <= _ANALYZE_SEARCH_MAX_N else None
         if witness is not None:

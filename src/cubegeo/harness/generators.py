@@ -10,6 +10,8 @@ so that average degree stays defined.
 
 from __future__ import annotations
 
+import marshal
+import os
 from contextlib import closing, suppress
 from fractions import Fraction
 from functools import reduce
@@ -82,8 +84,6 @@ def pool_map(fn, total: int, jobs: int):
     def block(start: int):
         return fn(start, min(start + size, total))
 
-    import os
-
     # -(-total // size) is the block count: len(starts) overflows past 2^63
     workers = min(jobs, -(-total // size), _usable_cpus()) if hasattr(os, "fork") else 1
     yield from _forked_map(block, starts, max(workers, 1))
@@ -91,14 +91,10 @@ def pool_map(fn, total: int, jobs: int):
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
-    import os
-
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _forked_map(block, starts: range, workers: int):
-    import marshal
-    import os
     import signal
 
     mask = os.sched_getaffinity(0) if workers > 1 and hasattr(os, "sched_setaffinity") else set()
@@ -148,8 +144,6 @@ class _WorkerTraceback(Exception):
 def _pin(cpus) -> None:
     """Run this process on ``cpus`` alone. With none given, or where the
     OS refuses, its placement stays the OS's, and the run goes on."""
-    import os
-
     if cpus:
         with suppress(OSError):
             os.sched_setaffinity(0, cpus)
@@ -161,9 +155,6 @@ def _run_child(block, starts: range, fd: int, cpus):
     with its traceback text, as a marshal frame; then exit at once, running
     no handler inherited from the parent, also when the parent closed the
     pipe."""
-    import marshal
-    import os
-
     try:
         _pin(cpus)
         with open(fd, "wb") as out:

@@ -31,8 +31,7 @@ from operator import getitem, itemgetter, lshift, or_
 from typing import Any
 
 from ..colourings import EdgeColouring, _check_dimension, _edge_positions, edge_count
-from ..core import (CubeSubgraph, _bits, _blocks, _edge_columns, _edge_keys, _lo_pattern, _mask, _valid_edge_mask,
-                    make_subgraph)
+from ..core import CubeSubgraph, _bits, _blocks, _edge_keys, _lo_pattern, _mask, _valid_edge_mask, make_subgraph
 from ..setfamilies import SetFamily
 
 __all__ = [
@@ -118,35 +117,37 @@ def _first_repeat(items) -> Any:
         seen.add(item)
 
 
+def _check_edge_items(edges: list) -> None:
+    """Name the first edge item, in order, that is not [lo, dir] of ints."""
+    for i, item in enumerate(edges):
+        if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
+            raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
+
+
 def obj_to_graph(obj: dict) -> CubeSubgraph:
-    """The graph of a parsed graph file. Shapes are checked in bulk, by
-    the sets of item types and lengths; then each edge is split once, into
-    the lo and the dir column that ``make_subgraph`` reads, and the item
-    types are checked on those. Only when that fails does a scan in item
-    order name the first bad item. ``make_subgraph`` validates the rest.
-    Last, no vertex and no edge may be listed twice, as the writer never
-    lists one twice: the counts are compared in bulk, and a scan names
-    the first repeat."""
+    """The graph of a parsed graph file. The edge items must be lists;
+    ``make_subgraph`` checks them in bulk as (lo, dir) pairs of ints and
+    validates the graph. Only when it refuses does a scan in item order
+    name the first bad item, before its own error is reported. Last, no
+    vertex and no edge may be listed twice, as the writer never lists one
+    twice: the counts are compared in bulk, and a scan names the first
+    repeat."""
     n = _field(obj, "n", int)
     vertices = _field(obj, "vertices", list)
     if not (set(map(type, vertices)) <= {int} or all(map(_is_int, vertices))):
         raise ParseError("graph vertices should be ints")
-    raw_edges = _field(obj, "edges", list)
-    edges = raw_edges
-    if set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {2}:
-        edges = _edge_columns(raw_edges)
-    if edges is raw_edges or not set(map(type, chain.from_iterable(edges))) <= {int}:
-        for i, item in enumerate(raw_edges):
-            if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
-                raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
+    edges = _field(obj, "edges", list)
+    if not set(map(type, edges)) <= {list}:
+        _check_edge_items(edges)
     try:
         g = make_subgraph(n, vertices, edges)
     except (ValueError, TypeError) as exc:
+        _check_edge_items(edges)
         raise ParseError(f"invalid graph: {exc}") from exc
     if len(set(vertices)) != len(vertices):
         raise ParseError(f"invalid graph: vertex {_first_repeat(vertices)} listed twice")
-    if g.edge_count != len(raw_edges):
-        raise ParseError(f"invalid graph: edge {_first_repeat(map(tuple, raw_edges))} listed twice")
+    if g.edge_count != len(edges):
+        raise ParseError(f"invalid graph: edge {_first_repeat(map(tuple, edges))} listed twice")
     return g
 
 

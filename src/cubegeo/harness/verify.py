@@ -106,30 +106,22 @@ def _spec_obj(spec: InstanceSpec) -> dict:
     return obj
 
 
+def _verdict(slack, **fields) -> dict:
+    """A record: ``fields``, then the slack of the theorem's inequality
+    (measured quantity minus bound) as a string, and whether it holds."""
+    return {**fields, "slack": str(slack), "ok": slack >= 0}
+
+
 def _t4_record(g) -> dict:
     table = increasing_geodesic_table(g)
-    slack = table.total - 2 * g.edge_count
-    return {
-        "vertices": len(g),
-        "edges": g.edge_count,
-        "total_length": table.total,
-        "slack": str(slack),
-        "ok": slack >= 0,
-    }
+    return _verdict(table.total - 2 * g.edge_count, vertices=len(g), edges=g.edge_count, total_length=table.total)
 
 
 def _t2_record(g) -> dict:
     bound = ceil(average_degree(g))
     path = longest_geodesic_lower_bound(g)
-    slack = path.length - bound
-    return {
-        "vertices": len(g),
-        "edges": g.edge_count,
-        "geodesic_length": path.length,
-        "bound": bound,
-        "slack": str(slack),
-        "ok": slack >= 0,
-    }
+    return _verdict(path.length - bound, vertices=len(g), edges=g.edge_count, geodesic_length=path.length,
+                    bound=bound)
 
 
 def _t5_record(g, root_seed: int, index: int) -> dict:
@@ -139,38 +131,16 @@ def _t5_record(g, root_seed: int, index: int) -> dict:
     d = int(avg)
     count = enumerate_geodesics_of_length(g, d)
     bound = Fraction(factorial(d) * len(g), 2)
-    count_slack = count - bound
-    inc_slack = None
-    for j in range(3):
-        ordering = random_ordering(g.n, SplitMix64(derive(root_seed, index, 1000 + j)))
-        inc = count_increasing_geodesics(g, d, ordering)
-        s = inc - len(g)
-        if inc_slack is None or s < inc_slack:
-            inc_slack = s
-    slack = min(Fraction(inc_slack), count_slack)
-    return {
-        "applicable": True,
-        "d": d,
-        "vertices": len(g),
-        "count": count,
-        "bound": str(bound),
-        "slack": str(slack),
-        "ok": slack >= 0,
-    }
+    orderings = (random_ordering(g.n, SplitMix64(derive(root_seed, index, 1000 + j))) for j in range(3))
+    inc = min(count_increasing_geodesics(g, d, ordering) for ordering in orderings)
+    return _verdict(min(Fraction(inc - len(g)), count - bound), applicable=True, d=d, vertices=len(g), count=count,
+                    bound=str(bound))
 
 
 def _fs_record(g) -> dict:
     bound = ceil(average_degree(g))
     x, y, dist = max_hamming_pair(g)
-    slack = dist - bound
-    return {
-        "vertices": len(g),
-        "edges": g.edge_count,
-        "pair": [x, y],
-        "distance": dist,
-        "slack": str(slack),
-        "ok": slack >= 0,
-    }
+    return _verdict(dist - bound, vertices=len(g), edges=g.edge_count, pair=[x, y], distance=dist)
 
 
 def _full_compression(fam) -> tuple[SetFamily, int, CubeSubgraph, bool]:
@@ -188,52 +158,31 @@ def _full_compression(fam) -> tuple[SetFamily, int, CubeSubgraph, bool]:
 
 
 def _comp_record(fam) -> dict:
+    """The least edge and distance slack over the n single compressions,
+    its verdict ANDed with the full compression's."""
     base = induced_subgraph(fam.n, fam.mask)
     base_edges = base.edge_count
     base_dist = max_hamming_pair(base)[2] if fam.mask else 0
     slacks = []
-    ok = True
     for i in range(fam.n):
         comp = compress_element(fam, i)
         g = induced_subgraph(fam.n, comp.mask)
-        edge_slack = g.edge_count - base_edges
-        dist_slack = base_dist - (max_hamming_pair(g)[2] if comp.mask else 0)
-        slacks.extend((edge_slack, dist_slack))
-        if edge_slack < 0 or dist_slack < 0:
-            ok = False
+        slacks += g.edge_count - base_edges, base_dist - (max_hamming_pair(g)[2] if comp.mask else 0)
     _, _, fc_graph, fc_ok = _full_compression(fam)
-    slack = min(slacks, default=0)
-    return {
-        "members": len(fam),
-        "compressed_edges": fc_graph.edge_count,
-        "slack": str(slack),
-        "ok": ok and fc_ok,
-    }
+    record = _verdict(min(slacks, default=0), members=len(fam), compressed_edges=fc_graph.edge_count)
+    record["ok"] &= fc_ok
+    return record
 
 
 def _kat_record(fam, t: int) -> dict:
     # KAT takes only generated families, which are checked t-intersecting
-    slack = len(iterated_shadow(fam, t)) - len(fam)
-    return {
-        "members": len(fam),
-        "k": fam.k,
-        "t": t,
-        "slack": str(slack),
-        "ok": slack >= 0,
-    }
+    return _verdict(len(iterated_shadow(fam, t)) - len(fam), members=len(fam), k=fam.k, t=t)
 
 
 def _cor_record(c) -> dict:
     bound = ceil(Fraction(c.n, 2))
     path = monochromatic_half_geodesic(c)
-    slack = path.length - bound
-    return {
-        "n": c.n,
-        "geodesic_length": path.length,
-        "bound": bound,
-        "slack": str(slack),
-        "ok": slack >= 0,
-    }
+    return _verdict(path.length - bound, n=c.n, geodesic_length=path.length, bound=bound)
 
 
 def _verify_record(theorem: str, template: InstanceSpec, root_seed: int, index: int) -> dict:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import ceil
 
@@ -74,6 +75,11 @@ class TestMakeSubgraph:
     def test_rejects_an_item_that_is_not_a_pair(self, item):
         with pytest.raises(ValueError, match=r"is not a \(lo, dir\) pair"):
             make_subgraph(2, [0, 1, 2, 3], [(0, 0), item, (5, 9)])
+
+    @pytest.mark.parametrize("item", [(0.5, 0), (0, 1.0), (True, 0), (0, False), ("0", 0), "01", (None, 0), [0, None]])
+    def test_refuses_a_pair_that_is_not_of_ints_naming_it(self, item):
+        with pytest.raises(TypeError, match=f"^edge {re.escape(repr(item))} is not a pair of ints$"):
+            make_subgraph(2, [0, 1, 2, 3], [(0, 0), [1, 1], item, (0.25, 0)])
 
     def test_names_the_first_bad_edge_as_a_lo_dir_pair(self):
         with pytest.raises(ValueError, match=r"^edge \(1, 0\) is not canonical"):
