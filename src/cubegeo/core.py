@@ -86,6 +86,12 @@ def _check_vertex(v: int, n: int) -> None:
         raise ValueError(f"vertex {v} out of range for Q_{n}")
 
 
+def _check_ints(items: list, what: str) -> None:
+    """Name the first item, in order, that is not an int (a bool is none)."""
+    if not set(map(type, items)) <= {int}:
+        raise TypeError(f"{what} {next(x for x in items if type(x) is not int)!r} is not an int")
+
+
 @lru_cache(maxsize=None)
 def _lo_pattern(n: int, dir: int) -> int:
     """Bitmask over 2^n positions with a 1 at position v iff bit ``dir``
@@ -210,12 +216,13 @@ def make_subgraph(
 ) -> CubeSubgraph:
     """Validate and canonicalize a subgraph of Q_n.
 
-    Each edge is a (lo, dir) pair of ints, a tuple or a list: lo is the
-    endpoint whose bit dir is 0, and lo ^ 2^dir the other. An item of
-    another length is rejected before any value is checked, with a
-    ``ValueError``; then an item holding a value that is not an int (a
-    bool is none), with a ``TypeError``. Duplicates are dropped. Every
-    edge endpoint must appear in ``vertices``.
+    Vertices are ints and edges (lo, dir) pairs of ints, tuples or lists:
+    lo is the endpoint whose bit dir is 0, and lo ^ 2^dir the other. A
+    bool is no int. Refused in turn, the first of each kind named: a vertex
+    that is no int (``TypeError``), then out of range; an edge item that
+    is no tuple or list (``TypeError``), of another length (``ValueError``)
+    or holding a value that is no int (``TypeError``). Duplicates are
+    dropped. Every edge endpoint must appear in ``vertices``.
 
     Validation is in bulk: the pairs are split once, into a lo and a dir
     column, and their value types checked as one set; then ranges by min
@@ -228,7 +235,8 @@ def make_subgraph(
     """
     _check_dimension(n)
     size = 1 << n
-    vertices = list(vertices)
+    vertices = vertices if type(vertices) is list else list(vertices)
+    _check_ints(vertices, "vertex")
     if vertices and not (min(vertices) >= 0 and max(vertices) < size):
         for v in vertices:
             _check_vertex(v, n)
@@ -236,6 +244,8 @@ def make_subgraph(
     edges = edges if type(edges) is list else list(edges)
     if not edges:
         return CubeSubgraph(n, vmask, (0,) * n)
+    if not set(map(type, edges)) <= {tuple, list}:
+        raise TypeError(f"edge {next(e for e in edges if type(e) not in (tuple, list))!r} is not a pair of ints")
     if set(map(len, edges)) != {2}:
         raise ValueError(f"edge {next(e for e in edges if len(e) != 2)!r} is not a (lo, dir) pair")
     los, dirs = list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))
@@ -263,7 +273,8 @@ def induced_subgraph(n: int, vertices: Iterable[int] | int) -> CubeSubgraph:
     """The subgraph of Q_n induced on a vertex set, given as vertices or
     as a 2^n-bit vertex mask: all Q_n edges with both endpoints inside
     the set, direction d's lo endpoints being V & (V >> 2^d) restricted
-    to positions whose bit d is 0."""
+    to positions whose bit d is 0. Listed vertices are type-checked, then
+    sorted for ``make_subgraph``, which names the least out of range."""
     _check_dimension(n)
     size = 1 << n
     if isinstance(vertices, int):
@@ -271,10 +282,9 @@ def induced_subgraph(n: int, vertices: Iterable[int] | int) -> CubeSubgraph:
         if not 0 <= vmask < 1 << size:
             raise ValueError(f"vertex mask has bits outside the {size} vertices of Q_{n}")
     else:
-        vs = sorted(set(vertices))
-        for v in vs:
-            _check_vertex(v, n)
-        vmask = _mask(vs, size)
+        vs = list(vertices)
+        _check_ints(vs, "vertex")
+        vmask = make_subgraph(n, sorted(set(vs)), ()).vertex_mask
     return CubeSubgraph(
         n, vmask, tuple(vmask & (vmask >> (1 << d)) & _lo_pattern(n, d) for d in range(n))
     )

@@ -117,32 +117,24 @@ def _first_repeat(items) -> Any:
         seen.add(item)
 
 
-def _check_edge_items(edges: list) -> None:
-    """Name the first edge item, in order, that is not [lo, dir] of ints."""
-    for i, item in enumerate(edges):
-        if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
-            raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}")
-
-
 def obj_to_graph(obj: dict) -> CubeSubgraph:
-    """The graph of a parsed graph file. The edge items must be lists;
-    ``make_subgraph`` checks them in bulk as (lo, dir) pairs of ints and
-    validates the graph. Only when it refuses does a scan in item order
-    name the first bad item, before its own error is reported. Last, no
-    vertex and no edge may be listed twice, as the writer never lists one
-    twice: the counts are compared in bulk, and a scan names the first
-    repeat."""
+    """The graph of a parsed graph file, checked in bulk by
+    ``make_subgraph``, which refuses an edge item that is not a list.
+    Only when it refuses does a scan in item order name the first item
+    that is not [lo, dir] of ints, before its own error. Last, no vertex
+    or edge may be listed twice, as the writer never lists one twice:
+    the counts are compared in bulk, and a scan names the first repeat."""
     n = _field(obj, "n", int)
     vertices = _field(obj, "vertices", list)
     if not (set(map(type, vertices)) <= {int} or all(map(_is_int, vertices))):
         raise ParseError("graph vertices should be ints")
     edges = _field(obj, "edges", list)
-    if not set(map(type, edges)) <= {list}:
-        _check_edge_items(edges)
     try:
         g = make_subgraph(n, vertices, edges)
     except (ValueError, TypeError) as exc:
-        _check_edge_items(edges)
+        for i, item in enumerate(edges):
+            if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
+                raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}") from exc
         raise ParseError(f"invalid graph: {exc}") from exc
     if len(set(vertices)) != len(vertices):
         raise ParseError(f"invalid graph: vertex {_first_repeat(vertices)} listed twice")
@@ -216,13 +208,9 @@ def obj_to_instance(obj: dict):
     kinds = [name for name in ("vertices", "pairs", "sets") if name in obj]
     if len(kinds) > 1:
         raise ParseError(f"object has the fields {' and '.join(map(repr, kinds))} of more than one instance type")
-    if "vertices" in obj:
-        return obj_to_graph(obj)
-    if "pairs" in obj:
-        return obj_to_colouring(obj)
-    if "sets" in obj:
-        return obj_to_family(obj)
-    raise ParseError("object is neither a graph, a colouring, nor a family")
+    if not kinds:
+        raise ParseError("object is neither a graph, a colouring, nor a family")
+    return {"vertices": obj_to_graph, "pairs": obj_to_colouring, "sets": obj_to_family}[kinds[0]](obj)
 
 
 #: The text of a graph, a colouring and a family file up to the list its
@@ -328,16 +316,14 @@ def save_json(path: str, obj: Any) -> None:
 
 
 def load_json(path: str) -> Any:
+    """The parsed file; every error of reading it is a ``ParseError``
+    that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        return json.loads(text)
+            return json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except RecursionError as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, a number past the int digit limit
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ from math import ceil
 from operator import and_
 from typing import Iterable
 
-from .core import _Value, _at_least, _bits, _check_dimension, _lo_pattern, _mask, _set
+from .core import _Value, _at_least, _bits, _check_dimension, _check_ints, _lo_pattern, _mask, _set
 
 __all__ = [
     "SetFamily",
@@ -45,8 +45,11 @@ class SetFamily(_Value):
 
     @classmethod
     def of(cls, n: int, members: Iterable[int]) -> "SetFamily":
+        """The family of the given members, ints in [0, 2^n); the first
+        that is no int (a bool is none) is named in a ``TypeError``."""
         _check_dimension(n)  # before a 2^n-bit mask is built
         ms = list(members)
+        _check_ints(ms, "family member")
         if ms and (min(ms) < 0 or max(ms) >> n):  # _mask would wrap a negative position
             raise ValueError(f"family members must lie in [0, 2^{n})")
         return cls(n, _mask(ms, 1 << n))

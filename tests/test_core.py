@@ -76,10 +76,19 @@ class TestMakeSubgraph:
         with pytest.raises(ValueError, match=r"is not a \(lo, dir\) pair"):
             make_subgraph(2, [0, 1, 2, 3], [(0, 0), item, (5, 9)])
 
-    @pytest.mark.parametrize("item", [(0.5, 0), (0, 1.0), (True, 0), (0, False), ("0", 0), "01", (None, 0), [0, None]])
+    @pytest.mark.parametrize("item", [(0.5, 0), (0, 1.0), (True, 0), (0, False), ("0", 0), "01", (None, 0), [0, None],
+                                      None, 3, {0: 0, 1: 0}, b"\x00\x00", range(2)])
     def test_refuses_a_pair_that_is_not_of_ints_naming_it(self, item):
         with pytest.raises(TypeError, match=f"^edge {re.escape(repr(item))} is not a pair of ints$"):
             make_subgraph(2, [0, 1, 2, 3], [(0, 0), [1, 1], item, (0.25, 0)])
+
+    @pytest.mark.parametrize("build", [make_subgraph, lambda n, vs, _: induced_subgraph(n, vs)],
+                             ids=["make_subgraph", "induced_subgraph"])
+    @pytest.mark.parametrize("vertex", [True, 0.5, "1"])
+    def test_refuses_a_vertex_that_is_not_an_int_naming_it(self, build, vertex):
+        """Before any range is checked, and first in the given order."""
+        with pytest.raises(TypeError, match=f"^vertex {re.escape(repr(vertex))} is not an int$"):
+            build(2, [0, 5, vertex, 0.25], [])
 
     def test_names_the_first_bad_edge_as_a_lo_dir_pair(self):
         with pytest.raises(ValueError, match=r"^edge \(1, 0\) is not canonical"):

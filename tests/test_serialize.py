@@ -375,6 +375,9 @@ def test_reader_matches_item_by_item_referee(g, data):
     {"n": 2, "vertices": [0, 1], "edges": [[1, 0]]},
     {"n": 2, "vertices": [0, 2], "edges": [[0, 1], [0, 0]]},
     {"n": 2, "vertices": [0, True], "edges": []},
+    {"n": 1, "vertices": [0, 1], "edges": [[0, 0], None]},
+    {"n": 1, "vertices": [0, 1], "edges": [{}]},
+    {"n": 1, "vertices": [0, 1], "edges": ["01"]},
 ])
 def test_analyze_of_a_malformed_graph_exits_1_with_one_line(obj, tmp_path):
     path = tmp_path / "bad.json"
@@ -426,11 +429,15 @@ def test_analyze_of_a_file_the_writer_would_not_write_exits_1_with_one_line(obj,
 @pytest.mark.parametrize("content, message", [
     (b"[" * 100_000, "maximum recursion depth exceeded"),
     (b'{"n": 2, "sets": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
-], ids=["nested-100000-deep", "not-utf-8"])
+    pytest.param(b'{"n": 2, "vertices": [' + b"1" * 5000 + b'], "edges": []}', "Exceeds the limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no limit on int string conversion")),
+], ids=["nested-100000-deep", "not-utf-8", "5000-digit-number"])
 def test_analyze_of_a_file_json_cannot_read_names_the_file_in_one_line(content, message, tmp_path):
-    """Nesting deeper than the decoder's recursion limit and bytes that
-    are not UTF-8 are parse errors of the file, as a syntax error is: one
-    line that names the file and the decoder's message."""
+    """Nesting deeper than the decoder's recursion limit, bytes that are
+    not UTF-8 and a number too long to convert to an int are parse errors
+    of the file, as a syntax error is: one line that names the file and
+    the decoder's message."""
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     result = subprocess.run(

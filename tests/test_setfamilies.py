@@ -66,6 +66,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             build()
 
+    @pytest.mark.parametrize("member", [True, 0.5])
+    def test_a_member_that_is_not_an_int_is_refused_naming_it(self, member):
+        with pytest.raises(TypeError, match=f"^family member {member!r} is not an int$"):
+            SetFamily.of(3, [member])
+
     def test_members_are_the_set_bits(self):
         fam = SetFamily.of(3, [5, 0, 5, 3])
         assert fam == SetFamily(3, 0b101001)
