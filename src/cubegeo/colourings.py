@@ -33,7 +33,7 @@ non-edge position either way. Index spaces are capped at
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import or_
+from operator import ne, or_
 from typing import Iterator
 
 from .core import (CubeSubgraph, _Value, _blocks, _edge_keys, _join, _lo_pattern, _mask, _reverse, _pos, _set,
@@ -65,9 +65,6 @@ __all__ = [
 #: get unwieldy and no supported operation needs them.
 MAX_COLOURING_DIMENSION = 16
 
-#: Cap of the antipodal geodesic searches (layers of 2^n-bit vertex bitsets).
-SEARCH_MAX_N = 12
-
 #: Widest index space of the index builders (A@5 has 40 bits, B@4 32).
 INDEX_MAX_BITS = 64
 
@@ -84,6 +81,8 @@ def antipodal_pair_count(n: int) -> int:
 
 
 def _check_dimension(n: int) -> None:
+    if type(n) is not int:
+        raise TypeError(f"colouring dimension {n!r} is not an int")
     if not 1 <= n <= MAX_COLOURING_DIMENSION:
         raise ValueError(f"colouring dimension {n} outside 1..{MAX_COLOURING_DIMENSION}")
 
@@ -96,6 +95,8 @@ class EdgeColouring(_Value):
 
     def __init__(self, n: int, blue_mask: int):
         _check_dimension(n)
+        if type(blue_mask) is not int:
+            raise TypeError(f"blue_mask {blue_mask!r} is not an int")
         if blue_mask & ~_valid_edge_mask(n):
             raise ValueError("blue_mask has bits at non-edge positions")
         _set(self, "n", n)  # faster than _init: sample search builds one per draw
@@ -152,6 +153,7 @@ def random_antipodal_colouring(n: int, seed: int) -> EdgeColouring:
     forced opposite. Deterministic in the seed."""
     if n < 2:
         raise ValueError("antipodal colourings need n >= 2")
+    _check_dimension(n)  # before the cached pair table is read
     rng = SplitMix64(derive(seed))
     pairs = _antipodal_pairs(n)[1]
     # digit i is the i-th one-bit draw; 1 blues pair i's representative
@@ -212,8 +214,10 @@ def _from_index(n: int, index: int, antipodal: bool) -> EdgeColouring:
     """The index-th colouring of a space, one table lookup per index
     byte. Its mask is an XOR of table entries, which ``_index_tables``
     checked to be edge masks, so the value is set slot by slot without
-    ``EdgeColouring.__init__``'s check; the index range is checked on
-    every call."""
+    ``EdgeColouring.__init__``'s check; the index range and the type of n
+    (the cache takes a float or bool for the int it equals) on every call."""
+    if type(n) is not int:
+        _check_dimension(n)
     base, bits, tables = _index_tables(n, antipodal)
     if not 0 <= index < (1 << bits):
         space = "antipodal pairs" if antipodal else "edges"
@@ -241,34 +245,30 @@ def colouring_from_index(n: int, index: int) -> EdgeColouring:
 
 
 class AntipodalWitness(_Value):
-    """A path between antipodal vertices together with what it certifies:
-    'mono-path' (all one colour), 'mono-geodesic', 'one-change-geodesic'
-    (geodesics of length n), or a simple 'path' carrying its exact
-    colour-change count."""
+    """A path from a vertex to its antipode, as its vertex sequence,
+    together with what it certifies: 'mono-path' (all one colour),
+    'mono-geodesic', 'one-change-geodesic' (geodesics of length n), or a
+    simple 'path', whose colour changes ``validate_witness`` counts."""
 
-    __slots__ = _fields = ("kind", "vertices", "pair", "change_count")
+    __slots__ = _fields = ("kind", "vertices")
 
-    def __init__(self, kind: str, vertices: tuple[int, ...], pair: tuple[int, int], change_count: int | None = None):
-        self._init(kind, vertices, pair, change_count)
+    def __init__(self, kind: str, vertices: tuple[int, ...]):
+        self._init(kind, vertices)
 
 
-def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:
-    """Structural check, independent of how the witness was found.
-    Raises ValueError on any defect; returns the mask of the path's edge
-    positions (dir << n) | lo."""
+def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> tuple[int, int]:
+    """Structural check, independent of how the witness was found: the
+    path joins a vertex of Q_n to its antipode along cube edges as its
+    kind says. Raises ValueError on any defect; returns the mask of the
+    path's edge positions (dir << n) | lo and its colour change count."""
     n = c.n
-    x, y = w.pair
-    if y != antipode(x, n):
-        raise ValueError(f"pair {w.pair} is not antipodal in Q_{n}")
     verts = w.vertices
-    if not verts:
-        raise ValueError("witness path has no vertices")
-    if verts[0] != x or verts[-1] != y:
-        raise ValueError("path endpoints do not match the antipodal pair")
+    # a start outside [0, 2^n) is refused here, not by antipode's own check
+    if not verts or verts[0] >> n or verts[-1] != antipode(verts[0], n):
+        raise ValueError(f"witness path does not join antipodal vertices of Q_{n}")
     blue = c.blue_mask
     path = 0
-    changes = 0
-    last = None
+    colours = []
     for u, v in zip(verts, verts[1:]):
         d = u ^ v
         if d == 0 or d & (d - 1) or d >> n:
@@ -276,13 +276,11 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:
         # u & v is the lo endpoint of the edge between adjacent u and v
         pos = _pos(u & v, d.bit_length() - 1, n)
         path |= 1 << pos
-        colour = (blue >> pos) & 1
-        if last is not None and colour != last:
-            changes += 1
-        last = colour
+        colours.append((blue >> pos) & 1)
+    changes = sum(map(ne, colours, colours[1:]))
     if w.kind in _SWITCHES:
         geodesic, budget = _SWITCHES[w.kind]
-        # x ^ y has all n bits set, so the single-bit steps flip each of
+        # the ends differ in all n bits, so the single-bit steps flip each of
         # the n coordinates an odd number of times, at least once: a walk
         # of exactly n steps flips each once and repeats no direction.
         if geodesic and len(verts) - 1 != n:
@@ -292,13 +290,9 @@ def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> int:
     elif w.kind == "path":
         if len(set(verts)) != len(verts):
             raise ValueError("path witness repeats a vertex")
-        if changes != w.change_count:
-            raise ValueError(
-                f"witness records {w.change_count} changes but has {changes}"
-            )
     else:
         raise ValueError(f"unknown witness kind {w.kind!r}")
-    return path
+    return path, changes
 
 
 def _antipodal_search(
@@ -390,33 +384,27 @@ def _backtrack(steps: list, levels: list, c: int, v: int) -> tuple[int, ...]:
 _SWITCHES = {"mono-path": (False, 0), "mono-geodesic": (True, 0), "one-change-geodesic": (True, 1)}
 
 
-def _antipodal_hits(c: EdgeColouring, geodesic: bool, budget: int | None) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """``(x, changes, vertices)`` for each start x, ascending, that is
-    joined to its antipode with fewer changes than every hit before it:
-    after a hit the budget drops below its changes, and a hit with no
-    changes ends the search."""
+def _antipodal_hits(c: EdgeColouring, geodesic: bool, budget: int | None) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(changes, vertices)`` of a path from each start x, ascending,
+    that is joined to its antipode with fewer changes than every hit
+    before it; the path starts at x. After a hit the budget drops below
+    its changes, and a hit with no changes ends the search."""
     n = c.n
     classes = _colour_lomasks(c)
     for x in range(1 << (n - 1)):
         found = _antipodal_search(n, classes, x, geodesic, budget)
         if found is not None:
-            changes, vertices = found
-            yield x, changes, vertices
-            if not changes:
+            yield found
+            if not found[0]:
                 return
-            budget = changes - 1
+            budget = found[0] - 1
 
 
 def _first_antipodal(c: EdgeColouring, kind: str):
     """The witness for the first x, ascending, joined to its antipode
-    within the change budget. Geodesic searches refuse n above
-    SEARCH_MAX_N."""
-    n = c.n
-    geodesic, budget = _SWITCHES[kind]
-    if geodesic and n > SEARCH_MAX_N:
-        raise ValueError(f"n={n} exceeds the antipodal-search cap {SEARCH_MAX_N}")
-    for x, _, vertices in _antipodal_hits(c, geodesic, budget):
-        return AntipodalWitness(kind, vertices, (x, x ^ ((1 << n) - 1)))
+    within the change budget."""
+    for _, vertices in _antipodal_hits(c, *_SWITCHES[kind]):
+        return AntipodalWitness(kind, vertices)
     return None
 
 
@@ -453,16 +441,17 @@ def min_colour_changes_antipodal(c: EdgeColouring) -> tuple[int, AntipodalWitnes
     a simple path: level k of a colour starts from every vertex the
     levels before it reached, so each segment steps only onto vertices
     new to the walk. The walk minimum is therefore the path minimum, and
-    the witness is validated as a path before it is returned. It is the
-    last of the start points' hits.
+    the witness is validated as a path, its colour changes counted anew,
+    before it is returned. It is the last of the start points' hits.
     """
-    n = c.n
     hits = list(_antipodal_hits(c, False, None))
     if not hits:
         raise RuntimeError("Q_n is connected, yet the antipode was not reached")
-    x, value, walk = hits[-1]
-    witness = AntipodalWitness("path", walk, (x, x ^ ((1 << n) - 1)), value)
-    validate_witness(witness, c)
+    value, walk = hits[-1]
+    witness = AntipodalWitness("path", walk)
+    changes = validate_witness(witness, c)[1]
+    if changes != value:
+        raise RuntimeError(f"the search found {value} colour changes, but its witness has {changes}")
     return value, witness
 
 
@@ -554,7 +543,7 @@ def derive_B_from_A(c: EdgeColouring) -> AntipodalWitness:
     path = _close(p, s, n + 1)[:-1]
     if path[0] >> n:
         path = tuple(v ^ ((2 << n) - 1) for v in path)
-    witness = AntipodalWitness("one-change-geodesic", path, (path[0], path[-1]))
+    witness = AntipodalWitness("one-change-geodesic", path)
     validate_witness(witness, c)
     return witness
 
@@ -578,6 +567,6 @@ def derive_A_from_B(c: EdgeColouring) -> AntipodalWitness:
     cols = [(c.blue_mask >> _pos(u & v, (u ^ v).bit_length() - 1, n)) & 1 for u, v in zip(verts, verts[1:])]
     split = next((i for i in range(1, len(cols)) if cols[i - 1] != cols[i]), 0)
     path = _close(verts, split, n)
-    witness = AntipodalWitness("mono-geodesic", path, (path[0], path[-1]))
+    witness = AntipodalWitness("mono-geodesic", path)
     validate_witness(witness, c)
     return witness

@@ -77,6 +77,8 @@ def _field_repr(value) -> str:
 
 
 def _check_dimension(n: int) -> None:
+    if type(n) is not int:
+        raise TypeError(f"dimension {n!r} is not an int")
     if not 0 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension {n} outside supported range 0..{MAX_DIMENSION}")
 
@@ -273,11 +275,14 @@ def induced_subgraph(n: int, vertices: Iterable[int] | int) -> CubeSubgraph:
     """The subgraph of Q_n induced on a vertex set, given as vertices or
     as a 2^n-bit vertex mask: all Q_n edges with both endpoints inside
     the set, direction d's lo endpoints being V & (V >> 2^d) restricted
-    to positions whose bit d is 0. Listed vertices are type-checked, then
-    sorted for ``make_subgraph``, which names the least out of range."""
+    to positions whose bit d is 0. A mask is an int (a bool is none).
+    Listed vertices are type-checked, then sorted for ``make_subgraph``,
+    which names the least out of range."""
     _check_dimension(n)
     size = 1 << n
-    if isinstance(vertices, int):
+    if not hasattr(vertices, "__iter__"):
+        if type(vertices) is not int:
+            raise TypeError(f"vertex mask {vertices!r} is not an int")
         vmask = vertices
         if not 0 <= vmask < 1 << size:
             raise ValueError(f"vertex mask has bits outside the {size} vertices of Q_{n}")

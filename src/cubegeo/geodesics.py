@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 
-from .core import CubeSubgraph, _Value, _at_least, _set, average_degree
+from .core import CubeSubgraph, _Value, _at_least, average_degree
 
 __all__ = [
     "DirectionOrdering",
@@ -85,31 +85,38 @@ def random_ordering(n: int, rng) -> DirectionOrdering:
     return DirectionOrdering(tuple(perm))
 
 
-class GeodesicPath(_Value):
-    """A geodesic: vertex sequence plus the direction of each step.
+def _step_directions(vertices: tuple[int, ...]) -> list[int]:
+    """The direction of each step of a path, refused unless the path has
+    a vertex, every step is a cube edge and no direction repeats."""
+    if not vertices:
+        raise ValueError("a path needs at least one vertex")
+    dirs = []
+    for u, v in zip(vertices, vertices[1:]):
+        d = u ^ v
+        if d <= 0 or d & (d - 1):
+            raise ValueError(f"step {u}->{v} is not a cube edge")
+        dirs.append(d.bit_length() - 1)
+    if len(set(dirs)) != len(dirs):
+        raise ValueError(f"directions {tuple(dirs)} repeat: not a geodesic")
+    return dirs
 
-    Directions are pairwise distinct, so the vertices are automatically
-    distinct too. Equality is by class and fields, so a path and its
-    reversal are different objects.
+
+class GeodesicPath(_Value):
+    """A geodesic: a vertex sequence whose steps are cube edges in
+    pairwise distinct directions, so its vertices are distinct too.
+    Equality is by class and vertices, so a path and its reversal are
+    different objects.
     """
 
-    __slots__ = _fields = ("vertices", "directions")
+    __slots__ = _fields = ("vertices",)
 
-    def __init__(self, vertices: tuple[int, ...], directions: tuple[int, ...]):
-        if not vertices:
-            raise ValueError("a path needs at least one vertex")
-        if len(directions) != len(vertices) - 1:
-            raise ValueError("need exactly one direction per step")
-        for u, v, d in zip(vertices, vertices[1:], directions):
-            if u ^ v != 1 << d:
-                raise ValueError(f"step {u}->{v} is not in direction {d}")
-        if len(set(directions)) != len(directions):
-            raise ValueError(f"directions {directions} repeat: not a geodesic")
-        self._init(vertices, directions)
+    def __init__(self, vertices: tuple[int, ...]):
+        _step_directions(vertices)
+        self._init(vertices)
 
     @property
     def length(self) -> int:
-        return len(self.directions)
+        return len(self.vertices) - 1
 
 
 class IncreasingGeodesic(GeodesicPath):
@@ -119,13 +126,12 @@ class IncreasingGeodesic(GeodesicPath):
     __slots__ = ("ordering",)
     _fields = GeodesicPath._fields + __slots__
 
-    def __init__(self, vertices: tuple[int, ...], directions: tuple[int, ...], ordering: DirectionOrdering):
-        super().__init__(vertices, directions)
-        ranks = ordering.ranks
-        seq = [ranks[d] for d in directions]
-        if any(a >= b for a, b in zip(seq, seq[1:])):
-            raise ValueError(f"directions {directions} are not increasing")
-        _set(self, "ordering", ordering)
+    def __init__(self, vertices: tuple[int, ...], ordering: DirectionOrdering):
+        directions = _step_directions(vertices)
+        ranks = list(map(ordering.ranks.__getitem__, directions))
+        if ranks != sorted(ranks):  # the directions, and so their ranks, are distinct
+            raise ValueError(f"directions {tuple(directions)} are not increasing")
+        self._init(vertices, ordering)
 
 
 class LTable(_Value):
@@ -142,13 +148,13 @@ class LTable(_Value):
     the witness ending at a vertex from the step that raised it.
     """
 
-    __slots__ = _fields = ("n", "ordering", "lo_masks", "levels")
+    __slots__ = _fields = ("ordering", "lo_masks", "levels")
 
-    def __init__(self, n: int, ordering: DirectionOrdering, lo_masks: tuple[int, ...], levels: tuple):
-        self._init(n, ordering, lo_masks, levels)
+    def __init__(self, ordering: DirectionOrdering, lo_masks: tuple[int, ...], levels: tuple):
+        self._init(ordering, lo_masks, levels)
 
     def __repr__(self) -> str:  # without the masks, which can run to millions of digits
-        return f"LTable(n={self.n!r}, ordering={self.ordering!r})"
+        return f"LTable(n={self.ordering.n!r}, ordering={self.ordering!r})"
 
     @property
     def total(self) -> int:
@@ -202,7 +208,7 @@ def increasing_geodesic_table(
                 raised.pop()
             levels = (levels[0], *raised)
         history.append(levels)
-    return LTable(g.n, ordering, g.lo_masks, tuple(history))
+    return LTable(ordering, g.lo_masks, tuple(history))
 
 
 def extract_increasing_geodesic(table: LTable, v: int) -> IncreasingGeodesic:
@@ -220,7 +226,6 @@ def extract_increasing_geodesic(table: LTable, v: int) -> IncreasingGeodesic:
     length = max(k for k, level in enumerate(final) if level >> v & 1)
     t = len(levels) - 1
     verts = [v]
-    dirs = []
     while length:
         while t and length < len(levels[t - 1]) and levels[t - 1][length] >> v & 1:
             t -= 1
@@ -230,9 +235,8 @@ def extract_increasing_geodesic(table: LTable, v: int) -> IncreasingGeodesic:
                 and table.lo_masks[dir] >> min(u, v) & 1):
             raise RuntimeError(f"vertex {v} has no predecessor at length {length} after {t} steps")
         verts.append(u)
-        dirs.append(dir)
         v, length, t = u, length - 1, t - 1
-    return IncreasingGeodesic(tuple(verts[::-1]), tuple(dirs[::-1]), table.ordering)
+    return IncreasingGeodesic(tuple(verts[::-1]), table.ordering)
 
 
 def longest_geodesic_lower_bound(
@@ -274,7 +278,8 @@ def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
 
     Strips vertices of degree below half the average degree to reach a
     min-degree core, then extends greedily from the smallest core vertex
-    along unused directions (smallest direction first). While fewer than
+    x along unused directions, those where the current vertex still
+    agrees with x (smallest direction first). While fewer than
     avg/2 directions are used, the current core vertex still has an
     unused-direction neighbour in the core, so the walk cannot stop early.
     """
@@ -284,22 +289,18 @@ def greedy_geodesic(g: CubeSubgraph) -> GeodesicPath:
     core = _min_degree_core(g, half)
     if not core:
         raise RuntimeError(f"min-degree core at threshold {half} is empty")
-    v = (core & -core).bit_length() - 1
+    x = v = (core & -core).bit_length() - 1
     verts = [v]
-    dirs = []
-    used = 0
     while True:
         for dir, m in enumerate(g.lo_masks):
             bit = 1 << dir
-            if not used & bit and m >> (v & ~bit) & core >> (v ^ bit) & 1:
+            if not (v ^ x) & bit and m >> (v & ~bit) & core >> (v ^ bit) & 1:
                 break
         else:
             break
-        used |= bit
-        dirs.append(dir)
         v ^= bit
         verts.append(v)
-    path = GeodesicPath(tuple(verts), tuple(dirs))
+    path = GeodesicPath(tuple(verts))
     if path.length < math.ceil(half):
         raise RuntimeError(f"greedy geodesic has {path.length} edges, below ceil({half})")
     return path

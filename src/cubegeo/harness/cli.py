@@ -43,7 +43,7 @@ from .verify import _THEOREMS, THEOREMS, _full_compression, default_template, ru
 #: Most items (graph vertices and edges, or family members) a ``gen``
 #: file may hold: graphs up to n = 16, random families up to n = 20.
 GEN_MAX_ITEMS = 2**20
-_ANALYZE_SEARCH_MAX_N = 8
+_ANALYZE_CHECKS_MAX_N = 8
 _ANALYZE_CHANGES_MAX_N = 10
 
 
@@ -210,10 +210,10 @@ def _analyze_colouring(c: EdgeColouring) -> tuple[dict, bool]:
     }
     info["min_colour_changes"] = min_colour_changes_antipodal(c)[0] if n <= _ANALYZE_CHANGES_MAX_N else None
     for space in _SPACES.values():
-        witness = space.check(c) if n <= _ANALYZE_SEARCH_MAX_N else None
+        witness = space.check(c) if n <= _ANALYZE_CHECKS_MAX_N else None
         if witness is not None:
             validate_witness(witness, c)
-        info[space.key] = witness is not None if n <= _ANALYZE_SEARCH_MAX_N else None
+        info[space.key] = witness is not None if n <= _ANALYZE_CHECKS_MAX_N else None
     return info, cor["ok"]
 
 

@@ -132,7 +132,7 @@ def _sweep(check, build, n: int, keys):
                 if witness is None:
                     yield c, None
                     continue
-                path = validate_witness(witness, c)
+                path = validate_witness(witness, c)[0]
                 last = (path, blue & path, witness.kind)
                 found.append(last)
         yield c, last[2]

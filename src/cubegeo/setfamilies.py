@@ -39,6 +39,8 @@ class SetFamily(_Value):
 
     def __init__(self, n: int, mask: int):
         _check_dimension(n)
+        if type(mask) is not int:
+            raise TypeError(f"family mask {mask!r} is not an int")
         if mask < 0 or mask.bit_length() > 1 << n:
             raise ValueError(f"family mask has bits outside the 2^{n} subsets of [{n}]")
         self._init(n, mask)

@@ -103,7 +103,7 @@ def greedy_walk(g):
     half the average degree one at a time off a stack, smallest first,
     updating neighbour degrees as it goes; then walks from the smallest
     survivor, each step along the smallest unused direction whose
-    neighbour survived. Returns (vertices, directions)."""
+    neighbour survived. Returns the vertices."""
     adj = adjacency(g)
     half = Fraction(len(edge_list(g)), len(adj))
     deg = {v: len(nbrs) for v, nbrs in adj.items()}
@@ -124,7 +124,7 @@ def greedy_walk(g):
     while True:
         steps = [(d, w) for d, w in adj[v] if d not in dirs and w in alive]
         if not steps:
-            return tuple(verts), tuple(dirs)
+            return tuple(verts)
         d, v = min(steps)
         dirs.append(d)
         verts.append(v)
@@ -698,15 +698,19 @@ def chain_sweep_table(g, ordering):
     return lengths, chains
 
 
+def step_directions(path):
+    """The direction of each step of a path value, read off its vertices."""
+    return [(u ^ v).bit_length() - 1 for u, v in zip(path.vertices, path.vertices[1:])]
+
+
 def chain_witness(chains, v):
-    """The (vertices, directions) of the chain ending at v, start first."""
-    verts, dirs = [v], []
+    """The vertices of the chain ending at v, start first."""
+    verts = [v]
     node = chains[v]
     while node is not None:
-        u, dir, node = node
+        u, _, node = node
         verts.append(u)
-        dirs.append(dir)
-    return tuple(verts[::-1]), tuple(dirs[::-1])
+    return tuple(verts[::-1])
 
 
 def count_increasing_paths(g, d, ordering):

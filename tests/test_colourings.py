@@ -30,7 +30,6 @@ from cubegeo import (
 from cubegeo import colourings
 from cubegeo.colourings import (
     INDEX_MAX_BITS,
-    SEARCH_MAX_N,
     _antipodal_search,
     _colour_lomasks,
     antipodal_colouring_from_index,
@@ -63,6 +62,7 @@ from oracles import (
     min_changes_geodesics,
     min_changes_simple_paths,
     path_edge_positions,
+    step_directions,
 )
 
 RED, BLUE = "red", "blue"
@@ -76,6 +76,27 @@ class TestEdgeColouring:
     def test_total_edge_count(self):
         for n in (1, 2, 3, 4):
             assert len(colouring_to_obj(all_red(n))["pairs"]) == edge_count(n) == n * (1 << (n - 1))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: EdgeColouring(True, 1), "colouring dimension True is not an int"),
+        (lambda: EdgeColouring(2.0, 1), "colouring dimension 2.0 is not an int"),
+        (lambda: EdgeColouring(2, True), "blue_mask True is not an int"),
+        (lambda: EdgeColouring(2, 1.0), "blue_mask 1.0 is not an int"),
+        (lambda: EdgeColouring(2, None), "blue_mask None is not an int"),
+        (lambda: random_colouring(True, 0), "colouring dimension True is not an int"),
+        (lambda: random_antipodal_colouring(3.0, 0), "colouring dimension 3.0 is not an int"),
+        (lambda: colouring_from_index(2.0, 0), "colouring dimension 2.0 is not an int"),
+        (lambda: colouring_from_index(True, 0), "colouring dimension True is not an int"),
+        (lambda: antipodal_colouring_from_index(2.0, 0), "colouring dimension 2.0 is not an int"),
+    ])
+    def test_a_dimension_or_mask_that_is_not_an_int_is_refused_naming_it(self, build, message):
+        """Also after the int it equals has filled the builders' caches."""
+        for n in (1, 2, 3):
+            colouring_from_index(n, 0)
+            random_antipodal_colouring(n + 1, 0)
+            antipodal_colouring_from_index(n + 1, 0)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_file_object_roundtrip(self):
         c = random_colouring(3, 5)
@@ -357,7 +378,7 @@ class TestTableCheckedBuild:
 
 
 def _first_pair(c, w):
-    return None if w is None else (w.pair[0], colour_of(c, w.vertices[0], w.vertices[1]))
+    return None if w is None else (w.vertices[0], colour_of(c, w.vertices[0], w.vertices[1]))
 
 
 def _check_against_oracles(c):
@@ -366,7 +387,7 @@ def _check_against_oracles(c):
     one_change = find_one_change_antipodal_geodesic(c)
     assert _first_pair(c, path) == has_mono_antipodal_path(c)
     assert _first_pair(c, geodesic) == has_mono_antipodal_geodesic(c)
-    assert (None if one_change is None else one_change.pair[0]) == has_one_change_antipodal_geodesic(c)
+    assert (None if one_change is None else one_change.vertices[0]) == has_one_change_antipodal_geodesic(c)
     for w, kind in ((path, "mono-path"), (geodesic, "mono-geodesic"), (one_change, "one-change-geodesic")):
         if w is not None:
             assert w.kind == kind
@@ -440,10 +461,6 @@ class TestMonoGeodesic:
             assert w is not None and w.kind == "mono-geodesic"
             validate_witness(w, c)
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match=f"^n=13 exceeds the antipodal-search cap {SEARCH_MAX_N}$"):
-            find_monochromatic_antipodal_geodesic(all_red(13))
-
 
 class TestOneChangeGeodesic:
     def test_direction_split_single_change(self):
@@ -466,9 +483,37 @@ class TestOneChangeGeodesic:
             assert w is not None
             validate_witness(w, c)
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match=f"^n=13 exceeds the antipodal-search cap {SEARCH_MAX_N}$"):
-            find_one_change_antipodal_geodesic(all_red(13))
+
+def _odd_directions_blue(n):
+    """Edges of odd direction blue, the rest red: no start reaches its
+    antipode in one colour, so the monochromatic search tries them all."""
+    return colouring_from_pairs(n, [(lo, dir, BLUE if dir & 1 else RED) for lo, dir, _ in colouring_pairs(all_red(n))])
+
+
+class TestGeodesicSearchesAtN13:
+    """The geodesic searches run at any colouring dimension; n = 13 is
+    one above their old cap."""
+
+    def test_odd_directions_blue(self):
+        c = _odd_directions_blue(13)
+        assert find_monochromatic_antipodal_geodesic(c) is None
+        # the even directions in red, then the odd ones in blue: one change from the first start
+        w = find_one_change_antipodal_geodesic(c)
+        assert w.kind == "one-change-geodesic" and w.vertices[0] == 0
+        assert validate_witness(w, c)[1] == colour_changes(c, w.vertices) == 1
+
+    def test_seeded_colourings(self):
+        for c, check, budget in ((random_antipodal_colouring(13, 1), find_monochromatic_antipodal_geodesic, 0),
+                                 (random_colouring(13, 1), find_one_change_antipodal_geodesic, 1)):
+            w = check(c)
+            assert len(w.vertices) == 14
+            assert validate_witness(w, c)[1] == colour_changes(c, w.vertices) <= budget
+
+    def test_derive_b_from_a_at_n12(self):
+        c = random_colouring(12, 1)
+        w = derive_B_from_A(c)
+        assert w.kind == "one-change-geodesic"
+        assert validate_witness(w, c)[1] == colour_changes(c, w.vertices) <= 1
 
 
 class TestMinColourChanges:
@@ -489,9 +534,8 @@ class TestMinColourChanges:
         value, w = min_colour_changes_antipodal(c)
         per_start = [min_changes_simple_paths(c, x, x ^ 7) for x in range(4)]
         assert value == min(per_start)
-        assert w.pair[0] == per_start.index(value)
-        assert w.change_count == value == colour_changes(c, w.vertices)
-        validate_witness(w, c)
+        assert w.vertices[0] == per_start.index(value)
+        assert validate_witness(w, c)[1] == value == colour_changes(c, w.vertices)
         assert len(set(w.vertices)) == len(w.vertices)  # simple path
 
     def test_matches_simple_path_oracle_n3(self):
@@ -521,7 +565,7 @@ class TestSearchKernel:
         classes = _colour_lomasks(c)
         changes, verts = _antipodal_search(n, classes, 0, True, None)
         assert changes == n - 1
-        validate_witness(AntipodalWitness("path", verts, (0, (1 << n) - 1), n - 1), c)
+        assert validate_witness(AntipodalWitness("path", verts), c)[1] == n - 1
         assert len({u ^ v for u, v in zip(verts, verts[1:])}) == len(verts) - 1 == n
         assert _antipodal_search(n, classes, 0, True, n - 2) is None
 
@@ -541,10 +585,10 @@ class TestSearchKernel:
                 changes, verts = _antipodal_search(3, classes, x, False, None)
                 assert changes == min_changes_simple_paths(c, x, y)
                 assert verts[0] == x and verts[-1] == y
-                validate_witness(AntipodalWitness("path", verts, (x, y), colour_changes(c, verts)), c)
+                assert validate_witness(AntipodalWitness("path", verts), c)[1] == changes
                 changes, verts = _antipodal_search(3, classes, x, True, None)
                 assert changes == min_changes_geodesics(c, x)
-                validate_witness(AntipodalWitness("path", verts, (x, y), changes), c)
+                assert validate_witness(AntipodalWitness("path", verts), c)[1] == changes
                 assert len(verts) == 4
 
     @given(st.data())
@@ -667,7 +711,7 @@ class TestLaneSearch:
         # colouring, so the one-change witness starts at a later x
         c = TestSearchKernel._parity_colouring(3)
         assert _check_lanes_against_checker(3, lambda n, key: c, [0], "one-change-geodesic") == 1
-        assert find_one_change_antipodal_geodesic(c).pair[0] > 0
+        assert find_one_change_antipodal_geodesic(c).vertices[0] > 0
 
 
 class TestWitnessGroup:
@@ -675,7 +719,7 @@ class TestWitnessGroup:
     every later colouring that gives its path the same colours, and a
     new witness is validated in full against its own colouring."""
 
-    WITNESS = AntipodalWitness("mono-path", (0b00, 0b01, 0b11), (0b00, 0b11))
+    WITNESS = AntipodalWitness("mono-path", (0b00, 0b01, 0b11))
 
     def _sweep_group(self, group, checked):
         """Sweep ``group`` with a checker that always offers WITNESS and
@@ -731,7 +775,7 @@ class TestHalfGeodesic:
         p = monochromatic_half_geodesic(c)
         assert p.length >= 3
         assert is_monochromatic(c, p.vertices)
-        assert len(set(p.directions)) == p.length
+        assert len(set(step_directions(p))) == p.length
 
     def test_n1(self):
         p = monochromatic_half_geodesic(EdgeColouring(1, 1))
@@ -849,23 +893,35 @@ class TestDeriveConstructions:
             assert sorted(dirs) == [0, 1, 2]
 
 
+#: Plants a search hit whose count is one above its path's changes.
+_WRONG_COUNT_SCRIPT = """
+from cubegeo import EdgeColouring, colourings
+colourings._antipodal_hits = lambda c, geodesic, budget: iter([(2, (0b00, 0b01, 0b11))])
+try:
+    colourings.min_colour_changes_antipodal(EdgeColouring(2, 1 << 5))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
 def _rejects(w, c, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         validate_witness(w, c)
 
 
 class TestWitnessValidation:
-    def test_rejects_empty_path(self):
-        w = AntipodalWitness("mono-path", (), (0, 7))
-        _rejects(w, all_red(3), "witness path has no vertices")
-
-    def test_rejects_wrong_pair(self):
-        w = AntipodalWitness("mono-path", (0, 1), (0, 2))
-        _rejects(w, all_red(2), "pair (0, 2) is not antipodal in Q_2")
-
-    def test_rejects_endpoints_off_the_pair(self):
-        w = AntipodalWitness("mono-path", (0b01, 0b11), (0b00, 0b11))
-        _rejects(w, all_red(2), "path endpoints do not match the antipodal pair")
+    @pytest.mark.parametrize("vertices", [
+        (),
+        (0b00,),
+        (0b00, 0b01),
+        (0b01, 0b11),
+        (0b00, 0b01, 0b11, 0b10),  # passes the antipode of its start
+        (0b100, 0b101, 0b111, 0b011),  # a start outside Q_2 with the end its antipode's would be
+        (-1, -2, -4),  # negative ends whose XOR is 0b11
+    ])
+    def test_rejects_ends_that_are_not_antipodal(self, vertices):
+        for kind in ("mono-path", "mono-geodesic", "one-change-geodesic", "path", "rainbow"):
+            _rejects(AntipodalWitness(kind, vertices), all_red(2), "witness path does not join antipodal vertices of Q_2")
 
     @pytest.mark.parametrize(
         "vertices, step",
@@ -876,17 +932,17 @@ class TestWitnessValidation:
         ],
     )
     def test_rejects_non_edge_step(self, vertices, step):
-        w = AntipodalWitness("mono-path", vertices, (0b00, 0b11))
+        w = AntipodalWitness("mono-path", vertices)
         _rejects(w, all_red(2), f"step {step} is not a cube edge")
 
     def test_rejects_colour_mismatch(self):
         c = direction_split(2)
-        w = AntipodalWitness("mono-path", (0b00, 0b01, 0b11), (0b00, 0b11))
+        w = AntipodalWitness("mono-path", (0b00, 0b01, 0b11))
         _rejects(w, c, "mono-path witness changes colour 1 times")
 
     @pytest.mark.parametrize("kind", ["mono-geodesic", "one-change-geodesic"])
     def test_rejects_repeated_direction(self, kind):
-        w = AntipodalWitness(kind, (0b00, 0b01, 0b00, 0b10, 0b11), (0b00, 0b11))
+        w = AntipodalWitness(kind, (0b00, 0b01, 0b00, 0b10, 0b11))
         _rejects(w, all_red(2), "witness is not a full-length geodesic")
 
     @pytest.mark.parametrize("kind", ["mono-geodesic", "one-change-geodesic"])
@@ -896,30 +952,39 @@ class TestWitnessValidation:
         # its antipode: n + 2 cube edges, direction 0 three times
         walk = (0, 1, 0) + tuple((1 << d) - 1 for d in range(1, n + 1))
         assert len(walk) - 1 == n + 2
-        w = AntipodalWitness(kind, walk, (0, (1 << n) - 1))
+        w = AntipodalWitness(kind, walk)
         _rejects(w, all_red(n), "witness is not a full-length geodesic")
 
     def test_rejects_mono_geodesic_with_a_change(self):
         c = direction_split(2)
-        w = AntipodalWitness("mono-geodesic", (0b00, 0b01, 0b11), (0b00, 0b11))
+        w = AntipodalWitness("mono-geodesic", (0b00, 0b01, 0b11))
         _rejects(w, c, "mono-geodesic witness changes colour 1 times")
 
     def test_rejects_one_change_geodesic_with_two(self):
         # red, blue, red under the split (directions 0, 1 red; 2 blue)
         c = direction_split(3)
-        w = AntipodalWitness("one-change-geodesic", (0b000, 0b001, 0b101, 0b111), (0b000, 0b111))
+        w = AntipodalWitness("one-change-geodesic", (0b000, 0b001, 0b101, 0b111))
         _rejects(w, c, "one-change-geodesic witness changes colour 2 times")
 
     def test_rejects_path_with_a_repeated_vertex(self):
         # 00 -> 01 -> 00 -> 10 -> 11: a walk with no colour change, but not a path
-        w = AntipodalWitness("path", (0b00, 0b01, 0b00, 0b10, 0b11), (0b00, 0b11), change_count=0)
+        w = AntipodalWitness("path", (0b00, 0b01, 0b00, 0b10, 0b11))
         _rejects(w, all_red(2), "path witness repeats a vertex")
 
-    def test_rejects_wrong_change_count(self):
+    def test_counts_the_colour_changes(self):
         c = direction_split(2)
-        w = AntipodalWitness("path", (0b00, 0b01, 0b11), (0b00, 0b11), change_count=0)
-        _rejects(w, c, "witness records 0 changes but has 1")
-        validate_witness(AntipodalWitness("path", w.vertices, w.pair, change_count=1), c)
+        # edge (lo, dir) at position (dir << 2) | lo
+        assert validate_witness(AntipodalWitness("path", (0b00, 0b01, 0b11)), c) == (0b100001, 1)
+        assert validate_witness(AntipodalWitness("path", (0b00, 0b10, 0b11)), c) == (0b010100, 1)
+        assert validate_witness(AntipodalWitness("path", (0b00, 0b10, 0b11)), all_red(2)) == (0b010100, 0)
+
+    def test_min_changes_refuses_a_count_its_witness_does_not_have_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(colourings.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-O", "-c", _WRONG_COUNT_SCRIPT],
+                                env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "the search found 2 colour changes, but its witness has 1\n"
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_returns_the_path_edge_positions(self, n):
@@ -931,12 +996,13 @@ class TestWitnessValidation:
             witnesses.append(min_colour_changes_antipodal(c)[1])
             for w in witnesses:
                 if w is not None:
-                    mask = validate_witness(w, c)
+                    mask, changes = validate_witness(w, c)
                     assert {p for p in range(n << n) if (mask >> p) & 1} == path_edge_positions(
                         n, w.vertices)
+                    assert changes == colour_changes(c, w.vertices)
 
     def test_rejects_unknown_kind(self):
-        w = AntipodalWitness("rainbow", (0b00, 0b01, 0b11), (0b00, 0b11))
+        w = AntipodalWitness("rainbow", (0b00, 0b01, 0b11))
         _rejects(w, all_red(2), "unknown witness kind 'rainbow'")
 
     def test_witness_antipodal_image_flips_colour(self):

@@ -90,6 +90,14 @@ class TestMakeSubgraph:
         with pytest.raises(TypeError, match=f"^vertex {re.escape(repr(vertex))} is not an int$"):
             build(2, [0, 5, vertex, 0.25], [])
 
+    @pytest.mark.parametrize("build", [lambda n: make_subgraph(n, [0, 1], [(0, 0)]),
+                                       lambda n: induced_subgraph(n, [0, 1]), lambda n: induced_subgraph(n, 3)],
+                             ids=["make_subgraph", "induced_subgraph", "induced_subgraph_mask"])
+    @pytest.mark.parametrize("n", [True, False, 2.0, 0.5, Fraction(2), "2", None])
+    def test_refuses_a_dimension_that_is_not_an_int_naming_it(self, build, n):
+        with pytest.raises(TypeError, match=f"^dimension {re.escape(repr(n))} is not an int$"):
+            build(n)
+
     def test_names_the_first_bad_edge_as_a_lo_dir_pair(self):
         with pytest.raises(ValueError, match=r"^edge \(1, 0\) is not canonical"):
             make_subgraph(2, [0, 1], [(0, 0), [1, 0], (0, 1)])
@@ -117,6 +125,12 @@ class TestMakeSubgraph:
 
 
 class TestInducedSubgraph:
+    @pytest.mark.parametrize("mask", [True, False, 0.5, 1.0, Fraction(3), None])
+    def test_refuses_a_mask_that_is_not_an_int_naming_it(self, mask):
+        """A bool would pass for a mask; a float, a fraction or None is no vertex list either."""
+        with pytest.raises(TypeError, match=f"^vertex mask {re.escape(repr(mask))} is not an int$"):
+            induced_subgraph(2, mask)
+
     @pytest.mark.parametrize("n", range(10))
     def test_lo_pattern_marks_the_vertices_with_bit_dir_clear(self, n):
         for dir in range(n):

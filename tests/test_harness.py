@@ -551,7 +551,7 @@ class TestRunVerify:
         import cubegeo.colourings as colourings_mod
 
         monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(colourings_mod, "longest_geodesic_lower_bound", lambda g: GeodesicPath((0,), ()))
+        monkeypatch.setattr(colourings_mod, "longest_geodesic_lower_bound", lambda g: GeodesicPath((0,)))
         out = tmp_path / "cor.json"
         argv = ["verify", "--theorem", "COR", "--n", "4", "--trials", "3", "--seed", "1"]
         assert main(argv + ["--jobs", str(jobs), "--out", str(out)]) == 2
@@ -1121,7 +1121,7 @@ class TestCli:
         colouring, out = str(tmp_path / "c.json"), tmp_path / "r.json"
         assert main(["gen", "--model", "antipodal-colouring", "--n", "4", "--out", colouring]) == 0
         monkeypatch.setattr(search_mod, "find_monochromatic_antipodal_geodesic",
-                            lambda c: AntipodalWitness("mono-geodesic", (0, 3, 15), (0, 15)))
+                            lambda c: AntipodalWitness("mono-geodesic", (0, 3, 15)))
         capsys.readouterr()
         assert main(["analyze", "--file", colouring, "--out", str(out)]) == 1
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,18 @@ class TestValidation:
     ])
     def test_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SetFamily(3, True), "family mask True is not an int"),
+        (lambda: SetFamily(3, 1.0), "family mask 1.0 is not an int"),
+        (lambda: UniformFamily(3, Fraction(2), 1), "family mask Fraction(2, 1) is not an int"),
+        (lambda: SetFamily(True, 1), "dimension True is not an int"),
+        (lambda: SetFamily.of(3.0, []), "dimension 3.0 is not an int"),
+        (lambda: UniformFamily.of(False, [], 0), "dimension False is not an int"),
+    ])
+    def test_a_mask_or_dimension_that_is_not_an_int_is_refused_naming_it(self, build, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             build()
 
     @pytest.mark.parametrize("member", [True, 0.5])

@@ -36,17 +36,16 @@ VALUES = {
                       obj_to_colouring({"n": 2, "pairs": [[0, 0, "red"], [2, 0, "blue"], [0, 1, "red"],
                                                           [1, 1, "red"]]}),
                       EdgeColouring(2, 0b101)),
-    "AntipodalWitness": (AntipodalWitness("mono-path", (0, 1, 3), (0, 3)),
-                         AntipodalWitness("mono-path", (0, 1, 3), (0, 3), None),
-                         AntipodalWitness("mono-path", (0, 1, 3), (0, 3), 0)),
+    "AntipodalWitness": (AntipodalWitness("mono-path", (0, 1, 3)),
+                         AntipodalWitness(kind="mono-path", vertices=(0, 1, 3)),
+                         AntipodalWitness("mono-path", (0, 2, 3))),
     "DirectionOrdering": (_ID2, DirectionOrdering((0, 1)), DirectionOrdering((1, 0))),
-    "GeodesicPath": (GeodesicPath((0, 1, 3), (0, 1)), GeodesicPath((0, 1, 3), (0, 1)),
-                     GeodesicPath((3, 1, 0), (1, 0))),
-    "IncreasingGeodesic": (IncreasingGeodesic((0, 1, 3), (0, 1), _ID2),
-                           IncreasingGeodesic((0, 1, 3), (0, 1), DirectionOrdering((0, 1))),
-                           IncreasingGeodesic((0, 2, 3), (1, 0), DirectionOrdering((1, 0)))),
-    "LTable": (_TABLE, LTable(2, _ID2, _TABLE.lo_masks, _TABLE.levels),
-               LTable(2, _ID2, _TABLE.lo_masks, _TABLE.levels[:-1])),
+    "GeodesicPath": (GeodesicPath((0, 1, 3)), GeodesicPath(vertices=(0, 1, 3)), GeodesicPath((3, 1, 0))),
+    "IncreasingGeodesic": (IncreasingGeodesic((0, 1, 3), _ID2),
+                           IncreasingGeodesic((0, 1, 3), DirectionOrdering((0, 1))),
+                           IncreasingGeodesic((0, 2, 3), DirectionOrdering((1, 0)))),
+    "LTable": (_TABLE, LTable(_ID2, _TABLE.lo_masks, _TABLE.levels),
+               LTable(_ID2, _TABLE.lo_masks, _TABLE.levels[:-1])),
     "SetFamily": (SetFamily(2, 0b0110), SetFamily.of(2, [2, 1]), SetFamily(2, 0b0111)),
     "UniformFamily": (UniformFamily(2, 0b0110, 1), UniformFamily.of(2, [1, 2], 1), UniformFamily(2, 0b1000, 2)),
     "InstanceSpec": (InstanceSpec("random-family", n=3, density=Fraction(1, 2)),
@@ -86,9 +85,9 @@ def test_values_of_different_classes_never_equal():
     assert EdgeColouring(2, 0) != SetFamily(2, 0)  # both hold (2, 0)
     assert SetFamily(2, 0b0110) != UniformFamily(2, 0b0110, 1)
     assert UniformFamily(2, 0b0110, 1) != SetFamily(2, 0b0110)
-    path = GeodesicPath((0, 1, 3), (0, 1))
-    assert path != IncreasingGeodesic((0, 1, 3), (0, 1), _ID2)
-    assert IncreasingGeodesic((0, 1, 3), (0, 1), _ID2) != path
+    path = GeodesicPath((0, 1, 3))
+    assert path != IncreasingGeodesic((0, 1, 3), _ID2)
+    assert IncreasingGeodesic((0, 1, 3), _ID2) != path
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -107,10 +106,13 @@ def test_fields_are_read_only(name):
 #: Per class, the views that were deleted; none may come back.
 GONE = {
     "CubeSubgraph": ("vertices",),
-    "LTable": ("lengths",),
+    "LTable": ("lengths", "n"),
     "SetFamily": ("sets",),
     "UniformFamily": ("sets",),
     "EdgeColouring": ("colour_between", "blue_count"),
+    "GeodesicPath": ("directions",),
+    "IncreasingGeodesic": ("directions",),
+    "AntipodalWitness": ("pair", "change_count"),
 }
 
 
@@ -154,6 +156,16 @@ def test_repr_keeps_ints_of_64_bits_in_decimal():
     assert repr(CubeSubgraph(7, 2**64, (2**64, 1))) == \
         "CubeSubgraph(n=7, vertex_mask=0x10000000000000000, lo_masks=(0x10000000000000000, 1))"
     assert repr(CubeSubgraph(1, 3, (1,))) == "CubeSubgraph(n=1, vertex_mask=3, lo_masks=(1,))"
+
+
+def test_path_values_keep_what_their_vertices_do_not_give():
+    """Directions, antipodal ends, colour changes and the dimension of a
+    table follow from the other fields, so none is stored."""
+    assert GeodesicPath._fields == ("vertices",)
+    assert IncreasingGeodesic._fields == ("vertices", "ordering")
+    assert AntipodalWitness._fields == ("kind", "vertices")
+    assert LTable._fields == ("ordering", "lo_masks", "levels")
+    assert repr(_TABLE) == "LTable(n=2, ordering=DirectionOrdering(perm=(0, 1)))"
 
 
 def test_instance_spec_keeps_its_field_order():
