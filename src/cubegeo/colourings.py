@@ -36,8 +36,8 @@ from functools import lru_cache, reduce
 from operator import ne, or_
 from typing import Iterator
 
-from .core import (CubeSubgraph, _Value, _blocks, _edge_keys, _join, _lo_pattern, _mask, _reverse, _pos, _set,
-                   _valid_edge_mask, antipode)
+from .core import (CubeSubgraph, _Value, _blocks, _check_ints, _edge_keys, _join, _lo_pattern, _mask, _reverse,
+                   _pos, _set, _valid_edge_mask, antipode)
 from .geodesics import GeodesicPath, longest_geodesic_lower_bound
 from .rng import SplitMix64, derive
 
@@ -259,10 +259,12 @@ class AntipodalWitness(_Value):
 def validate_witness(w: AntipodalWitness, c: EdgeColouring) -> tuple[int, int]:
     """Structural check, independent of how the witness was found: the
     path joins a vertex of Q_n to its antipode along cube edges as its
-    kind says. Raises ValueError on any defect; returns the mask of the
-    path's edge positions (dir << n) | lo and its colour change count."""
+    kind says. Raises TypeError on a vertex that is not an int and
+    ValueError on any other defect; returns the mask of the path's edge
+    positions (dir << n) | lo and its colour change count."""
     n = c.n
     verts = w.vertices
+    _check_ints(verts, "vertex")
     # a start outside [0, 2^n) is refused here, not by antipode's own check
     if not verts or verts[0] >> n or verts[-1] != antipode(verts[0], n):
         raise ValueError(f"witness path does not join antipodal vertices of Q_{n}")

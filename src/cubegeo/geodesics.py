@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 
-from .core import CubeSubgraph, _Value, _at_least, average_degree
+from .core import CubeSubgraph, _Value, _at_least, _check_ints, average_degree
 
 __all__ = [
     "DirectionOrdering",
@@ -86,16 +86,20 @@ def random_ordering(n: int, rng) -> DirectionOrdering:
 
 
 def _step_directions(vertices: tuple[int, ...]) -> list[int]:
-    """The direction of each step of a path, refused unless the path has
-    a vertex, every step is a cube edge and no direction repeats."""
+    """The direction of each step of a path, refused unless it has a
+    vertex, all ints, the first non-negative (one-bit steps keep the rest
+    so), each step is a cube edge and no direction repeats."""
     if not vertices:
         raise ValueError("a path needs at least one vertex")
+    _check_ints(vertices, "vertex")
     dirs = []
     for u, v in zip(vertices, vertices[1:]):
         d = u ^ v
         if d <= 0 or d & (d - 1):
             raise ValueError(f"step {u}->{v} is not a cube edge")
         dirs.append(d.bit_length() - 1)
+    if vertices[0] < 0:
+        raise ValueError(f"vertex {vertices[0]} is negative: no vertex of a cube")
     if len(set(dirs)) != len(dirs):
         raise ValueError(f"directions {tuple(dirs)} repeat: not a geodesic")
     return dirs

@@ -9,13 +9,15 @@ Formats (all 0-based directions, all keys in fixed order):
 
 Every file format lives here; a report is the dict it writes. Output is
 canonical (sorted members, fixed key order, indent 2, trailing newline),
-so identical runs produce byte-identical files. An instance is written
-straight from its masks, in exactly the text the stdlib encoder gives
-for its ``*_to_obj`` dict; only reports go through the encoder. Edges
-and pairs are written from text templates, picked by a byte table of
-the masks' binary digits, so no Python line runs per edge. Graphs and
-colourings are read with shape and edge checks in bulk; the
-error messages for malformed files are those of an item-by-item check.
+so identical runs produce byte-identical files. Each instance format has
+one writer, its text, written straight from the masks as the stdlib
+encoder would write the fields; its ``*_to_obj`` dict is the parse of
+that text, and only reports go through the encoder. Edges and pairs
+are written from text templates, picked by a byte table of the masks'
+binary digits, so no Python line runs per edge. Graphs and colourings
+are read with shape and edge checks in bulk; the error messages for
+malformed files are those of an item-by-item check, and a number is an
+int by core's rule, ``type(x) is int``.
 Each list item appears once: a reader refuses a file that lists a
 vertex, an edge, a pair or a member twice, or that has the fields of
 more than one instance type.
@@ -30,8 +32,8 @@ from itertools import chain, compress, cycle, repeat
 from operator import getitem, itemgetter, lshift, or_
 from typing import Any
 
-from ..colourings import EdgeColouring, _check_dimension, _edge_positions, edge_count
-from ..core import CubeSubgraph, _bits, _blocks, _edge_keys, _lo_pattern, _mask, _valid_edge_mask, make_subgraph
+from ..colourings import EdgeColouring, _check_dimension, edge_count
+from ..core import CubeSubgraph, _bits, _blocks, _lo_pattern, _mask, _valid_edge_mask, make_subgraph
 from ..setfamilies import SetFamily
 
 __all__ = [
@@ -65,22 +67,18 @@ def report(task: str, parameters: dict, seed: int, records: list, aggregate: dic
 
 
 def graph_to_obj(g: CubeSubgraph) -> dict:
-    """The graph file's dict, its lists read off the masks."""
-    edges = map(list, map(divmod, _edge_keys(g.n, g.lo_masks), repeat(g.n)))
-    return {"n": g.n, "vertices": _bits(g.vertex_mask), "edges": list(edges)}
+    """The graph file's dict: the parse of the text ``dumps`` writes."""
+    return json.loads(_graph_text(g))
 
 
 def colouring_to_obj(c: EdgeColouring) -> dict:
-    """The colouring file's dict, every colour read off one digit string
-    of the blue mask, in (lo, dir) order."""
-    n, low = c.n, (1 << c.n) - 1
-    digits = format(c.blue_mask, f"0{n << n}b")[::-1]
-    return {"n": n, "pairs": [[p & low, p >> n, "blue" if digits[p] == "1" else "red"]
-                              for p in _edge_positions(n)]}
+    """The colouring file's dict: the parse of the text ``dumps`` writes."""
+    return json.loads(_colouring_text(c))
 
 
 def family_to_obj(fam: SetFamily) -> dict:
-    return {"n": fam.n, "sets": _bits(fam.mask)}
+    """The family file's dict: the parse of the text ``dumps`` writes."""
+    return json.loads(_family_text(fam))
 
 
 def instance_to_obj(instance) -> dict:
@@ -93,17 +91,11 @@ def instance_to_obj(instance) -> dict:
     raise TypeError(f"cannot serialize {type(instance).__name__}")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer. ``bool`` subclasses ``int``, but ``true`` is no
-    number."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _field(obj: dict, name: str, kind: type):
     if name not in obj:
         raise ParseError(f"missing field {name!r}")
     value = obj[name]
-    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise ParseError(f"field {name!r} should be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -126,14 +118,14 @@ def obj_to_graph(obj: dict) -> CubeSubgraph:
     the counts are compared in bulk, and a scan names the first repeat."""
     n = _field(obj, "n", int)
     vertices = _field(obj, "vertices", list)
-    if not (set(map(type, vertices)) <= {int} or all(map(_is_int, vertices))):
+    if not set(map(type, vertices)) <= {int}:
         raise ParseError("graph vertices should be ints")
     edges = _field(obj, "edges", list)
     try:
         g = make_subgraph(n, vertices, edges)
     except (ValueError, TypeError) as exc:
         for i, item in enumerate(edges):
-            if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and _is_int(item[1])):
+            if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is type(item[1]) is int):
                 raise ParseError(f"edges[{i}] should be [lo, dir], got {item!r}") from exc
         raise ParseError(f"invalid graph: {exc}") from exc
     if len(set(vertices)) != len(vertices):
@@ -159,7 +151,7 @@ def obj_to_colouring(obj: dict) -> EdgeColouring:
             if not (isinstance(item, list) and len(item) == 3):
                 raise ParseError(f"pairs[{i}] should be [lo, dir, colour], got {item!r}")
             lo, dir, colour = item
-            if not _is_int(lo) or not _is_int(dir):
+            if not type(lo) is type(dir) is int:
                 raise ParseError(f"pairs[{i}] endpoints should be ints")
             if not (isinstance(colour, str) and colour in ("red", "blue")):
                 raise ParseError(f"pairs[{i}] colour {colour!r} is not 'red' or 'blue'")
@@ -189,7 +181,7 @@ def obj_to_family(obj: dict) -> SetFamily:
     twice."""
     n = _field(obj, "n", int)
     sets = _field(obj, "sets", list)
-    if not (set(map(type, sets)) <= {int} or all(map(_is_int, sets))):
+    if not set(map(type, sets)) <= {int}:
         raise ParseError("family members should be ints")
     try:
         fam = SetFamily.of(n, sets)
@@ -273,16 +265,16 @@ def _items_text(head: str, n: int, columns: list[int], suffixes: list[str]) -> s
 
 
 def _graph_text(g: CubeSubgraph) -> str:
-    """The stdlib encoder's text of ``graph_to_obj(g)`` at indent 2, and a
-    newline: edge (lo, d) is item (lo, d) of ``_items_text``."""
+    """The graph file, as the stdlib encoder writes its fields at indent
+    2, and a newline: edge (lo, d) is item (lo, d) of ``_items_text``."""
     head = _GRAPH_HEAD % (g.n, _json_list(list(map(str, _bits(g.vertex_mask)))))
     return _items_text(head, g.n, g.lo_masks, list(map("{}\n    ]".format, range(g.n))))
 
 
 def _colouring_text(c: EdgeColouring) -> str:
-    """The stdlib encoder's text of ``colouring_to_obj(c)`` at indent 2,
-    and a newline: edge (lo, d) is item (lo, 2d) of ``_items_text`` if
-    red and (lo, 2d + 1) if blue."""
+    """The colouring file, as the stdlib encoder writes its fields at
+    indent 2, and a newline: edge (lo, d) is item (lo, 2d) of
+    ``_items_text`` if red and (lo, 2d + 1) if blue."""
     columns, suffixes = [], []
     for d, blue in enumerate(_blocks(c.blue_mask, c.n)):
         columns += _lo_pattern(c.n, d) & ~blue, blue
@@ -291,16 +283,16 @@ def _colouring_text(c: EdgeColouring) -> str:
 
 
 def _family_text(fam: SetFamily) -> str:
-    """The stdlib encoder's text of ``family_to_obj(fam)`` at indent 2,
-    and a newline."""
+    """The family file, as the stdlib encoder writes its fields at
+    indent 2, and a newline."""
     return _FAMILY_HEAD % fam.n + _json_list(list(map(str, _bits(fam.mask)))) + _TAIL
 
 
 def dumps(obj: Any) -> str:
     """Canonical JSON text: fixed key order as constructed, indent 2,
     newline-terminated. An instance is written in its file format
-    straight from its masks, in the text the stdlib encoder gives for its
-    ``*_to_obj`` dict; any other object, a report, through the encoder."""
+    straight from its masks, in the text the stdlib encoder would give
+    for its fields; any other object, a report, through the encoder."""
     if isinstance(obj, CubeSubgraph):
         return _graph_text(obj)
     if isinstance(obj, EdgeColouring):

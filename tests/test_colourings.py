@@ -923,6 +923,16 @@ class TestWitnessValidation:
         for kind in ("mono-path", "mono-geodesic", "one-change-geodesic", "path", "rainbow"):
             _rejects(AntipodalWitness(kind, vertices), all_red(2), "witness path does not join antipodal vertices of Q_2")
 
+    @pytest.mark.parametrize("n, vertices, bad", [
+        (1, (False, True), "False"),  # antipodal ends that are bools
+        (1, (0, 1.0), "1.0"),  # an end the antipode equals
+        (2, (0, 0.5, 3), "0.5"),
+    ])
+    def test_rejects_a_vertex_that_is_not_an_int_naming_it(self, n, vertices, bad):
+        for kind in ("mono-path", "path"):
+            with pytest.raises(TypeError, match=f"^vertex {bad} is not an int$"):
+                validate_witness(AntipodalWitness(kind, vertices), all_red(n))
+
     @pytest.mark.parametrize(
         "vertices, step",
         [

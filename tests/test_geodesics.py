@@ -122,6 +122,24 @@ class TestGeodesicPath:
         with pytest.raises(ValueError, match="^a path needs at least one vertex$"):
             IncreasingGeodesic((), DirectionOrdering.identity(2))
 
+    @pytest.mark.parametrize("vertices, bad", [
+        ((True, False), "True"), ((0.5, 1.5), "0.5"), ((0, 1, 3.0), "3.0"), ((0, "1"), "'1'"),
+    ])
+    def test_rejects_a_vertex_that_is_not_an_int_naming_it(self, vertices, bad):
+        with pytest.raises(TypeError, match=f"^vertex {bad} is not an int$"):
+            GeodesicPath(vertices)
+        with pytest.raises(TypeError, match=f"^vertex {bad} is not an int$"):
+            IncreasingGeodesic(vertices, DirectionOrdering.identity(2))
+
+    @pytest.mark.parametrize("vertices", [(-1,), (-1, -2, -4), (-4, -3)])
+    def test_rejects_a_negative_first_vertex_naming_it(self, vertices):
+        """Steps of one bit each, which keep a negative start negative."""
+        message = f"^vertex {vertices[0]} is negative: no vertex of a cube$"
+        with pytest.raises(ValueError, match=message):
+            GeodesicPath(vertices)
+        with pytest.raises(ValueError, match=message):
+            IncreasingGeodesic(vertices, DirectionOrdering.identity(2))
+
     def test_equality_is_by_fields(self):
         p = GeodesicPath((0b00, 0b01, 0b11))
         assert p == GeodesicPath((0b00, 0b01, 0b11))

@@ -3,15 +3,15 @@ and colouring readers against item-by-item referees, and a fuzz of the
 colouring and family readers.
 
 The writer must give, for every graph, colouring and family, exactly
-the text ``json.dumps(instance_to_obj(x), indent=2)`` gives, with no
-Python line run per edge, and a graph's dict must hold the lists of
-``oracles.vertex_list`` and ``oracles.edge_list``; the graph reader
-must return the same subgraph as ``oracles.graph_from_obj``, or raise
-the same exception with the same message, on every mutation of a valid
-graph file; the colouring reader must agree with
-``oracles.colouring_from_obj`` in the same way, also on every mutation
-of a valid colouring's edge list, and the colouring writer with
-``oracles.colouring_pairs``.
+the text ``json.dumps(obj, indent=2)`` gives, with no Python line run
+per edge, where ``obj`` is the file's dict built by the referees
+``oracles.vertex_list``, ``edge_list``, ``colouring_pairs`` and
+``members``: ``instance_to_obj`` returns the parse of the written text,
+so it cannot judge that text. The graph reader must return the same
+subgraph as ``oracles.graph_from_obj``, or raise the same exception
+with the same message, on every mutation of a valid graph file; the
+colouring reader must agree with ``oracles.colouring_from_obj`` in the
+same way, also on every mutation of a valid colouring's edge list.
 Any JSON value must read as a valid instance or raise ``ParseError``.
 """
 
@@ -77,7 +77,16 @@ def test_graph_text_is_the_stdlib_encoding(g):
 
 
 def _encoded(instance):
-    return json.dumps(instance_to_obj(instance), indent=2) + "\n"
+    """The stdlib encoder's text of the instance's file, its lists built
+    by the referees, not read from the writer's own text."""
+    if isinstance(instance, CubeSubgraph):
+        obj = {"n": instance.n, "vertices": oracles.vertex_list(instance),
+               "edges": list(map(list, oracles.edge_list(instance)))}
+    elif isinstance(instance, EdgeColouring):
+        obj = {"n": instance.n, "pairs": list(map(list, oracles.colouring_pairs(instance)))}
+    else:
+        obj = {"n": instance.n, "sets": oracles.members(instance)}
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def test_every_colouring_of_q1_and_q2_is_written_as_the_stdlib_encodes_it():
@@ -188,7 +197,7 @@ def test_writing_builds_no_edge_tuples(monkeypatch):
 
     monkeypatch.setattr(CubeSubgraph, "edges", property(refuse))
     g = generate(InstanceSpec("full-cube", n=6))
-    assert json.loads(dumps(g)) == graph_to_obj(g)
+    assert dumps(g) == _encoded(g)
 
 
 def _nested(code):
@@ -404,6 +413,33 @@ def test_a_repeat_is_named_first_in_file_order_after_every_other_check():
         with pytest.raises(ParseError) as refused:
             read(obj)
         assert str(refused.value) == message, obj
+
+
+class I(int):
+    """An int by ``isinstance``, but not by ``type(x) is int``."""
+
+
+#: The pairs of the all-red colouring of Q_2, as the file holds them.
+RED_Q2 = list(map(list, oracles.colouring_pairs(oracles.constant_colouring(2, "red"))))
+
+
+@pytest.mark.parametrize("read, obj, message", [
+    (obj_to_family, {"n": 2, "sets": [I(1)]}, "family members should be ints"),
+    (obj_to_family, {"n": I(2), "sets": [1]}, "field 'n' should be int, got I"),
+    (obj_to_colouring, {"n": I(2), "pairs": RED_Q2}, "field 'n' should be int, got I"),
+    (obj_to_colouring, {"n": 2, "pairs": [[I(0), 0, "red"], *RED_Q2[1:]]}, "pairs[0] endpoints should be ints"),
+    (obj_to_colouring, {"n": 2, "pairs": [*RED_Q2[:3], [1, I(1), "red"]]}, "pairs[3] endpoints should be ints"),
+    (obj_to_graph, {"n": 2, "vertices": [0, I(1)], "edges": []}, "graph vertices should be ints"),
+    (obj_to_graph, {"n": I(2), "vertices": [], "edges": []}, "field 'n' should be int, got I"),
+    (obj_to_graph, {"n": 2, "vertices": [0, 1], "edges": [[I(0), 0]]}, "edges[0] should be [lo, dir], got [0, 0]"),
+])
+def test_the_readers_take_a_number_by_the_int_rule_of_core(read, obj, message):
+    """JSON gives exact ints only, but a reader called on a dict holding
+    an int subclass refuses it as it refuses a bool, with a
+    ``ParseError``, never a bare ``TypeError``."""
+    with pytest.raises(ParseError) as refused:
+        read(obj)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("obj, message", [
