@@ -432,9 +432,10 @@ def path_edge_positions(n, vertices):
 def colouring_pairs(c):
     """Referee for the triples of ``serialize.colouring_to_obj``:
     (lo, dir, colour) for every edge in (lo, dir) order, each colour read
-    by its own shift of the mask."""
+    from the mask's binary digits, written out once lowest bit first."""
     n = c.n
-    return [(lo, d, "blue" if (c.blue_mask >> (d * 2 ** n + lo)) & 1 else "red")
+    digits = format(c.blue_mask, f"0{n << n}b")[::-1]
+    return [(lo, d, "blue" if digits[d * 2 ** n + lo] == "1" else "red")
             for lo, d in _canonical_edges(n)]
 
 
